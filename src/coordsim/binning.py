@@ -139,13 +139,14 @@ class BinningRealization:
     w_mass: np.ndarray
 
     def __post_init__(self):
+        n_seq = np.shape(self.phi_f)[:1]  # phi_f may still be a list here
         for name, arr, bins in (
             ("phi_f", self.phi_f, self.bins_f),
             ("phi_c", self.phi_c, self.bins_c),
             ("phi_m", self.phi_m, self.bins_m),
         ):
             a = np.array(arr, dtype=np.int64, copy=True)
-            if a.ndim != 1 or a.shape[0] != self.phi_f.shape[0] or a.shape[0] == 0:
+            if a.ndim != 1 or a.shape != n_seq or a.shape[0] == 0:
                 raise ShapeError(f"{name} must be a non-empty 1-D map over W^n")
             if a.min() < 0 or a.max() >= bins:
                 raise DomainError(f"{name} has an image outside [0, {bins})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import BEStats, DEGENERATE_VAR, gaussian_q
+from .measures import BEStats, gaussian_q, support_weights
 from .probability import NORM_TOL, DensityTable, JointPmf, Pmf, check_table_size
 
 # atoms closer than this (bits) are the same point up to float noise
@@ -102,13 +102,7 @@ def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
     Zero-mass support cells are dropped; weights off support raise
     ``DomainError`` (same contract as the moment computation).
     """
-    w = weights.probs
-    if w.shape != density.shape:
-        raise ShapeError(f"weights shape {w.shape} != density shape {density.shape}")
-    off = (w > 0) & ~density.support
-    if np.any(off):
-        bad = np.unravel_index(int(np.argmax(off)), w.shape)
-        raise DomainError("weights put mass outside the density's support", index=bad)
+    w = support_weights(density, weights)
     mask = density.support & (w > 0)
     vals = density.values[mask]
     probs = w[mask]
@@ -145,13 +139,7 @@ def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
 
 def law_stats(law: AtomLaw) -> BEStats:
     """First three moments of an atom law (same conventions as be_stats)."""
-    mu = float(np.dot(law.probs, law.values))
-    centered = law.values - mu
-    v = float(np.dot(law.probs, centered ** 2))
-    t3 = float(np.dot(law.probs, np.abs(centered) ** 3))
-    if v < DEGENERATE_VAR:
-        return BEStats(mu=mu, v=0.0, t3=0.0, b=float("nan"))
-    return BEStats(mu=mu, v=v, t3=t3, b=6.0 * t3 / v ** 1.5)
+    return BEStats.of(law.values, law.probs)
 
 
 def be_gap(law: AtomLaw, n: int) -> BEGapResult:

@@ -10,10 +10,19 @@ Moment conventions
 ------------------
 Densities are in bits, so the moments are bits / bits^2 / bits^3.  The
 Berry-Esseen constant used throughout is B = 6 T / V^(3/2) with T the third
-absolute central moment and V the variance.  A degenerate density (V = 0,
-which happens exactly for deterministic-copy chains) has no meaningful B;
-it is stored as NaN and contributes 0 to any B/sqrt(n) penalty, since the
-underlying CLT gap is identically zero.
+absolute central moment and V the variance.
+
+This module is the one home of that arithmetic: ``moments`` computes
+(mu, V, T) for every caller (density tables, atom laws, the optimizer's
+plain arrays), and ``backoff`` is the one spelling of the dispersion term
+Q^-1(eps) sqrt(V/n).
+
+Degeneracy policy: a variance below ``DEGENERATE_VAR`` is float dust from a
+constant density, and ``moments`` reports it as exactly V = T = 0.  Nothing
+else tests for degeneracy by magnitude.  A degenerate density (which happens
+exactly for deterministic-copy chains) has no meaningful B; it is stored as
+NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
+0, since the underlying CLT gap is identically zero.
 """
 
 from __future__ import annotations
@@ -28,6 +37,40 @@ from .probability import ConditionalPmf, DensityTable, JointPmf, Pmf, info_densi
 
 # variance below this (bits^2) is float dust from a constant density
 DEGENERATE_VAR = 1e-20
+
+
+def moments(vals: np.ndarray, ws: np.ndarray) -> tuple[float, float, float]:
+    """(mu, v, t3) of the values ``vals`` under the weights ``ws``: mean,
+    variance and third absolute central moment.  v and t3 are exactly 0.0
+    when v < DEGENERATE_VAR."""
+    mu = float(np.dot(ws, vals))
+    centered = vals - mu
+    v = float(np.dot(ws, centered * centered))  # bitwise equal to ** 2, cheaper dispatch
+    if v < DEGENERATE_VAR:
+        return mu, 0.0, 0.0
+    return mu, v, float(np.dot(ws, np.abs(centered) ** 3))
+
+
+def backoff(v: float, q_inv: float, n: int) -> float:
+    """Dispersion backoff q_inv * sqrt(v/n); exactly 0 for a degenerate v = 0
+    (so no -0.0 when q_inv < 0)."""
+    if v == 0.0:
+        return 0.0
+    return q_inv * math.sqrt(v / n)
+
+
+def support_weights(density: DensityTable, weights: Pmf | JointPmf) -> np.ndarray:
+    """The probabilities of ``weights``, checked to match ``density``'s shape
+    and to put no mass outside its support (``DomainError`` names the
+    offending cell)."""
+    w = weights.probs
+    if w.shape != density.shape:
+        raise ShapeError(f"weights shape {w.shape} != density shape {density.shape}")
+    off = (w > 0) & ~density.support
+    if np.any(off):
+        bad = np.unravel_index(int(np.argmax(off)), w.shape)
+        raise DomainError("weights put mass outside the density's support", index=bad)
+    return w
 
 
 @dataclass(frozen=True)
@@ -57,6 +100,12 @@ class BEStats:
         elif not math.isnan(self.b):
             raise DomainError("degenerate BEStats (v = 0) must carry b = NaN")
 
+    @classmethod
+    def of(cls, vals: np.ndarray, ws: np.ndarray) -> "BEStats":
+        """Statistics of the values ``vals`` under the weights ``ws``."""
+        mu, v, t3 = moments(vals, ws)
+        return cls(mu=mu, v=v, t3=t3, b=6.0 * t3 / v ** 1.5 if v > 0 else float("nan"))
+
     @property
     def degenerate(self) -> bool:
         return self.v == 0.0
@@ -74,23 +123,9 @@ def be_stats(density: DensityTable, weights: Pmf | JointPmf) -> BEStats:
     The weighting law must live on the density's support (mass off support
     raises ``DomainError`` with the offending cell).
     """
-    w = weights.probs
-    if w.shape != density.shape:
-        raise ShapeError(f"weights shape {w.shape} != density shape {density.shape}")
-    off = (w > 0) & ~density.support
-    if np.any(off):
-        bad = np.unravel_index(int(np.argmax(off)), w.shape)
-        raise DomainError("weights put mass outside the density's support", index=bad)
+    w = support_weights(density, weights)
     mask = density.support
-    vals = density.values[mask]
-    ws = w[mask]
-    mu = float(np.dot(ws, vals))
-    centered = vals - mu
-    v = float(np.dot(ws, centered ** 2))
-    t3 = float(np.dot(ws, np.abs(centered) ** 3))
-    if v < DEGENERATE_VAR:
-        return BEStats(mu=mu, v=0.0, t3=0.0, b=float("nan"))
-    return BEStats(mu=mu, v=v, t3=t3, b=6.0 * t3 / v ** 1.5)
+    return BEStats.of(density.values[mask], w[mask])
 
 
 def mutual_information(joint: JointPmf) -> float:
@@ -127,10 +162,7 @@ def conditional_dispersion(p_in: Pmf, ch: ConditionalPmf) -> float:
         if px <= 0:
             continue
         row_mask = dens.support[x]
-        w = ch.rows[x][row_mask]
-        vals = dens.values[x][row_mask]
-        mu_x = float(np.dot(w, vals))
-        total += px * float(np.dot(w, (vals - mu_x) ** 2))
+        total += px * moments(dens.values[x][row_mask], ch.rows[x][row_mask])[1]
     return total
 
 

@@ -24,14 +24,14 @@ unlicensed rather than silently skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .cltverify import AtomLaw, density_law
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import BEStats, gaussian_q_inv
+from .measures import BEStats, backoff, gaussian_q_inv
 from .probability import (
     DensityTable,
     JointPmf,
@@ -79,10 +79,16 @@ def _flat_law(obj, what: str) -> np.ndarray:
     return a / total
 
 
-def _check_alpha(alpha: float) -> float:
+def _np_inputs(p, q, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated (p, q, alpha) for the tests below: two flattened laws with
+    the same number of outcomes, alpha strictly inside (0, 1)."""
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    return float(alpha)
+    pa = _flat_law(p, "p")
+    qa = _flat_law(q, "q")
+    if pa.shape != qa.shape:
+        raise ShapeError(f"p has {pa.shape[0]} outcomes, q has {qa.shape[0]}")
+    return pa, qa, float(alpha)
 
 
 # =============================================================================
@@ -170,10 +176,10 @@ def _llr_groups(p: np.ndarray, q: np.ndarray):
     return groups
 
 
-def _np_solve(p: np.ndarray, q: np.ndarray, alpha: float):
-    """Shared core: returns (NPResult, decision vector)."""
-    groups = _llr_groups(p, q)
-    decision = np.zeros(p.shape[0])
+def _np_solve(groups, n_outcomes: int, alpha: float):
+    """Shared core over the ``_llr_groups`` of a law pair with
+    ``n_outcomes`` outcomes: returns (NPResult, decision vector)."""
+    decision = np.zeros(n_outcomes)
     beta = 0.0
     cum = 0.0
     for g_llr, gp, gq, idx in groups:
@@ -201,23 +207,15 @@ def np_beta(p, q, alpha: float) -> NPResult:
     Accepts Pmf/JointPmf or plain arrays of matching total size; both are
     flattened C-style.  alpha must lie strictly inside (0, 1).
     """
-    alpha = _check_alpha(alpha)
-    pa = _flat_law(p, "p")
-    qa = _flat_law(q, "q")
-    if pa.shape != qa.shape:
-        raise ShapeError(f"p has {pa.shape[0]} outcomes, q has {qa.shape[0]}")
-    result, _ = _np_solve(pa, qa, alpha)
+    pa, qa, alpha = _np_inputs(p, q, alpha)
+    result, _ = _np_solve(_llr_groups(pa, qa), pa.size, alpha)
     return result
 
 
 def np_test(p, q, alpha: float) -> BinaryTest:
     """The optimal randomized decision rule behind ``np_beta``."""
-    alpha = _check_alpha(alpha)
-    pa = _flat_law(p, "p")
-    qa = _flat_law(q, "q")
-    if pa.shape != qa.shape:
-        raise ShapeError(f"p has {pa.shape[0]} outcomes, q has {qa.shape[0]}")
-    _, decision = _np_solve(pa, qa, alpha)
+    pa, qa, alpha = _np_inputs(p, q, alpha)
+    _, decision = _np_solve(_llr_groups(pa, qa), pa.size, alpha)
     return BinaryTest(decision)
 
 
@@ -254,11 +252,7 @@ class SandwichReport:
 
 def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     """Evaluate both threshold-tail inequalities on a grid of gammas."""
-    alpha = _check_alpha(alpha)
-    pa = _flat_law(p, "p")
-    qa = _flat_law(q, "q")
-    if pa.shape != qa.shape:
-        raise ShapeError(f"p has {pa.shape[0]} outcomes, q has {qa.shape[0]}")
+    pa, qa, alpha = _np_inputs(p, q, alpha)
     gammas = np.asarray(list(gamma_grid), dtype=np.float64)
     if gammas.size == 0:
         raise DomainError("gamma grid must be non-empty")
@@ -268,7 +262,7 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     groups = _llr_groups(pa, qa)
     g_llr = np.array([g[0] for g in groups])
     g_p = np.array([g[1] for g in groups])
-    beta = _np_solve(pa, qa, alpha)[0].beta
+    beta = _np_solve(groups, pa.size, alpha)[0].beta
 
     lower = []
     upper = []
@@ -546,7 +540,7 @@ def _assemble(
             )
         )
 
-    rate = stats.mu + (0.0 if stats.degenerate else gaussian_q_inv(eps) * math.sqrt(stats.v / n))
+    rate = stats.mu + backoff(stats.v, gaussian_q_inv(eps), n)
     if valid:
         rate += math.log2(log_arg) / n
     rate -= rate_penalty
@@ -641,16 +635,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
             if mode == "case1"
             else {"corrected": -info.corr_lose}
         )
-        transfer = {
-            "gainer": info.gainer,
-            "loser": info.loser,
-            "delta": info.delta,
-            "corr_gain": info.corr_gain,
-            "corr_lose": info.corr_lose,
-            "p_gainer": info.p_gainer,
-            "p_loser": info.p_loser,
-            "same_row": info.same_row,
-        }
+        transfer = asdict(info)
         corr_range = _corr_range(P, info.delta)
         l1 = float(np.abs(P2 - P).sum())
 
@@ -695,16 +680,6 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     Q = np.outer(puv_n, pw_n)
 
     info, P2 = _pick_transfer(P, Q, eps, "gain")
-    transfer = {
-        "gainer": info.gainer,
-        "loser": info.loser,
-        "delta": info.delta,
-        "corr_gain": info.corr_gain,
-        "corr_lose": info.corr_lose,
-        "p_gainer": info.p_gainer,
-        "p_loser": info.p_loser,
-        "same_row": info.same_row,
-    }
     g_eps = 2.0 * eps * (math.log2(d.u_size * d.v_size) + math.log2(1.0 / eps))
 
     return _assemble(
@@ -721,6 +696,6 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
         lower_gain=2.0 * n * g_eps,
         rate_penalty=2.0 * g_eps,
         l1_to_iid=float(np.abs(P2 - P).sum()),
-        transfer=transfer,
+        transfer=asdict(info),
         corr_range=_corr_range(P, info.delta),
     )

@@ -14,9 +14,16 @@ free scheme:
 * each stage runs coordinate-wise golden-section line searches to
   convergence;
 * random restarts (each with a seed derived from (seed, restart_index))
-  run independently -- restart 0 warm-starts from the copy-through
-  construction W = (U,V) whenever the alphabet allows it -- and the best
-  penalized objective wins, ties broken by lowest restart index.
+  run one after another and independently -- restart 0 warm-starts from
+  the copy-through construction W = (U,V) whenever the alphabet allows
+  it -- and the best objective among those matching the target marginal
+  wins, ties broken by lowest restart index.  The search is pure-Python
+  bound, so running restarts in threads would only add lock contention.
+
+The objective is the same finite-n rate expression ``region.inner_bound``
+reports, computed on plain arrays through the shared ``pair_density`` /
+``moments`` / ``backoff`` core so each evaluation skips the validating
+value types.
 
 The U marginal is pinned to the target's own U marginal: every valid chain
 reproduces it exactly, so searching it would only fight the penalty.
@@ -25,14 +32,13 @@ reproduces it exactly, so searching it would only fight the penalty.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .measures import gaussian_q_inv
-from .probability import ConditionalPmf, JointPmf, Pmf
+from .measures import backoff, gaussian_q_inv, moments
+from .probability import ConditionalPmf, JointPmf, Pmf, pair_density
 from .region import Decomposition, GammaTriple, parse_gamma_rule
 
 MARGINAL_TOL = 1e-6
@@ -57,22 +63,6 @@ def _logits_for(rows: np.ndarray, floor: float = 1e-9) -> np.ndarray:
     return np.log(r[:, :-1]) - np.log(r[:, -1:])
 
 
-def _mu_v(pair: np.ndarray) -> tuple[float, float]:
-    """Mean and variance (bits, bits^2) of the information density of a
-    two-axis joint given as a plain array."""
-    pa = pair.sum(axis=1)
-    pb = pair.sum(axis=0)
-    mask = pair > 0
-    if not mask.any():
-        return 0.0, 0.0
-    rows, cols = mask.nonzero()
-    vals = np.log2(pair[mask]) - np.log2(pa[rows]) - np.log2(pb[cols])
-    w = pair[mask]
-    mu = float(np.dot(w, vals))
-    v = float(np.dot(w, (vals - mu) ** 2))
-    return mu, v
-
-
 @dataclass
 class _Problem:
     p_u: np.ndarray
@@ -95,28 +85,34 @@ class _Problem:
         u, w, v = self.target.shape[0], self.w_size, self.target.shape[1]
         return u * (w - 1) + w * (v - 1)
 
+    def _info_and_backoff(self, pair: np.ndarray) -> tuple[float, float]:
+        """(mutual information, dispersion backoff) of a (w, other) pair law."""
+        _, masses, dens = pair_density(pair)
+        mu, v, _ = moments(dens, masses)
+        return mu, backoff(v, self.q_inv, self.n)
+
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
-        """(objective value, marginal L1 gap) at parameter vector x."""
+        """(objective value, marginal L1 gap) at parameter vector x.
+
+        Only the constraints the objective reads are computed.
+        """
         logits_wu, logits_vw = self.split(x)
         rows_wu = _softmax_rows(logits_wu)
         rows_vw = _softmax_rows(logits_vw)
         joint = self.p_u[:, None, None] * rows_wu[:, :, None] * rows_vw[None, :, :]
         gap = float(np.abs(joint.sum(axis=1) - self.target).sum())
         pair_wu = joint.sum(axis=2).T  # (w, u)
-        mu_wu, v_wu = _mu_v(pair_wu)
-        pair_wuv = joint.transpose(1, 0, 2).reshape(self.w_size, -1)
-        mu_wuv, v_wuv = _mu_v(pair_wuv)
-        q_r = self.q_inv * math.sqrt(v_wu / self.n) if v_wu > 1e-20 else 0.0
-        q_rr0 = self.q_inv * math.sqrt(v_wuv / self.n) if v_wuv > 1e-20 else 0.0
-        r_min = mu_wu + q_r + self.g_r
-        rr0_min = mu_wuv + q_rr0 + self.g_rr0
+        pair_wuv = joint.transpose(1, 0, 2).reshape(self.w_size, -1)  # (w, uv)
         if self.objective == "r_min":
-            value = r_min
-        elif self.objective == "r_plus_r0_min":
-            value = rr0_min
-        else:  # max_slack: worst finite-n backoff over the two constraints
-            value = max(q_r + self.g_r, q_rr0 + self.g_rr0)
-        return value, gap
+            mu, q = self._info_and_backoff(pair_wu)
+            return mu + q + self.g_r, gap
+        if self.objective == "r_plus_r0_min":
+            mu, q = self._info_and_backoff(pair_wuv)
+            return mu + q + self.g_rr0, gap
+        # max_slack: worst finite-n backoff over the two constraints
+        q_r = self._info_and_backoff(pair_wu)[1]
+        q_rr0 = self._info_and_backoff(pair_wuv)[1]
+        return max(q_r + self.g_r, q_rr0 + self.g_rr0), gap
 
 
 def _golden_min(fn, lo: float, hi: float, iters: int = 36) -> tuple[float, float]:
@@ -243,8 +239,7 @@ def optimize_decomposition(
         x, value, gap = _descend(problem, x0, max_passes)
         return value, gap, idx, x
 
-    with ThreadPoolExecutor(max_workers=min(restarts, 4)) as pool:
-        results = list(pool.map(run_restart, range(restarts)))
+    results = [run_restart(idx) for idx in range(restarts)]
 
     feasible = [r for r in results if r[1] <= MARGINAL_TOL]
     if not feasible:

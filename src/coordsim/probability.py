@@ -476,21 +476,31 @@ def regroup_pair(joint: JointPmf, left, right) -> JointPmf:
 # =============================================================================
 
 
+def pair_density(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Information density of a plain two-axis probability array.
+
+    Returns (supp, masses, vals): the support mask ``pair > 0`` and, in C
+    order over it, the masses P(a,b) and the values
+    log2( P(a,b) / (P(a) P(b)) ).  No validation: callers pass a normalized
+    nonnegative array.
+    """
+    pa = pair.sum(axis=1)
+    pb = pair.sum(axis=0)
+    supp = pair > 0
+    rows, cols = supp.nonzero()
+    masses = pair[supp]
+    # support of the joint implies support of both marginals
+    return supp, masses, np.log2(masses) - np.log2(pa[rows]) - np.log2(pb[cols])
+
+
 def info_density(joint: JointPmf) -> DensityTable:
     """Information density table i(a; b) = log2( P(a,b) / (P(a) P(b)) ) for a
     two-axis joint, defined on the joint's support."""
     if joint.probs.ndim != 2:
         raise ShapeError(f"info_density needs a two-axis joint, got rank {joint.probs.ndim}")
-    pa = joint.probs.sum(axis=1)
-    pb = joint.probs.sum(axis=0)
-    supp = joint.probs > 0
+    supp, _, on_support = pair_density(joint.probs)
     vals = np.full(joint.shape, np.nan)
-    # support of the joint implies support of both marginals
-    vals[supp] = (
-        np.log2(joint.probs[supp])
-        - np.log2(pa[supp.nonzero()[0]])
-        - np.log2(pb[supp.nonzero()[1]])
-    )
+    vals[supp] = on_support
     return DensityTable(vals, supp)
 
 

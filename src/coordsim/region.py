@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .measures import BEStats, be_stats, gaussian_q_inv
+from .measures import BEStats, backoff, be_stats, gaussian_q_inv
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -187,13 +187,6 @@ def _check_eps(name: str, eps: float) -> None:
         raise DomainError(f"{name} must lie in (0, 1), got {eps!r}")
 
 
-def _gaussian_term(stats: BEStats, eps: float, n: int) -> float:
-    """Dispersion backoff Q^-1(eps) * sqrt(V/n); exactly 0 for degenerate V."""
-    if stats.degenerate:
-        return 0.0
-    return gaussian_q_inv(eps) * math.sqrt(stats.v / n)
-
-
 def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTriple) -> RegionPoint:
     """Achievability point at blocklength n.
 
@@ -208,8 +201,8 @@ def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTrip
         raise DomainError(f"blocklength must be >= 1, got {n}")
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
-    r_min = s_wu.mu + _gaussian_term(s_wu, eps2, n) + (g.g1 + g.g2) / n
-    rr0_min = s_wuv.mu + _gaussian_term(s_wuv, eps1, n) + (g.g2 + g.g3) / n
+    r_min = s_wu.mu + backoff(s_wu.v, gaussian_q_inv(eps2), n) + (g.g1 + g.g2) / n
+    rr0_min = s_wuv.mu + backoff(s_wuv.v, gaussian_q_inv(eps1), n) + (g.g2 + g.g3) / n
     eps1_star = eps1 + s_wuv.b_over_sqrt_n(n)
     eps2_star = eps2 + s_wu.b_over_sqrt_n(n)
     tail = 2.0 * (2.0 ** (-(g.g1 + 1.0) / 2.0) + 5.0 * 2.0 ** (-g.g2) + 2.0 ** (-(g.g3 + 1.0) / 2.0))
@@ -253,10 +246,11 @@ def outer_bound(d: Decomposition, eps: float, n: int, y: float = 0.75) -> Region
     arg_r = log_arg(s_wu)
     arg_rr0 = log_arg(s_wuv)
     valid = arg_r > 0.0 and arg_rr0 > 0.0
-    r_min = s_wu.mu + _gaussian_term(s_wu, eps, n)
+    q_inv = gaussian_q_inv(eps)
+    r_min = s_wu.mu + backoff(s_wu.v, q_inv, n)
     if arg_r > 0.0:
         r_min += math.log2(arg_r) / n
-    rr0_min = s_wuv.mu + _gaussian_term(s_wuv, eps, n) - 2.0 * g_eps
+    rr0_min = s_wuv.mu + backoff(s_wuv.v, q_inv, n) - 2.0 * g_eps
     if arg_rr0 > 0.0:
         rr0_min += math.log2(arg_rr0) / n
     return RegionPoint(

@@ -22,7 +22,7 @@ from coordsim.binning import (
     slc_error_bound,
     slc_posterior,
 )
-from coordsim.errors import DomainError, ResourceLimitError
+from coordsim.errors import DomainError, ResourceLimitError, ShapeError
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf
 from coordsim.region import Decomposition, GammaTriple
 
@@ -234,6 +234,19 @@ def test_realization_validation():
     with pytest.raises(DomainError):
         BinningRealization(
             phi_f=b.phi_f, phi_c=b.phi_c, phi_m=np.full_like(b.phi_m, 99),
+            bins_f=b.bins_f, bins_c=b.bins_c, bins_m=b.bins_m, w_mass=b.w_mass,
+        )
+    # plain lists are converted before any shape check
+    from_lists = BinningRealization(
+        phi_f=b.phi_f.tolist(), phi_c=b.phi_c.tolist(), phi_m=b.phi_m.tolist(),
+        bins_f=b.bins_f, bins_c=b.bins_c, bins_m=b.bins_m, w_mass=b.w_mass.tolist(),
+    )
+    assert np.array_equal(from_lists.phi_f, b.phi_f)
+    assert np.array_equal(from_lists.phi_m, b.phi_m)
+    assert np.array_equal(from_lists.w_mass, b.w_mass)
+    with pytest.raises(ShapeError):
+        BinningRealization(
+            phi_f=b.phi_f.tolist(), phi_c=b.phi_c.tolist()[:-1], phi_m=b.phi_m.tolist(),
             bins_f=b.bins_f, bins_c=b.bins_c, bins_m=b.bins_m, w_mass=b.w_mass,
         )
 

@@ -9,11 +9,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordsim.errors import DomainError, SearchError
-from coordsim.optimize import optimize_decomposition
+from coordsim.measures import gaussian_q_inv
+from coordsim.optimize import _Problem, _softmax_rows, optimize_decomposition
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf, l1_distance
-from coordsim.region import Decomposition, asymptotic_region, inner_bound, parse_gamma_rule
+from coordsim.region import (
+    Decomposition,
+    GammaTriple,
+    asymptotic_region,
+    inner_bound,
+    parse_gamma_rule,
+)
 
 
 def dsbs(a: float) -> JointPmf:
@@ -94,3 +103,47 @@ def test_max_slack_objective_prefers_low_dispersion():
     target = dsbs(0.3)
     d = optimize_decomposition(target, w_size=4, objective="max_slack", restarts=2, seed=5, eps=0.2, n=500)
     assert l1_distance(d.uv_marginal(), target) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u_size=st.integers(1, 3),
+    v_size=st.integers(1, 3),
+    data=st.data(),
+    objective=st.sampled_from(["r_min", "r_plus_r0_min"]),
+    eps=st.floats(0.01, 0.99),
+    n=st.integers(2, 10 ** 6),
+    gammas=st.tuples(*[st.floats(0.01, 40.0)] * 3),
+    scale=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_evaluate_matches_inner_bound(u_size, v_size, data, objective, eps, n, gammas, scale, seed):
+    # the search minimizes exactly the quantity the CLI reports: the
+    # plain-array objective equals inner_bound on the decomposition built
+    # from the same parameter vector
+    w_size = data.draw(st.integers(1, u_size * v_size + 1), label="w_size")
+    rng = np.random.default_rng(seed)
+    target = rng.dirichlet(np.ones(u_size * v_size)).reshape(u_size, v_size)
+    g = GammaTriple(*gammas)
+    problem = _Problem(
+        p_u=target.sum(axis=1),
+        target=target,
+        w_size=w_size,
+        objective=objective,
+        q_inv=gaussian_q_inv(eps),
+        n=n,
+        g_r=(g.g1 + g.g2) / n,
+        g_rr0=(g.g2 + g.g3) / n,
+    )
+    x = rng.normal(scale=scale, size=problem.n_params())
+    value, _ = problem.evaluate(x)
+
+    logits_wu, logits_vw = problem.split(x)
+    d = Decomposition(
+        p_u=Pmf(problem.p_u),
+        w_given_u=ConditionalPmf(_softmax_rows(logits_wu)),
+        v_given_w=ConditionalPmf(_softmax_rows(logits_vw)),
+    )
+    point = inner_bound(d, eps, eps, n, g)
+    reported = point.r_min if objective == "r_min" else point.r_plus_r0_min
+    assert abs(value - reported) <= 1e-12
