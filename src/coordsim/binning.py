@@ -25,6 +25,21 @@ tables plus bin maps) and only requested marginals are materialized, so
 the memory cost is the size of what you ask for, never the seven-axis
 product.
 
+Layout
+------
+Per realization, W^n is sorted once (stably) by its (f, c, m) triple key
+(f * bins_c + c) * bins_m + m.  Every realized (f, c) key, every realized
+triple and every realized f value is then a contiguous range of rows, and
+the gathered w-major tables (P(u, w) rows, P(v | w) rows, P(w)) reduce to
+per-key and per-triple tables by segment sums: the encoder normalizers
+Z[key, u] (which are also the realized (U^n, F, C) surface), the encoder
+mass pu * enc with both fallbacks, and the decoder's reference mass.  The
+decoder posterior depends on w only through its triple, so its V law is
+computed once per triple, P(V^n | triple) = sum_w P(w) P(v | w) / Z_triple,
+and the protocol's (U^n, V^n) law under seed f is one matmul of the
+per-triple encoder mass against those laws.  ``RcJoint`` reads its per-key
+members, encoder columns and w0 mass from the same layout.
+
 Conventions
 -----------
 Sequences index their composite axis first-symbol-most-significant.  The
@@ -55,7 +70,6 @@ from .probability import (
     iid_extension,
     marginalize,
     regroup_pair,
-    sequence_digits,
 )
 from .region import Decomposition, GammaTriple, parse_gamma_rule
 
@@ -228,7 +242,7 @@ class _Tables:
     n_w: int
     n_v: int
     pu: np.ndarray        # (n_u,)
-    puw: np.ndarray       # (n_u, n_w) joint
+    pwu: np.ndarray       # (n_w, n_u) joint, w-major so sorted rows gather contiguously
     pw: np.ndarray        # (n_w,)
     pvn: np.ndarray       # (n_w, n_v) kernel rows
     target_uv: np.ndarray  # (n_u, n_v) iid target
@@ -238,66 +252,90 @@ def _tables(d: Decomposition, n: int) -> _Tables:
     joint = d.joint()
     n_u, n_w, n_v = d.u_size ** n, d.w_size ** n, d.v_size ** n
     check_table_size(max(n_u * n_w, n_w * n_v, n_u * n_v), "scheme tables")
-    puw = iid_extension(regroup_pair(marginalize(joint, ("u", "w")), "u", "w"), n).probs
+    pwu = iid_extension(regroup_pair(marginalize(joint, ("w", "u")), "w", "u"), n).probs
     pvn = iid_extension(d.v_given_w, n).rows
     target = iid_extension(regroup_pair(marginalize(joint, ("u", "v")), "u", "v"), n).probs
     return _Tables(
         n_u=n_u, n_w=n_w, n_v=n_v,
-        pu=puw.sum(axis=1), puw=puw, pw=puw.sum(axis=0), pvn=pvn, target_uv=target,
+        pu=pwu.sum(axis=0), pwu=pwu, pw=pwu.sum(axis=1), pvn=pvn, target_uv=target,
     )
 
 
-def _fc_key(b: BinningRealization) -> np.ndarray:
-    return b.phi_f * b.bins_c + b.phi_c
+def _runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run id of each element, row offsets (runs + 1,)) of the runs of
+    equal values in a sorted array."""
+    change = sorted_vals[1:] != sorted_vals[:-1]
+    ids = np.concatenate(([0], np.cumsum(change)))
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [sorted_vals.size]))
+    return ids, bounds
 
 
-@dataclass
-class _KeyPath:
-    """Encoder/decoder data for one realized (f, c) bin pair."""
+def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
+    """Sums of the rows of ``x`` (1-D or 2-D) per segment id, in row order.
 
-    key: int
-    members: np.ndarray       # flat w indices
-    enc: np.ndarray           # (n_u, |members|) encoder conditional
-    w0_enc_mass: np.ndarray   # (n_u,) mass routed to the w0 encoder fallback
-    vrows: np.ndarray         # (|members|, n_v): decoded-V law per member
-    path_uv: np.ndarray       # (n_u, n_v) joint of the path, weight 1
+    One ``np.bincount`` over flat (segment, column) cells: on many short
+    segments of wide rows it is several times faster than
+    ``np.add.reduceat``, which loops over every (segment, column) pair.
+    """
+    if x.ndim == 1:
+        return np.bincount(ids, weights=x, minlength=n_seg)
+    n_col = x.shape[1]
+    cells = (ids[:, None] * n_col + np.arange(n_col)).ravel()
+    sums = np.bincount(cells, weights=x.ravel(), minlength=n_seg * n_col)
+    return sums.reshape(n_seg, n_col)
 
 
-def _key_paths(tab: _Tables, b: BinningRealization) -> tuple[list[_KeyPath], np.ndarray]:
-    """Per-hit-key path tables plus the (f,c)-key array."""
-    key = _fc_key(b)
-    uniq, inv = np.unique(key, return_inverse=True)
-    paths: list[_KeyPath] = []
-    for j, kv in enumerate(uniq):
-        members = np.where(inv == j)[0]
-        encw = tab.puw[:, members]
-        z_u = encw.sum(axis=1)
-        enc = np.zeros_like(encw)
-        pos = z_u > 0
-        enc[pos] = encw[pos] / z_u[pos, None]
-        w0_mass = np.zeros(tab.n_u)
-        if (~pos).any():
-            bin_mass = tab.pw[members]
-            total = float(bin_mass.sum())
-            if total > 0:
-                enc[~pos] = bin_mass / total
-            else:
-                w0_mass[~pos] = tab.pu[~pos]
-        m_vals = b.phi_m[members]
-        vrows = np.empty((members.size, tab.n_v))
-        for mv in np.unique(m_vals):
-            sel = m_vals == mv
-            t_mass = tab.pw[members[sel]]
-            z_t = float(t_mass.sum())
-            if z_t > 0:
-                vrows[sel] = (t_mass / z_t) @ tab.pvn[members[sel]]
-            else:
-                vrows[sel] = tab.pvn[W_FALLBACK]
-        path = (tab.pu[:, None] * enc) @ vrows
-        path += w0_mass[:, None] * tab.pvn[W_FALLBACK][None, :]
-        paths.append(_KeyPath(key=int(kv), members=members, enc=enc,
-                              w0_enc_mass=w0_mass, vrows=vrows, path_uv=path))
-    return paths, key
+@dataclass(frozen=True)
+class _SortedLayout:
+    """W^n sorted once by its (f, c, m) triple, with the encoder tables.
+
+    Row r of every (n_w, ...) array is sequence ``order[r]``.  Realized key
+    j = (f, c) owns rows key_bounds[j]:key_bounds[j+1], realized triple i
+    owns rows trip_bounds[i]:trip_bounds[i+1], and realized f values own
+    the rows between consecutive ``f_bounds``.  The sort is stable, so rows
+    keep increasing flat order inside a triple.  Every per-key and
+    per-triple table is a segment sum over these rows.
+    """
+
+    order: np.ndarray        # (n_w,) flat w index of each row
+    keys: np.ndarray         # (K,) realized (f, c) keys f * bins_c + c, increasing
+    key_bounds: np.ndarray   # (K + 1,) row offsets of the key segments
+    trip_ids: np.ndarray     # (n_w,) triple segment of each row
+    trip_bounds: np.ndarray  # (T + 1,) row offsets of the triple segments
+    f_bounds: np.ndarray     # (F + 1,) row offsets of the realized f values
+    pwu: np.ndarray          # (n_w, n_u) reverse joint of each row
+    z: np.ndarray            # (K, n_u) encoder normalizers Z[k, u] = P(U^n = u, key k)
+    pu_enc: np.ndarray       # (n_w, n_u) pu(u) enc(w | key, u), both fallbacks applied
+    w0_enc: np.ndarray       # (K, n_u) mass routed to the w0 encoder fallback
+
+
+def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
+    key = b.phi_f * b.bins_c + b.phi_c
+    order = np.argsort(key * b.bins_m + b.phi_m, kind="stable")
+    key_s = key[order]
+    key_ids, key_bounds = _runs(key_s)
+    n_keys = key_bounds.size - 1
+    pwu = tab.pwu[order]
+    z = _segment_sums(pwu, key_ids, n_keys)
+    pos = z > 0
+    pu_enc = pwu * np.divide(tab.pu, z, out=np.zeros_like(z), where=pos)[key_ids]
+    w0_enc = np.zeros_like(z)
+    if not pos.all():
+        # u with no mass in the bin: the reference restricted to the bin,
+        # or (if the bin carries no reference mass either) the w0 abort
+        pw_s = tab.pw[order]
+        bin_mass = _segment_sums(pw_s, key_ids, n_keys)
+        has_ref = bin_mass > 0
+        refill = np.where(~pos & has_ref[:, None], tab.pu, 0.0)
+        ref = pw_s / np.where(has_ref, bin_mass, 1.0)[key_ids]
+        pu_enc += ref[:, None] * refill[key_ids]
+        w0_enc = np.where(~pos & ~has_ref[:, None], tab.pu, 0.0)
+    trip_ids, trip_bounds = _runs(key_s * b.bins_m + b.phi_m[order])
+    return _SortedLayout(
+        order=order, keys=key_s[key_bounds[:-1]], key_bounds=key_bounds,
+        trip_ids=trip_ids, trip_bounds=trip_bounds, f_bounds=_runs(b.phi_f[order])[1],
+        pwu=pwu, z=z, pu_enc=pu_enc, w0_enc=w0_enc,
+    )
 
 
 # =============================================================================
@@ -319,58 +357,55 @@ class TrialMetrics:
 
 
 def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
+    lay = _sorted_layout(tab, b)
     n_keys_total = b.bins_f * b.bins_c
-    paths, key = _key_paths(tab, b)
+    q = 1.0 / n_keys_total
+    n_unhit = n_keys_total - lay.keys.size
 
     # --- uniformity surface: realized (U^n, F, C) vs ideal product --------
-    l1_index = 0.0
-    for p in paths:
-        rb_col = tab.puw[:, p.members].sum(axis=1)
-        l1_index += float(np.abs(rb_col - tab.pu / n_keys_total).sum())
-    l1_index += (n_keys_total - len(paths)) / n_keys_total  # unhit ideal mass
+    l1_index = float(np.abs(lay.z - tab.pu / n_keys_total).sum()) + n_unhit * q
 
-    # --- decoder error under the reverse joint ----------------------------
-    triple = key * b.bins_m + b.phi_m
-    t_uniq, t_inv = np.unique(triple, return_inverse=True)
-    z = np.zeros(t_uniq.size)
-    np.add.at(z, t_inv, tab.pw)
-    z_per_w = z[t_inv]
-    ok = z_per_w > 0
-    decoder_error = 1.0 - float(np.sum(tab.pw[ok] ** 2 / z_per_w[ok]))
+    # --- decoder: V law per triple, error under the reverse joint ----------
+    n_trips = lay.trip_bounds.size - 1
+    pw_s = tab.pw[lay.order]
+    pvn_s = tab.pvn[lay.order]
+    z_t = _segment_sums(pw_s, lay.trip_ids, n_trips)
+    ok = z_t > 0
+    decoder_error = 1.0 - float(np.sum(_segment_sums(pw_s * pw_s, lay.trip_ids, n_trips)[ok] / z_t[ok]))
+    # the decoded V law depends on w only through its triple; a zero-mass
+    # triple keeps a zero row, since the encoder only emits sequences with
+    # reference mass and so never reaches it
+    v_t = _segment_sums(pw_s[:, None] * pvn_s, lay.trip_ids, n_trips)
+    v_t[ok] /= z_t[ok, None]
+    enc_t = _segment_sums(lay.pu_enc, lay.trip_ids, n_trips)
 
-    # --- protocol joint on (U^n, V^n) --------------------------------------
-    q = 1.0 / n_keys_total
-    rc_uv = np.zeros((tab.n_u, tab.n_v))
-    abort = (n_keys_total - len(paths)) * q  # unhit (f,c): encoder+decoder fallback
-    for p in paths:
-        rc_uv += q * p.path_uv
-        abort += q * float(p.w0_enc_mass.sum())
-    lump = np.outer(tab.pu, tab.pvn[W_FALLBACK])
-    rc_uv += (n_keys_total - len(paths)) * q * lump
-    l1_uv = float(np.abs(rc_uv - tab.target_uv).sum())
-
-    # --- seed selection -----------------------------------------------------
-    by_f: dict[int, list[_KeyPath]] = {}
-    for p in paths:
-        by_f.setdefault(p.key // b.bins_c, []).append(p)
+    # --- protocol joint on (U^n, V^n), and seed selection per f value -------
+    lump = np.outer(tab.pu, tab.pvn[W_FALLBACK])  # an unhit (f, c) pair, weight 1
+    f_keys = np.searchsorted(lay.key_bounds, lay.f_bounds)
+    f_trips = np.searchsorted(lay.trip_bounds, lay.f_bounds)
+    rc_uv = (b.bins_f - (lay.f_bounds.size - 1)) * b.bins_c * q * lump  # unhit f values
     best_f, best_dist, best_cond_rc = -1, math.inf, None
-    for f_val in sorted(by_f):
-        group = by_f[f_val]
-        members = np.concatenate([p.members for p in group])
-        rb_mass = float(tab.pw[members].sum())
+    for i in range(lay.f_bounds.size - 1):
+        r0, r1 = lay.f_bounds[i], lay.f_bounds[i + 1]
+        k0, k1 = f_keys[i], f_keys[i + 1]
+        t0, t1 = f_trips[i], f_trips[i + 1]
+        rc_f = q * (enc_t[t0:t1].T @ v_t[t0:t1])
+        rc_f += q * np.outer(lay.w0_enc[k0:k1].sum(axis=0), tab.pvn[W_FALLBACK])
+        rc_f += (b.bins_c - (k1 - k0)) * q * lump
+        rc_uv += rc_f
+        rb_mass = float(pw_s[r0:r1].sum())
         if rb_mass <= 0.0:
             continue
-        rb_fuv = tab.puw[:, members] @ tab.pvn[members]
-        cond_rb = rb_fuv / rb_mass
-        rc_f = sum(q * p.path_uv for p in group)
-        rc_f = rc_f + (b.bins_c - len(group)) * q * lump
+        cond_rb = (lay.pwu[r0:r1].T @ pvn_s[r0:r1]) / rb_mass
         cond_rc = rc_f * b.bins_f
         dist = float(np.abs(cond_rb - cond_rc).sum())
         if dist < best_dist - 1e-15:
-            best_f, best_dist, best_cond_rc = f_val, dist, cond_rc
+            best_f, best_dist, best_cond_rc = int(lay.keys[k0]) // b.bins_c, dist, cond_rc
     if best_f < 0:  # unreachable for normalized laws; belt for degenerate input
         best_f, best_dist, best_cond_rc = 0, 2.0, lump
+    l1_uv = float(np.abs(rc_uv - tab.target_uv).sum())
     l1_sel = float(np.abs(best_cond_rc - tab.target_uv).sum())
+    abort = n_unhit * q + q * float(lay.w0_enc.sum())  # unhit (f,c): encoder+decoder fallback
 
     return TrialMetrics(
         l1_uv=l1_uv,
@@ -453,7 +488,7 @@ class RbJoint:
             index: list = []
             for a in axes:
                 if a == "u":
-                    factors.append(t.puw[:, w]); index.append(slice(None))
+                    factors.append(t.pwu[w]); index.append(slice(None))
                 elif a == "w":
                     index.append(w)
                 elif a == "f":
@@ -482,8 +517,8 @@ class RcJoint:
     def __init__(self, d: Decomposition, b: BinningRealization, cfg: SchemeConfig):
         self.d, self.b, self.cfg = d, b, cfg
         self.tab = _tables(d, cfg.n)
-        self._paths, _ = _key_paths(self.tab, b)
-        self._by_key = {p.key: p for p in self._paths}
+        self._layout = _sorted_layout(self.tab, b)
+        self._key_index = {int(k): j for j, k in enumerate(self._layout.keys)}
 
     _AXES = ("u", "f", "c", "w", "m", "hw", "v")
 
@@ -521,25 +556,28 @@ class RcJoint:
         out = np.zeros(shape)
         t, b = self.tab, self.b
         q = 1.0 / n_keys
+        lay = self._layout
         empty_members = np.empty(0, dtype=np.int64)
         for key in range(n_keys):
             f_val, c_val = divmod(key, b.bins_c)
-            p = self._by_key.get(key)
-            if p is None:
+            j = self._key_index.get(key)
+            if j is None:
                 u_vec = t.pu * q
                 self._emit(out, canon, u_vec, f_val, c_val, W_FALLBACK,
                            int(b.phi_m[W_FALLBACK]), empty_members)
                 continue
-            for pos, w in enumerate(p.members):
-                u_vec = t.pu * p.enc[:, pos] * q
+            r0, r1 = lay.key_bounds[j], lay.key_bounds[j + 1]
+            members = lay.order[r0:r1]
+            for row in range(r0, r1):
+                u_vec = lay.pu_enc[row] * q
                 if not u_vec.any():
                     continue
-                self._emit(out, canon, u_vec, f_val, c_val, int(w),
-                           int(b.phi_m[w]), p.members)
-            if p.w0_enc_mass.any():
-                u_vec = p.w0_enc_mass * q
+                w = int(lay.order[row])
+                self._emit(out, canon, u_vec, f_val, c_val, w, int(b.phi_m[w]), members)
+            if lay.w0_enc[j].any():
+                u_vec = lay.w0_enc[j] * q
                 self._emit(out, canon, u_vec, f_val, c_val, W_FALLBACK,
-                           int(b.phi_m[W_FALLBACK]), p.members)
+                           int(b.phi_m[W_FALLBACK]), members)
         perm = tuple(canon.index(a) for a in requested)
         return JointPmf(np.transpose(out, perm), axes=requested)
 
@@ -813,15 +851,13 @@ def entropy_diagnostics(ucm: JointPmf, n: int, u_size: int) -> EntropyReport:
     p_m = ucm.probs.sum(axis=(0, 1))
     h_m = float(-np.sum(p_m[p_m > 0] * np.log2(p_m[p_m > 0])))
     total_mi = 0.0
-    n_u, n_c, n_m = ucm.probs.shape
+    _, n_c, n_m = ucm.probs.shape
     from .measures import mutual_information
 
+    # axis t of the reshaped table is the t-th symbol of U^n
+    letters = ucm.probs.reshape((u_size,) * n + (n_c * n_m,))
     for t in range(n):
-        grouped = np.zeros((u_size, n_c, n_m))
-        for u_flat in range(n_u):
-            digit = sequence_digits(u_flat, u_size, n)[t]
-            grouped[digit] += ucm.probs[u_flat]
-        pair = grouped.reshape(u_size, n_c * n_m)
+        pair = letters.sum(axis=tuple(s for s in range(n) if s != t))
         total_mi += mutual_information(JointPmf(pair))
     slack = h_m - total_mi
     if slack < -1e-9:

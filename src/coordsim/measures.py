@@ -14,8 +14,9 @@ absolute central moment and V the variance.
 
 This module is the one home of that arithmetic: ``moments`` computes
 (mu, V, T) for every caller (density tables, atom laws, the optimizer's
-plain arrays), and ``backoff`` is the one spelling of the dispersion term
-Q^-1(eps) sqrt(V/n).
+plain arrays), ``backoff`` is the one spelling of the dispersion term
+Q^-1(eps) sqrt(V/n), ``continuity_term`` the one spelling of the converse's
+g(eps), and ``check_eps`` the one eps-in-(0, 1) check.
 
 Degeneracy policy: a variance below ``DEGENERATE_VAR`` is float dust from a
 constant density, and ``moments`` reports it as exactly V = T = 0.  Nothing
@@ -39,15 +40,18 @@ from .probability import ConditionalPmf, DensityTable, JointPmf, Pmf, info_densi
 DEGENERATE_VAR = 1e-20
 
 
-def moments(vals: np.ndarray, ws: np.ndarray) -> tuple[float, float, float]:
+def moments(vals: np.ndarray, ws: np.ndarray, third: bool = True) -> tuple[float, float, float]:
     """(mu, v, t3) of the values ``vals`` under the weights ``ws``: mean,
     variance and third absolute central moment.  v and t3 are exactly 0.0
-    when v < DEGENERATE_VAR."""
+    when v < DEGENERATE_VAR.  With ``third=False`` (callers that need only
+    the backoff) t3 is not computed and is NaN for a nondegenerate v."""
     mu = float(np.dot(ws, vals))
     centered = vals - mu
     v = float(np.dot(ws, centered * centered))  # bitwise equal to ** 2, cheaper dispatch
     if v < DEGENERATE_VAR:
         return mu, 0.0, 0.0
+    if not third:
+        return mu, v, math.nan
     return mu, v, float(np.dot(ws, np.abs(centered) ** 3))
 
 
@@ -57,6 +61,20 @@ def backoff(v: float, q_inv: float, n: int) -> float:
     if v == 0.0:
         return 0.0
     return q_inv * math.sqrt(v / n)
+
+
+def check_eps(eps: float, message: str) -> None:
+    """Raise ``DomainError("<message>, got <eps>")`` unless ``eps`` is a real
+    number strictly inside (0, 1) -- the one spelling of that range check."""
+    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
+        raise DomainError(f"{message}, got {eps!r}")
+
+
+def continuity_term(eps: float, uv_size: int) -> float:
+    """g(eps) = 2 eps (log2|U x V| + log2(1/eps)): the per-symbol continuity
+    slack the converse pays to turn a code entropy into a sum rate, for a
+    (U, V) alphabet of ``uv_size`` pairs and eps in (0, 1)."""
+    return 2.0 * eps * (math.log2(uv_size) + math.log2(1.0 / eps))
 
 
 def support_weights(density: DensityTable, weights: Pmf | JointPmf) -> np.ndarray:
@@ -186,8 +204,7 @@ def gaussian_q_inv(eps: float) -> float:
     |Q(t) - eps| <= 1e-12 everywhere in that range.  eps outside (0,1) raises
     ``DomainError``.
     """
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise DomainError(f"gaussian_q_inv needs eps in (0, 1), got {eps!r}")
+    check_eps(eps, "gaussian_q_inv needs eps in (0, 1)")
     lo, hi = -8.0, 8.0  # Q decreasing: Q(lo) > eps > Q(hi) once the bracket holds
     while gaussian_q(lo) < eps:
         lo *= 2.0

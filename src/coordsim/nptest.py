@@ -31,7 +31,7 @@ import numpy as np
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .cltverify import AtomLaw, density_law
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import BEStats, backoff, gaussian_q_inv
+from .measures import BEStats, backoff, check_eps, continuity_term, gaussian_q_inv
 from .probability import (
     DensityTable,
     JointPmf,
@@ -578,8 +578,7 @@ def _assemble(
 def _check_witness_params(n: int, eps: float, y: float) -> None:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"blocklength must be an integer >= 1, got {n!r}")
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+    check_eps(eps, "eps must lie in (0, 1)")
     if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
         raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
 
@@ -680,7 +679,7 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     Q = np.outer(puv_n, pw_n)
 
     info, P2 = _pick_transfer(P, Q, eps, "gain")
-    g_eps = 2.0 * eps * (math.log2(d.u_size * d.v_size) + math.log2(1.0 / eps))
+    g_eps = continuity_term(eps, d.u_size * d.v_size)
 
     return _assemble(
         kind="sum-rate",

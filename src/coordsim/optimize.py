@@ -88,7 +88,7 @@ class _Problem:
     def _info_and_backoff(self, pair: np.ndarray) -> tuple[float, float]:
         """(mutual information, dispersion backoff) of a (w, other) pair law."""
         _, masses, dens = pair_density(pair)
-        mu, v, _ = moments(dens, masses)
+        mu, v, _ = moments(dens, masses, third=False)
         return mu, backoff(v, self.q_inv, self.n)
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:

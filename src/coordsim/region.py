@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .measures import BEStats, backoff, be_stats, gaussian_q_inv
+from .measures import BEStats, backoff, be_stats, check_eps, continuity_term, gaussian_q_inv
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -182,11 +182,6 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
 # =============================================================================
 
 
-def _check_eps(name: str, eps: float) -> None:
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise DomainError(f"{name} must lie in (0, 1), got {eps!r}")
-
-
 def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTriple) -> RegionPoint:
     """Achievability point at blocklength n.
 
@@ -195,8 +190,8 @@ def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTrip
     total-variation budget including tail terms and the Berry-Esseen
     corrections eps* = eps + B/sqrt(n).
     """
-    _check_eps("eps1", eps1)
-    _check_eps("eps2", eps2)
+    check_eps(eps1, "eps1 must lie in (0, 1)")
+    check_eps(eps2, "eps2 must lie in (0, 1)")
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
     s_wu = stats_wu(d)
@@ -230,14 +225,14 @@ def outer_bound(d: Decomposition, eps: float, n: int, y: float = 0.75) -> Region
     and that log term is omitted from the reported rate (see module notes);
     nothing is ever thrown for regime reasons.
     """
-    _check_eps("eps", eps)
+    check_eps(eps, "eps must lie in (0, 1)")
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
     if not (0.5 < y < 1.0):
         raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
-    g_eps = 2.0 * eps * (math.log2(d.u_size * d.v_size) + math.log2(1.0 / eps))
+    g_eps = continuity_term(eps, d.u_size * d.v_size)
 
     def log_arg(stats: BEStats) -> float:
         # alpha = eps - B/sqrt(n); argument = alpha - y - B/sqrt(n)

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import binning_oracle
 from coordsim.binning import (
     BinningRealization,
     SchemeConfig,
@@ -21,6 +24,8 @@ from coordsim.binning import (
     select_f,
     slc_error_bound,
     slc_posterior,
+    _tables,
+    _trial_metrics,
 )
 from coordsim.errors import DomainError, ResourceLimitError, ShapeError
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf
@@ -367,6 +372,60 @@ def test_trial_metrics_match_brute_force():
         # triple-bin decoder error under the reverse joint
         w_hw = rb.sum(axis=(0, 2, 3, 4, 6))
         assert rep.decoder_error == pytest.approx(1.0 - np.trace(w_hw), abs=1e-12)
+
+
+@st.composite
+def chains_with_zero_cells(draw):
+    """Small U - W - V chains whose tables have structural zeros: integer
+    cell weights 0..3, with at least one positive cell per row."""
+    u_size = draw(st.integers(1, 3), label="u_size")
+    v_size = draw(st.integers(1, 3), label="v_size")
+    w_size = draw(st.integers(1, min(3, u_size * v_size + 1)), label="w_size")
+
+    def rows(n_rows, n_cols):
+        out = []
+        for _ in range(n_rows):
+            cells = draw(st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols)
+                         .filter(any))
+            out.append(np.array(cells, dtype=float) / sum(cells))
+        return np.array(out)
+
+    return Decomposition(
+        p_u=Pmf(rows(1, u_size)[0]),
+        w_given_u=ConditionalPmf(rows(u_size, w_size)),
+        v_given_w=ConditionalPmf(rows(w_size, v_size)),
+    )
+
+
+@settings(max_examples=300)
+@given(d=chains_with_zero_cells(), n=st.integers(1, 3), data=st.data())
+def test_segment_sum_metrics_match_per_key_oracle(d, n, data):
+    # arbitrary bin maps over W^n: empty keys, bins whose members carry no
+    # mass for some u (encoder falls back to the bin reference), bins with
+    # no reference mass at all (w0 abort) and zero-mass triples all occur
+    tab = _tables(d, n)
+    bins = [data.draw(st.integers(1, 4), label=f"bins_{a}") for a in "fcm"]
+    maps = [data.draw(st.lists(st.integers(0, k - 1), min_size=tab.n_w, max_size=tab.n_w),
+                      label=f"phi_{a}") for a, k in zip("fcm", bins)]
+    b = BinningRealization(phi_f=maps[0], phi_c=maps[1], phi_m=maps[2],
+                           bins_f=bins[0], bins_c=bins[1], bins_m=bins[2], w_mass=tab.pw)
+    got = _trial_metrics(tab, b)
+    want = binning_oracle.trial_metrics(tab, b)
+    for name in ("l1_uv", "select_f_distance", "l1_index_fc", "decoder_error", "abort_rate"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+    scan = binning_oracle.seed_scan(tab, b, binning_oracle.key_paths(tab, b)[0])
+    if got.select_f_index != want.select_f_index:
+        # only a near-tie may pick a different seed, and then it is one of
+        # the two best
+        best = sorted(dist for dist, _ in scan.values())
+        assert len(best) > 1 and best[1] - best[0] <= 1e-12
+        assert abs(scan[got.select_f_index][0] - best[0]) <= 1e-12
+    if got.select_f_index in scan:
+        cond_rc = scan[got.select_f_index][1]
+        expect_sel = float(np.abs(cond_rc - tab.target_uv).sum())
+    else:  # no seed carries reverse mass: both fall back to f = 0
+        expect_sel = want.l1_uv_given_f
+    assert abs(got.l1_uv_given_f - expect_sel) <= 1e-12
 
 
 def test_abort_rate_positive_with_dead_bins():

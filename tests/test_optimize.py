@@ -105,7 +105,7 @@ def test_max_slack_objective_prefers_low_dispersion():
     assert l1_distance(d.uv_marginal(), target) <= 1e-6
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     u_size=st.integers(1, 3),
     v_size=st.integers(1, 3),
