@@ -37,8 +37,11 @@ mass pu * enc with both fallbacks, and the decoder's reference mass.  The
 decoder posterior depends on w only through its triple, so its V law is
 computed once per triple, P(V^n | triple) = sum_w P(w) P(v | w) / Z_triple,
 and the protocol's (U^n, V^n) law under seed f is one matmul of the
-per-triple encoder mass against those laws.  ``RcJoint`` reads its per-key
-members, encoder columns and w0 mass from the same layout.
+per-triple encoder mass against those laws.  Both joints are weighted path
+tables over the same layout: ``RbJoint`` has one row per sequence,
+``RcJoint`` one per encoder row plus the w0 rows of the encoder aborts and
+of the unhit (f, c) keys; a marginal sums the rows per requested index and
+spreads the result over the decoder posterior of each row's triple.
 
 Conventions
 -----------
@@ -48,13 +51,15 @@ Fallbacks: an encoder conditional with no mass falls back to the reference
 restricted to the bin; if the bin carries no reference mass at all the
 encoder emits w0 and the path counts as an abort.  A decoder triple bin
 with no reference mass likewise outputs w0 and aborts.  RNG is the
-counter-based Philox generator; trial t of a config with seed s uses key
-s XOR t, so trials are reproducible individually and in parallel.
+counter-based Philox generator; trial t of a config with seed s uses the
+128-bit key s | (t << 64), so trials are reproducible individually and in
+parallel, and no two (seed, trial) pairs share a stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +191,9 @@ class BinningRealization:
 def draw_binning(cfg: SchemeConfig, trial: int = 0) -> BinningRealization:
     """Draw the three independent uniform bin maps for trial ``trial``.
 
-    Uses Philox with key seed XOR trial: each trial is its own stream, so
-    realizations are reproducible no matter how trials are scheduled.
+    Uses Philox with the 128-bit key seed | (trial << 64): each (seed,
+    trial) pair is its own stream, so realizations are reproducible no
+    matter how trials are scheduled, and distinct seeds never share a draw.
     """
     if trial < 0:
         raise DomainError(f"trial index must be >= 0, got {trial}")
@@ -195,7 +201,7 @@ def draw_binning(cfg: SchemeConfig, trial: int = 0) -> BinningRealization:
     n_w = d.w_size ** cfg.n
     check_table_size(n_w, "binning map")
     bf, bc, bm = cfg.bin_counts()
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ trial))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed | (trial << 64)))
     phi_f = rng.integers(0, bf, size=n_w, dtype=np.int64)
     phi_c = rng.integers(0, bc, size=n_w, dtype=np.int64)
     phi_m = rng.integers(0, bm, size=n_w, dtype=np.int64)
@@ -304,6 +310,8 @@ class _SortedLayout:
     trip_bounds: np.ndarray  # (T + 1,) row offsets of the triple segments
     f_bounds: np.ndarray     # (F + 1,) row offsets of the realized f values
     pwu: np.ndarray          # (n_w, n_u) reverse joint of each row
+    pw: np.ndarray           # (n_w,) reference mass of each row
+    z_t: np.ndarray          # (T,) decoder normalizer: reference mass of each triple
     z: np.ndarray            # (K, n_u) encoder normalizers Z[k, u] = P(U^n = u, key k)
     pu_enc: np.ndarray       # (n_w, n_u) pu(u) enc(w | key, u), both fallbacks applied
     w0_enc: np.ndarray       # (K, n_u) mass routed to the w0 encoder fallback
@@ -316,6 +324,7 @@ def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
     key_ids, key_bounds = _runs(key_s)
     n_keys = key_bounds.size - 1
     pwu = tab.pwu[order]
+    pw_s = tab.pw[order]
     z = _segment_sums(pwu, key_ids, n_keys)
     pos = z > 0
     pu_enc = pwu * np.divide(tab.pu, z, out=np.zeros_like(z), where=pos)[key_ids]
@@ -323,7 +332,6 @@ def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
     if not pos.all():
         # u with no mass in the bin: the reference restricted to the bin,
         # or (if the bin carries no reference mass either) the w0 abort
-        pw_s = tab.pw[order]
         bin_mass = _segment_sums(pw_s, key_ids, n_keys)
         has_ref = bin_mass > 0
         refill = np.where(~pos & has_ref[:, None], tab.pu, 0.0)
@@ -334,8 +342,20 @@ def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
     return _SortedLayout(
         order=order, keys=key_s[key_bounds[:-1]], key_bounds=key_bounds,
         trip_ids=trip_ids, trip_bounds=trip_bounds, f_bounds=_runs(b.phi_f[order])[1],
-        pwu=pwu, z=z, pu_enc=pu_enc, w0_enc=w0_enc,
+        pwu=pwu, pw=pw_s, z_t=_segment_sums(pw_s, trip_ids, trip_bounds.size - 1),
+        z=z, pu_enc=pu_enc, w0_enc=w0_enc,
     )
+
+
+def _triple_v_laws(lay: _SortedLayout, pvn_s: np.ndarray) -> np.ndarray:
+    """(T, n_v) decoded V law of each realized triple, P(V^n | triple) =
+    sum_w P(w) P(v | w) / Z_triple, from the sorted kernel rows ``pvn_s``.
+    A zero-mass triple keeps a zero row: the encoder only emits sequences
+    with reference mass and so never reaches it."""
+    v_t = _segment_sums(lay.pw[:, None] * pvn_s, lay.trip_ids, lay.z_t.size)
+    ok = lay.z_t > 0
+    v_t[ok] /= lay.z_t[ok, None]
+    return v_t
 
 
 # =============================================================================
@@ -366,17 +386,11 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     l1_index = float(np.abs(lay.z - tab.pu / n_keys_total).sum()) + n_unhit * q
 
     # --- decoder: V law per triple, error under the reverse joint ----------
-    n_trips = lay.trip_bounds.size - 1
-    pw_s = tab.pw[lay.order]
+    n_trips = lay.z_t.size
     pvn_s = tab.pvn[lay.order]
-    z_t = _segment_sums(pw_s, lay.trip_ids, n_trips)
-    ok = z_t > 0
-    decoder_error = 1.0 - float(np.sum(_segment_sums(pw_s * pw_s, lay.trip_ids, n_trips)[ok] / z_t[ok]))
-    # the decoded V law depends on w only through its triple; a zero-mass
-    # triple keeps a zero row, since the encoder only emits sequences with
-    # reference mass and so never reaches it
-    v_t = _segment_sums(pw_s[:, None] * pvn_s, lay.trip_ids, n_trips)
-    v_t[ok] /= z_t[ok, None]
+    ok = lay.z_t > 0
+    decoder_error = 1.0 - float(np.sum(_segment_sums(lay.pw * lay.pw, lay.trip_ids, n_trips)[ok] / lay.z_t[ok]))
+    v_t = _triple_v_laws(lay, pvn_s)
     enc_t = _segment_sums(lay.pu_enc, lay.trip_ids, n_trips)
 
     # --- protocol joint on (U^n, V^n), and seed selection per f value -------
@@ -393,7 +407,7 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         rc_f += q * np.outer(lay.w0_enc[k0:k1].sum(axis=0), tab.pvn[W_FALLBACK])
         rc_f += (b.bins_c - (k1 - k0)) * q * lump
         rc_uv += rc_f
-        rb_mass = float(pw_s[r0:r1].sum())
+        rb_mass = float(lay.pw[r0:r1].sum())
         if rb_mass <= 0.0:
             continue
         cond_rb = (lay.pwu[r0:r1].T @ pvn_s[r0:r1]) / rb_mass
@@ -439,17 +453,28 @@ def trial_metrics(d: Decomposition, cfg: SchemeConfig, trial: int) -> TrialMetri
     return _trial_metrics(_tables(d, cfg.n), b)
 
 
+def _trials(d: Decomposition, cfg: SchemeConfig, trials: int) -> Iterator[TrialMetrics]:
+    """Metrics of draws 0 .. trials-1, with the iid tables built once."""
+    tab = _tables(d, cfg.n)
+    for t in range(trials):
+        yield _trial_metrics(tab, draw_binning(cfg, trial=t))
+
+
 # =============================================================================
 # lazy factored joints
 # =============================================================================
 
-_RB_AXES = ("u", "w", "f", "c", "m", "hw", "v")
+_INDEX_AXES = ("f", "c", "w", "m")
+_BUILD_AXES = (*_INDEX_AXES, "u", "hw", "v")  # internal table order, transposed last
 
 
-class RbJoint:
-    """Factored reverse joint: (U^n, W^n) iid, bins read off W^n, the
-    decoder posterior on the triple, V^n from the true W^n.
+class _PathJoint:
+    """A factored joint held as weighted path rows over the sorted layout.
 
+    ``_paths(axes)`` gives, per row, u-weights, f/c/w/m coordinates, the
+    decoder slot it reads (a realized triple with reference mass, or the
+    abort slot one past the last triple, which decodes to w0) and its V^n
+    law, or None when V^n is emitted from the decoded sequence hw.
     ``marginal(axes)`` materializes exactly the requested axes (any subset
     of u, w, f, c, m, hw, v in any order), capped by the memory budget.
     """
@@ -457,163 +482,105 @@ class RbJoint:
     def __init__(self, d: Decomposition, b: BinningRealization, cfg: SchemeConfig):
         self.d, self.b, self.cfg = d, b, cfg
         self.tab = _tables(d, cfg.n)
-        self._post_cache: dict[int, np.ndarray] = {}
-
-    def _sizes(self) -> dict[str, int]:
-        t, b = self.tab, self.b
-        return {"u": t.n_u, "w": t.n_w, "f": b.bins_f, "c": b.bins_c,
-                "m": b.bins_m, "hw": t.n_w, "v": t.n_v}
-
-    def _posterior(self, w: int) -> np.ndarray:
-        b = self.b
-        trip = int((b.phi_f[w] * b.bins_c + b.phi_c[w]) * b.bins_m + b.phi_m[w])
-        post = self._post_cache.get(trip)
-        if post is None:
-            pmf, _ = slc_posterior(b, int(b.phi_f[w]), int(b.phi_c[w]), int(b.phi_m[w]))
-            post = pmf.probs
-            self._post_cache[trip] = post
-        return post
+        self._layout = lay = _sorted_layout(self.tab, b)
+        # a triple without reference mass cannot be renormalized: abort to w0
+        self._slot = np.where(lay.z_t[lay.trip_ids] > 0, lay.trip_ids, lay.z_t.size)
 
     def marginal(self, axes) -> JointPmf:
-        axes = _check_axes(axes, _RB_AXES)
-        sizes = self._sizes()
-        shape = tuple(sizes[a] for a in axes)
-        check_table_size(int(np.prod(shape)), "rb marginal")
-        out = np.zeros(shape)
-        t, b = self.tab, self.b
-        for w in range(t.n_w):
-            if t.pw[w] <= 0:  # zero-mass sequence contributes nothing
-                continue
-            factors, scalar = [], 1.0
-            index: list = []
-            for a in axes:
-                if a == "u":
-                    factors.append(t.pwu[w]); index.append(slice(None))
-                elif a == "w":
-                    index.append(w)
-                elif a == "f":
-                    index.append(int(b.phi_f[w]))
-                elif a == "c":
-                    index.append(int(b.phi_c[w]))
-                elif a == "m":
-                    index.append(int(b.phi_m[w]))
-                elif a == "hw":
-                    factors.append(self._posterior(w)); index.append(slice(None))
-                elif a == "v":
-                    factors.append(t.pvn[w]); index.append(slice(None))
-            if "u" not in axes:
-                scalar = float(t.pw[w])
-            block = scalar
-            for vec in factors:
-                block = np.multiply.outer(block, vec)
-            out[tuple(index)] += block
-        return JointPmf(out, axes=axes)
+        axes = _check_axes(axes, self._AXES)
+        t, b, lay = self.tab, self.b, self._layout
+        sizes = {"u": t.n_u, "w": t.n_w, "f": b.bins_f, "c": b.bins_c,
+                 "m": b.bins_m, "hw": t.n_w, "v": t.n_v}
+        build = tuple(a for a in _BUILD_AXES if a in axes)
+        check_table_size(math.prod(sizes[a] for a in build), "joint marginal")
+        weight, coords, slot, v_rows = self._paths(axes)
+        if "u" not in axes:
+            weight = weight.sum(axis=1, keepdims=True)
+        idx = np.zeros(slot.size, dtype=np.int64)
+        for a in _INDEX_AXES:
+            if a in axes:
+                idx = idx * sizes[a] + coords[a]
+        n_idx = math.prod(sizes[a] for a in _INDEX_AXES if a in axes)
+        n_slots = lay.z_t.size + 1
+        if "hw" in axes:  # segments are realized (index, decoder slot) pairs
+            keys, seg = np.unique(idx * n_slots + slot, return_inverse=True)
+            n_seg = keys.size
+        else:  # segments are the output's index cells
+            seg, n_seg = idx, n_idx
+        # body[s]: the (u, v) block of segment s, before hw is attached
+        if v_rows is None:
+            body = _segment_sums(weight, seg, n_seg)[:, :, None]
+        elif "u" not in axes:
+            body = _segment_sums(weight * v_rows, seg, n_seg)[:, None, :]
+        else:  # one matmul per realized segment
+            rows = np.argsort(seg, kind="stable")
+            bounds = _runs(seg[rows])[1]
+            body = np.zeros((n_seg, weight.shape[1], v_rows.shape[1]))
+            for i, j in zip(bounds[:-1], bounds[1:]):
+                body[seg[rows[i]]] = weight[rows[i:j]].T @ v_rows[rows[i:j]]
+        out = body
+        if "hw" in axes:  # spread each segment over the posterior of its slot
+            n = np.append(np.diff(lay.trip_bounds), 1)[keys % n_slots]
+            start = np.append(lay.trip_bounds[:-1], t.n_w)[keys % n_slots]
+            owner = np.repeat(np.arange(n_seg), n)
+            src = np.repeat(start - np.cumsum(n) + n, n) + np.arange(owner.size)
+            z = lay.z_t[lay.trip_ids]
+            post = np.append(np.divide(lay.pw, z, out=np.zeros_like(z), where=z > 0), 1.0)
+            hw = np.append(lay.order, W_FALLBACK)[src]
+            body = body[owner] * post[src, None, None]
+            if "v" in axes and v_rows is None:
+                body = body * t.pvn[hw][:, None, :]
+            out = np.zeros((n_idx, weight.shape[1], t.n_w, body.shape[2]))
+            # an abort slot and the triple of w0 can both reach (index, w0)
+            np.add.at(out, (keys[owner] // n_slots, slice(None), hw), body)
+        table = out.reshape(tuple(sizes[a] for a in build))
+        return JointPmf(np.transpose(table, tuple(build.index(a) for a in axes)), axes=axes)
 
 
-class RcJoint:
+class RbJoint(_PathJoint):
+    """Factored reverse joint: (U^n, W^n) iid, bins read off W^n, the
+    decoder posterior on the triple, V^n from the true W^n.  One path row
+    per sequence w, weighted by P(U^n, W^n = w)."""
+
+    _AXES = ("u", "w", "f", "c", "m", "hw", "v")
+
+    def _paths(self, axes):
+        b, w = self.b, self._layout.order
+        coords = {"f": b.phi_f[w], "c": b.phi_c[w], "w": w, "m": b.phi_m[w]}
+        return self._layout.pwu, coords, self._slot, self.tab.pvn[w] if "v" in axes else None
+
+
+class RcJoint(_PathJoint):
     """Factored protocol joint: uniform (F, C), encoder synthesis of W^n,
-    the message bin, the decoder posterior, V^n from the reconstruction."""
+    the message bin, the decoder posterior, V^n from the reconstruction.
 
-    def __init__(self, d: Decomposition, b: BinningRealization, cfg: SchemeConfig):
-        self.d, self.b, self.cfg = d, b, cfg
-        self.tab = _tables(d, cfg.n)
-        self._layout = _sorted_layout(self.tab, b)
-        self._key_index = {int(k): j for j, k in enumerate(self._layout.keys)}
+    Path rows, with q = 1/(bins_f bins_c): every sorted encoder row
+    (weight q pu enc), one w0 row per hit (f, c) key (its encoder abort
+    mass), and the unhit keys lumped per requested (f, c) cell, which emit
+    w0 and abort."""
 
     _AXES = ("u", "f", "c", "w", "m", "hw", "v")
 
-    def _sizes(self) -> dict[str, int]:
-        t, b = self.tab, self.b
-        return {"u": t.n_u, "w": t.n_w, "f": b.bins_f, "c": b.bins_c,
-                "m": b.bins_m, "hw": t.n_w, "v": t.n_v}
-
-    def _triple_posterior(self, members: np.ndarray, m_val: int) -> np.ndarray:
-        t, b = self.tab, self.b
-        sel = members[b.phi_m[members] == m_val]
-        out = np.zeros(t.n_w)
-        mass = t.pw[sel]
-        total = float(mass.sum())
-        if sel.size == 0 or total <= 0:
-            out[W_FALLBACK] = 1.0
-        else:
-            out[sel] = mass / total
-        return out
-
-    def marginal(self, axes) -> JointPmf:
-        requested = _check_axes(axes, self._AXES)
-        # build internally in canonical order (hw and v adjacent, so their
-        # coupled rank-2 block drops in as consecutive axes), transpose last
-        canon = tuple(a for a in self._AXES if a in requested)
-        sizes = self._sizes()
-        shape = tuple(sizes[a] for a in canon)
-        check_table_size(int(np.prod(shape)), "rc marginal")
-        n_keys = self.b.bins_f * self.b.bins_c
-        if n_keys > 1 << 20:
-            raise ResourceLimitError(
-                f"rc marginal enumerates {n_keys} (f,c) pairs; too many to iterate",
-                required=n_keys,
-            )
-        out = np.zeros(shape)
-        t, b = self.tab, self.b
-        q = 1.0 / n_keys
-        lay = self._layout
-        empty_members = np.empty(0, dtype=np.int64)
-        for key in range(n_keys):
-            f_val, c_val = divmod(key, b.bins_c)
-            j = self._key_index.get(key)
-            if j is None:
-                u_vec = t.pu * q
-                self._emit(out, canon, u_vec, f_val, c_val, W_FALLBACK,
-                           int(b.phi_m[W_FALLBACK]), empty_members)
-                continue
-            r0, r1 = lay.key_bounds[j], lay.key_bounds[j + 1]
-            members = lay.order[r0:r1]
-            for row in range(r0, r1):
-                u_vec = lay.pu_enc[row] * q
-                if not u_vec.any():
-                    continue
-                w = int(lay.order[row])
-                self._emit(out, canon, u_vec, f_val, c_val, w, int(b.phi_m[w]), members)
-            if lay.w0_enc[j].any():
-                u_vec = lay.w0_enc[j] * q
-                self._emit(out, canon, u_vec, f_val, c_val, W_FALLBACK,
-                           int(b.phi_m[W_FALLBACK]), members)
-        perm = tuple(canon.index(a) for a in requested)
-        return JointPmf(np.transpose(out, perm), axes=requested)
-
-    def _emit(self, out, canon, u_vec, f_val, c_val, w, m_val, triple_base) -> None:
-        """Accumulate one encoder path: W^n = w, bins fixed, decoder over
-        the triple (f,c,m) restricted to ``triple_base``.  ``canon`` must
-        list hw before v when both are present."""
-        post = None
-        if "hw" in canon or "v" in canon:
-            post = self._triple_posterior(triple_base, m_val)
-        coupled = "hw" in canon and "v" in canon
-        index: list = []
-        pieces: list[np.ndarray] = []
-        for a in canon:
-            if a == "u":
-                index.append(slice(None))
-                pieces.append(u_vec)
-            elif a == "f":
-                index.append(f_val)
-            elif a == "c":
-                index.append(c_val)
-            elif a == "w":
-                index.append(w)
-            elif a == "m":
-                index.append(m_val)
-            elif a == "hw":
-                index.append(slice(None))
-                pieces.append(post[:, None] * self.tab.pvn if coupled else post)
-            elif a == "v":
-                index.append(slice(None))
-                if not coupled:  # hw absent: V law is the posterior pushforward
-                    pieces.append(post @ self.tab.pvn)
-        block = np.array(1.0 if "u" in canon else float(u_vec.sum()))
-        for piece in pieces:
-            block = np.multiply.outer(block, piece)
-        out[tuple(index)] += block
+    def _paths(self, axes):
+        t, b, lay = self.tab, self.b, self._layout
+        key_f, key_c = np.divmod(lay.keys, b.bins_c)
+        # (f, c) cell of each hit key; a modulus of 1 drops an axis not asked for
+        n_f, n_c = (b.bins_f if "f" in axes else 1), (b.bins_c if "c" in axes else 1)
+        hit = np.bincount(key_f % n_f * n_c + key_c % n_c, minlength=n_f * n_c)
+        unhit = b.bins_f * b.bins_c // (n_f * n_c) - hit
+        cells = np.flatnonzero(unhit)
+        w, n_w0 = lay.order, lay.keys.size + cells.size
+        weight = np.concatenate([lay.pu_enc, lay.w0_enc, unhit[cells, None] * t.pu])
+        weight *= 1.0 / (b.bins_f * b.bins_c)  # in place: the rows can be large
+        coords = {"f": np.concatenate([b.phi_f[w], key_f, cells // n_c]),
+                  "c": np.concatenate([b.phi_c[w], key_c, cells % n_c]),
+                  "w": np.append(w, np.full(n_w0, W_FALLBACK)),
+                  "m": np.append(b.phi_m[w], np.full(n_w0, b.phi_m[W_FALLBACK]))}
+        slot = np.append(self._slot, np.full(n_w0, lay.z_t.size))
+        v_rows = None
+        if "v" in axes and "hw" not in axes:  # the decoded V law of each slot
+            v_rows = np.vstack([_triple_v_laws(lay, t.pvn[w]), t.pvn[W_FALLBACK]])[slot]
+        return weight, coords, slot, v_rows
 
 
 def _check_axes(axes, allowed) -> tuple[str, ...]:
@@ -776,46 +743,23 @@ def monte_carlo(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if gamma is None:
         gamma = parse_gamma_rule("logn", cfg.n)
-    tab = _tables(d, cfg.n)
     eps_app, eps_dec, eps_app2, eps_tot = epsilon_terms(d, cfg, gamma)
-    cols: dict[str, list[float]] = {k: [] for k in
-                                    ("l1_uv", "l1_sel", "l1_index", "sel_dist", "dec_err", "abort")}
-    best_sel = math.inf
-    for t in range(trials):
-        b = draw_binning(cfg, trial=t)
-        m = _trial_metrics(tab, b)
-        cols["l1_uv"].append(m.l1_uv)
-        cols["l1_sel"].append(m.l1_uv_given_f)
-        cols["l1_index"].append(m.l1_index_fc)
-        cols["sel_dist"].append(m.select_f_distance)
-        cols["dec_err"].append(m.decoder_error)
-        cols["abort"].append(m.abort_rate)
-        best_sel = min(best_sel, m.l1_uv_given_f)
-    means_cis = {k: _mean_ci(v) for k, v in cols.items()}
+    runs = list(_trials(d, cfg, trials))
+    stats = {name: _mean_ci([getattr(m, name) for m in runs]) for name in
+             ("l1_uv", "l1_uv_given_f", "l1_index_fc", "select_f_distance",
+              "decoder_error", "abort_rate")}
     return SimReport(
-        l1_uv=means_cis["l1_uv"][0],
-        l1_uv_given_f=means_cis["l1_sel"][0],
         eps_app=eps_app,
         eps_dec=eps_dec,
         eps_app2=eps_app2,
         eps_tot=eps_tot,
-        decoder_error=means_cis["dec_err"][0],
-        abort_rate=means_cis["abort"][0],
         trials=trials,
         seed=cfg.seed,
-        ci95=means_cis["l1_sel"][1],
-        l1_uv_given_f_min=best_sel,
-        l1_index_fc=means_cis["l1_index"][0],
-        select_f_distance=means_cis["sel_dist"][0],
+        ci95=stats["l1_uv_given_f"][1],
+        l1_uv_given_f_min=min(m.l1_uv_given_f for m in runs),
         effective_rates=cfg.effective_rates(),
-        ci95_by_metric={
-            "l1_uv": means_cis["l1_uv"][1],
-            "l1_uv_given_f": means_cis["l1_sel"][1],
-            "l1_index_fc": means_cis["l1_index"][1],
-            "select_f_distance": means_cis["sel_dist"][1],
-            "decoder_error": means_cis["dec_err"][1],
-            "abort_rate": means_cis["abort"][1],
-        },
+        ci95_by_metric={name: ci for name, (_, ci) in stats.items()},
+        **{name: mean for name, (mean, _) in stats.items()},
     )
 
 

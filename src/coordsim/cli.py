@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .binning import SchemeConfig, monte_carlo, trial_metrics
+from .binning import SchemeConfig, _trials, monte_carlo
 from .cltverify import be_gap, density_law
 from .errors import CoordsimError, ResourceLimitError
 from .nptest import beta_sandwich, np_beta
@@ -283,8 +283,7 @@ def run_config(config: dict):
             columns = ["trial", "l1_uv", "l1_uv_given_f", "select_f_index",
                        "select_f_distance", "l1_index_fc", "decoder_error", "abort_rate"]
             rows = []
-            for t in range(trials):
-                m = trial_metrics(d, cfg, t)
+            for t, m in enumerate(_trials(d, cfg, trials)):
                 rows.append([t, m.l1_uv, m.l1_uv_given_f, m.select_f_index,
                              m.select_f_distance, m.l1_index_fc, m.decoder_error,
                              m.abort_rate])

@@ -428,6 +428,48 @@ def test_segment_sum_metrics_match_per_key_oracle(d, n, data):
     assert abs(got.l1_uv_given_f - expect_sel) <= 1e-12
 
 
+BRUTE_AXES = {"rb": ("u", "w", "f", "c", "m", "hw", "v"),
+              "rc": ("u", "f", "c", "w", "m", "hw", "v")}
+
+
+@settings(max_examples=200)
+@given(d=chains_with_zero_cells(), n=st.integers(1, 2),
+       order=st.permutations(BRUTE_AXES["rb"]), n_axes=st.integers(1, 7), data=st.data())
+def test_joint_marginals_match_brute_force(d, n, order, n_axes, data):
+    # arbitrary bin maps, as in the segment-sum test: encoder fallbacks,
+    # w0 aborts and zero-mass triples all occur; any axis subset, any order
+    tab = _tables(d, n)
+    bins = [data.draw(st.integers(1, 4), label=f"bins_{a}") for a in "fcm"]
+    maps = [data.draw(st.lists(st.integers(0, k - 1), min_size=tab.n_w, max_size=tab.n_w),
+                      label=f"phi_{a}") for a, k in zip("fcm", bins)]
+    b = BinningRealization(phi_f=maps[0], phi_c=maps[1], phi_m=maps[2],
+                           bins_f=bins[0], bins_c=bins[1], bins_m=bins[2], w_mass=tab.pw)
+    cfg = scheme(d, n=n)
+    axes = order[:n_axes]
+    for name, joint, full in (("rb", rb_joint, brute_rb_full(d, b, n)),
+                              ("rc", rc_joint, brute_rc_full(d, b, n)[0])):
+        brute_axes = BRUTE_AXES[name]
+        kept = [a for a in brute_axes if a in axes]
+        expect = full.sum(axis=tuple(i for i, a in enumerate(brute_axes) if a not in axes))
+        expect = expect.transpose([kept.index(a) for a in axes])
+        got = joint(d, b, cfg).marginal(axes)
+        assert got.probs.shape == expect.shape, name
+        assert np.abs(got.probs - expect).max() <= 1e-12, (name, axes)
+
+
+@pytest.mark.parametrize("rt", [1.0, 11.0])
+def test_rc_uv_marginal_agrees_with_trial_l1(rt):
+    # rt = 11 gives 2^22 seed bins at n = 2, far more (f, c) keys than W^n
+    # has sequences: the unhit keys are lumped, never enumerated
+    d = skewed_chain()
+    cfg = scheme(d, n=2, r=1.0, r0=0.5, rt=rt, seed=4)
+    b = draw_binning(cfg)
+    tab = _tables(d, 2)
+    uv = rc_joint(d, b, cfg).marginal(("u", "v")).probs
+    l1 = float(np.abs(uv - tab.target_uv).sum())
+    assert abs(l1 - _trial_metrics(tab, b).l1_uv) <= 1e-12
+
+
 def test_abort_rate_positive_with_dead_bins():
     d = dead_symbol_chain()
     found = False
@@ -600,6 +642,15 @@ def test_monte_carlo_mean_is_plain_average():
         singles.append(abs(oracle.sum(axis=(1, 2, 3, 4, 5)) - target).sum())
     rep = monte_carlo(d, cfg, trials=5, gamma=g)
     assert rep.l1_uv == pytest.approx(np.mean(singles), abs=1e-12)
+
+
+def test_monte_carlo_distinct_seeds_differ():
+    # every (seed, trial) pair keys its own stream, so seeds 0-3 over four
+    # trials do not draw the same four realizations in another order
+    d = skewed_chain()
+    g = GammaTriple(2.0, 1.0, 2.0)
+    l1 = [monte_carlo(d, scheme(d, n=2, seed=s), trials=4, gamma=g).l1_uv for s in range(4)]
+    assert len(set(l1)) == 4, l1
 
 
 def test_decoder_error_drops_with_message_rate():
