@@ -15,17 +15,13 @@ candidates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import BEStats, gaussian_q, support_weights
+from .measures import BEStats, gaussian_q, support_weights, tie_heads
 from .probability import NORM_TOL, DensityTable, JointPmf, Pmf, check_table_size
-
-# atoms closer than this (bits) are the same point up to float noise
-ATOM_MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,15 +58,11 @@ class AtomLaw:
 
     def tail_gt(self, x: float) -> float:
         """P(Z > x), strict."""
-        i = bisect_left(self.values, x)
-        while i < self.n_atoms and self.values[i] <= x:
-            i += 1
-        return float(self.probs[i:].sum())
+        return float(self.probs[np.searchsorted(self.values, x, side="right"):].sum())
 
     def tail_ge(self, x: float) -> float:
         """P(Z >= x)."""
-        i = bisect_left(self.values, x)
-        return float(self.probs[i:].sum())
+        return float(self.probs[np.searchsorted(self.values, x, side="left"):].sum())
 
 
 @dataclass(frozen=True)
@@ -83,16 +75,12 @@ class BEGapResult:
 
 
 def _merge_sorted(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coalesce already-sorted atoms that coincide up to ATOM_MERGE_TOL."""
-    out_v: list[float] = []
-    out_p: list[float] = []
-    for v, p in zip(values, probs):
-        if out_v and v - out_v[-1] <= ATOM_MERGE_TOL:
-            out_p[-1] += p
-        else:
-            out_v.append(float(v))
-            out_p.append(float(p))
-    return np.array(out_v), np.array(out_p)
+    """Coalesce already-sorted atoms that tie (``measures.tie_heads``): each
+    group keeps its head's value and the sum of its masses, added in input
+    order."""
+    heads = tie_heads(values)
+    ids = np.repeat(np.arange(heads.size), np.diff(heads, append=values.size))
+    return values[heads], np.bincount(ids, weights=probs, minlength=heads.size)
 
 
 def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
@@ -105,18 +93,22 @@ def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
     w = support_weights(density, weights)
     mask = density.support & (w > 0)
     vals = density.values[mask]
-    probs = w[mask]
     order = np.argsort(vals, kind="stable")
-    merged_v, merged_p = _merge_sorted(vals[order], probs[order])
+    vals = vals[order]
+    probs = w[mask][order]
+    del order
+    merged_v, merged_p = _merge_sorted(vals, probs)
     return AtomLaw(merged_v, merged_p)
 
 
 def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
     check_table_size(a.n_atoms * b.n_atoms, "convolution grid")
     sums = np.add.outer(a.values, b.values).ravel()
-    masses = np.multiply.outer(a.probs, b.probs).ravel()
     order = np.argsort(sums, kind="stable")
-    merged_v, merged_p = _merge_sorted(sums[order], masses[order])
+    sums = sums[order]
+    masses = np.multiply.outer(a.probs, b.probs).ravel()[order]
+    del order
+    merged_v, merged_p = _merge_sorted(sums, masses)
     return AtomLaw(merged_v, merged_p / merged_p.sum())
 
 
@@ -162,9 +154,6 @@ def be_gap(law: AtomLaw, n: int) -> BEGapResult:
     center = n * stats.mu
     # suffix sums: tail_ge[i] = P(S_n >= value_i); tail_gt[i] = P(S_n > value_i)
     suffix = np.concatenate([np.cumsum(total.probs[::-1])[::-1], [0.0]])
-    worst = 0.0
-    for i, x in enumerate(total.values):
-        t = (x - center) / scale
-        q = gaussian_q(t)
-        worst = max(worst, abs(suffix[i] - q), abs(suffix[i + 1] - q))
+    q = np.array([gaussian_q(t) for t in ((total.values - center) / scale).tolist()])
+    worst = max(np.max(np.abs(suffix[:-1] - q)), np.max(np.abs(suffix[1:] - q)))
     return BEGapResult(gap=worst, bound=stats.b_over_sqrt_n(n), degenerate=False)

@@ -24,6 +24,15 @@ else tests for degeneracy by magnitude.  A degenerate density (which happens
 exactly for deterministic-copy chains) has no meaningful B; it is stored as
 NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 0, since the underlying CLT gap is identically zero.
+
+Tie policy: two sorted values (atoms of a convolved law, log-likelihood
+ratios of a hypothesis test) are the same point when they lie within
+``TIE_TOL`` of their group's *head*, the group's first value:
+``x - head <= TIE_TOL`` joins, anything larger starts a new group.  The
+anchor keeps a chain of small steps from drifting arbitrarily far;
+``tie_heads`` is the one implementation.  Infinite values tie only with an
+equal infinity.  Tails (``AtomLaw.tail_gt`` / ``tail_ge``, the
+Neyman-Pearson thresholds) compare floats exactly, with no tolerance.
 """
 
 from __future__ import annotations
@@ -38,6 +47,38 @@ from .probability import ConditionalPmf, DensityTable, JointPmf, Pmf, info_densi
 
 # variance below this (bits^2) is float dust from a constant density
 DEGENERATE_VAR = 1e-20
+# sorted values this close (bits) to their group's head are the same point
+TIE_TOL = 1e-12
+
+
+def tie_heads(x: np.ndarray) -> np.ndarray:
+    """Start indices of the tie groups of the ascending array ``x``: index i
+    starts a group when ``x[i] - x[head] > TIE_TOL`` for the current head.
+
+    A step ``x[i] - x[i-1] > TIE_TOL`` is a break under the anchored rule
+    too (float subtraction is monotone), so those come from one ``diff``;
+    only runs between them whose head-to-tail span exceeds ``TIE_TOL`` are
+    scanned value by value.  inf - inf is NaN, which never breaks, so equal
+    infinities share a group.
+    """
+    if x.size == 0:
+        return np.empty(0, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        heads = np.concatenate(([0], np.flatnonzero(np.diff(x) > TIE_TOL) + 1))
+        tails = np.append(heads[1:], x.size) - 1
+        wide = np.flatnonzero(x[tails] - x[heads] > TIE_TOL)
+    if wide.size == 0:
+        return heads
+    extra = []
+    for r in wide.tolist():
+        start = int(heads[r])
+        run = x[start : tails[r] + 1].tolist()
+        head = run[0]
+        for i, v in enumerate(run):
+            if v - head > TIE_TOL:
+                extra.append(start + i)
+                head = v
+    return np.sort(np.concatenate((heads, np.array(extra, dtype=np.intp))))
 
 
 def moments(vals: np.ndarray, ws: np.ndarray, third: bool = True) -> tuple[float, float, float]:

@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .cltverify import AtomLaw, density_law
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import BEStats, backoff, check_eps, continuity_term, gaussian_q_inv
+from .measures import BEStats, backoff, check_eps, continuity_term, gaussian_q_inv, tie_heads
 from .probability import (
     DensityTable,
     JointPmf,
@@ -42,7 +44,6 @@ from .probability import (
 )
 from .region import Decomposition, stats_wu, stats_wuv
 
-LLR_TIE_TOL = 1e-12  # ratios closer than this (in bits) share a tie group
 PREMISE_TOL = 1e-12  # slack granted to tail premises
 BOUND_TOL = 1e-10  # slack granted to conclusions
 
@@ -146,58 +147,77 @@ class NPResult:
             raise DomainError("threshold must not be NaN")
 
 
-def _same_llr(a: float, b: float) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= LLR_TIE_TOL
-
-
-def _llr_groups(p: np.ndarray, q: np.ndarray):
+class _TieGroups(NamedTuple):
     """Tie groups of log2(p/q) over the p-support, in decreasing order.
 
-    Returns a list of (llr, p_mass, q_mass, outcome_indices).  Outcomes
-    with q = 0 form the leading +inf group; outcomes with p = 0 never
-    appear (accepting them costs q-mass and buys nothing).
+    ``idx`` lists the outcomes in that order and group g is
+    ``idx[heads[g]:heads[g + 1]]``; ``llr``, ``p`` and ``q`` hold each
+    group's ratio (its head's) and masses."""
+
+    idx: np.ndarray
+    heads: np.ndarray
+    llr: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+
+def _group_sums(vals: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """``vals[heads[g]:heads[g + 1]].sum()`` for every group g, with the
+    bits of that 1-D sum: groups of one length are gathered into one
+    contiguous matrix and summed along rows, which numpy sums exactly as
+    it sums each row alone."""
+    sizes = np.diff(heads, append=vals.size)
+    out = np.empty(heads.size)
+    for size in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == size)
+        out[sel] = sliding_window_view(vals, size)[heads[sel]].sum(axis=1)
+    return out
+
+
+def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
+    """Tie groups (``measures.tie_heads``) of log2(p/q) over the p-support.
+
+    Outcomes with q = 0 form the leading +inf group; outcomes with p = 0
+    never appear (accepting them costs q-mass and buys nothing).
     """
     sup = np.flatnonzero(p > 0)
     with np.errstate(divide="ignore"):
-        llr = np.log2(p[sup] / q[sup])
-    order = np.argsort(-llr, kind="stable")
-    lv = llr[order]
-    groups = []
-    start = 0
-    for i in range(1, order.size + 1):
-        if i == order.size or not _same_llr(float(lv[start]), float(lv[i])):
-            idx = sup[order[start:i]]
-            groups.append(
-                (float(lv[start]), float(p[idx].sum()), float(q[idx].sum()), idx)
-            )
-            start = i
-    return groups
+        neg = -np.log2(p[sup] / q[sup])
+    order = np.argsort(neg, kind="stable")
+    idx = sup[order]
+    del sup
+    neg = neg[order]
+    del order
+    heads = tie_heads(neg)
+    llr = -neg[heads]
+    del neg
+    return _TieGroups(idx, heads, llr, _group_sums(p[idx], heads), _group_sums(q[idx], heads))
 
 
-def _np_solve(groups, n_outcomes: int, alpha: float):
+def _np_solve(groups: _TieGroups, n_outcomes: int, alpha: float):
     """Shared core over the ``_llr_groups`` of a law pair with
-    ``n_outcomes`` outcomes: returns (NPResult, decision vector)."""
+    ``n_outcomes`` outcomes: returns (NPResult, decision vector).
+
+    Whole groups are accepted while their p-mass stays below what alpha
+    still needs; the first group that covers the rest is randomized."""
+    # running sums from 0.0, added in group order (cumsum is sequential)
+    cum_p = np.cumsum(np.concatenate(([0.0], groups.p)))
+    cum_q = np.cumsum(np.concatenate(([0.0], groups.q)))
+    reach = np.flatnonzero(groups.p >= alpha - cum_p[:-1])
+    if reach.size == 0:
+        raise CoordsimError("total p-mass fell below alpha; law was not normalized")
+    k = int(reach[0])
+    cum, gp = float(cum_p[k]), float(groups.p[k])
+    theta = (alpha - cum) / gp
+    beta = float(cum_q[k]) + theta * float(groups.q[k])
+    achieved = cum + theta * gp
+    if abs(achieved - alpha) > PREMISE_TOL:
+        raise CoordsimError(f"acceptance mass {achieved!r} missed alpha {alpha!r}")
+    bounds = np.append(groups.heads, groups.idx.size)
     decision = np.zeros(n_outcomes)
-    beta = 0.0
-    cum = 0.0
-    for g_llr, gp, gq, idx in groups:
-        remaining = alpha - cum
-        if gp >= remaining:
-            theta = remaining / gp
-            beta += theta * gq
-            decision[idx] = theta
-            achieved = cum + theta * gp
-            if abs(achieved - alpha) > PREMISE_TOL:
-                raise CoordsimError(
-                    f"acceptance mass {achieved!r} missed alpha {alpha!r}"
-                )
-            return NPResult(beta=float(beta), threshold=g_llr, randomization=float(theta)), decision
-        beta += gq
-        cum += gp
-        decision[idx] = 1.0
-    raise CoordsimError("total p-mass fell below alpha; law was not normalized")
+    decision[groups.idx[: bounds[k]]] = 1.0
+    decision[groups.idx[bounds[k] : bounds[k + 1]]] = theta
+    return NPResult(beta=beta, threshold=float(groups.llr[k]), randomization=theta), decision
 
 
 def np_beta(p, q, alpha: float) -> NPResult:
@@ -260,15 +280,13 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
         raise DomainError("gamma grid entries must be finite and positive")
 
     groups = _llr_groups(pa, qa)
-    g_llr = np.array([g[0] for g in groups])
-    g_p = np.array([g[1] for g in groups])
     beta = _np_solve(groups, pa.size, alpha)[0].beta
 
     lower = []
     upper = []
     for gam in gammas:
         t = math.log2(gam)
-        tail = float(g_p[g_llr > t].sum())
+        tail = float(groups.p[groups.llr > t].sum())
         lower.append(tail + gam * beta - alpha)
         upper.append(1.0 / gam - beta if tail >= alpha else None)
 

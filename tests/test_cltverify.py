@@ -7,9 +7,13 @@ shares nothing with them.
 
 import itertools
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from coordsim.cltverify import (
     AtomLaw,
@@ -18,10 +22,11 @@ from coordsim.cltverify import (
     density_law,
     law_stats,
 )
-from coordsim.errors import DomainError, ResourceLimitError
+from coordsim.errors import DomainError, ResourceLimitError, ShapeError
 from coordsim.measures import gaussian_q
 from coordsim.probability import (
     ConditionalPmf,
+    DensityTable,
     JointPmf,
     Pmf,
     entropy_density,
@@ -68,6 +73,46 @@ def test_tail_conventions():
     assert law.tail_gt(0.0) == pytest.approx(0.7)
 
 
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0)),
+        min_size=1, max_size=4, unique=True,
+    ),
+    weights=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+    n=st.integers(1, 4),
+)
+def test_tails_bracket_brute_force_sum(values, weights, n):
+    """tail_gt / tail_ge of the n-fold law at thresholds exactly on its
+    atoms, against the exact sum over all atom sequences: a sum within
+    float noise of the threshold counts for tail_ge only."""
+    values = sorted(values)
+    assume(all(b - a > 1e-6 for a, b in zip(values, values[1:])))
+    w = np.array(weights[: len(values)], dtype=np.float64)
+    law = AtomLaw(np.array(values), w / w.sum())
+    total = convolve_n(law, n)
+    exact: dict = {}
+    for combo in itertools.product(range(law.n_atoms), repeat=n):
+        s = sum(Fraction(law.values[i]) for i in combo)
+        exact[s] = exact.get(s, 0.0) + math.prod(law.probs[i] for i in combo)
+    # exact sums either coincide up to float noise or lie far apart
+    sums = sorted(exact)
+    gaps = [b - a for a, b in zip(sums, sums[1:])]
+    assume(all(g < 1e-13 or g > 1e-6 for g in gaps))
+    delta = Fraction(1, 10**9)
+    for x in total.values:
+        fx = Fraction(x)
+        above = sum(pr for s, pr in exact.items() if s > fx + delta)
+        at_or_above = sum(pr for s, pr in exact.items() if s > fx - delta)
+        gt, ge = total.tail_gt(x), total.tail_ge(x)
+        assert above - 1e-12 <= gt <= ge <= at_or_above + 1e-12
+        assert gt == pytest.approx(above, abs=1e-12)
+        assert ge == pytest.approx(at_or_above, abs=1e-12)
+    lo, hi = float(total.values[0]), float(total.values[-1])
+    assert total.tail_ge(lo) == pytest.approx(1.0, abs=1e-12)
+    assert total.tail_gt(hi) == 0.0
+    assert total.tail_gt(lo - 1.0) == total.tail_ge(lo)
+
+
 # ---------------------------------------------------------------------------
 # density pushforward
 # ---------------------------------------------------------------------------
@@ -90,6 +135,13 @@ def test_density_law_merges_ties():
     assert law.n_atoms == 1
     assert law.values[0] == pytest.approx(1.0)
     assert law.probs[0] == pytest.approx(1.0)
+
+
+def test_density_law_without_weight_on_support_is_a_shape_error():
+    # nothing left to push forward: the empty atom law is AtomLaw's ShapeError
+    dens = DensityTable(np.array([0.5, 1.5]), np.array([True, True]))
+    with pytest.raises(ShapeError, match="non-empty"):
+        density_law(dens, SimpleNamespace(probs=np.zeros(2)))
 
 
 def test_density_law_moments_match_be_stats():

@@ -1,0 +1,198 @@
+"""Differential tests: the vectorized tie groups against the per-element
+references in ``tie_oracle``.
+
+Atom merging, the convolution built on it, the likelihood-ratio tie groups
+and the Neyman-Pearson solution must come out with the same float bits as
+the references.  The strategies make the cases that decide a group
+boundary: chains of steps below the tolerance whose span exceeds it (the
+anchored re-scan), exact duplicates, all-distinct values, cells with
+q = 0 (+inf ratios) and cells with p = 0.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
+
+import tie_oracle
+from coordsim.cltverify import AtomLaw, _merge_sorted, be_gap, convolve_n, law_stats
+from coordsim.errors import CoordsimError
+from coordsim.measures import TIE_TOL, tie_heads
+from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich
+
+
+def same_bits(a, b) -> bool:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def note_ties(x: np.ndarray) -> None:
+    """Record which tie cases the ascending array ``x`` exercises; a
+    re-scan is a run between steps > TIE_TOL whose span exceeds TIE_TOL,
+    which ``tie_heads`` walks value by value."""
+    if x.size < 2:
+        return
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(x)
+        heads = np.concatenate(([0], np.flatnonzero(steps > TIE_TOL) + 1))
+        tails = np.append(heads[1:], x.size) - 1
+        if np.any(x[tails] - x[heads] > TIE_TOL):
+            event("anchored re-scan")
+    if np.all(steps > TIE_TOL):
+        event("all distinct")
+    if np.any(steps == 0.0):
+        event("exact duplicates")
+
+
+@st.composite
+def tie_prone(draw, lo: float, hi: float, min_size: int, max_size: int):
+    """Ascending values: each step repeats the last value, moves by
+    0.3e-12 to 0.9e-12, or jumps (some draws use only one kind of step)."""
+    n = draw(st.integers(min_size, max_size))
+    x = draw(st.floats(lo, hi))
+    palette = draw(st.sampled_from([("same", "near", "jump"), ("jump",), ("near",), ("near", "jump")]))
+    kinds = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    out = []
+    for kind in kinds:
+        if kind == "near":
+            x += draw(st.floats(0.3e-12, 0.9e-12))
+        elif kind == "jump":
+            x += draw(st.floats(1e-9, 3.0))
+        out.append(x)
+    return np.array(out)
+
+
+masses = st.floats(1e-6, 1.0)
+
+
+@pytest.mark.parametrize(
+    "x, heads",
+    [
+        ([0.0, 1e-12], [0]),  # a step of exactly TIE_TOL joins
+        ([0.0, 0.5e-12, 1e-12, 1.5e-12, 2e-12], [0, 3]),  # so does a span of exactly TIE_TOL
+        ([-np.inf, -np.inf, 0.0, 1e-12], [0, 2]),  # infinities tie only with each other
+        ([1.0, np.inf, np.inf], [0, 1]),
+    ],
+)
+def test_tie_heads_hand_values(x, heads):
+    assert tie_heads(np.array(x)).tolist() == heads
+
+
+@given(data=st.data())
+def test_merge_matches_oracle(data):
+    values = data.draw(tie_prone(-40.0, 40.0, 0, 60))
+    probs = np.array(data.draw(st.lists(masses, min_size=values.size, max_size=values.size)))
+    note_ties(values)
+    got_v, got_p = _merge_sorted(values, probs)
+    want_v, want_p = tie_oracle.merge_sorted(values, probs)
+    assert same_bits(got_v, want_v)
+    assert same_bits(got_p, want_p)
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+def test_convolve_and_gap_match_oracle(data, n):
+    values = data.draw(tie_prone(-3.0, 3.0, 1, 6))
+    values = np.unique(values)  # an AtomLaw is strictly increasing
+    w = np.array(data.draw(st.lists(masses, min_size=values.size, max_size=values.size)))
+    law = AtomLaw(values, w / w.sum())
+    got = convolve_n(law, n)
+    want = tie_oracle.convolve_n(law, n)
+    if n > 1:
+        note_ties(np.sort(np.add.outer(values, values).ravel()))
+    assert same_bits(got.values, want.values)
+    assert same_bits(got.probs, want.probs)
+    stats = law_stats(law)
+    if not stats.degenerate:
+        center, scale = n * stats.mu, np.sqrt(n * stats.v)
+        assert same_bits(be_gap(law, n).gap, tie_oracle.be_gap_worst(want, center, scale))
+
+
+@st.composite
+def law_pairs(draw):
+    """(p, q, alpha) with near-tie ratio chains, q = 0 and p = 0 cells."""
+    llr = draw(tie_prone(-20.0, 20.0, 1, 40))
+    n = llr.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.uniform(0.01, 1.0, size=n)
+    p = q * np.exp2(llr)
+    kinds = draw(st.lists(st.sampled_from(["ratio", "ratio", "ratio", "q0", "p0"]),
+                          min_size=n, max_size=n))
+    kinds = np.array(kinds)
+    p[kinds == "p0"] = 0.0
+    q[kinds == "q0"] = 0.0
+    if p.sum() == 0.0 or q.sum() == 0.0:
+        p[0], q[0] = 1.0, 1.0
+        kinds[0] = "ratio"
+    # the ratio chain is shuffled over the outcomes
+    perm = rng.permutation(n)
+    p, q, kinds = p[perm], q[perm], kinds[perm]
+    if np.any(kinds == "q0"):
+        event("q = 0 cell (+inf ratio)")
+    if np.any(kinds == "p0"):
+        event("p = 0 cell")
+    alpha = draw(st.floats(0.001, 0.999))
+    return _np_inputs(p / p.sum(), q / q.sum(), alpha)
+
+
+def assert_groups_match(p, q):
+    got = _llr_groups(p, q)
+    want = tie_oracle.llr_groups(p, q)
+    assert got.heads.size == len(want)
+    assert same_bits(got.llr, [g[0] for g in want])
+    assert same_bits(got.p, [g[1] for g in want])
+    assert same_bits(got.q, [g[2] for g in want])
+    assert np.array_equal(got.idx, np.concatenate([g[3] for g in want]))
+    assert np.array_equal(got.heads, np.cumsum([0] + [g[3].size for g in want[:-1]]))
+    return got, want
+
+
+def assert_solutions_match(p, q, alpha):
+    got, want = assert_groups_match(p, q)
+    try:
+        want_res, want_dec = tie_oracle.np_solve(want, p.size, alpha)
+    except CoordsimError as exc:
+        with pytest.raises(CoordsimError, match=re.escape(str(exc))):
+            _np_solve(got, p.size, alpha)
+        return got, want
+    got_res, got_dec = _np_solve(got, p.size, alpha)
+    assert same_bits(got_res.beta, want_res.beta)
+    assert same_bits(got_res.threshold, want_res.threshold)
+    assert same_bits(got_res.randomization, want_res.randomization)
+    assert same_bits(got_dec, want_dec)
+    return got, want
+
+
+@given(law=law_pairs())
+def test_llr_groups_and_np_solution_match_oracle(law):
+    p, q, alpha = law
+    with np.errstate(divide="ignore"):
+        note_ties(np.sort(-np.log2(p[p > 0] / q[p > 0])))
+    _, want = assert_solutions_match(p, q, alpha)
+    # alpha exactly at the p-mass of the leading groups: the last of them
+    # is the boundary group, accepted with probability 1
+    for boundary in np.cumsum([g[1] for g in want])[:3].tolist():
+        if 0.0 < boundary < 1.0:
+            assert_solutions_match(p, q, boundary)
+    if max(g[3].size for g in want) >= 9:
+        event("tie group of 9+ outcomes")
+    # beta_sandwich normalizes its inputs once more, as every entry point does
+    pn, qn, _ = _np_inputs(p, q, alpha)
+    want_beta = tie_oracle.np_solve(tie_oracle.llr_groups(pn, qn), p.size, alpha)[0].beta
+    assert same_bits(beta_sandwich(p, q, alpha, [0.5, 1.0, 2.0]).beta, want_beta)
+
+
+def test_large_tie_groups_match_oracle():
+    """Groups long enough for numpy's blocked pairwise sums (over 128
+    terms) carry the bits of the per-group sum."""
+    rng = np.random.default_rng(5)
+    sizes = [1, 2, 7, 8, 9, 127, 128, 129, 300, 5000]
+    llr = np.repeat(np.linspace(-3.0, 3.0, len(sizes)), sizes)
+    q = rng.uniform(0.01, 1.0, size=llr.size)
+    p = q * np.exp2(llr)
+    perm = rng.permutation(llr.size)
+    for alpha in (0.05, 0.5, 0.97):
+        pa, qa, alpha = _np_inputs(p[perm] / p.sum(), q[perm] / q.sum(), alpha)
+        assert_solutions_match(pa, qa, alpha)

@@ -1,0 +1,117 @@
+"""Per-element references for the exact verifiers' tie groups.
+
+These are the straightforward forms of ``cltverify``'s atom merge (with
+the convolution built on it) and of ``nptest``'s likelihood-ratio tie
+groups and Neyman-Pearson solver: one Python step per sorted value, with
+the head of the current group kept as the anchor.  The library computes
+the same groups with ``measures.tie_heads``; the differential tests
+require equal bits from both.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from coordsim.cltverify import AtomLaw
+from coordsim.errors import CoordsimError
+from coordsim.measures import gaussian_q
+from coordsim.nptest import PREMISE_TOL, NPResult
+
+TIE_TOL = 1e-12
+
+
+def merge_sorted(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coalesce already-sorted atoms within TIE_TOL of their group's head."""
+    out_v: list[float] = []
+    out_p: list[float] = []
+    for v, p in zip(values, probs):
+        if out_v and v - out_v[-1] <= TIE_TOL:
+            out_p[-1] += p
+        else:
+            out_v.append(float(v))
+            out_p.append(float(p))
+    return np.array(out_v), np.array(out_p)
+
+
+def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
+    sums = np.add.outer(a.values, b.values).ravel()
+    masses = np.multiply.outer(a.probs, b.probs).ravel()
+    order = np.argsort(sums, kind="stable")
+    merged_v, merged_p = merge_sorted(sums[order], masses[order])
+    return AtomLaw(merged_v, merged_p / merged_p.sum())
+
+
+def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
+    """n-fold sum law by the same squaring schedule as the library."""
+    result = None
+    power = law
+    k = n
+    while k:
+        if k & 1:
+            result = power if result is None else _convolve(result, power)
+        k >>= 1
+        if k:
+            power = _convolve(power, power)
+    return result
+
+
+def be_gap_worst(total: AtomLaw, center: float, scale: float) -> float:
+    """sup over atoms of |tail - Q(t)|, both one-sided limits, atom by atom."""
+    suffix = np.concatenate([np.cumsum(total.probs[::-1])[::-1], [0.0]])
+    worst = 0.0
+    for i, x in enumerate(total.values):
+        q = gaussian_q((x - center) / scale)
+        worst = max(worst, abs(suffix[i] - q), abs(suffix[i + 1] - q))
+    return worst
+
+
+def _same_llr(a: float, b: float) -> bool:
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= TIE_TOL
+
+
+def llr_groups(p: np.ndarray, q: np.ndarray) -> list:
+    """Tie groups of log2(p/q) over the p-support, in decreasing order, as
+    (llr, p_mass, q_mass, outcome_indices) tuples."""
+    sup = np.flatnonzero(p > 0)
+    with np.errstate(divide="ignore"):
+        llr = np.log2(p[sup] / q[sup])
+    order = np.argsort(-llr, kind="stable")
+    lv = llr[order]
+    groups = []
+    start = 0
+    for i in range(1, order.size + 1):
+        if i == order.size or not _same_llr(float(lv[start]), float(lv[i])):
+            idx = sup[order[start:i]]
+            groups.append(
+                (float(lv[start]), float(p[idx].sum()), float(q[idx].sum()), idx)
+            )
+            start = i
+    return groups
+
+
+def np_solve(groups: list, n_outcomes: int, alpha: float):
+    """(NPResult, decision vector): accept whole groups in order, randomize
+    the one that reaches alpha."""
+    decision = np.zeros(n_outcomes)
+    beta = 0.0
+    cum = 0.0
+    for g_llr, gp, gq, idx in groups:
+        remaining = alpha - cum
+        if gp >= remaining:
+            theta = remaining / gp
+            beta += theta * gq
+            decision[idx] = theta
+            achieved = cum + theta * gp
+            if abs(achieved - alpha) > PREMISE_TOL:
+                raise CoordsimError(
+                    f"acceptance mass {achieved!r} missed alpha {alpha!r}"
+                )
+            return NPResult(beta=float(beta), threshold=g_llr, randomization=float(theta)), decision
+        beta += gq
+        cum += gp
+        decision[idx] = 1.0
+    raise CoordsimError("total p-mass fell below alpha; law was not normalized")
