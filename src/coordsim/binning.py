@@ -64,11 +64,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cltverify import AtomLaw, convolve_n, density_law
+from .cltverify import _atom_law, convolve_n
 from .errors import DomainError, ResourceLimitError, ShapeError
 from .probability import (
     ConditionalPmf,
-    DensityTable,
     JointPmf,
     Pmf,
     check_table_size,
@@ -610,14 +609,6 @@ def rc_joint(d: Decomposition, b: BinningRealization, cfg: SchemeConfig) -> RcJo
 # =============================================================================
 
 
-def _entropy_density_law(values: np.ndarray, weights: np.ndarray) -> AtomLaw:
-    """Pushforward AtomLaw of per-symbol density ``values`` under ``weights``."""
-    support = np.isfinite(values)
-    table = DensityTable(np.where(support, values, np.nan), support)
-    flat_w = weights / weights.sum()
-    return density_law(table, JointPmf(flat_w))
-
-
 def epsilon_terms(
     d: Decomposition, cfg: SchemeConfig, g: GammaTriple
 ) -> tuple[float, float, float, float]:
@@ -637,27 +628,23 @@ def epsilon_terms(
     bf, bc, bm = cfg.bin_counts()
     n = cfg.n
     joint = d.joint()
-    # per-symbol laws of h(w|u), h(w), h(w|u,v)
-    uw = marginalize(joint, ("u", "w"))
-    with np.errstate(divide="ignore"):
-        h_w_given_u = -np.log2(d.w_given_u.rows)  # (u, w), +inf off support
-    law1 = _entropy_density_law(
-        np.where(uw.probs > 0, h_w_given_u, np.nan), uw.probs
-    )
-    p_w = _w_marginal(d)
-    law2 = _entropy_density_law(
-        np.where(p_w.probs > 0, -np.log2(np.where(p_w.probs > 0, p_w.probs, 1.0)), np.nan),
-        p_w.probs,
-    )
     puwv = joint.probs  # (u, w, v)
     puv = puwv.sum(axis=1)
+    p_w = _w_marginal(d).probs
+    # per-symbol h(w|u), h(w), h(w|u,v) with their weights; cells off the
+    # weights' support hold inf or NaN and are dropped with them
     with np.errstate(divide="ignore", invalid="ignore"):
-        h_w_given_uv = -np.log2(puwv / puv[:, None, :])
-    law3 = _entropy_density_law(np.where(puwv > 0, h_w_given_uv, np.nan), puwv)
-
-    sum1 = convolve_n(law1, n)
-    sum2 = convolve_n(law2, n)
-    sum3 = convolve_n(law3, n)
+        densities = (
+            (-np.log2(d.w_given_u.rows), marginalize(joint, ("u", "w")).probs),
+            (-np.log2(p_w), p_w),
+            (-np.log2(puwv / puv[:, None, :]), puwv),
+        )
+    sums = []
+    for values, weights in densities:
+        w = weights / weights.sum()
+        keep = w > 0
+        sums.append(convolve_n(_atom_law(values[keep], w[keep]), n))
+    sum1, sum2, sum3 = sums
     t1 = math.log2(bf) + math.log2(bc) + g.g1
     t2 = math.log2(bf) + math.log2(bc) + math.log2(bm) - g.g2
     t3 = math.log2(bf) + g.g3

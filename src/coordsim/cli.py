@@ -8,9 +8,11 @@ output header, and ``render_output`` on that embedded config reproduces
 the file byte for byte -- the round-trip contract the tests enforce.
 
 Exit codes: 0 success; 2 I/O trouble (missing/unreadable/ill-formed
-files); 3 invalid parameters (including unknown flags); 4 resource-cap
-exceedance, with the required size in the message.  The table-size cap
-itself honors the COORDSIM_MEM_CAP environment variable.
+files); 3 invalid parameters (including unknown flags and input-file
+values of the wrong JSON type); 4 resource-cap exceedance, with the
+required size in the message.  Any other exception is an internal error
+and propagates with its traceback.  The table-size cap itself honors the
+COORDSIM_MEM_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +70,35 @@ def _ints(text: str) -> list:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from e
 
 
+def _number(value, what: str):
+    """``value`` unchanged if it is a finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _UsageError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _UsageError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise _UsageError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(value, what: str) -> list:
+    """A JSON list of numbers, as floats."""
+    if not isinstance(value, list):
+        raise _UsageError(f"{what} must be a list of numbers, got {value!r}")
+    return [float(_number(x, what)) for x in value]
+
+
+def _matrix(value, what: str) -> list:
+    """A JSON list of lists of numbers, as floats."""
+    if not isinstance(value, list):
+        raise _UsageError(f"{what} must be a list of rows, got {value!r}")
+    return [_numbers(row, what) for row in value]
+
+
 def _decomposition_from(obj) -> Decomposition:
     if not isinstance(obj, dict):
         raise _UsageError("decomposition must be a JSON object")
@@ -74,14 +106,13 @@ def _decomposition_from(obj) -> Decomposition:
         if key not in obj:
             raise _UsageError(f"decomposition JSON is missing {key!r}")
     return Decomposition(
-        p_u=Pmf(np.asarray(obj["p_u"], dtype=np.float64)),
-        w_given_u=ConditionalPmf(np.asarray(obj["w_given_u"], dtype=np.float64)),
-        v_given_w=ConditionalPmf(np.asarray(obj["v_given_w"], dtype=np.float64)),
+        p_u=Pmf(np.array(_numbers(obj["p_u"], "p_u"))),
+        w_given_u=ConditionalPmf(np.array(_matrix(obj["w_given_u"], "w_given_u"))),
+        v_given_w=ConditionalPmf(np.array(_matrix(obj["v_given_w"], "v_given_w"))),
     )
 
 
-def _decomposition_echo(obj) -> dict:
-    d = _decomposition_from(obj)  # validate before echoing
+def _decomposition_echo(d: Decomposition) -> dict:
     return {
         "p_u": d.p_u.probs.tolist(),
         "w_given_u": d.w_given_u.rows.tolist(),
@@ -158,7 +189,7 @@ def resolve_config(args) -> dict:
     if sub == "region":
         return {
             "subcommand": sub,
-            "decomposition": _decomposition_echo(_load_json(args.input)),
+            "decomposition": _decomposition_echo(_decomposition_from(_load_json(args.input))),
             "ns": _ints(args.n),
             "eps": args.eps,
             "eps1": args.eps if args.eps1 is None else args.eps1,
@@ -177,14 +208,16 @@ def resolve_config(args) -> dict:
             return doc.get(key, default)
         config = {
             "subcommand": sub,
-            "decomposition": _decomposition_echo(doc["decomposition"]),
-            "n": pick(args.n, "n", 2),
-            "rate_r": doc.get("rate_r", 1.0),
-            "rate_r0": doc.get("rate_r0", 1.0),
-            "rate_rtilde": doc.get("rate_rtilde", 1.0),
-            "seed": pick(args.seed, "seed", 0),
-            "trials": pick(args.trials, "trials", 100),
-            "gamma_rule": _gamma_rule_from(args, doc.get("gamma_rule", "logn")),
+            "decomposition": _decomposition_echo(_decomposition_from(doc["decomposition"])),
+            "n": _number(pick(args.n, "n", 2), "n"),
+            "rate_r": _number(doc.get("rate_r", 1.0), "rate_r"),
+            "rate_r0": _number(doc.get("rate_r0", 1.0), "rate_r0"),
+            "rate_rtilde": _number(doc.get("rate_rtilde", 1.0), "rate_rtilde"),
+            "seed": _number(pick(args.seed, "seed", 0), "seed"),
+            "trials": _number(pick(args.trials, "trials", 100), "trials"),
+            "gamma_rule": _gamma_rule_from(
+                args, _string(doc.get("gamma_rule", "logn"), "gamma_rule")
+            ),
             "format": args.format,
         }
         return config
@@ -198,16 +231,16 @@ def resolve_config(args) -> dict:
         grid = doc.get("gamma_grid")
         return {
             "subcommand": sub,
-            "p": [float(x) for x in doc["p"]],
-            "q": [float(x) for x in doc["q"]],
-            "alpha": float(alpha),
-            "gamma_grid": None if grid is None else [float(g) for g in grid],
+            "p": _numbers(doc["p"], "p"),
+            "q": _numbers(doc["q"], "q"),
+            "alpha": float(_number(alpha, "alpha")),
+            "gamma_grid": None if grid is None else _numbers(grid, "gamma_grid"),
             "format": args.format,
         }
     if sub == "clt":
         return {
             "subcommand": sub,
-            "decomposition": _decomposition_echo(_load_json(args.input)),
+            "decomposition": _decomposition_echo(_decomposition_from(_load_json(args.input))),
             "ns": _ints(args.n),
             "format": args.format,
         }
@@ -217,7 +250,7 @@ def resolve_config(args) -> dict:
             doc = _load_json(args.input)
             if not isinstance(doc, dict) or "xs" not in doc:
                 raise _UsageError("tradeoff input JSON needs an 'xs' key")
-            xs = [float(x) for x in doc["xs"]]
+            xs = _numbers(doc["xs"], "xs")
         return {
             "subcommand": sub,
             "xs": xs,
@@ -232,10 +265,10 @@ def resolve_config(args) -> dict:
             raise _UsageError("optimize input JSON needs 'target_uv' and 'w_size' keys")
         return {
             "subcommand": sub,
-            "target_uv": [[float(x) for x in row] for row in doc["target_uv"]],
-            "w_size": int(doc["w_size"]),
+            "target_uv": _matrix(doc["target_uv"], "target_uv"),
+            "w_size": int(_number(doc["w_size"], "w_size")),
             "objective": str(doc.get("objective", "r_min")),
-            "restarts": int(doc.get("restarts", 4)),
+            "restarts": int(_number(doc.get("restarts", 4), "restarts")),
             "seed": args.seed,
             "eps": args.eps,
             "n": args.n,
@@ -350,14 +383,7 @@ def run_config(config: dict):
                    "eps_tot_bound", "i_wu", "i_wuv"]
         row = [config["objective"], config["w_size"], ib.r_min, ib.r_plus_r0_min,
                ib.eps_tot_bound, ib.notes["i_wu"], ib.notes["i_wuv"]]
-        extra = {
-            "decomposition": {
-                "p_u": d.p_u.probs.tolist(),
-                "w_given_u": d.w_given_u.rows.tolist(),
-                "v_given_w": d.v_given_w.rows.tolist(),
-            }
-        }
-        return columns, [row], extra
+        return columns, [row], {"decomposition": _decomposition_echo(d)}
 
     raise _UsageError(f"unknown subcommand {sub!r}")
 
@@ -391,7 +417,7 @@ def main(argv=None) -> int:
         need = f" (required {e.required})" if e.required is not None else ""
         print(f"coordsim: resource cap exceeded{need}: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CoordsimError, ValueError, TypeError, KeyError) as e:
+    except (CoordsimError, ValueError) as e:
         print(f"coordsim: invalid parameters: {e}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:

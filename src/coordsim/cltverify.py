@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import BEStats, gaussian_q, support_weights, tie_heads
+from .measures import BEStats, check_threshold, gaussian_q, support_weights, tie_heads
 from .probability import NORM_TOL, DensityTable, JointPmf, Pmf, check_table_size
 
 
@@ -58,11 +58,13 @@ class AtomLaw:
 
     def tail_gt(self, x: float) -> float:
         """P(Z > x), strict."""
-        return float(self.probs[np.searchsorted(self.values, x, side="right"):].sum())
+        k = np.searchsorted(self.values, check_threshold(x), side="right")
+        return float(self.probs[k:].sum())
 
     def tail_ge(self, x: float) -> float:
         """P(Z >= x)."""
-        return float(self.probs[np.searchsorted(self.values, x, side="left"):].sum())
+        k = np.searchsorted(self.values, check_threshold(x), side="left")
+        return float(self.probs[k:].sum())
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,16 @@ def _merge_sorted(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np
     return values[heads], np.bincount(ids, weights=probs, minlength=heads.size)
 
 
+def _atom_law(values: np.ndarray, probs: np.ndarray) -> AtomLaw:
+    """The law of plain 1-D arrays of values and their masses: one stable
+    sort, then ``_merge_sorted``."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    probs = probs[order]
+    del order
+    return AtomLaw(*_merge_sorted(values, probs))
+
+
 def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
     """Pushforward of a density table under a weighting law: the scalar law
     of the density value at a random cell.
@@ -92,13 +104,7 @@ def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
     """
     w = support_weights(density, weights)
     mask = density.support & (w > 0)
-    vals = density.values[mask]
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    probs = w[mask][order]
-    del order
-    merged_v, merged_p = _merge_sorted(vals, probs)
-    return AtomLaw(merged_v, merged_p)
+    return _atom_law(density.values[mask], w[mask])
 
 
 def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:

@@ -31,8 +31,14 @@ ratios of a hypothesis test) are the same point when they lie within
 ``x - head <= TIE_TOL`` joins, anything larger starts a new group.  The
 anchor keeps a chain of small steps from drifting arbitrarily far;
 ``tie_heads`` is the one implementation.  Infinite values tie only with an
-equal infinity.  Tails (``AtomLaw.tail_gt`` / ``tail_ge``, the
-Neyman-Pearson thresholds) compare floats exactly, with no tolerance.
+equal infinity.  Each group stands for one value: an ``AtomLaw`` atom
+(values ascending) carries its group's smallest value; a Neyman-Pearson tie
+group (ratios descending) carries its largest ratio, which the test reports
+as its threshold, and keeps its smallest one too.  Tails compare floats
+exactly, with no tolerance, and count a group when its smallest value
+passes: ``AtomLaw.tail_gt`` / ``tail_ge``, and the Neyman-Pearson group
+tails that the converse witnesses' premises and the sandwich grid read.  A
+NaN threshold raises ``DomainError`` (``check_threshold``).
 """
 
 from __future__ import annotations
@@ -102,6 +108,14 @@ def backoff(v: float, q_inv: float, n: int) -> float:
     if v == 0.0:
         return 0.0
     return q_inv * math.sqrt(v / n)
+
+
+def check_threshold(x: float) -> float:
+    """``x`` itself, unless it is NaN (``DomainError``): a tail P(Z > x) or
+    P(Z >= x) at a NaN threshold is not a probability of anything."""
+    if math.isnan(x):
+        raise DomainError("tail threshold must not be NaN")
+    return x
 
 
 def check_eps(eps: float, message: str) -> None:

@@ -31,17 +31,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binning import SchemeConfig, draw_binning, rc_joint
-from .cltverify import AtomLaw, density_law
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import BEStats, backoff, check_eps, continuity_term, gaussian_q_inv, tie_heads
-from .probability import (
-    DensityTable,
-    JointPmf,
-    Pmf,
-    iid_extension,
-    marginalize,
-    regroup_pair,
+from .measures import (
+    BEStats,
+    backoff,
+    check_eps,
+    check_threshold,
+    continuity_term,
+    gaussian_q_inv,
+    tie_heads,
 )
+from .probability import JointPmf, Pmf, iid_extension, marginalize, regroup_pair
 from .region import Decomposition, stats_wu, stats_wuv
 
 PREMISE_TOL = 1e-12  # slack granted to tail premises
@@ -151,14 +151,23 @@ class _TieGroups(NamedTuple):
     """Tie groups of log2(p/q) over the p-support, in decreasing order.
 
     ``idx`` lists the outcomes in that order and group g is
-    ``idx[heads[g]:heads[g + 1]]``; ``llr``, ``p`` and ``q`` hold each
-    group's ratio (its head's) and masses."""
+    ``idx[heads[g]:heads[g + 1]]``; ``llr`` and ``low`` hold each group's
+    largest ratio (its head's) and smallest ratio, ``p`` and ``q`` its
+    masses."""
 
     idx: np.ndarray
     heads: np.ndarray
     llr: np.ndarray
+    low: np.ndarray
     p: np.ndarray
     q: np.ndarray
+
+    def tail(self, x: float, strict: bool) -> float:
+        """P_p{llr > x} (``strict``) or P_p{llr >= x}, a group counting
+        when its smallest ratio does (as an ``AtomLaw`` atom would).  The
+        groups are disjoint and decreasing, so either tail is a prefix."""
+        k = np.searchsorted(-self.low, -check_threshold(x), side="left" if strict else "right")
+        return float(self.p[:k].sum())
 
 
 def _group_sums(vals: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -190,8 +199,11 @@ def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
     del order
     heads = tie_heads(neg)
     llr = -neg[heads]
+    low = -neg[np.append(heads[1:], neg.size) - 1]
     del neg
-    return _TieGroups(idx, heads, llr, _group_sums(p[idx], heads), _group_sums(q[idx], heads))
+    return _TieGroups(
+        idx, heads, llr, low, _group_sums(p[idx], heads), _group_sums(q[idx], heads)
+    )
 
 
 def _np_solve(groups: _TieGroups, n_outcomes: int, alpha: float):
@@ -285,8 +297,7 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     lower = []
     upper = []
     for gam in gammas:
-        t = math.log2(gam)
-        tail = float(groups.p[groups.llr > t].sum())
+        tail = groups.tail(math.log2(gam), strict=True)
         lower.append(tail + gam * beta - alpha)
         upper.append(1.0 / gam - beta if tail >= alpha else None)
 
@@ -471,59 +482,64 @@ class WitnessReport:
     corr_range: dict | None
 
 
-def _pair_llr_law(P2: np.ndarray, Q: np.ndarray) -> AtomLaw:
-    """Exact law of log2(P2/Q) when cells are drawn from P2."""
-    sup = P2 > 0
-    if np.any(sup & (Q <= 0)):
-        raise DomainError("perturbed law puts mass where the product law has none")
-    vals = np.full(P2.shape, np.nan)
-    vals[sup] = np.log2(P2[sup] / Q[sup])
-    return density_law(DensityTable(vals, sup), JointPmf(P2))
+def _iid_pair(pair: JointPmf, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-fold iid pair law P and the product Q of its two n-fold
+    marginals, both as dense |A|^n x |B|^n tables."""
+    P = iid_extension(pair, n).probs
+    Q = np.outer(
+        iid_extension(marginalize(pair, 0), n).probs,
+        iid_extension(marginalize(pair, 1), n).probs,
+    )
+    return P, Q
 
 
 def _assemble(
     kind: str,
     mode: str,
+    P: np.ndarray,
     P2: np.ndarray,
     Q: np.ndarray,
+    info: _Transfer | None,
     n: int,
     eps: float,
     y: float,
     stats: BEStats,
-    h_standin: float,
-    shifts: dict,
     lower_gain: float,
     rate_penalty: float,
-    l1_to_iid: float,
-    transfer: dict | None,
-    corr_range: dict | None,
 ) -> WitnessReport:
+    """Walk the converse chain on the law P2 (P moved by the transfer
+    ``info``, if any) against Q.  The Neyman-Pearson solution and every
+    candidate's tail premise read the same tie groups of log2(P2/Q)."""
     b = stats.b_over_sqrt_n(n)
     alpha = eps - b
     log_arg = eps - y - 2.0 * b
     valid = log_arg > 0.0
-    law = _pair_llr_law(P2, Q)
+    h_standin = n * stats.mu
+    l1_to_iid = float(np.abs(P2 - P).sum())
+    p = P2.reshape(-1)
+    q = Q.reshape(-1)
+    if np.any((p > 0) & (q <= 0)):
+        raise DomainError("perturbed law puts mass where the product law has none")
+    groups = _llr_groups(p, q)
 
+    beta = log2_inv_beta = np_thr = np_rand = math.nan
     if 0.0 < alpha < 1.0:
-        res = np_beta(P2.reshape(-1), Q.reshape(-1), alpha)
-        beta = res.beta
+        res = _np_solve(groups, p.size, alpha)[0]
+        beta, np_thr, np_rand = res.beta, res.threshold, res.randomization
         log2_inv_beta = math.inf if beta <= 0.0 else -math.log2(beta)
-        np_thr, np_rand = res.threshold, res.randomization
-    else:
-        beta = math.nan
-        log2_inv_beta = math.nan
-        np_thr = math.nan
-        np_rand = math.nan
     have_beta = not math.isnan(beta)
 
-    candidates = list(shifts.items()) + [("zero", 0.0)]
+    shifts = []
+    if info is not None:
+        shifts.append(("corrected", info.corr_gain if mode == "case1" else -info.corr_lose))
+    candidates = shifts + [("zero", 0.0)]
     gauss_n = 0.0 if stats.degenerate else gaussian_q_inv(eps) * math.sqrt(n * stats.v)
     zero_up = n * stats.mu + gauss_n
 
     upper = []
     for name, shift in candidates:
         lg0 = zero_up + shift
-        tail = law.tail_ge(lg0)
+        tail = groups.tail(lg0, strict=False)
         premise = tail >= alpha - PREMISE_TOL
         ok = (log2_inv_beta >= lg0 - BOUND_TOL) if (premise and have_beta) else None
         upper.append(
@@ -542,7 +558,7 @@ def _assemble(
     lower = []
     for name, shift in candidates:
         lgam = h_standin + shift
-        tail = law.tail_gt(lgam)
+        tail = groups.tail(lgam, strict=True)
         premise = tail <= budget + PREMISE_TOL
         lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
         ok = (lhs >= log2_inv_beta - BOUND_TOL) if (premise and valid and have_beta) else None
@@ -588,8 +604,8 @@ def _assemble(
         upper_ok=any(c.ok is True for c in upper),
         lower_ok=any(c.ok is True for c in lower),
         l1_to_iid=l1_to_iid,
-        transfer=transfer,
-        corr_range=corr_range,
+        transfer=None if info is None else asdict(info),
+        corr_range=None if info is None else _corr_range(P, info.delta),
     )
 
 
@@ -623,13 +639,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
         raise DomainError(f"mode must be one of case1/case2/coded, got {mode!r}")
     _check_witness_params(n, eps, y)
 
-    pair = marginalize(d.joint(), ("u", "w"))
-    stats = stats_wu(d)
-    P = iid_extension(pair, n).probs
-    pu_n = iid_extension(marginalize(pair, "u"), n).probs
-    pw_n = iid_extension(marginalize(pair, "w"), n).probs
-    Q = np.outer(pu_n, pw_n)
-
+    P, Q = _iid_pair(marginalize(d.joint(), ("u", "w")), n)
     if mode == "coded":
         cfg = SchemeConfig(
             n=n,
@@ -640,38 +650,11 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
             decomposition=d,
         )
         realization = draw_binning(cfg, 0)
-        P2 = rc_joint(d, realization, cfg).marginal(("u", "w")).probs
-        shifts = {}
-        transfer = None
-        corr_range = None
-        l1 = float(np.abs(P2 - P).sum())
+        info, P2 = None, rc_joint(d, realization, cfg).marginal(("u", "w")).probs
     else:
         info, P2 = _pick_transfer(P, Q, eps, "gain" if mode == "case1" else "lose")
-        shifts = (
-            {"corrected": info.corr_gain}
-            if mode == "case1"
-            else {"corrected": -info.corr_lose}
-        )
-        transfer = asdict(info)
-        corr_range = _corr_range(P, info.delta)
-        l1 = float(np.abs(P2 - P).sum())
-
     return _assemble(
-        kind="rate",
-        mode=mode,
-        P2=P2,
-        Q=Q,
-        n=n,
-        eps=eps,
-        y=y,
-        stats=stats,
-        h_standin=n * stats.mu,
-        shifts=shifts,
-        lower_gain=0.0,
-        rate_penalty=0.0,
-        l1_to_iid=l1,
-        transfer=transfer,
-        corr_range=corr_range,
+        "rate", mode, P, P2, Q, info, n, eps, y, stats_wu(d), lower_gain=0.0, rate_penalty=0.0
     )
 
 
@@ -689,30 +672,10 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     """
     _check_witness_params(n, eps, y)
 
-    pair = regroup_pair(d.joint(), ("u", "v"), "w")
-    stats = stats_wuv(d)
-    P = iid_extension(pair, n).probs
-    puv_n = iid_extension(marginalize(pair, 0), n).probs
-    pw_n = iid_extension(marginalize(pair, 1), n).probs
-    Q = np.outer(puv_n, pw_n)
-
+    P, Q = _iid_pair(regroup_pair(d.joint(), ("u", "v"), "w"), n)
     info, P2 = _pick_transfer(P, Q, eps, "gain")
     g_eps = continuity_term(eps, d.u_size * d.v_size)
-
     return _assemble(
-        kind="sum-rate",
-        mode="case1",
-        P2=P2,
-        Q=Q,
-        n=n,
-        eps=eps,
-        y=y,
-        stats=stats,
-        h_standin=n * stats.mu,
-        shifts={"corrected": info.corr_gain},
-        lower_gain=2.0 * n * g_eps,
-        rate_penalty=2.0 * g_eps,
-        l1_to_iid=float(np.abs(P2 - P).sum()),
-        transfer=asdict(info),
-        corr_range=_corr_range(P, info.delta),
+        "sum-rate", "case1", P, P2, Q, info, n, eps, y, stats_wuv(d),
+        lower_gain=2.0 * n * g_eps, rate_penalty=2.0 * g_eps,
     )

@@ -266,3 +266,40 @@ def test_stdout_default(capsys, chain_file):
 
 def test_missing_subcommand_invalid():
     assert main([]) == EXIT_INVALID
+
+
+# =============================================================================
+# exit codes: ill-typed input files against internal errors
+# =============================================================================
+
+SIM_DOC = {"decomposition": SKEWED, "n": 2, "trials": 2}
+NP_DOC = {"p": [0.5, 0.5], "q": [0.25, 0.75], "alpha": 0.3}
+OPT_DOC = {"target_uv": [[0.45, 0.05], [0.05, 0.45]], "w_size": 2, "restarts": 1}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["np"], {**NP_DOC, "p": 5}),
+    (["np"], {**NP_DOC, "gamma_grid": 3}),
+    (["region", "--n", "8"], {**CHAIN, "p_u": {"a": 1}}),
+    (["simulate"], {**SIM_DOC, "n": [2]}),
+    (["simulate"], {**SIM_DOC, "gamma_rule": 5}),
+    (["optimize", "--n", "100"], {**OPT_DOC, "target_uv": 3}),
+    (["optimize", "--n", "100"], {**OPT_DOC, "w_size": [2]}),
+    (["tradeoff", "--n", "64"], {"xs": 7}),
+], ids=["np-p", "np-gamma-grid", "p_u", "sim-n", "sim-gamma-rule", "opt-target",
+        "opt-w-size", "tradeoff-xs"])
+def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--input", str(path)]) == EXIT_INVALID
+    assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_internal_type_error_is_not_a_usage_error(monkeypatch, chain_file):
+    # a bug inside the computation must surface as itself, not as exit 3
+    def broken(config):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr("coordsim.cli.render_output", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["region", "--input", chain_file, "--n", "8"])

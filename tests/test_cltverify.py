@@ -73,6 +73,14 @@ def test_tail_conventions():
     assert law.tail_gt(0.0) == pytest.approx(0.7)
 
 
+def test_tails_reject_nan_threshold():
+    law = AtomLaw(np.array([-1.0, 2.0]), np.array([0.3, 0.7]))
+    with pytest.raises(DomainError, match="NaN"):
+        law.tail_gt(math.nan)
+    with pytest.raises(DomainError, match="NaN"):
+        law.tail_ge(math.nan)
+
+
 @given(
     values=st.lists(
         st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0)),

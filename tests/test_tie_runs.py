@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import tie_oracle
 from coordsim.cltverify import AtomLaw, _merge_sorted, be_gap, convolve_n, law_stats
-from coordsim.errors import CoordsimError
+from coordsim.errors import CoordsimError, DomainError
 from coordsim.measures import TIE_TOL, tie_heads
 from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich
 
@@ -196,3 +196,27 @@ def test_large_tie_groups_match_oracle():
     for alpha in (0.05, 0.5, 0.97):
         pa, qa, alpha = _np_inputs(p[perm] / p.sum(), q[perm] / q.sum(), alpha)
         assert_solutions_match(pa, qa, alpha)
+
+
+@given(law=law_pairs())
+def test_group_tails_are_prefix_sums(law):
+    """``_TieGroups.tail`` counts a group by its smallest ratio and sums a
+    prefix of the groups, with the bits of the masked sum.  Off the groups'
+    spans this is the head-ratio mask ``beta_sandwich`` used before."""
+    p, q, _ = law
+    g = _llr_groups(p, q)
+    finite = g.low[np.isfinite(g.low)]
+    xs = [*g.llr.tolist(), *g.low.tolist(), *((finite[1:] + finite[:-1]) / 2).tolist(),
+          -np.inf, np.inf, 0.0]
+    for x in xs:
+        assert same_bits(g.tail(x, strict=True), g.p[g.low > x].sum())
+        assert same_bits(g.tail(x, strict=False), g.p[g.low >= x].sum())
+        if not np.any((g.low <= x) & (x < g.llr)):
+            assert same_bits(g.tail(x, strict=True), g.p[g.llr > x].sum())
+
+
+def test_group_tails_reject_nan_threshold():
+    g = _llr_groups(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
+    for strict in (True, False):
+        with pytest.raises(DomainError, match="NaN"):
+            g.tail(float("nan"), strict=strict)
