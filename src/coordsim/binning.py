@@ -70,6 +70,7 @@ from .probability import (
     ConditionalPmf,
     JointPmf,
     Pmf,
+    _clean_probs,
     check_table_size,
     iid_extension,
     marginalize,
@@ -170,10 +171,9 @@ class BinningRealization:
                 raise DomainError(f"{name} has an image outside [0, {bins})")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        w = np.array(self.w_mass, dtype=np.float64, copy=True)
+        w = _clean_probs(self.w_mass, "w_mass")
         if w.shape != self.phi_f.shape:
             raise ShapeError("w_mass must align with the bin maps")
-        w.setflags(write=False)
         object.__setattr__(self, "w_mass", w)
 
     @property

@@ -79,6 +79,14 @@ def _number(value, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """A JSON number with an integral value, as an int."""
+    value = _number(value, what)
+    if isinstance(value, float) and not value.is_integer():
+        raise _UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise _UsageError(f"{what} must be a string, got {value!r}")
@@ -209,12 +217,12 @@ def resolve_config(args) -> dict:
         config = {
             "subcommand": sub,
             "decomposition": _decomposition_echo(_decomposition_from(doc["decomposition"])),
-            "n": _number(pick(args.n, "n", 2), "n"),
+            "n": _integer(pick(args.n, "n", 2), "n"),
             "rate_r": _number(doc.get("rate_r", 1.0), "rate_r"),
             "rate_r0": _number(doc.get("rate_r0", 1.0), "rate_r0"),
             "rate_rtilde": _number(doc.get("rate_rtilde", 1.0), "rate_rtilde"),
-            "seed": _number(pick(args.seed, "seed", 0), "seed"),
-            "trials": _number(pick(args.trials, "trials", 100), "trials"),
+            "seed": _integer(pick(args.seed, "seed", 0), "seed"),
+            "trials": _integer(pick(args.trials, "trials", 100), "trials"),
             "gamma_rule": _gamma_rule_from(
                 args, _string(doc.get("gamma_rule", "logn"), "gamma_rule")
             ),
@@ -266,9 +274,9 @@ def resolve_config(args) -> dict:
         return {
             "subcommand": sub,
             "target_uv": _matrix(doc["target_uv"], "target_uv"),
-            "w_size": int(_number(doc["w_size"], "w_size")),
+            "w_size": _integer(doc["w_size"], "w_size"),
             "objective": str(doc.get("objective", "r_min")),
-            "restarts": int(_number(doc.get("restarts", 4), "restarts")),
+            "restarts": _integer(doc.get("restarts", 4), "restarts"),
             "seed": args.seed,
             "eps": args.eps,
             "n": args.n,
@@ -301,14 +309,14 @@ def run_config(config: dict):
     if sub == "simulate":
         d = _decomposition_from(config["decomposition"])
         cfg = SchemeConfig(
-            n=int(config["n"]),
+            n=config["n"],
             rate_r=float(config["rate_r"]),
             rate_r0=float(config["rate_r0"]),
             rate_rtilde=float(config["rate_rtilde"]),
-            seed=int(config["seed"]),
+            seed=config["seed"],
             decomposition=d,
         )
-        trials = int(config["trials"])
+        trials = config["trials"]
         if trials < 1:
             raise _UsageError(f"trials must be >= 1, got {trials}")
         gamma = parse_gamma_rule(config["gamma_rule"], cfg.n)

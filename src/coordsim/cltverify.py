@@ -21,20 +21,20 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .measures import BEStats, check_threshold, gaussian_q, support_weights, tie_heads
-from .probability import NORM_TOL, DensityTable, JointPmf, Pmf, check_table_size
+from .probability import DensityTable, JointPmf, Pmf, _clean_probs, check_table_size
 
 
 @dataclass(frozen=True)
 class AtomLaw:
     """Law of a scalar statistic: strictly increasing atom values with
-    their probabilities (summing to 1 within 1e-12)."""
+    their probabilities (a law by ``probability._clean_probs``)."""
 
     values: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64, copy=True)
-        p = np.array(self.probs, dtype=np.float64, copy=True)
+        p = np.asarray(self.probs, dtype=np.float64)
         if v.ndim != 1 or p.ndim != 1 or v.shape != p.shape or v.size == 0:
             raise ShapeError(f"AtomLaw needs matching non-empty 1-D arrays, got {v.shape} / {p.shape}")
         if not np.all(np.isfinite(v)):
@@ -42,15 +42,9 @@ class AtomLaw:
         if np.any(np.diff(v) <= 0):
             bad = int(np.argmax(np.diff(v) <= 0))
             raise DomainError("AtomLaw values must be strictly increasing", index=bad + 1)
-        if np.any(p < 0):
-            raise DomainError("AtomLaw probabilities must be nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise DomainError(f"AtomLaw probabilities sum to {total!r}, not 1 within {NORM_TOL}")
         v.setflags(write=False)
-        p.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _clean_probs(p, "AtomLaw"))
 
     @property
     def n_atoms(self) -> int:

@@ -41,7 +41,14 @@ from .measures import (
     gaussian_q_inv,
     tie_heads,
 )
-from .probability import JointPmf, Pmf, iid_extension, marginalize, regroup_pair
+from .probability import (
+    JointPmf,
+    _clean_probs,
+    _probs_of,
+    iid_extension,
+    marginalize,
+    regroup_pair,
+)
 from .region import Decomposition, stats_wu, stats_wuv
 
 PREMISE_TOL = 1e-12  # slack granted to tail premises
@@ -66,27 +73,12 @@ __all__ = [
 # =============================================================================
 
 
-def _flat_law(obj, what: str) -> np.ndarray:
-    """Flatten a Pmf/JointPmf/array into a validated 1-D probability vector."""
-    a = obj.probs if isinstance(obj, (Pmf, JointPmf)) else np.asarray(obj, dtype=np.float64)
-    a = np.array(a, dtype=np.float64).reshape(-1)
-    if a.size == 0:
-        raise ShapeError(f"{what} must have at least one outcome")
-    if np.any(~np.isfinite(a)) or np.any(a < 0):
-        raise DomainError(f"{what} must be a nonnegative finite probability vector")
-    total = float(a.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"{what} must sum to 1, got {total!r}")
-    return a / total
-
-
 def _np_inputs(p, q, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Validated (p, q, alpha) for the tests below: two flattened laws with
     the same number of outcomes, alpha strictly inside (0, 1)."""
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    pa = _flat_law(p, "p")
-    qa = _flat_law(q, "q")
+    check_eps(alpha, "alpha must lie strictly inside (0, 1)")
+    pa = _clean_probs(_probs_of(p).reshape(-1), "p")
+    qa = _clean_probs(_probs_of(q).reshape(-1), "q")
     if pa.shape != qa.shape:
         raise ShapeError(f"p has {pa.shape[0]} outcomes, q has {qa.shape[0]}")
     return pa, qa, float(alpha)
@@ -116,7 +108,7 @@ class BinaryTest:
 
     def accept_mass(self, law) -> float:
         """Probability of acceptance when outcomes follow ``law``."""
-        a = _flat_law(law, "law")
+        a = _clean_probs(_probs_of(law).reshape(-1), "law")
         if a.shape != self.decision.shape:
             raise ShapeError(
                 f"law has {a.shape[0]} outcomes, test has {self.decision.shape[0]}"
@@ -237,7 +229,9 @@ def np_beta(p, q, alpha: float) -> NPResult:
     at least alpha.
 
     Accepts Pmf/JointPmf or plain arrays of matching total size; both are
-    flattened C-style.  alpha must lie strictly inside (0, 1).
+    flattened C-style, must pass the one law check (total within 1e-12 of
+    1) and are used as given, never renormalized, so a converse witness on
+    the same tables gets the same bits.  alpha must lie strictly inside (0, 1).
     """
     pa, qa, alpha = _np_inputs(p, q, alpha)
     result, _ = _np_solve(_llr_groups(pa, qa), pa.size, alpha)

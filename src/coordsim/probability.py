@@ -18,8 +18,13 @@ Conventions
 * Product alphabets index C-style; n-fold extensions order digits with the
   FIRST symbol most significant, so sequence (a_1 .. a_n) has flat index
   sum(a_t * s**(n-t)).  ``np.kron`` composes in exactly this order.
-* Normalization is enforced to 1e-12 at construction; arrays are copied and
-  frozen so values can be shared safely.
+* One law check, ``_clean_probs``, decides what is a probability law:
+  finite entries, entries down to -1e-15 clamped to 0 as float dust, total
+  within ``NORM_TOL = 1e-12`` of 1 (per row for kernels).  It returns a
+  frozen copy, never renormalized.  Every law the program accepts passes
+  it: ``Pmf``, ``JointPmf``, ``ConditionalPmf`` rows, ``AtomLaw`` masses,
+  ``BinningRealization.w_mass`` and the flattened inputs of ``np_beta``,
+  ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
 * Exact table sizes are capped (default 2**26 entries, override with the
   COORDSIM_MEM_CAP environment variable); blowing the cap raises
   ``ResourceLimitError`` with the required size attached.
@@ -78,9 +83,10 @@ def check_table_size(entries: int, what: str = "table") -> None:
 # =============================================================================
 
 
-def _clean_probs(arr: np.ndarray, what: str) -> np.ndarray:
-    """Validate and sanitize a probability array: finite, nonnegative up to
-    float dust, total mass 1 within NORM_TOL.  Returns a read-only copy."""
+def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
+    """The one law check (see Conventions): finite, nonnegative up to float
+    dust, total mass 1 within NORM_TOL -- per row of a 2-D array when
+    ``rows``.  Returns a read-only copy, never renormalized."""
     a = np.array(arr, dtype=np.float64, copy=True)
     if a.size == 0:
         raise ShapeError(f"{what} must be non-empty")
@@ -92,11 +98,22 @@ def _clean_probs(arr: np.ndarray, what: str) -> np.ndarray:
         bad = np.unravel_index(int(np.argmin(a)), a.shape)
         raise DomainError(f"{what} has a negative entry {a[bad]!r}", index=bad)
     a[neg] = 0.0  # clamp -1e-15 < x < 0 float dust
-    total = float(a.sum())
+    if rows:
+        sums = a.sum(axis=1)
+        worst = int(np.argmax(np.abs(sums - 1.0)))
+        total = float(sums[worst])
+    else:
+        worst, total = None, float(a.sum())
     if abs(total - 1.0) > NORM_TOL:
-        raise DomainError(f"{what} sums to {total!r}, not 1 within {NORM_TOL}")
+        where = "" if worst is None else f" row {worst}"
+        raise DomainError(f"{what}{where} sums to {total!r}, not 1 within {NORM_TOL}", index=worst)
     a.setflags(write=False)
     return a
+
+
+def _probs_of(obj) -> np.ndarray:
+    """The probability array of a Pmf/JointPmf, or ``obj`` as a float array."""
+    return obj.probs if isinstance(obj, (Pmf, JointPmf)) else np.asarray(obj, dtype=np.float64)
 
 
 # =============================================================================
@@ -153,23 +170,10 @@ class ConditionalPmf:
     fallback_rows: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.array(self.rows, dtype=np.float64, copy=True)
-        if a.ndim != 2 or a.size == 0:
-            raise ShapeError(f"ConditionalPmf rows must be a non-empty 2-D array, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("ConditionalPmf has a non-finite entry")
-        if np.any(a < _NEG_DUST):
-            bad = np.unravel_index(int(np.argmin(a)), a.shape)
-            raise DomainError(f"ConditionalPmf has a negative entry {a[bad]!r}", index=bad)
-        a[a < 0] = 0.0
-        sums = a.sum(axis=1)
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        if abs(sums[worst] - 1.0) > NORM_TOL:
-            raise DomainError(
-                f"ConditionalPmf row {worst} sums to {sums[worst]!r}, not 1 within {NORM_TOL}",
-                index=worst,
-            )
-        a.setflags(write=False)
+        shape = np.shape(self.rows)
+        if len(shape) != 2 or 0 in shape:
+            raise ShapeError(f"ConditionalPmf rows must be a non-empty 2-D array, got shape {shape}")
+        a = _clean_probs(self.rows, "ConditionalPmf", rows=True)
         object.__setattr__(self, "rows", a)
         if self.fallback_rows is not None:
             fb = np.array(self.fallback_rows, dtype=bool, copy=True)
@@ -271,8 +275,7 @@ def l1_distance(p, q) -> float:
     Accepts any mix of Pmf/JointPmf/plain arrays; only shapes must agree.
     The value is in [0, 2].
     """
-    pa = p.probs if isinstance(p, (Pmf, JointPmf)) else np.asarray(p, dtype=np.float64)
-    qa = q.probs if isinstance(q, (Pmf, JointPmf)) else np.asarray(q, dtype=np.float64)
+    pa, qa = _probs_of(p), _probs_of(q)
     if pa.shape != qa.shape:
         raise ShapeError(f"l1_distance shape mismatch: {pa.shape} vs {qa.shape}")
     return float(np.abs(pa - qa).sum())
@@ -284,8 +287,7 @@ def kl_divergence(p, q) -> float:
     Raises ``DomainError`` (carrying the offending index) when p puts mass
     where q does not.
     """
-    pa = p.probs if isinstance(p, (Pmf, JointPmf)) else np.asarray(p, dtype=np.float64)
-    qa = q.probs if isinstance(q, (Pmf, JointPmf)) else np.asarray(q, dtype=np.float64)
+    pa, qa = _probs_of(p), _probs_of(q)
     if pa.shape != qa.shape:
         raise ShapeError(f"kl_divergence shape mismatch: {pa.shape} vs {qa.shape}")
     viol = (pa > 0) & (qa <= 0)

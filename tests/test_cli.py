@@ -286,13 +286,30 @@ OPT_DOC = {"target_uv": [[0.45, 0.05], [0.05, 0.45]], "w_size": 2, "restarts": 1
     (["optimize", "--n", "100"], {**OPT_DOC, "target_uv": 3}),
     (["optimize", "--n", "100"], {**OPT_DOC, "w_size": [2]}),
     (["tradeoff", "--n", "64"], {"xs": 7}),
+    (["simulate"], {**SIM_DOC, "n": 2.5}),
+    (["simulate"], {**SIM_DOC, "seed": 7.5}),
+    (["simulate"], {**SIM_DOC, "trials": 2.5}),
+    (["optimize", "--n", "100"], {**OPT_DOC, "w_size": 2.5}),
+    (["optimize", "--n", "100"], {**OPT_DOC, "restarts": 1.5}),
 ], ids=["np-p", "np-gamma-grid", "p_u", "sim-n", "sim-gamma-rule", "opt-target",
-        "opt-w-size", "tradeoff-xs"])
+        "opt-w-size", "tradeoff-xs", "sim-n-fraction", "sim-seed-fraction",
+        "sim-trials-fraction", "opt-w-size-fraction", "opt-restarts-fraction"])
 def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     assert main(argv + ["--input", str(path)]) == EXIT_INVALID
     assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_integral_floats_are_stored_as_ints(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**SIM_DOC, "n": 2.0, "seed": 3.0, "trials": 2.0}))
+    code, text = run_to_file(tmp_path, "s.json", ["simulate", "--input", str(path),
+                                                  "--format", "json"])
+    assert code == EXIT_OK
+    config, _, _ = read_table(text)
+    assert [config[k] for k in ("n", "seed", "trials")] == [2, 3, 2]
+    assert all(type(config[k]) is int for k in ("n", "seed", "trials"))
 
 
 def test_internal_type_error_is_not_a_usage_error(monkeypatch, chain_file):

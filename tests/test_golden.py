@@ -6,7 +6,8 @@ Unlike the determinism tests, which only rerun the same code, these pin the
 numbers themselves: a change that moves any output byte must regenerate the
 files and say why.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py``; it prints
+``changed`` or ``unchanged`` for each file it writes.
 """
 
 import json
@@ -68,5 +69,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for sub in sorted(CASES):
             for fmt in ("csv", "json"):
-                (GOLDEN / f"{sub}.{fmt}").write_bytes(run_case(sub, fmt, Path(tmp)))
-                print(f"wrote {sub}.{fmt}", file=sys.stderr)
+                path = GOLDEN / f"{sub}.{fmt}"
+                new = run_case(sub, fmt, Path(tmp))
+                same = path.exists() and path.read_bytes() == new
+                path.write_bytes(new)
+                print(f"{'unchanged' if same else 'changed'} {path.name}", file=sys.stderr)

@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coordsim.cltverify import AtomLaw
 from coordsim.errors import DomainError, ResourceLimitError, ShapeError
+from coordsim.nptest import np_beta
 from coordsim.probability import (
     ConditionalPmf,
     JointPmf,
@@ -62,6 +66,49 @@ def test_conditional_pmf_rejects_bad_row():
     with pytest.raises(DomainError) as err:
         ConditionalPmf(np.array([[0.5, 0.5], [0.7, 0.2]]))
     assert err.value.index == 1
+
+
+# one special entry per case, and the total offset added to the largest
+# entry: (entry, offset, accepted)
+LAW_CASES = {
+    "dust": (-1e-16, 0.0, True),
+    "negative": (-1e-14, 0.0, False),
+    "total-off-small": (0.0, 5e-13, True),
+    "total-off-large": (0.0, 2e-12, False),
+    "nan": (math.nan, 0.0, False),
+    "inf": (math.inf, 0.0, False),
+}
+
+
+@given(
+    weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+    case=st.sampled_from(sorted(LAW_CASES)),
+    at=st.integers(0, 5),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_one_law_check_everywhere(weights, case, at, sign):
+    # every entry point accepts or rejects the same arrays, and keeps an
+    # accepted law as given: dust clamped to 0, nothing renormalized
+    entry, offset, accepted = LAW_CASES[case]
+    base = np.array(weights) / math.fsum(weights)
+    at %= base.size + 1
+    x = np.insert(base, at, entry)
+    x[int(np.argmax(np.nan_to_num(x, nan=-1.0, posinf=-1.0)))] += sign * offset
+    q = np.full(x.size, 1.0 / x.size)
+    forms = {
+        "Pmf": lambda: Pmf(x).probs,
+        "ConditionalPmf row": lambda: ConditionalPmf(x[None, :]).rows[0],
+        "AtomLaw": lambda: AtomLaw(np.arange(float(x.size)), x).probs,
+        "np_beta": lambda: np_beta(x, q, 0.5),
+    }
+    for name, form in forms.items():
+        if not accepted:
+            with pytest.raises(DomainError):
+                form()
+            continue
+        kept = form()
+        if name != "np_beta":
+            assert np.array_equal(kept, np.maximum(x, 0.0)), name
 
 
 def test_joint_axis_names_checked():

@@ -5,7 +5,7 @@ one set of Neyman-Pearson tie groups: the law of log2(P2/Q) under P2,
 pushed forward through ``density_law`` (a ``DensityTable`` and a
 ``JointPmf`` copy of the dense table, atoms ascending, each carrying its
 group's smallest value), and ``np_beta`` on the flattened tables, which
-re-validates and renormalizes both.  ``reference_checks`` walks a
+re-validates both and uses them as given.  ``reference_checks`` walks a
 ``WitnessReport``'s candidates again with these two.
 """
 
