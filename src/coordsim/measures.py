@@ -14,9 +14,9 @@ absolute central moment and V the variance.
 
 This module is the one home of that arithmetic: ``moments`` computes
 (mu, V, T) for every caller (density tables, atom laws, the optimizer's
-plain arrays), ``backoff`` is the one spelling of the dispersion term
-Q^-1(eps) sqrt(V/n), ``continuity_term`` the one spelling of the converse's
-g(eps), and ``check_eps`` the one eps-in-(0, 1) check.
+batches of plain arrays), ``backoff`` is the one spelling of the
+dispersion term Q^-1(eps) sqrt(V/n), ``continuity_term`` the one spelling
+of the converse's g(eps), and ``check_eps`` the one eps-in-(0, 1) check.
 
 Degeneracy policy: a variance below ``DEGENERATE_VAR`` is float dust from a
 constant density, and ``moments`` reports it as exactly V = T = 0.  Nothing
@@ -87,27 +87,29 @@ def tie_heads(x: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((heads, np.array(extra, dtype=np.intp))))
 
 
-def moments(vals: np.ndarray, ws: np.ndarray, third: bool = True) -> tuple[float, float, float]:
-    """(mu, v, t3) of the values ``vals`` under the weights ``ws``: mean,
-    variance and third absolute central moment.  v and t3 are exactly 0.0
-    when v < DEGENERATE_VAR.  With ``third=False`` (callers that need only
-    the backoff) t3 is not computed and is NaN for a nondegenerate v."""
-    mu = float(np.dot(ws, vals))
-    centered = vals - mu
-    v = float(np.dot(ws, centered * centered))  # bitwise equal to ** 2, cheaper dispatch
-    if v < DEGENERATE_VAR:
-        return mu, 0.0, 0.0
-    if not third:
-        return mu, v, math.nan
-    return mu, v, float(np.dot(ws, np.abs(centered) ** 3))
+def moments(vals: np.ndarray, ws: np.ndarray, third: bool = True) -> tuple:
+    """(mu, v, t3) of the values ``vals`` under the weights ``ws`` along the
+    last axis: mean, variance and third absolute central moment.  1-D inputs
+    give floats; a leading batch axis gives one law per row and arrays of
+    moments.  v is exactly 0.0 where v < DEGENERATE_VAR, and so is t3.  With
+    ``third=False`` (callers that need only the backoff) t3 is not computed
+    and is NaN."""
+    mu = np.vecdot(ws, vals)  # bitwise equal to np.dot on each row
+    centered = vals - mu[..., None]
+    v = np.vecdot(ws, centered * centered)  # bitwise equal to ** 2, cheaper dispatch
+    kept = v >= DEGENERATE_VAR
+    v = v * kept
+    t3 = np.vecdot(ws, np.abs(centered) ** 3) * kept if third else math.nan
+    if vals.ndim == 1:
+        return float(mu), float(v), float(t3)
+    return mu, v, t3
 
 
-def backoff(v: float, q_inv: float, n: int) -> float:
-    """Dispersion backoff q_inv * sqrt(v/n); exactly 0 for a degenerate v = 0
-    (so no -0.0 when q_inv < 0)."""
-    if v == 0.0:
-        return 0.0
-    return q_inv * math.sqrt(v / n)
+def backoff(v: float | np.ndarray, q_inv: float, n: int) -> float | np.ndarray:
+    """Dispersion backoff q_inv * sqrt(v/n), elementwise over an array of
+    variances (a float for a float v); exactly 0.0 where v = 0."""
+    out = q_inv * np.sqrt(v / n) + 0.0  # + 0.0 turns the -0.0 of q_inv < 0 into 0.0
+    return float(out) if out.ndim == 0 else out
 
 
 def check_threshold(x: float) -> float:

@@ -209,7 +209,7 @@ def _np_solve(groups: _TieGroups, n_outcomes: int, alpha: float):
     cum_q = np.cumsum(np.concatenate(([0.0], groups.q)))
     reach = np.flatnonzero(groups.p >= alpha - cum_p[:-1])
     if reach.size == 0:
-        raise CoordsimError("total p-mass fell below alpha; law was not normalized")
+        raise DomainError(f"alpha {alpha!r} exceeds the total p-mass {float(cum_p[-1])!r}")
     k = int(reach[0])
     cum, gp = float(cum_p[k]), float(groups.p[k])
     theta = (alpha - cum) / gp

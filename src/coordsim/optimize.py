@@ -11,19 +11,21 @@ free scheme:
 * the target (U,V) marginal is enforced as a quadratic penalty
   lam * gap^2 on the L1 mismatch, with lam swept over an increasing
   schedule so early stages can move mass freely;
-* each stage runs coordinate-wise golden-section line searches to
-  convergence;
+* each stage runs coordinate-wise line searches to convergence; each
+  line search is a batched grid zoom over the +-2.5 bracket around the
+  current coordinate: a few rounds, each one vectorized evaluation of a
+  whole grid, so it sees the whole bracket instead of assuming the line
+  unimodal;
 * random restarts (each with a seed derived from (seed, restart_index))
   run one after another and independently -- restart 0 warm-starts from
   the copy-through construction W = (U,V) whenever the alphabet allows
   it -- and the best objective among those matching the target marginal
-  wins, ties broken by lowest restart index.  The search is pure-Python
-  bound, so running restarts in threads would only add lock contention.
+  wins, ties broken by lowest restart index.
 
 The objective is the same finite-n rate expression ``region.inner_bound``
 reports, computed on plain arrays through the shared ``pair_density`` /
-``moments`` / ``backoff`` core so each evaluation skips the validating
-value types.
+``moments`` / ``backoff`` core, for a whole batch of parameter vectors in
+one numpy pass, so each evaluation skips the validating value types.
 
 The U marginal is pinned to the target's own U marginal: every valid chain
 reproduces it exactly, so searching it would only fight the penalty.
@@ -31,7 +33,6 @@ reproduces it exactly, so searching it would only fight the penalty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,22 @@ from .probability import ConditionalPmf, JointPmf, Pmf, pair_density
 from .region import Decomposition, GammaTriple, parse_gamma_rule
 
 MARGINAL_TOL = 1e-6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6, 1e9)
+# line-search grid on [-1, 1], odd so that its middle entry is exactly 0.0;
+# each round shrinks the interval 28-fold, so 5 rounds take the +-2.5 bracket
+# down to cells of 1.5e-7
+_ZOOM_GRID = np.linspace(-1.0, 1.0, 57)
+_ZOOM_ROUNDS = 5
 
 OBJECTIVES = ("r_min", "r_plus_r0_min", "max_slack")
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Rows of free logits -> stochastic rows (implicit trailing logit 0)."""
-    full = np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1)
-    full -= full.max(axis=1, keepdims=True)
+    """Rows of free logits (last axis) -> stochastic rows (implicit trailing logit 0)."""
+    full = np.concatenate([logits, np.zeros(logits.shape[:-1] + (1,))], axis=-1)
+    full -= full.max(axis=-1, keepdims=True)
     e = np.exp(full)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _logits_for(rows: np.ndarray, floor: float = 1e-9) -> np.ndarray:
@@ -75,60 +80,68 @@ class _Problem:
     g_rr0: float  # (g2+g3)/n
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P(w|u) logits, P(v|w) logits) of a parameter vector, or of each
+        row of a batch of them."""
         u, w, v = self.target.shape[0], self.w_size, self.target.shape[1]
         n_wu = u * (w - 1)
-        logits_wu = x[:n_wu].reshape(u, w - 1)
-        logits_vw = x[n_wu:].reshape(w, v - 1)
+        logits_wu = x[..., :n_wu].reshape(x.shape[:-1] + (u, w - 1))
+        logits_vw = x[..., n_wu:].reshape(x.shape[:-1] + (w, v - 1))
         return logits_wu, logits_vw
 
     def n_params(self) -> int:
         u, w, v = self.target.shape[0], self.w_size, self.target.shape[1]
         return u * (w - 1) + w * (v - 1)
 
-    def _info_and_backoff(self, pair: np.ndarray) -> tuple[float, float]:
-        """(mutual information, dispersion backoff) of a (w, other) pair law."""
-        _, masses, dens = pair_density(pair)
-        mu, v, _ = moments(dens, masses, third=False)
-        return mu, backoff(v, self.q_inv, self.n)
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
-        """(objective value, marginal L1 gap) at parameter vector x.
+    def evaluate_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(objective values, marginal L1 gaps) at each row of the
+        (K, n_params) batch ``xs``, in one numpy pass.
 
         Only the constraints the objective reads are computed.
         """
-        logits_wu, logits_vw = self.split(x)
-        rows_wu = _softmax_rows(logits_wu)
-        rows_vw = _softmax_rows(logits_vw)
-        joint = self.p_u[:, None, None] * rows_wu[:, :, None] * rows_vw[None, :, :]
-        gap = float(np.abs(joint.sum(axis=1) - self.target).sum())
-        pair_wu = joint.sum(axis=2).T  # (w, u)
-        pair_wuv = joint.transpose(1, 0, 2).reshape(self.w_size, -1)  # (w, uv)
-        if self.objective == "r_min":
-            mu, q = self._info_and_backoff(pair_wu)
-            return mu + q + self.g_r, gap
-        if self.objective == "r_plus_r0_min":
-            mu, q = self._info_and_backoff(pair_wuv)
-            return mu + q + self.g_rr0, gap
-        # max_slack: worst finite-n backoff over the two constraints
-        q_r = self._info_and_backoff(pair_wu)[1]
-        q_rr0 = self._info_and_backoff(pair_wuv)[1]
-        return max(q_r + self.g_r, q_rr0 + self.g_rr0), gap
+        k = xs.shape[0]
+        rows_wu, rows_vw = (_softmax_rows(logits) for logits in self.split(xs))
+        joint_uw = self.p_u[:, None] * rows_wu  # (k, u, w)
+        joint = joint_uw[..., None] * rows_vw[:, None]  # (k, u, w, v)
+        gap = np.abs(joint.sum(axis=2) - self.target).sum(axis=(1, 2))
+        pairs = []  # (k, w, other) pair laws with their gamma terms
+        if self.objective != "r_plus_r0_min":
+            pairs.append((joint_uw.transpose(0, 2, 1), self.g_r))
+        if self.objective != "r_min":
+            pairs.append((joint.transpose(0, 2, 1, 3).reshape(k, self.w_size, -1), self.g_rr0))
+        terms = []  # (mutual information, backoff + gamma term) per constraint
+        for pair, g in pairs:
+            _, dens = pair_density(pair)
+            mu, v, _ = moments(dens.reshape(k, -1), pair.reshape(k, -1), third=False)
+            terms.append((mu, backoff(v, self.q_inv, self.n) + g))
+        if self.objective == "max_slack":  # worst finite-n backoff over the two constraints
+            return np.maximum(terms[0][1], terms[1][1]), gap
+        mu, q = terms[0]
+        return mu + q, gap
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, float]:
+        """(objective value, marginal L1 gap) at parameter vector x."""
+        values, gaps = self.evaluate_many(x[None, :])
+        return float(values[0]), float(gaps[0])
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 36) -> tuple[float, float]:
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+def _zoom_min(fn_many, t0: float, f0: float, half: float) -> tuple[float, float]:
+    """Minimum of fn over [t0 - half, t0 + half] by batched grid zoom, from
+    f0 = fn(t0).  Each round evaluates ``_ZOOM_GRID`` on the interval in one
+    ``fn_many`` call (the first grid is centred exactly on t0), keeps its
+    first argmin when strictly below the best so far, and shrinks the
+    interval to the two grid cells beside that argmin.  Looks at the whole
+    bracket, so it does not assume fn unimodal; never returns above f0."""
+    t_best, f_best = t0, f0
+    mid = t0
+    for _ in range(_ZOOM_ROUNDS):
+        ts = mid + half * _ZOOM_GRID
+        fs = fn_many(ts)
+        j = int(np.argmin(fs))
+        if fs[j] < f_best:
+            t_best, f_best = float(ts[j]), float(fs[j])
+        lo, hi = ts[max(j - 1, 0)], ts[min(j + 1, ts.size - 1)]
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+    return t_best, f_best
 
 
 def _descend(problem: _Problem, x0: np.ndarray, max_passes: int) -> tuple[np.ndarray, float, float]:
@@ -139,26 +152,21 @@ def _descend(problem: _Problem, x0: np.ndarray, max_passes: int) -> tuple[np.nda
     x = x0.copy()
     for lam in _PENALTY_SCHEDULE:
 
-        def penalized(vec: np.ndarray) -> float:
-            value, gap = problem.evaluate(vec)
-            return value + lam * gap * gap
+        def penalized(xs: np.ndarray) -> np.ndarray:
+            values, gaps = problem.evaluate_many(xs)
+            return values + lam * gaps * gaps
 
-        current = penalized(x)
+        current = float(penalized(x[None, :])[0])
         for _ in range(max_passes):
             before = current
             for i in range(x.size):
-                xi = x[i]
 
-                def line(t: float) -> float:
-                    x[i] = t
-                    out = penalized(x)
-                    x[i] = xi
-                    return out
+                def line(ts: np.ndarray) -> np.ndarray:
+                    xs = np.repeat(x[None, :], ts.size, axis=0)
+                    xs[:, i] = ts
+                    return penalized(xs)
 
-                t_best, f_best = _golden_min(line, xi - 2.5, xi + 2.5)
-                if f_best < current:
-                    x[i] = t_best
-                    current = f_best
+                x[i], current = _zoom_min(line, x[i], current, 2.5)
             if before - current < 1e-11:
                 break
     value, gap = problem.evaluate(x)

@@ -478,21 +478,20 @@ def regroup_pair(joint: JointPmf, left, right) -> JointPmf:
 # =============================================================================
 
 
-def pair_density(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Information density of a plain two-axis probability array.
+def pair_density(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Information density of plain probability arrays over their last two
+    axes; leading axes, if any, index independent laws.
 
-    Returns (supp, masses, vals): the support mask ``pair > 0`` and, in C
-    order over it, the masses P(a,b) and the values
-    log2( P(a,b) / (P(a) P(b)) ).  No validation: callers pass a normalized
-    nonnegative array.
+    Returns (supp, vals): the support mask ``pair > 0`` and the values
+    log2( P(a,b) / (P(a) P(b)) ) on it, 0.0 off it.  No validation: callers
+    pass normalized nonnegative arrays.
     """
-    pa = pair.sum(axis=1)
-    pb = pair.sum(axis=0)
     supp = pair > 0
-    rows, cols = supp.nonzero()
-    masses = pair[supp]
-    # support of the joint implies support of both marginals
-    return supp, masses, np.log2(masses) - np.log2(pa[rows]) - np.log2(pb[cols])
+    # support of the joint implies support of both marginals; off it the
+    # logs are -inf or NaN and are replaced by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log2(pair) - np.log2(pair.sum(axis=-1, keepdims=True)) - np.log2(pair.sum(axis=-2, keepdims=True))
+    return supp, np.where(supp, vals, 0.0)
 
 
 def info_density(joint: JointPmf) -> DensityTable:
@@ -500,10 +499,8 @@ def info_density(joint: JointPmf) -> DensityTable:
     two-axis joint, defined on the joint's support."""
     if joint.probs.ndim != 2:
         raise ShapeError(f"info_density needs a two-axis joint, got rank {joint.probs.ndim}")
-    supp, _, on_support = pair_density(joint.probs)
-    vals = np.full(joint.shape, np.nan)
-    vals[supp] = on_support
-    return DensityTable(vals, supp)
+    supp, vals = pair_density(joint.probs)
+    return DensityTable(np.where(supp, vals, np.nan), supp)
 
 
 def entropy_density(p: Pmf | JointPmf) -> DensityTable:

@@ -142,6 +142,13 @@ def test_np_beta_rejects_bad_inputs():
         np_beta([1.2, -0.2], [0.5, 0.5], 0.3)
 
 
+def test_alpha_above_total_p_mass_is_a_domain_error():
+    # a valid law (total within 1e-12 of 1) whose mass falls short of alpha:
+    # the test cannot reach alpha, and the error names both numbers
+    with pytest.raises(DomainError, match=r"alpha 0\.9999999999999999 exceeds the total p-mass 0\.99999"):
+        np_beta([0.5, 0.5 - 5e-13], [0.5, 0.5], 0.9999999999999999)
+
+
 def test_np_beta_accepts_pmf_and_joint_inputs():
     p = Pmf(np.array([0.7, 0.3]))
     res = np_beta(p, Pmf.uniform(2), 0.3)

@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coordsim.errors import DomainError, SearchError
-from coordsim.measures import gaussian_q_inv
-from coordsim.optimize import _Problem, _softmax_rows, optimize_decomposition
+from coordsim.measures import backoff, gaussian_q_inv
+from coordsim.optimize import OBJECTIVES, _descend, _Problem, _softmax_rows, _zoom_min, optimize_decomposition
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf, l1_distance
 from coordsim.region import (
     Decomposition,
@@ -22,6 +22,8 @@ from coordsim.region import (
     asymptotic_region,
     inner_bound,
     parse_gamma_rule,
+    stats_wu,
+    stats_wuv,
 )
 
 
@@ -105,12 +107,45 @@ def test_max_slack_objective_prefers_low_dispersion():
     assert l1_distance(d.uv_marginal(), target) <= 1e-6
 
 
+def make_problem(target: np.ndarray, w_size: int, objective: str, eps: float, n: int, g: GammaTriple) -> _Problem:
+    return _Problem(
+        p_u=target.sum(axis=1),
+        target=target,
+        w_size=w_size,
+        objective=objective,
+        q_inv=gaussian_q_inv(eps),
+        n=n,
+        g_r=(g.g1 + g.g2) / n,
+        g_rr0=(g.g2 + g.g3) / n,
+    )
+
+
+def decomposition_at(problem: _Problem, x: np.ndarray) -> Decomposition:
+    logits_wu, logits_vw = problem.split(x)
+    return Decomposition(
+        p_u=Pmf(problem.p_u),
+        w_given_u=ConditionalPmf(_softmax_rows(logits_wu)),
+        v_given_w=ConditionalPmf(_softmax_rows(logits_vw)),
+    )
+
+
+def reference_objective(problem: _Problem, d: Decomposition, eps: float, n: int, g: GammaTriple) -> float:
+    """The search objective recomputed through the validating value types:
+    ``inner_bound`` for the two rates, and for max_slack the larger of
+    backoff(V) + gamma term over the (W, U) and (W, UV) densities."""
+    if problem.objective == "max_slack":
+        q_inv = gaussian_q_inv(eps)
+        return max(backoff(stats_wu(d).v, q_inv, n) + problem.g_r, backoff(stats_wuv(d).v, q_inv, n) + problem.g_rr0)
+    point = inner_bound(d, eps, eps, n, g)
+    return point.r_min if problem.objective == "r_min" else point.r_plus_r0_min
+
+
 @settings(max_examples=60)
 @given(
     u_size=st.integers(1, 3),
     v_size=st.integers(1, 3),
     data=st.data(),
-    objective=st.sampled_from(["r_min", "r_plus_r0_min"]),
+    objective=st.sampled_from(OBJECTIVES),
     eps=st.floats(0.01, 0.99),
     n=st.integers(2, 10 ** 6),
     gammas=st.tuples(*[st.floats(0.01, 40.0)] * 3),
@@ -125,25 +160,126 @@ def test_evaluate_matches_inner_bound(u_size, v_size, data, objective, eps, n, g
     rng = np.random.default_rng(seed)
     target = rng.dirichlet(np.ones(u_size * v_size)).reshape(u_size, v_size)
     g = GammaTriple(*gammas)
-    problem = _Problem(
-        p_u=target.sum(axis=1),
-        target=target,
-        w_size=w_size,
-        objective=objective,
-        q_inv=gaussian_q_inv(eps),
-        n=n,
-        g_r=(g.g1 + g.g2) / n,
-        g_rr0=(g.g2 + g.g3) / n,
-    )
+    problem = make_problem(target, w_size, objective, eps, n, g)
     x = rng.normal(scale=scale, size=problem.n_params())
     value, _ = problem.evaluate(x)
+    assert abs(value - reference_objective(problem, decomposition_at(problem, x), eps, n, g)) <= 1e-12
 
-    logits_wu, logits_vw = problem.split(x)
-    d = Decomposition(
-        p_u=Pmf(problem.p_u),
-        w_given_u=ConditionalPmf(_softmax_rows(logits_wu)),
-        v_given_w=ConditionalPmf(_softmax_rows(logits_vw)),
-    )
-    point = inner_bound(d, eps, eps, n, g)
-    reported = point.r_min if objective == "r_min" else point.r_plus_r0_min
-    assert abs(value - reported) <= 1e-12
+
+@settings(max_examples=40)
+@given(
+    u_size=st.integers(1, 3),
+    v_size=st.integers(1, 3),
+    w_frac=st.floats(0.0, 1.0),
+    objective=st.sampled_from(OBJECTIVES),
+    zero_row=st.booleans(),
+    saturate=st.sampled_from([0.0, 60.0, 800.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(u_size=2, v_size=2, w_frac=0.0, objective="max_slack", zero_row=False, saturate=0.0, seed=1)  # w_size 1
+@example(u_size=3, v_size=1, w_frac=0.5, objective="r_plus_r0_min", zero_row=False, saturate=0.0, seed=2)  # |V| = 1
+@example(u_size=3, v_size=2, w_frac=0.6, objective="r_min", zero_row=True, saturate=0.0, seed=3)
+@example(u_size=2, v_size=3, w_frac=0.7, objective="max_slack", zero_row=False, saturate=60.0, seed=4)
+def test_evaluate_many_rows_match_inner_bound(u_size, v_size, w_frac, objective, zero_row, saturate, seed):
+    # one batch, every row pinned to the validating path: the objective and
+    # the marginal gap of each row equal inner_bound (or the max_slack
+    # reference) and l1_distance on the decomposition built from that row.
+    # Logits of +-60 make softmax entries negligible next to 1 (+-800: exactly 0).
+    w_size = 1 + int(w_frac * u_size * v_size)
+    rng = np.random.default_rng(seed)
+    target = rng.dirichlet(np.ones(u_size * v_size)).reshape(u_size, v_size)
+    if zero_row and u_size > 1:
+        target[0] = 0.0
+        target /= target.sum()
+    eps, n, g = 0.1, 1000, GammaTriple(3.0, 1.5, 3.0)
+    problem = make_problem(target, w_size, objective, eps, n, g)
+    xs = rng.normal(scale=2.0, size=(8, problem.n_params()))
+    if saturate:
+        xs[4:] = saturate * rng.choice([-1.0, 1.0], size=xs[4:].shape)
+    values, gaps = problem.evaluate_many(xs)
+    assert values.shape == gaps.shape == (8,)
+    for x, value, gap in zip(xs, values, gaps):
+        d = decomposition_at(problem, x)
+        assert abs(value - reference_objective(problem, d, eps, n, g)) <= 1e-12
+        assert abs(gap - l1_distance(d.uv_marginal(), JointPmf(target))) <= 1e-12
+        assert problem.evaluate(x) == (value, gap)  # the one-row case, bit for bit
+
+
+def golden_section(fn, lo: float, hi: float, iters: int = 36) -> tuple[float, float]:
+    """Plain sequential golden-section search for min fn on [lo, hi]: exact
+    on unimodal lines, and stuck in whichever basin its first two probes
+    favour otherwise."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def two_basins(t):
+    """A local basin at -1.8 (value 0.1) and the global one at 2.2 (value 0)."""
+    return np.minimum((t + 1.8) ** 2 + 0.1, 3.0 * (t - 2.2) ** 2)
+
+
+def test_zoom_finds_the_global_basin_where_golden_section_stops():
+    t_gs, f_gs = golden_section(two_basins, -2.5, 2.5)
+    assert abs(t_gs + 1.8) < 1e-6 and f_gs == pytest.approx(0.1)
+    t, f = _zoom_min(two_basins, 0.0, float(two_basins(0.0)), 2.5)
+    assert abs(t - 2.2) < 1e-6
+    assert f < 1e-12
+
+
+@settings(max_examples=80)
+@given(
+    coef=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
+    t0=st.floats(-10.0, 10.0),
+    half=st.floats(0.1, 5.0),
+)
+def test_zoom_never_rises_and_is_deterministic(coef, t0, half):
+    a, b, c, k = coef
+
+    def fn(ts):  # multimodal, with a kink at the start point (its minimum when k >> |a b|)
+        return a * np.sin(b * ts + c) + k * np.abs(ts - t0)
+
+    f0 = float(fn(np.float64(t0)))
+    t, f = _zoom_min(fn, t0, f0, half)
+    assert f <= f0
+    assert f == float(fn(np.float64(t)))  # the value reported is the value at the point reported
+    assert t0 - half * (1 + 1e-12) <= t <= t0 + half * (1 + 1e-12)
+    again = _zoom_min(fn, t0, f0, half)
+    assert (again[0], again[1]) == (t, f)  # bit for bit
+
+
+def test_random_start_reaches_the_golden_section_optimum():
+    # away from the saddle the search does not hang on rounding: from the
+    # seeded start of restart 1 of the benchmark's search, a sequential
+    # golden-section line search ends at r_inner = 0.5520014957257801, and
+    # the zoom must end there or below it, to within 1e-7
+    target, n, eps = dsbs(0.1), 10 ** 4, 0.1
+    problem = make_problem(target.probs, 3, "r_min", eps, n, parse_gamma_rule("logn", n))
+    x0 = np.random.default_rng([7, 1]).normal(scale=2.0, size=problem.n_params())
+    _, value, gap = _descend(problem, x0, 30)
+    assert gap <= 1e-6
+    assert value <= 0.5520014957257801 + 1e-7
+
+
+def test_bench_setup_reaches_golden_section_quality():
+    # the benchmark's search: one restart from the all-zero start, w_size 3,
+    # DSBS(0.1), n = 1e4, eps = 0.1.  A sequential golden-section line search
+    # ends this search at r_inner = 0.684199116158477, the zoom 7.5e-7 below
+    # it.  The zero start is a saddle whose first moves are decided by
+    # rounding, so that margin rests on the objective's last bits: another
+    # numpy build, or any change to the objective's arithmetic, can land this
+    # search in a neighbouring basin on either side of the bound.
+    target, n, eps = dsbs(0.1), 10 ** 4, 0.1
+    d = optimize_decomposition(target, w_size=3, objective="r_min", restarts=1, seed=7, eps=eps, n=n)
+    assert l1_distance(d.uv_marginal(), target) <= 1e-6
+    assert inner_bound(d, eps, eps, n, parse_gamma_rule("logn", n)).r_min <= 0.684199116158477
