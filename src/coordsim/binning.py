@@ -414,8 +414,6 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         dist = float(np.abs(cond_rb - cond_rc).sum())
         if dist < best_dist - 1e-15:
             best_f, best_dist, best_cond_rc = int(lay.keys[k0]) // b.bins_c, dist, cond_rc
-    if best_f < 0:  # unreachable for normalized laws; belt for degenerate input
-        best_f, best_dist, best_cond_rc = 0, 2.0, lump
     l1_uv = float(np.abs(rc_uv - tab.target_uv).sum())
     l1_sel = float(np.abs(best_cond_rc - tab.target_uv).sum())
     abort = n_unhit * q + q * float(lay.w0_enc.sum())  # unhit (f,c): encoder+decoder fallback

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import BEStats, check_threshold, gaussian_q, support_weights, tie_heads
+from .measures import BEStats, gaussian_q, group_tail, support_weights, tie_groups
 from .probability import DensityTable, JointPmf, Pmf, _clean_probs, check_table_size
 
 
@@ -52,13 +52,11 @@ class AtomLaw:
 
     def tail_gt(self, x: float) -> float:
         """P(Z > x), strict."""
-        k = np.searchsorted(self.values, check_threshold(x), side="right")
-        return float(self.probs[k:].sum())
+        return group_tail(self.values, self.probs, x, strict=True)
 
     def tail_ge(self, x: float) -> float:
         """P(Z >= x)."""
-        k = np.searchsorted(self.values, check_threshold(x), side="left")
-        return float(self.probs[k:].sum())
+        return group_tail(self.values, self.probs, x, strict=False)
 
 
 @dataclass(frozen=True)
@@ -70,23 +68,15 @@ class BEGapResult:
     degenerate: bool
 
 
-def _merge_sorted(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coalesce already-sorted atoms that tie (``measures.tie_heads``): each
-    group keeps its head's value and the sum of its masses, added in input
-    order."""
-    heads = tie_heads(values)
-    ids = np.repeat(np.arange(heads.size), np.diff(heads, append=values.size))
-    return values[heads], np.bincount(ids, weights=probs, minlength=heads.size)
-
-
 def _atom_law(values: np.ndarray, probs: np.ndarray) -> AtomLaw:
     """The law of plain 1-D arrays of values and their masses: one stable
-    sort, then ``_merge_sorted``."""
+    sort, then one atom per tie group (``measures.tie_groups``)."""
     order = np.argsort(values, kind="stable")
     values = values[order]
     probs = probs[order]
     del order
-    return AtomLaw(*_merge_sorted(values, probs))
+    heads, masses = tie_groups(values, probs)
+    return AtomLaw(values[heads], masses)
 
 
 def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
@@ -108,8 +98,8 @@ def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
     sums = sums[order]
     masses = np.multiply.outer(a.probs, b.probs).ravel()[order]
     del order
-    merged_v, merged_p = _merge_sorted(sums, masses)
-    return AtomLaw(merged_v, merged_p / merged_p.sum())
+    heads, masses = tie_groups(sums, masses)
+    return AtomLaw(sums[heads], masses / masses.sum())
 
 
 def convolve_n(law: AtomLaw, n: int) -> AtomLaw:

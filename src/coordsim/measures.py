@@ -25,20 +25,12 @@ exactly for deterministic-copy chains) has no meaningful B; it is stored as
 NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 0, since the underlying CLT gap is identically zero.
 
-Tie policy: two sorted values (atoms of a convolved law, log-likelihood
-ratios of a hypothesis test) are the same point when they lie within
-``TIE_TOL`` of their group's *head*, the group's first value:
-``x - head <= TIE_TOL`` joins, anything larger starts a new group.  The
-anchor keeps a chain of small steps from drifting arbitrarily far;
-``tie_heads`` is the one implementation.  Infinite values tie only with an
-equal infinity.  Each group stands for one value: an ``AtomLaw`` atom
-(values ascending) carries its group's smallest value; a Neyman-Pearson tie
-group (ratios descending) carries its largest ratio, which the test reports
-as its threshold, and keeps its smallest one too.  Tails compare floats
-exactly, with no tolerance, and count a group when its smallest value
-passes: ``AtomLaw.tail_gt`` / ``tail_ge``, and the Neyman-Pearson group
-tails that the converse witnesses' premises and the sandwich grid read.  A
-NaN threshold raises ``DomainError`` (``check_threshold``).
+Tie policy: ascending values within ``TIE_TOL`` of their group's head,
+its smallest value, are one point; only equal infinities tie with an
+infinity.  ``tie_groups`` is the one grouping (with one summation per
+group) and ``group_tail`` the one tail, which counts a group by that
+value, compared exactly.  Atoms of a convolved law and Neyman-Pearson
+groups of log2(p/q) are both these groups.
 """
 
 from __future__ import annotations
@@ -85,6 +77,27 @@ def tie_heads(x: np.ndarray) -> np.ndarray:
                 extra.append(start + i)
                 head = v
     return np.sort(np.concatenate((heads, np.array(extra, dtype=np.intp))))
+
+
+def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(heads, *sums)``: the ``tie_heads`` of the ascending array ``x``
+    and, for each mass array aligned with ``x``, its sum over every group
+    from one ``np.add.reduceat`` (pairwise within a group, as a reduceat
+    over the group's own slice would be).  Group g is
+    ``heads[g]:heads[g + 1]`` and stands for the value ``x[heads[g]]``.
+    Empty input gives no groups."""
+    heads = tie_heads(x)
+    if heads.size == 0:
+        return (heads, *(np.zeros(0) for _ in masses))
+    return (heads, *(np.add.reduceat(m, heads) for m in masses))
+
+
+def group_tail(values: np.ndarray, masses: np.ndarray, x: float, strict: bool) -> float:
+    """Mass of the groups whose value (ascending ``values``) exceeds ``x``
+    (``strict``) or reaches it: one ``searchsorted``, then the sum of the
+    suffix.  A NaN threshold raises ``DomainError`` (``check_threshold``)."""
+    k = np.searchsorted(values, check_threshold(x), side="right" if strict else "left")
+    return float(masses[k:].sum())
 
 
 def moments(vals: np.ndarray, ws: np.ndarray, third: bool = True) -> tuple:

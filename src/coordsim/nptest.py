@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .errors import CoordsimError, DomainError, ShapeError
@@ -36,10 +35,10 @@ from .measures import (
     BEStats,
     backoff,
     check_eps,
-    check_threshold,
     continuity_term,
     gaussian_q_inv,
-    tie_heads,
+    group_tail,
+    tie_groups,
 )
 from .probability import (
     JointPmf,
@@ -120,10 +119,10 @@ class BinaryTest:
 class NPResult:
     """Minimum type-II mass with the boundary that achieves it.
 
-    ``threshold`` is the log-likelihood ratio (bits) of the boundary tie
-    group; outcomes with a strictly larger ratio are accepted outright and
-    the boundary group is accepted with probability ``randomization``, so
-    the acceptance mass under the first law equals alpha exactly.
+    ``threshold`` is the smallest log-likelihood ratio (bits) of the
+    boundary tie group; the groups above it are accepted outright and the
+    boundary group is accepted with probability ``randomization``, so the
+    acceptance mass under the first law equals alpha exactly.
     """
 
     beta: float
@@ -140,86 +139,70 @@ class NPResult:
 
 
 class _TieGroups(NamedTuple):
-    """Tie groups of log2(p/q) over the p-support, in decreasing order.
+    """Tie groups (``measures.tie_groups``) of log2(p/q) over the
+    p-support, in increasing order, as the atoms of that ratio's law under
+    p would be.
 
     ``idx`` lists the outcomes in that order and group g is
-    ``idx[heads[g]:heads[g + 1]]``; ``llr`` and ``low`` hold each group's
-    largest ratio (its head's) and smallest ratio, ``p`` and ``q`` its
-    masses."""
+    ``idx[heads[g]:heads[g + 1]]``; ``llr`` holds each group's smallest
+    ratio (its head's), ``p`` and ``q`` its masses."""
 
     idx: np.ndarray
     heads: np.ndarray
     llr: np.ndarray
-    low: np.ndarray
     p: np.ndarray
     q: np.ndarray
 
     def tail(self, x: float, strict: bool) -> float:
-        """P_p{llr > x} (``strict``) or P_p{llr >= x}, a group counting
-        when its smallest ratio does (as an ``AtomLaw`` atom would).  The
-        groups are disjoint and decreasing, so either tail is a prefix."""
-        k = np.searchsorted(-self.low, -check_threshold(x), side="left" if strict else "right")
-        return float(self.p[:k].sum())
-
-
-def _group_sums(vals: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """``vals[heads[g]:heads[g + 1]].sum()`` for every group g, with the
-    bits of that 1-D sum: groups of one length are gathered into one
-    contiguous matrix and summed along rows, which numpy sums exactly as
-    it sums each row alone."""
-    sizes = np.diff(heads, append=vals.size)
-    out = np.empty(heads.size)
-    for size in np.unique(sizes).tolist():
-        sel = np.flatnonzero(sizes == size)
-        out[sel] = sliding_window_view(vals, size)[heads[sel]].sum(axis=1)
-    return out
+        """P_p{llr > x} (``strict``) or P_p{llr >= x}, counting each group
+        by its smallest ratio (``measures.group_tail``)."""
+        return group_tail(self.llr, self.p, x, strict)
 
 
 def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
-    """Tie groups (``measures.tie_heads``) of log2(p/q) over the p-support.
+    """Tie groups of log2(p/q) over the p-support, from one stable
+    ascending sort.
 
-    Outcomes with q = 0 form the leading +inf group; outcomes with p = 0
+    Outcomes with q = 0 form the last group, at +inf; outcomes with p = 0
     never appear (accepting them costs q-mass and buys nothing).
     """
     sup = np.flatnonzero(p > 0)
     with np.errstate(divide="ignore"):
-        neg = -np.log2(p[sup] / q[sup])
-    order = np.argsort(neg, kind="stable")
+        llr = np.log2(p[sup] / q[sup])
+    order = np.argsort(llr, kind="stable")
     idx = sup[order]
     del sup
-    neg = neg[order]
+    llr = llr[order]
     del order
-    heads = tie_heads(neg)
-    llr = -neg[heads]
-    low = -neg[np.append(heads[1:], neg.size) - 1]
-    del neg
-    return _TieGroups(
-        idx, heads, llr, low, _group_sums(p[idx], heads), _group_sums(q[idx], heads)
-    )
+    heads, gp, gq = tie_groups(llr, p[idx], q[idx])
+    return _TieGroups(idx, heads, llr[heads], gp, gq)
 
 
 def _np_solve(groups: _TieGroups, n_outcomes: int, alpha: float):
     """Shared core over the ``_llr_groups`` of a law pair with
     ``n_outcomes`` outcomes: returns (NPResult, decision vector).
 
-    Whole groups are accepted while their p-mass stays below what alpha
-    still needs; the first group that covers the rest is randomized."""
-    # running sums from 0.0, added in group order (cumsum is sequential)
-    cum_p = np.cumsum(np.concatenate(([0.0], groups.p)))
-    cum_q = np.cumsum(np.concatenate(([0.0], groups.q)))
-    reach = np.flatnonzero(groups.p >= alpha - cum_p[:-1])
+    Whole groups are accepted from the top while their p-mass stays below
+    what alpha still needs; the first group that covers the rest is
+    randomized."""
+    # running sums from 0.0, added from the top group down (cumsum is sequential)
+    top_p = groups.p[::-1]
+    cum_p = np.cumsum(np.concatenate(([0.0], top_p)))
+    cum_q = np.cumsum(np.concatenate(([0.0], groups.q[::-1])))
+    reach = np.flatnonzero(top_p >= alpha - cum_p[:-1])
     if reach.size == 0:
         raise DomainError(f"alpha {alpha!r} exceeds the total p-mass {float(cum_p[-1])!r}")
-    k = int(reach[0])
-    cum, gp = float(cum_p[k]), float(groups.p[k])
+    j = int(reach[0])
+    k = groups.heads.size - 1 - j  # the boundary group
+    cum, gp = float(cum_p[j]), float(top_p[j])
     theta = (alpha - cum) / gp
-    beta = float(cum_q[k]) + theta * float(groups.q[k])
+    beta = float(cum_q[j]) + theta * float(groups.q[k])
     achieved = cum + theta * gp
     if abs(achieved - alpha) > PREMISE_TOL:
         raise CoordsimError(f"acceptance mass {achieved!r} missed alpha {alpha!r}")
     bounds = np.append(groups.heads, groups.idx.size)
     decision = np.zeros(n_outcomes)
-    decision[groups.idx[: bounds[k]]] = 1.0
+    decision[groups.idx[bounds[k + 1] :]] = 1.0
     decision[groups.idx[bounds[k] : bounds[k + 1]]] = theta
     return NPResult(beta=beta, threshold=float(groups.llr[k]), randomization=theta), decision
 

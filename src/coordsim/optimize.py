@@ -49,6 +49,8 @@ _PENALTY_SCHEDULE = (1e2, 1e4, 1e6, 1e9)
 # down to cells of 1.5e-7
 _ZOOM_GRID = np.linspace(-1.0, 1.0, 57)
 _ZOOM_ROUNDS = 5
+# coordinate sweeps per penalty stage, unless a sweep gains under 1e-11
+_MAX_PASSES = 30
 
 OBJECTIVES = ("r_min", "r_plus_r0_min", "max_slack")
 
@@ -144,7 +146,7 @@ def _zoom_min(fn_many, t0: float, f0: float, half: float) -> tuple[float, float]
     return t_best, f_best
 
 
-def _descend(problem: _Problem, x0: np.ndarray, max_passes: int) -> tuple[np.ndarray, float, float]:
+def _descend(problem: _Problem, x0: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Penalty-schedule coordinate descent from x0.
 
     Returns (params, objective value, marginal gap) at the final iterate.
@@ -157,7 +159,7 @@ def _descend(problem: _Problem, x0: np.ndarray, max_passes: int) -> tuple[np.nda
             return values + lam * gaps * gaps
 
         current = float(penalized(x[None, :])[0])
-        for _ in range(max_passes):
+        for _ in range(_MAX_PASSES):
             before = current
             for i in range(x.size):
 
@@ -205,7 +207,6 @@ def optimize_decomposition(
     eps: float = 0.1,
     n: int = 10_000,
     gamma: GammaTriple | None = None,
-    max_passes: int = 30,
 ) -> Decomposition:
     """Best decomposition found for ``target`` with auxiliary size ``w_size``.
 
@@ -244,7 +245,7 @@ def optimize_decomposition(
         else:
             rng = np.random.default_rng([seed, idx])
             x0 = rng.normal(scale=2.0, size=problem.n_params())
-        x, value, gap = _descend(problem, x0, max_passes)
+        x, value, gap = _descend(problem, x0)
         return value, gap, idx, x
 
     results = [run_restart(idx) for idx in range(restarts)]

@@ -372,16 +372,18 @@ def conditional(joint: JointPmf, given) -> ConditionalPmf:
     return ConditionalPmf(rows, fallback_rows=fallback)
 
 
-def _outer_extend(block: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """One product step of the axiswise iid extension: combine a rank-k block
-    (axes sized S_i) with the rank-k base (axes sized s_i) into axes sized
-    S_i * s_i, earlier symbols most significant."""
-    k = block.ndim
-    out = np.multiply.outer(block, step)  # axes (B1..Bk, b1..bk)
-    order = [i for pair in zip(range(k), range(k, 2 * k)) for i in pair]
-    out = np.transpose(out, order)
-    new_shape = tuple(block.shape[i] * step.shape[i] for i in range(k))
-    return out.reshape(new_shape)
+def _iid_table(t: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold product of the table ``t``: each axis of size s becomes one
+    of size s**n, earlier symbols most significant.  Each step broadcasts
+    the table so far against ``t`` straight into the interleaved axes
+    (S_1, s_1, S_2, s_2, ...), so no step transposes; the bits are those of
+    ``np.kron`` folded from the left."""
+    step = t.reshape([x for s in t.shape for x in (1, s)])
+    out = t
+    for _ in range(n - 1):
+        wide = out.reshape([x for size in out.shape for x in (size, 1)]) * step
+        out = wide.reshape([size * s for size, s in zip(out.shape, t.shape)])
+    return out
 
 
 def iid_extension(obj, n: int):
@@ -396,26 +398,17 @@ def iid_extension(obj, n: int):
         raise DomainError(f"iid extension length must be >= 1, got {n}")
     if isinstance(obj, Pmf):
         check_table_size(obj.size ** n, "iid pmf")
-        out = obj.probs
-        for _ in range(n - 1):
-            out = np.kron(out, obj.probs)
-        return Pmf(_renormalize(out))
+        return Pmf(_renormalize(_iid_table(obj.probs, n)))
     if isinstance(obj, ConditionalPmf):
         check_table_size((obj.input_size ** n) * (obj.output_size ** n), "iid kernel")
-        out = obj.rows
-        for _ in range(n - 1):
-            out = np.kron(out, obj.rows)
-        out = out / out.sum(axis=1, keepdims=True)
-        return ConditionalPmf(out)
+        out = _iid_table(obj.rows, n)
+        return ConditionalPmf(out / out.sum(axis=1, keepdims=True))
     if isinstance(obj, JointPmf):
         entries = 1
         for s in obj.shape:
             entries *= s ** n
         check_table_size(entries, "iid joint")
-        out = obj.probs
-        for _ in range(n - 1):
-            out = _outer_extend(out, obj.probs)
-        return JointPmf(_renormalize(out), axes=obj.axes)
+        return JointPmf(_renormalize(_iid_table(obj.probs, n)), axes=obj.axes)
     raise ShapeError(f"iid_extension does not handle {type(obj).__name__}")
 
 

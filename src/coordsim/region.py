@@ -299,9 +299,6 @@ def closed_result_check(d: Decomposition, eps: float, n: int) -> bool:
     """
     if n < 2:
         raise DomainError(f"closed_result_check needs n >= 2, got {n}")
-    # order domination k/n <= k log2(n)/n of the slack scales
-    if not (1.0 / n <= math.log2(n) / n + 1e-15):
-        return False
     inner = inner_bound(d, eps, eps, n, parse_gamma_rule("logn", n))
     outer = outer_bound(d, eps, n)
     if not outer.valid:

@@ -266,7 +266,7 @@ def test_random_start_reaches_the_golden_section_optimum():
     target, n, eps = dsbs(0.1), 10 ** 4, 0.1
     problem = make_problem(target.probs, 3, "r_min", eps, n, parse_gamma_rule("logn", n))
     x0 = np.random.default_rng([7, 1]).normal(scale=2.0, size=problem.n_params())
-    _, value, gap = _descend(problem, x0, 30)
+    _, value, gap = _descend(problem, x0)
     assert gap <= 1e-6
     assert value <= 0.5520014957257801 + 1e-7
 

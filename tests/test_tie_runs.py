@@ -9,6 +9,7 @@ anchored re-scan), exact duplicates, all-distinct values, cells with
 q = 0 (+inf ratios) and cells with p = 0.
 """
 
+import math
 import re
 
 import numpy as np
@@ -17,9 +18,9 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 import tie_oracle
-from coordsim.cltverify import AtomLaw, _merge_sorted, be_gap, convolve_n, law_stats
+from coordsim.cltverify import AtomLaw, _atom_law, be_gap, convolve_n, law_stats
 from coordsim.errors import CoordsimError, DomainError
-from coordsim.measures import TIE_TOL, tie_heads
+from coordsim.measures import TIE_TOL, tie_groups, tie_heads
 from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich
 
 
@@ -86,9 +87,9 @@ def test_merge_matches_oracle(data):
     values = data.draw(tie_prone(-40.0, 40.0, 0, 60))
     probs = np.array(data.draw(st.lists(masses, min_size=values.size, max_size=values.size)))
     note_ties(values)
-    got_v, got_p = _merge_sorted(values, probs)
+    heads, got_p = tie_groups(values, probs)
     want_v, want_p = tie_oracle.merge_sorted(values, probs)
-    assert same_bits(got_v, want_v)
+    assert same_bits(values[heads], want_v)
     assert same_bits(got_p, want_p)
 
 
@@ -111,15 +112,16 @@ def test_convolve_and_gap_match_oracle(data, n):
 
 
 @st.composite
-def law_pairs(draw):
-    """(p, q, alpha) with near-tie ratio chains, q = 0 and p = 0 cells."""
+def law_pairs(draw, q_zero: bool = True):
+    """(p, q, alpha) with near-tie ratio chains, p = 0 cells and (with
+    ``q_zero``) q = 0 cells."""
     llr = draw(tie_prone(-20.0, 20.0, 1, 40))
     n = llr.size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = rng.uniform(0.01, 1.0, size=n)
     p = q * np.exp2(llr)
-    kinds = draw(st.lists(st.sampled_from(["ratio", "ratio", "ratio", "q0", "p0"]),
-                          min_size=n, max_size=n))
+    cells = ["ratio", "ratio", "ratio", "q0", "p0"] if q_zero else ["ratio", "ratio", "p0"]
+    kinds = draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
     kinds = np.array(kinds)
     p[kinds == "p0"] = 0.0
     q[kinds == "q0"] = 0.0
@@ -169,11 +171,11 @@ def assert_solutions_match(p, q, alpha):
 def test_llr_groups_and_np_solution_match_oracle(law):
     p, q, alpha = law
     with np.errstate(divide="ignore"):
-        note_ties(np.sort(-np.log2(p[p > 0] / q[p > 0])))
+        note_ties(np.sort(np.log2(p[p > 0] / q[p > 0])))
     _, want = assert_solutions_match(p, q, alpha)
-    # alpha exactly at the p-mass of the leading groups: the last of them
-    # is the boundary group, accepted with probability 1
-    for boundary in np.cumsum([g[1] for g in want])[:3].tolist():
+    # alpha exactly at the p-mass of the top groups: the last of them is
+    # the boundary group, accepted with probability 1
+    for boundary in np.cumsum([g[1] for g in reversed(want)])[:3].tolist():
         if 0.0 < boundary < 1.0:
             assert_solutions_match(p, q, boundary)
     if max(g[3].size for g in want) >= 9:
@@ -185,8 +187,9 @@ def test_llr_groups_and_np_solution_match_oracle(law):
 
 
 def test_large_tie_groups_match_oracle():
-    """Groups long enough for numpy's blocked pairwise sums (over 128
-    terms) carry the bits of the per-group sum."""
+    """Groups long enough for numpy's blocked pairwise summation (8
+    accumulators, blocks of 128 terms) carry the bits of a sum over the
+    group's own slice, wherever the group starts in the sorted array."""
     rng = np.random.default_rng(5)
     sizes = [1, 2, 7, 8, 9, 127, 128, 129, 300, 5000]
     llr = np.repeat(np.linspace(-3.0, 3.0, len(sizes)), sizes)
@@ -198,21 +201,47 @@ def test_large_tie_groups_match_oracle():
         assert_solutions_match(pa, qa, alpha)
 
 
+@given(law=law_pairs(q_zero=False))
+def test_llr_groups_are_the_atoms_of_the_llr_law(law):
+    """Without q = 0 cells the Neyman-Pearson groups are the atoms of the
+    law of log2(p/q) under p, bit for bit: one grouping, one anchor, one
+    summation."""
+    p, q, _ = law
+    sup = p > 0
+    llr = np.log2(p[sup] / q[sup])
+    note_ties(np.sort(llr))
+    g = _llr_groups(p, q)
+    atoms = _atom_law(llr, p[sup])
+    assert same_bits(g.llr, atoms.values)
+    assert same_bits(g.p, atoms.probs)
+
+
+def test_one_large_group_sums_accurately():
+    """A single tie group of 200,000 masses sums within 1e-15 relative of
+    the correctly rounded total, as an atom and as a Neyman-Pearson group
+    (a sequential sum drifts by 1.7e-14 here)."""
+    rng = np.random.default_rng(2)
+    p = rng.uniform(0.0, 1.0, size=200_000)
+    p /= p.sum()
+    exact = math.fsum(p)
+    atom = _atom_law(np.zeros(p.size), p)
+    group = _llr_groups(p, p)
+    assert atom.n_atoms == 1 and group.heads.size == 1
+    for mass in (atom.probs[0], group.p[0]):
+        assert abs(mass - exact) <= 1e-15 * exact
+
+
 @given(law=law_pairs())
 def test_group_tails_are_prefix_sums(law):
     """``_TieGroups.tail`` counts a group by its smallest ratio and sums a
-    prefix of the groups, with the bits of the masked sum.  Off the groups'
-    spans this is the head-ratio mask ``beta_sandwich`` used before."""
+    suffix of the groups, with the bits of the masked sum."""
     p, q, _ = law
     g = _llr_groups(p, q)
-    finite = g.low[np.isfinite(g.low)]
-    xs = [*g.llr.tolist(), *g.low.tolist(), *((finite[1:] + finite[:-1]) / 2).tolist(),
-          -np.inf, np.inf, 0.0]
+    finite = g.llr[np.isfinite(g.llr)]
+    xs = [*g.llr.tolist(), *((finite[1:] + finite[:-1]) / 2).tolist(), -np.inf, np.inf, 0.0]
     for x in xs:
-        assert same_bits(g.tail(x, strict=True), g.p[g.low > x].sum())
-        assert same_bits(g.tail(x, strict=False), g.p[g.low >= x].sum())
-        if not np.any((g.low <= x) & (x < g.llr)):
-            assert same_bits(g.tail(x, strict=True), g.p[g.llr > x].sum())
+        assert same_bits(g.tail(x, strict=True), g.p[g.llr > x].sum())
+        assert same_bits(g.tail(x, strict=False), g.p[g.llr >= x].sum())
 
 
 def test_group_tails_reject_nan_threshold():

@@ -3,9 +3,10 @@
 These are the straightforward forms of ``cltverify``'s atom merge (with
 the convolution built on it) and of ``nptest``'s likelihood-ratio tie
 groups and Neyman-Pearson solver: one Python step per sorted value, with
-the head of the current group kept as the anchor.  The library computes
-the same groups with ``measures.tie_heads``; the differential tests
-require equal bits from both.
+the head of the current group (its smallest value) kept as the anchor.
+Each group's mass is one ``np.add.reduceat`` over that group's own slice.
+The library computes the same groups with ``measures.tie_groups``; the
+differential tests require equal bits from both.
 """
 
 from __future__ import annotations
@@ -22,17 +23,23 @@ from coordsim.nptest import PREMISE_TOL, NPResult
 TIE_TOL = 1e-12
 
 
+def _group_mass(masses: np.ndarray) -> float:
+    """The mass of one group, summed over the group's own slice."""
+    return float(np.add.reduceat(masses, [0])[0])
+
+
 def merge_sorted(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coalesce already-sorted atoms within TIE_TOL of their group's head."""
-    out_v: list[float] = []
-    out_p: list[float] = []
-    for v, p in zip(values, probs):
-        if out_v and v - out_v[-1] <= TIE_TOL:
-            out_p[-1] += p
-        else:
-            out_v.append(float(v))
-            out_p.append(float(p))
-    return np.array(out_v), np.array(out_p)
+    starts: list[int] = []
+    for i, v in enumerate(values):
+        if starts and v - values[starts[-1]] <= TIE_TOL:
+            continue
+        starts.append(i)
+    ends = starts[1:] + [len(values)]
+    return (
+        np.array([float(values[s]) for s in starts]),
+        np.array([_group_mass(probs[s:e]) for s, e in zip(starts, ends)]),
+    )
 
 
 def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
@@ -74,32 +81,30 @@ def _same_llr(a: float, b: float) -> bool:
 
 
 def llr_groups(p: np.ndarray, q: np.ndarray) -> list:
-    """Tie groups of log2(p/q) over the p-support, in decreasing order, as
-    (llr, p_mass, q_mass, outcome_indices) tuples."""
+    """Tie groups of log2(p/q) over the p-support, in increasing order, as
+    (smallest llr, p_mass, q_mass, outcome_indices) tuples."""
     sup = np.flatnonzero(p > 0)
     with np.errstate(divide="ignore"):
         llr = np.log2(p[sup] / q[sup])
-    order = np.argsort(-llr, kind="stable")
+    order = np.argsort(llr, kind="stable")
     lv = llr[order]
     groups = []
     start = 0
     for i in range(1, order.size + 1):
         if i == order.size or not _same_llr(float(lv[start]), float(lv[i])):
             idx = sup[order[start:i]]
-            groups.append(
-                (float(lv[start]), float(p[idx].sum()), float(q[idx].sum()), idx)
-            )
+            groups.append((float(lv[start]), _group_mass(p[idx]), _group_mass(q[idx]), idx))
             start = i
     return groups
 
 
 def np_solve(groups: list, n_outcomes: int, alpha: float):
-    """(NPResult, decision vector): accept whole groups in order, randomize
-    the one that reaches alpha."""
+    """(NPResult, decision vector): accept whole groups from the top,
+    randomize the one that reaches alpha."""
     decision = np.zeros(n_outcomes)
     beta = 0.0
     cum = 0.0
-    for g_llr, gp, gq, idx in groups:
+    for g_llr, gp, gq, idx in reversed(groups):
         remaining = alpha - cum
         if gp >= remaining:
             theta = remaining / gp
