@@ -66,6 +66,7 @@ import numpy as np
 
 from .cltverify import _atom_law, convolve_n
 from .errors import DomainError, ResourceLimitError, ShapeError
+from .measures import check_blocklength
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -119,8 +120,7 @@ class SchemeConfig:
     decomposition: Decomposition
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"blocklength must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", check_blocklength(self.n))
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         # materialize the counts now so bad rates fail at construction

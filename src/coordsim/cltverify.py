@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import BEStats, gaussian_q, group_tail, support_weights, tie_groups
+from .measures import _SQRT2, BEStats, check_blocklength, group_tail, support_weights, tie_groups
 from .probability import DensityTable, JointPmf, Pmf, _clean_probs, check_table_size
 
 
@@ -103,19 +103,25 @@ def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
 
 
 def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
-    """Exact law of the sum of n iid copies (binary exponentiation with
-    atom merging; table sizes capped)."""
-    if n < 1:
-        raise DomainError(f"convolution power must be >= 1, got {n}")
+    """Exact law of the sum of n iid copies (atom merging; table sizes capped).
+    Squares the t-fold power while its atom count is at most k t (k atoms in
+    ``law``), then adds the remaining copies one letter at a time."""
+    n = check_blocklength(n)
     result: AtomLaw | None = None
-    power = law
-    k = n
-    while k:
-        if k & 1:
+    power, t, bits = law, 1, n  # power is the t-fold law
+    while bits:
+        if bits & 1:
             result = power if result is None else _convolve(result, power)
-        k >>= 1
-        if k:
-            power = _convolve(power, power)
+        bits >>= 1
+        # a square costs m^2 grid cells, t single-letter steps about k m t
+        if not bits or power.n_atoms > law.n_atoms * t:
+            break
+        power, t = _convolve(power, power), 2 * t
+    left = 2 * t * bits  # copies still to add
+    if left and result is None:
+        result, left = power, left - t
+    for _ in range(left):
+        result = _convolve(law, result)  # law first: k ascending runs, cheap to merge
     return result
 
 
@@ -134,8 +140,7 @@ def be_gap(law: AtomLaw, n: int) -> BEGapResult:
     Degenerate laws (v = 0) have zero gap by convention: the sum is a
     constant and the statistic never normalizes; the flag marks it.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    n = check_blocklength(n)
     stats = law_stats(law)
     if stats.degenerate:
         return BEGapResult(gap=0.0, bound=0.0, degenerate=True)
@@ -144,6 +149,7 @@ def be_gap(law: AtomLaw, n: int) -> BEGapResult:
     center = n * stats.mu
     # suffix sums: tail_ge[i] = P(S_n >= value_i); tail_gt[i] = P(S_n > value_i)
     suffix = np.concatenate([np.cumsum(total.probs[::-1])[::-1], [0.0]])
-    q = np.array([gaussian_q(t) for t in ((total.values - center) / scale).tolist()])
+    # gaussian_q at every atom, bit for bit, without a Python-level loop
+    q = 0.5 * np.frompyfunc(math.erfc, 1, 1)((total.values - center) / scale / _SQRT2).astype(float)
     worst = max(np.max(np.abs(suffix[:-1] - q)), np.max(np.abs(suffix[1:] - q)))
     return BEGapResult(gap=worst, bound=stats.b_over_sqrt_n(n), degenerate=False)

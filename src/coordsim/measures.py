@@ -15,8 +15,8 @@ absolute central moment and V the variance.
 This module is the one home of that arithmetic: ``moments`` computes
 (mu, V, T) for every caller (density tables, atom laws, the optimizer's
 batches of plain arrays), ``backoff`` is the one spelling of the
-dispersion term Q^-1(eps) sqrt(V/n), ``continuity_term`` the one spelling
-of the converse's g(eps), and ``check_eps`` the one eps-in-(0, 1) check.
+dispersion term Q^-1(eps) sqrt(V/n), ``continuity_term`` of the converse's
+g(eps); ``check_eps`` and ``check_blocklength`` are the one eps and n checks.
 
 Degeneracy policy: a variance below ``DEGENERATE_VAR`` is float dust from a
 constant density, and ``moments`` reports it as exactly V = T = 0.  Nothing
@@ -140,6 +140,16 @@ def check_eps(eps: float, message: str) -> None:
         raise DomainError(f"{message}, got {eps!r}")
 
 
+def check_blocklength(n, least: int = 1) -> int:
+    """``n`` as an int, unless it is not a whole number >= ``least``
+    (``DomainError("blocklength ...")``): bools and non-integral, NaN and
+    infinite floats are rejected -- the one blocklength check."""
+    whole = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
+    if isinstance(n, bool) or not whole or n < least:
+        raise DomainError(f"blocklength must be a whole number >= {least}, got {n!r}")
+    return int(n)
+
+
 def continuity_term(eps: float, uv_size: int) -> float:
     """g(eps) = 2 eps (log2|U x V| + log2(1/eps)): the per-symbol continuity
     slack the converse pays to turn a code entropy into a sum rate, for a
@@ -200,8 +210,7 @@ class BEStats:
 
     def b_over_sqrt_n(self, n: int) -> float:
         """Berry-Esseen penalty B / sqrt(n); 0 for degenerate densities."""
-        if n < 1:
-            raise DomainError(f"blocklength must be >= 1, got {n}")
+        n = check_blocklength(n)
         return 0.0 if self.degenerate else self.b / math.sqrt(n)
 
 

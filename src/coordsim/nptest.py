@@ -34,6 +34,7 @@ from .errors import CoordsimError, DomainError, ShapeError
 from .measures import (
     BEStats,
     backoff,
+    check_blocklength,
     check_eps,
     continuity_term,
     gaussian_q_inv,
@@ -586,12 +587,12 @@ def _assemble(
     )
 
 
-def _check_witness_params(n: int, eps: float, y: float) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"blocklength must be an integer >= 1, got {n!r}")
+def _check_witness_params(n: int, eps: float, y: float) -> int:
+    n = check_blocklength(n)
     check_eps(eps, "eps must lie in (0, 1)")
     if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
         raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
+    return n
 
 
 def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) -> WitnessReport:
@@ -614,7 +615,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
     """
     if mode not in ("case1", "case2", "coded"):
         raise DomainError(f"mode must be one of case1/case2/coded, got {mode!r}")
-    _check_witness_params(n, eps, y)
+    n = _check_witness_params(n, eps, y)
 
     P, Q = _iid_pair(marginalize(d.joint(), ("u", "w")), n)
     if mode == "coded":
@@ -647,7 +648,7 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     lower inequality's left side and the final rate subtracts 2 g(eps)
     per symbol.  The perturbation is sized from the gaining cell.
     """
-    _check_witness_params(n, eps, y)
+    n = _check_witness_params(n, eps, y)
 
     P, Q = _iid_pair(regroup_pair(d.joint(), ("u", "v"), "w"), n)
     info, P2 = _pick_transfer(P, Q, eps, "gain")

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .measures import BEStats, backoff, be_stats, check_eps, continuity_term, gaussian_q_inv
+from .measures import BEStats, backoff, be_stats, check_blocklength, check_eps, continuity_term
+from .measures import gaussian_q_inv
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -192,8 +193,7 @@ def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTrip
     """
     check_eps(eps1, "eps1 must lie in (0, 1)")
     check_eps(eps2, "eps2 must lie in (0, 1)")
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    n = check_blocklength(n)
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
     r_min = s_wu.mu + backoff(s_wu.v, gaussian_q_inv(eps2), n) + (g.g1 + g.g2) / n
@@ -226,8 +226,7 @@ def outer_bound(d: Decomposition, eps: float, n: int, y: float = 0.75) -> Region
     nothing is ever thrown for regime reasons.
     """
     check_eps(eps, "eps must lie in (0, 1)")
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    n = check_blocklength(n)
     if not (0.5 < y < 1.0):
         raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
     s_wu = stats_wu(d)
@@ -273,8 +272,7 @@ def gamma_tradeoff(xs, n: int, eps1: float, eps2: float) -> list[tuple[float, fl
     eps here enters raw, without Berry-Esseen stars -- this is the knob-
     isolating form of the tradeoff, not the full achievability budget.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    n = check_blocklength(n)
     for name, e in (("eps1", eps1), ("eps2", eps2)):
         if not (isinstance(e, (int, float)) and 0.0 <= e < 1.0):
             raise DomainError(f"{name} must lie in [0, 1), got {e!r}")
@@ -297,8 +295,7 @@ def closed_result_check(d: Decomposition, eps: float, n: int) -> bool:
     the outer point is invalid (its log corrections undefined at this eps)
     the comparison is vacuously true -- there is no converse point to beat.
     """
-    if n < 2:
-        raise DomainError(f"closed_result_check needs n >= 2, got {n}")
+    n = check_blocklength(n, least=2)
     inner = inner_bound(d, eps, eps, n, parse_gamma_rule("logn", n))
     outer = outer_bound(d, eps, n)
     if not outer.valid:

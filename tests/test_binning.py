@@ -190,8 +190,9 @@ def test_bin_counts_floor_and_snap():
 
 def test_config_validation():
     d = copy_chain()
-    with pytest.raises(DomainError):
-        SchemeConfig(n=0, rate_r=1, rate_r0=1, rate_rtilde=1, seed=0, decomposition=d)
+    for bad in (0, 2.5, math.nan, math.inf, True):
+        with pytest.raises(DomainError, match="blocklength"):
+            SchemeConfig(n=bad, rate_r=1, rate_r0=1, rate_rtilde=1, seed=0, decomposition=d)
     with pytest.raises(DomainError):
         SchemeConfig(n=2, rate_r=-0.1, rate_r0=1, rate_rtilde=1, seed=0, decomposition=d)
     with pytest.raises(DomainError):

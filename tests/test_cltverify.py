@@ -220,6 +220,77 @@ def test_convolve_moment_additivity():
             assert s.v == pytest.approx(n * base.v, abs=1e-9)
 
 
+def type_law(law: AtomLaw, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of the n-fold law of a k-atom law, ascending: one point
+    per type (atom counts c summing to n, C(n+k-1, k-1) of them) with value
+    c . values and the multinomial mass exp(lgamma(n+1) - sum lgamma(c+1)
+    + c . log probs)."""
+    k = law.n_atoms
+    bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
+    rows = bars.shape[0]
+    counts = np.diff(np.column_stack([np.full(rows, -1), bars, np.full(rows, n + k - 1)]), axis=1) - 1
+    lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    masses = np.exp(lg[n] - lg[counts].sum(axis=1) + counts @ np.log(law.probs))
+    values = counts @ law.values
+    order = np.argsort(values)
+    return values[order], masses[order]
+
+
+def chain3_law() -> AtomLaw:
+    """i(W;U) of the 2-3 chain p_u = (0.55, 0.45), six distinct atoms."""
+    p_u = np.array([0.55, 0.45])
+    j = JointPmf(p_u[:, None] * np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]]))
+    return density_law(info_density(j), j)
+
+
+CLOSED_FORM_LAWS = {
+    "bsc": lambda: density_law(info_density(bsc_joint(0.11)), bsc_joint(0.11)),
+    "three": lambda: AtomLaw(np.log2([0.3, 0.9, 1.7]), np.array([0.2, 0.5, 0.3])),
+    "chain3": chain3_law,
+}
+
+
+# BSC stops at 2,000: from about n = 2,200 the absolute TIE_TOL splits true
+# binomial atoms (3,560 atoms at n = 3,000; ROADMAP item 3)
+@pytest.mark.parametrize(
+    "name, n",
+    [("bsc", n) for n in (1, 2, 7, 100, 1000, 2000)]
+    + [("three", n) for n in (1, 5, 50, 200)]
+    + [("chain3", n) for n in (1, 3, 12, 16, 24)],
+)
+def test_convolve_matches_multinomial_types(name, n):
+    """One atom per type; each atom value within n eps * n max|v| of its
+    type's value (the recursive-summation bound n eps sum|x_i|; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2); and the
+    tail at every midpoint between atoms equal to the suffix sum of the
+    multinomial masses within 16 n eps: n rounded products or lgamma terms,
+    10x above the worst error seen (8.2e-13 at BSC n = 2000)."""
+    law = CLOSED_FORM_LAWS[name]()
+    total = convolve_n(law, n)
+    values, masses = type_law(law, n)
+    assert total.n_atoms == values.size == math.comb(n + law.n_atoms - 1, law.n_atoms - 1)
+    eps = np.finfo(np.float64).eps
+    np.testing.assert_allclose(total.values, values, rtol=0, atol=n * eps * n * np.max(np.abs(law.values)))
+    mids = (total.values[1:] + total.values[:-1]) / 2
+    want = np.cumsum(masses[::-1])[::-1][np.searchsorted(values, mids, side="right")]
+    got = np.cumsum(total.probs[::-1])[::-1][1:]  # the suffix sums be_gap reads
+    np.testing.assert_allclose(got, want, rtol=0, atol=16 * n * eps)
+
+
+def test_convolve_reaches_chain3_at_32():
+    # squaring the 16-fold law would need a 20,349^2 grid, over the 2^26 cap
+    assert convolve_n(chain3_law(), 32).n_atoms == math.comb(37, 5) == 435_897
+
+
+@pytest.mark.parametrize("bad", [0, 2.5, math.nan, math.inf, True])
+def test_convolve_and_gap_reject_bad_blocklengths(bad):
+    law = AtomLaw(np.array([0.0, 1.0]), np.array([0.4, 0.6]))
+    with pytest.raises(DomainError, match="blocklength"):
+        convolve_n(law, bad)
+    with pytest.raises(DomainError, match="blocklength"):
+        be_gap(law, bad)
+
+
 def test_convolve_respects_memory_cap(monkeypatch):
     monkeypatch.setenv("COORDSIM_MEM_CAP", "1000")
     vals = np.arange(64) * math.pi / 7  # irrational spacing: no merging

@@ -15,6 +15,7 @@ from coordsim.errors import DomainError, ShapeError
 from coordsim.measures import (
     BEStats,
     be_stats,
+    check_blocklength,
     conditional_dispersion,
     dispersion_of_channel,
     gaussian_q,
@@ -183,6 +184,21 @@ def test_gaussian_q_inv_domain():
     for bad in [0.0, 1.0, -0.1, 1.5, 2]:
         with pytest.raises(DomainError):
             gaussian_q_inv(bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, True, np.bool_(True), 0, -3, "4", None])
+def test_check_blocklength_rejects(bad):
+    with pytest.raises(DomainError, match="blocklength"):
+        check_blocklength(bad)
+
+
+def test_check_blocklength_accepts_whole_numbers():
+    assert check_blocklength(1) == 1
+    assert check_blocklength(np.int64(7)) == 7
+    assert type(check_blocklength(8.0)) is int
+    assert check_blocklength(2, least=2) == 2
+    with pytest.raises(DomainError, match=">= 2"):
+        check_blocklength(1, least=2)
 
 
 def test_be_stats_shape_check():

@@ -385,8 +385,11 @@ def test_witness_rejects_bad_params():
     d = uniform_copy_chain()
     with pytest.raises(DomainError):
         converse_witness(d, 3, 0.9, 0.6, "case3")
-    with pytest.raises(DomainError):
-        converse_witness(d, 0, 0.9, 0.6, "case1")
+    for bad_n in (0, 2.5, math.nan, math.inf, True):
+        with pytest.raises(DomainError, match="blocklength"):
+            converse_witness(d, bad_n, 0.9, 0.6, "case1")
+        with pytest.raises(DomainError, match="blocklength"):
+            rr0_converse_witness(d, bad_n, 0.9, 0.6)
     with pytest.raises(DomainError):
         converse_witness(d, 3, 1.0, 0.6, "case1")
     with pytest.raises(DomainError):

@@ -153,6 +153,22 @@ def test_gamma_rule_parsing():
         parse_gamma_rule("cubic", 8)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True])
+def test_bounds_reject_bad_blocklengths(bad):
+    # closed_result_check(d, 0.3, 2.5) used to return True, and NaN / inf
+    # failed inside the gamma rule with a message about g1
+    d = bsc_decomposition()
+    calls = [
+        lambda: inner_bound(d, 0.1, 0.1, bad, GammaTriple(2.0, 1.0, 2.0)),
+        lambda: outer_bound(d, 0.3, bad),
+        lambda: gamma_tradeoff([1.0], bad, 0.1, 0.1),
+        lambda: closed_result_check(d, 0.3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="blocklength"):
+            call()
+
+
 def test_gamma_triple_positivity():
     with pytest.raises(DomainError):
         GammaTriple(1.0, 0.0, 1.0)

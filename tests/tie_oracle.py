@@ -51,7 +51,31 @@ def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
 
 
 def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
-    """n-fold sum law by the same squaring schedule as the library."""
+    """n-fold sum law by the same schedule as the library: square the
+    t-fold power while its atom count is at most k t (k atoms in ``law``),
+    then add the remaining copies one letter at a time, law first."""
+    result = None
+    power, t = law, 1
+    bits = n
+    while bits:
+        if bits & 1:
+            result = power if result is None else _convolve(result, power)
+        bits >>= 1
+        if not bits or power.n_atoms > law.n_atoms * t:
+            break
+        power, t = _convolve(power, power), 2 * t
+    left = 2 * t * bits
+    if left and result is None:
+        result, left = power, left - t
+    for _ in range(left):
+        result = _convolve(law, result)
+    return result
+
+
+def convolve_n_squaring(law: AtomLaw, n: int) -> AtomLaw:
+    """n-fold sum law by pure binary exponentiation (right to left), the
+    schedule before single-letter steps: a reference for the atoms, not
+    for their last bits."""
     result = None
     power = law
     k = n
