@@ -46,7 +46,8 @@ spreads the result over the decoder posterior of each row's triple.
 Conventions
 -----------
 Sequences index their composite axis first-symbol-most-significant.  The
-fallback sequence w0 is flat index 0 (the lexicographically smallest).
+fallback sequence w0 is the lowest flat index with reference mass (flat
+index 0 whenever p_W(0) > 0).
 Fallbacks: an encoder conditional with no mass falls back to the reference
 restricted to the bin; if the bin carries no reference mass at all the
 encoder emits w0 and the path counts as an abort.  A decoder triple bin
@@ -61,6 +62,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,8 +80,6 @@ from .probability import (
     regroup_pair,
 )
 from .region import Decomposition, GammaTriple, parse_gamma_rule
-
-W_FALLBACK = 0  # flat index of the lexicographically smallest sequence
 
 # =============================================================================
 # configuration
@@ -228,7 +228,7 @@ def slc_posterior(b: BinningRealization, f: int, c: int, m: int) -> tuple[Pmf, b
     mass = b.w_mass[members]
     total = float(mass.sum())
     if members.size == 0 or total <= 0.0:
-        out[W_FALLBACK] = 1.0
+        out[np.flatnonzero(b.w_mass > 0)[0]] = 1.0
         return Pmf(out), True
     out[members] = mass / total
     return Pmf(out), False
@@ -241,28 +241,40 @@ def slc_posterior(b: BinningRealization, f: int, c: int, m: int) -> tuple[Pmf, b
 
 @dataclass(frozen=True)
 class _Tables:
-    """iid blocks shared by every per-realization computation."""
+    """iid blocks shared by every per-realization computation.  The V^n
+    kernel and the (U^n, V^n) target are built on first read: a (u, w)
+    marginal never reads them."""
 
+    d: Decomposition
+    n: int
     n_u: int
     n_w: int
     n_v: int
     pu: np.ndarray        # (n_u,)
     pwu: np.ndarray       # (n_w, n_u) joint, w-major so sorted rows gather contiguously
     pw: np.ndarray        # (n_w,)
-    pvn: np.ndarray       # (n_w, n_v) kernel rows
-    target_uv: np.ndarray  # (n_u, n_v) iid target
+    w0: int               # fallback sequence: the lowest flat index with reference mass
+
+    @cached_property
+    def pvn(self) -> np.ndarray:
+        """(n_w, n_v) kernel rows."""
+        return iid_extension(self.d.v_given_w, self.n).rows
+
+    @cached_property
+    def target_uv(self) -> np.ndarray:
+        """(n_u, n_v) iid target."""
+        uv = regroup_pair(marginalize(self.d.joint(), ("u", "v")), "u", "v")
+        return iid_extension(uv, self.n).probs
 
 
 def _tables(d: Decomposition, n: int) -> _Tables:
-    joint = d.joint()
     n_u, n_w, n_v = d.u_size ** n, d.w_size ** n, d.v_size ** n
     check_table_size(max(n_u * n_w, n_w * n_v, n_u * n_v), "scheme tables")
-    pwu = iid_extension(regroup_pair(marginalize(joint, ("w", "u")), "w", "u"), n).probs
-    pvn = iid_extension(d.v_given_w, n).rows
-    target = iid_extension(regroup_pair(marginalize(joint, ("u", "v")), "u", "v"), n).probs
+    pwu = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n).probs
+    pw = pwu.sum(axis=1)
     return _Tables(
-        n_u=n_u, n_w=n_w, n_v=n_v,
-        pu=pwu.sum(axis=0), pwu=pwu, pw=pwu.sum(axis=1), pvn=pvn, target_uv=target,
+        d=d, n=n, n_u=n_u, n_w=n_w, n_v=n_v,
+        pu=pwu.sum(axis=0), pwu=pwu, pw=pw, w0=int(np.flatnonzero(pw > 0)[0]),
     )
 
 
@@ -393,7 +405,7 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     enc_t = _segment_sums(lay.pu_enc, lay.trip_ids, n_trips)
 
     # --- protocol joint on (U^n, V^n), and seed selection per f value -------
-    lump = np.outer(tab.pu, tab.pvn[W_FALLBACK])  # an unhit (f, c) pair, weight 1
+    lump = np.outer(tab.pu, tab.pvn[tab.w0])  # an unhit (f, c) pair, weight 1
     f_keys = np.searchsorted(lay.key_bounds, lay.f_bounds)
     f_trips = np.searchsorted(lay.trip_bounds, lay.f_bounds)
     rc_uv = (b.bins_f - (lay.f_bounds.size - 1)) * b.bins_c * q * lump  # unhit f values
@@ -403,7 +415,7 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         k0, k1 = f_keys[i], f_keys[i + 1]
         t0, t1 = f_trips[i], f_trips[i + 1]
         rc_f = q * (enc_t[t0:t1].T @ v_t[t0:t1])
-        rc_f += q * np.outer(lay.w0_enc[k0:k1].sum(axis=0), tab.pvn[W_FALLBACK])
+        rc_f += q * np.outer(lay.w0_enc[k0:k1].sum(axis=0), tab.pvn[tab.w0])
         rc_f += (b.bins_c - (k1 - k0)) * q * lump
         rc_uv += rc_f
         rb_mass = float(lay.pw[r0:r1].sum())
@@ -523,7 +535,7 @@ class _PathJoint:
             src = np.repeat(start - np.cumsum(n) + n, n) + np.arange(owner.size)
             z = lay.z_t[lay.trip_ids]
             post = np.append(np.divide(lay.pw, z, out=np.zeros_like(z), where=z > 0), 1.0)
-            hw = np.append(lay.order, W_FALLBACK)[src]
+            hw = np.append(lay.order, t.w0)[src]
             body = body[owner] * post[src, None, None]
             if "v" in axes and v_rows is None:
                 body = body * t.pvn[hw][:, None, :]
@@ -571,12 +583,12 @@ class RcJoint(_PathJoint):
         weight *= 1.0 / (b.bins_f * b.bins_c)  # in place: the rows can be large
         coords = {"f": np.concatenate([b.phi_f[w], key_f, cells // n_c]),
                   "c": np.concatenate([b.phi_c[w], key_c, cells % n_c]),
-                  "w": np.append(w, np.full(n_w0, W_FALLBACK)),
-                  "m": np.append(b.phi_m[w], np.full(n_w0, b.phi_m[W_FALLBACK]))}
+                  "w": np.append(w, np.full(n_w0, t.w0)),
+                  "m": np.append(b.phi_m[w], np.full(n_w0, b.phi_m[t.w0]))}
         slot = np.append(self._slot, np.full(n_w0, lay.z_t.size))
         v_rows = None
         if "v" in axes and "hw" not in axes:  # the decoded V law of each slot
-            v_rows = np.vstack([_triple_v_laws(lay, t.pvn[w]), t.pvn[W_FALLBACK]])[slot]
+            v_rows = np.vstack([_triple_v_laws(lay, t.pvn[w]), t.pvn[t.w0]])[slot]
         return weight, coords, slot, v_rows
 
 

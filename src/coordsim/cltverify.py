@@ -3,8 +3,9 @@
 The finite-blocklength bounds replace sums of iid information densities by
 a Gaussian tail plus a Berry-Esseen remainder B/sqrt(n).  This module makes
 that step checkable: it pushes a density forward into a scalar atom law,
-convolves it exactly n times, and measures the true worst-case gap between
-the normalized tail and Q(t).
+builds the exact law of n iid copies over types (count vectors of the
+atoms, each one multinomial mass), and measures the true worst-case gap
+between the normalized tail and Q(t).
 
 The gap supremum is exact, not sampled: the tail of a discrete sum is a
 step function of the threshold, so |tail - Q| is extremal only at atom
@@ -91,38 +92,68 @@ def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
     return _atom_law(density.values[mask], w[mask])
 
 
-def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
-    check_table_size(a.n_atoms * b.n_atoms, "convolution grid")
-    sums = np.add.outer(a.values, b.values).ravel()
-    order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    masses = np.multiply.outer(a.probs, b.probs).ravel()[order]
-    del order
-    heads, masses = tie_groups(sums, masses)
-    return AtomLaw(sums[heads], masses / masses.sum())
+def _types(n: int, *columns: np.ndarray) -> list[np.ndarray]:
+    """``[log multinomial, c . col for each col]`` over every type c of n
+    draws from k letters: the count vectors with sum n, C(n+k-1, k-1) of
+    them, in lexicographic order of (c_0, ..., c_{k-1}).
+
+    A type stands for its n!/prod(c_i!) sequences; the log multinomial is
+    lf[n] - sum lf[c_i] with lf the log-factorial table (``math.lgamma``).
+    Types are built one letter at a time: each parent with r draws left
+    spawns r + 1 children with c_i = 0..r (one ``repeat`` and one reset
+    ``cumsum``), and each column adds c_i * col[i] to its running dot
+    product, so no (types x k) count matrix is ever held.  A -inf entry
+    (the log of a zero mass) adds 0 where its count is 0.  The memory cap
+    counts the types."""
+    k = columns[0].size
+    check_table_size(math.comb(n + k - 1, k - 1), "n-fold types")
+    lf = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    left = np.array([n], dtype=np.int32)  # draws left for the letters after i
+    dots = [np.zeros(1) for _ in columns]
+    log_mult = np.full(1, lf[n])
+    for i in range(k - 1):
+        reps = left + 1
+        step = np.ones(int(reps.sum()), dtype=np.int32)
+        step[0] = 0
+        step[np.cumsum(reps[:-1])] = -left[:-1]  # each parent restarts at 0
+        c = np.cumsum(step, dtype=np.int32)
+        left = np.repeat(left, reps) - c
+        dots = [np.repeat(dot, reps) + _count_times(c, col[i]) for dot, col in zip(dots, columns)]
+        log_mult = np.repeat(log_mult, reps) - lf[c]
+    dots = [dot + _count_times(left, col[k - 1]) for dot, col in zip(dots, columns)]
+    return [log_mult - lf[left], *dots]
+
+
+def _count_times(c: np.ndarray, x: float) -> np.ndarray:
+    """c * x, and 0 where c = 0 even for an infinite x (the log of a zero
+    mass)."""
+    return np.where(c > 0, x, 0.0) if np.isinf(x) else c * x
 
 
 def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
-    """Exact law of the sum of n iid copies (atom merging; table sizes capped).
-    Squares the t-fold power while its atom count is at most k t (k atoms in
-    ``law``), then adds the remaining copies one letter at a time."""
+    """Exact law of the sum of n iid copies, over types.
+
+    A type is a count vector c with sum n over the law's k atoms.  The sum
+    takes the value c . values, one k-term dot product (so its rounding does
+    not grow along a convolution path), with the multinomial mass
+    exp(lf[n] - sum lf[c_i] + c . log probs).  There are exactly
+    C(n+k-1, k-1) types; the memory cap (``COORDSIM_MEM_CAP``) counts them.
+    One stable sort of the type values, then the tie groups of
+    ``measures.tie_groups`` are the atoms (types with equal values, as on a
+    lattice, share one), normalized once: at most C(n+k-1, k-1) atoms, and
+    exactly that many when distinct types have values more than
+    ``TIE_TOL`` apart."""
     n = check_blocklength(n)
-    result: AtomLaw | None = None
-    power, t, bits = law, 1, n  # power is the t-fold law
-    while bits:
-        if bits & 1:
-            result = power if result is None else _convolve(result, power)
-        bits >>= 1
-        # a square costs m^2 grid cells, t single-letter steps about k m t
-        if not bits or power.n_atoms > law.n_atoms * t:
-            break
-        power, t = _convolve(power, power), 2 * t
-    left = 2 * t * bits  # copies still to add
-    if left and result is None:
-        result, left = power, left - t
-    for _ in range(left):
-        result = _convolve(law, result)  # law first: k ascending runs, cheap to merge
-    return result
+    with np.errstate(divide="ignore"):
+        log_mult, values, log_p = _types(n, law.values, np.log(law.probs))
+    masses = np.exp(log_mult + log_p)
+    del log_mult, log_p
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    masses = masses[order]
+    del order
+    heads, masses = tie_groups(values, masses)
+    return AtomLaw(values[heads], masses / masses.sum())
 
 
 def law_stats(law: AtomLaw) -> BEStats:

@@ -29,8 +29,17 @@ Tie policy: ascending values within ``TIE_TOL`` of their group's head,
 its smallest value, are one point; only equal infinities tie with an
 infinity.  ``tie_groups`` is the one grouping (with one summation per
 group) and ``group_tail`` the one tail, which counts a group by that
-value, compared exactly.  Atoms of a convolved law and Neyman-Pearson
-groups of log2(p/q) are both these groups.
+value, compared exactly.  Atoms of an n-fold law and Neyman-Pearson
+groups of log2(p/q) are both these groups; a converse witness reads a
+candidate threshold within ``TIE_TOL`` of a group's value at that value.
+
+The tolerance is absolute.  An n-fold law's atoms are its types, each
+value one k-term dot product c . v with rounding error about
+k eps n max|v|, so distinct types with truly equal values (lattice and
+entropy-density laws) stay within ``TIE_TOL`` of each other only while
+n max|v| is below about 10^3; beyond that such types may split into
+separate atoms.  Types with distinct values more than ``TIE_TOL`` apart
+are never merged, at any n (BSC(0.11) keeps its n + 1 atoms at n = 10^4).
 """
 
 from __future__ import annotations

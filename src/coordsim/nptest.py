@@ -19,6 +19,16 @@ license them, the implied bounds on log(1/beta), and the final rate
 expression.  Nothing is asymptotic; every tail and every inequality is
 evaluated numerically, and steps whose premise fails are reported as
 unlicensed rather than silently skipped.
+
+The iid witnesses (``case1``, ``case2`` and the sum-rate chain) never
+build the |A|^n x |B|^n tables: beta of an iid pair depends only on the
+law of its log-likelihood ratio, so they read everything from types over
+the pair's single-letter support cells (``cltverify._types``), with the
+two moved sequences as two extra atoms.  The ``coded`` witness stays
+dense, because its law is the realized scheme's table, and so does
+``np_beta``, which is given its outcomes.  A candidate threshold within
+``TIE_TOL`` of a group's value is read at that group (``measures`` tie
+policy).
 """
 
 from __future__ import annotations
@@ -30,8 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .binning import SchemeConfig, draw_binning, rc_joint
+from .cltverify import _types
 from .errors import CoordsimError, DomainError, ShapeError
 from .measures import (
+    TIE_TOL,
     BEStats,
     backoff,
     check_blocklength,
@@ -145,10 +157,11 @@ class _TieGroups(NamedTuple):
     p would be.
 
     ``idx`` lists the outcomes in that order and group g is
-    ``idx[heads[g]:heads[g + 1]]``; ``llr`` holds each group's smallest
+    ``idx[heads[g]:heads[g + 1]]`` (``idx`` is None for groups built from
+    types, which have no outcome list); ``llr`` holds each group's smallest
     ratio (its head's), ``p`` and ``q`` its masses."""
 
-    idx: np.ndarray
+    idx: np.ndarray | None
     heads: np.ndarray
     llr: np.ndarray
     p: np.ndarray
@@ -159,10 +172,31 @@ class _TieGroups(NamedTuple):
         by its smallest ratio (``measures.group_tail``)."""
         return group_tail(self.llr, self.p, x, strict)
 
+    def at_group(self, x: float) -> float:
+        """The value of the nearest group within ``TIE_TOL`` of ``x``, else
+        ``x``: a threshold that close to a group is at that group, so two
+        computations of the same ratios that differ in the last bits read
+        the same tails there."""
+        i = int(np.searchsorted(self.llr, x))
+        near = [v for v in self.llr[max(i - 1, 0) : i + 1].tolist() if abs(v - x) <= TIE_TOL]
+        return min(near, key=lambda v: abs(v - x)) if near else x
+
+
+def _sorted_groups(llr: np.ndarray, p: np.ndarray, q: np.ndarray, idx=None) -> _TieGroups:
+    """Tie groups of the ratios ``llr`` with their masses, from one stable
+    ascending sort; ``idx`` (the outcome of each entry) is sorted along."""
+    order = np.argsort(llr, kind="stable")
+    llr = llr[order]
+    p, q = p[order], q[order]
+    if idx is not None:
+        idx = idx[order]
+    del order
+    heads, gp, gq = tie_groups(llr, p, q)
+    return _TieGroups(idx, heads, llr[heads], gp, gq)
+
 
 def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
-    """Tie groups of log2(p/q) over the p-support, from one stable
-    ascending sort.
+    """Tie groups of log2(p/q) over the p-support of two flat laws.
 
     Outcomes with q = 0 form the last group, at +inf; outcomes with p = 0
     never appear (accepting them costs q-mass and buys nothing).
@@ -170,18 +204,11 @@ def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
     sup = np.flatnonzero(p > 0)
     with np.errstate(divide="ignore"):
         llr = np.log2(p[sup] / q[sup])
-    order = np.argsort(llr, kind="stable")
-    idx = sup[order]
-    del sup
-    llr = llr[order]
-    del order
-    heads, gp, gq = tie_groups(llr, p[idx], q[idx])
-    return _TieGroups(idx, heads, llr[heads], gp, gq)
+    return _sorted_groups(llr, p[sup], q[sup], sup)
 
 
-def _np_solve(groups: _TieGroups, n_outcomes: int, alpha: float):
-    """Shared core over the ``_llr_groups`` of a law pair with
-    ``n_outcomes`` outcomes: returns (NPResult, decision vector).
+def _np_solve(groups: _TieGroups, alpha: float) -> tuple[NPResult, int]:
+    """The Neyman-Pearson solution over tie groups and its boundary group.
 
     Whole groups are accepted from the top while their p-mass stays below
     what alpha still needs; the first group that covers the rest is
@@ -194,18 +221,14 @@ def _np_solve(groups: _TieGroups, n_outcomes: int, alpha: float):
     if reach.size == 0:
         raise DomainError(f"alpha {alpha!r} exceeds the total p-mass {float(cum_p[-1])!r}")
     j = int(reach[0])
-    k = groups.heads.size - 1 - j  # the boundary group
+    k = groups.llr.size - 1 - j  # the boundary group
     cum, gp = float(cum_p[j]), float(top_p[j])
     theta = (alpha - cum) / gp
     beta = float(cum_q[j]) + theta * float(groups.q[k])
     achieved = cum + theta * gp
     if abs(achieved - alpha) > PREMISE_TOL:
         raise CoordsimError(f"acceptance mass {achieved!r} missed alpha {alpha!r}")
-    bounds = np.append(groups.heads, groups.idx.size)
-    decision = np.zeros(n_outcomes)
-    decision[groups.idx[bounds[k + 1] :]] = 1.0
-    decision[groups.idx[bounds[k] : bounds[k + 1]]] = theta
-    return NPResult(beta=beta, threshold=float(groups.llr[k]), randomization=theta), decision
+    return NPResult(beta=beta, threshold=float(groups.llr[k]), randomization=theta), k
 
 
 def np_beta(p, q, alpha: float) -> NPResult:
@@ -218,14 +241,20 @@ def np_beta(p, q, alpha: float) -> NPResult:
     the same tables gets the same bits.  alpha must lie strictly inside (0, 1).
     """
     pa, qa, alpha = _np_inputs(p, q, alpha)
-    result, _ = _np_solve(_llr_groups(pa, qa), pa.size, alpha)
-    return result
+    return _np_solve(_llr_groups(pa, qa), alpha)[0]
 
 
 def np_test(p, q, alpha: float) -> BinaryTest:
-    """The optimal randomized decision rule behind ``np_beta``."""
+    """The optimal randomized decision rule behind ``np_beta``: the groups
+    above the boundary group accepted outright, the boundary group with
+    probability ``randomization``."""
     pa, qa, alpha = _np_inputs(p, q, alpha)
-    _, decision = _np_solve(_llr_groups(pa, qa), pa.size, alpha)
+    groups = _llr_groups(pa, qa)
+    result, k = _np_solve(groups, alpha)
+    bounds = np.append(groups.heads, groups.idx.size)
+    decision = np.zeros(pa.size)
+    decision[groups.idx[bounds[k + 1] :]] = 1.0
+    decision[groups.idx[bounds[k] : bounds[k + 1]]] = result.randomization
     return BinaryTest(decision)
 
 
@@ -270,7 +299,7 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
         raise DomainError("gamma grid entries must be finite and positive")
 
     groups = _llr_groups(pa, qa)
-    beta = _np_solve(groups, pa.size, alpha)[0].beta
+    beta = _np_solve(groups, alpha)[0].beta
 
     lower = []
     upper = []
@@ -297,7 +326,7 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
 
 
 # =============================================================================
-# two-cell mass transfer
+# two-cell mass transfer over types
 # =============================================================================
 
 
@@ -315,70 +344,127 @@ class _Transfer:
     same_row: bool
 
 
-def _pick_transfer(P: np.ndarray, Q: np.ndarray, eps: float, perturb: str):
-    """Choose the transfer cells and apply the move.
+class _PairLaw(NamedTuple):
+    """What a converse chain reads of its perturbed pair law P2 against the
+    product law Q: the tie groups of log2(P2/Q), the L1 distance from P2
+    to the iid law, and the transfer with its correction band (None for a
+    coded scheme's table)."""
 
-    The gainer is the support cell with the largest likelihood ratio
-    (lowest flat index on ties); the loser is the smallest-ratio support
-    cell taken from the gainer's row when that row holds another support
-    cell, otherwise globally (highest flat index on ties).  The moved mass
-    is eps times the perturbed cell's probability -- the gainer's for
-    ``perturb="gain"``, the loser's for ``perturb="lose"`` -- capped so the
-    loser never goes negative.
+    groups: _TieGroups
+    l1_to_iid: float
+    info: _Transfer | None = None
+    corr_range: dict | None = None
+
+
+def _constant_type(n: int, k: int, i: int) -> int:
+    """Position, in the order of ``cltverify._types``, of the type with all
+    n draws on letter i: the types before it have c_0 = ... = c_{i-1} = 0
+    and c_i < n."""
+    return math.comb(n + k - i - 1, k - i - 1) - 1
+
+
+def _sequence_count(log_mult: np.ndarray) -> int:
+    """The number of sequences in the types with these log multinomials,
+    rounded to an integer (exact while it stays well below 2^52)."""
+    if log_mult.size == 0:
+        return 0
+    top = float(log_mult.max())
+    log_total = top + math.log(math.fsum(np.exp(log_mult - top).tolist()))
+    shift = max(0, math.floor(log_total / math.log(2.0)) - 52)  # beyond float range
+    return round(math.exp(log_total - shift * math.log(2.0))) << shift
+
+
+def _type_transfer(pair: np.ndarray, n: int, eps: float, perturb: str) -> _PairLaw:
+    """The n-fold iid law of the table ``pair`` with one mass move, read
+    from types over its support cells.
+
+    Cell (a, b) carries its ratio l = log2(P(a, b) / (P(a) P(b))) and both
+    masses; a type c over the k cells carries the value c . l, the P-mass
+    mult prod P^c and the Q-mass mult prod Q^c (``cltverify._types``).
+
+    A sequence's ratio is the product of its letters', so the largest is
+    reached exactly by the sequences of largest-ratio cells (ranked by
+    exact ratio), and the one of lowest flat index repeats the lowest-index
+    such cell: that is the gainer.  The loser is the smallest-ratio
+    sequence of highest flat index, taken from the gainer's row when that
+    row holds another support cell, otherwise globally: again one cell
+    repeated.  The moved mass is eps times the perturbed sequence's
+    probability -- the gainer's for ``perturb="gain"``, the loser's for
+    ``perturb="lose"`` -- capped so the loser never goes negative.  Each of
+    the two is a type of one sequence, so the move replaces their two atoms
+    and the tie groups are formed once.
     """
-    rows, cols = P.shape
-    flat_p = P.reshape(-1)
-    flat_q = Q.reshape(-1)
-    sup = np.flatnonzero(flat_p > 0)
-    if sup.size < 2:
+    rows, cols = pair.shape
+    flat = pair.reshape(-1)
+    cells = np.flatnonzero(flat > 0)
+    k = cells.size
+    if k < 2:
         raise DomainError("mass transfer needs at least two support cells")
-    vals = np.log2(flat_p[sup] / flat_q[sup])
-    gi = int(sup[int(np.argmax(vals))])
+    a, b = np.divmod(cells, cols)
+    p, pa, pb = flat[cells], pair.sum(axis=1)[a], pair.sum(axis=0)[b]
+    q = pa * pb
+    log_mult, value, log_p, log_q = _types(n, np.log2(p / q), np.log(p), np.log(q))
 
-    row_sup = sup[(sup // cols) == (gi // cols)]
-    if row_sup.size >= 2:
-        cand = row_sup[row_sup != gi]
-        same_row = True
-    else:
-        cand = sup[sup != gi]
-        same_row = False
-    cvals = np.log2(flat_p[cand] / flat_q[cand])
-    li = int(cand[cvals == cvals.min()].max())
+    # cells are ranked by their exact ratio p / (p_a p_b) of the given
+    # floats: rounded ratios would break exact ties by noise
+    from fractions import Fraction  # here, not at import: it costs ~4 ms
 
-    pert = gi if perturb == "gain" else li
-    delta = min(eps * float(flat_p[pert]), float(flat_p[li]))
+    exact = [Fraction(x) / (Fraction(y) * Fraction(z))
+             for x, y, z in zip(p.tolist(), pa.tolist(), pb.tolist())]
+    gi = exact.index(max(exact))  # first of the largest: lowest flat index
+    row = np.flatnonzero(a == a[gi]).tolist()
+    same_row = len(row) >= 2
+    cand = row if same_row else range(k)
+    low = min(exact[i] for i in cand)
+    li = max(i for i in cand if exact[i] == low)  # highest flat index
+    ig, il = _constant_type(n, k, gi), _constant_type(n, k, li)
 
-    out = flat_p.copy()
-    out[gi] += delta
-    out[li] -= delta
-    if out[li] < 0.0:
-        out[li] = 0.0
+    P = np.exp(log_mult + log_p)
+    Q = np.exp(log_mult + log_q)
+    p_g, p_l = float(P[ig]), float(P[il])
+    delta = min(eps * (p_g if perturb == "gain" else p_l), p_l)
+    gained, left = p_g + delta, p_l - delta
+    # each moved sequence is its whole type: its atom is replaced in place
+    P[ig], P[il] = gained, left
+    with np.errstate(divide="ignore"):  # an emptied loser is dropped below
+        value[[ig, il]] = np.log2(P[[ig, il]] / Q[[ig, il]])
+    sup = P > 0
+    groups = _sorted_groups(value[sup], P[sup], Q[sup])
 
-    p_g = float(flat_p[gi])
-    p_l = float(flat_p[li])
-    rem = p_l - delta
+    def repeated(letter: int, size: int) -> int:
+        """Flat index of the n-fold sequence of one letter of an alphabet."""
+        return letter * ((size ** n - 1) // (size - 1)) if size > 1 else 0
+
     info = _Transfer(
-        gainer=tuple(int(x) for x in np.unravel_index(gi, P.shape)),
-        loser=tuple(int(x) for x in np.unravel_index(li, P.shape)),
+        gainer=(repeated(int(a[gi]), rows), repeated(int(b[gi]), cols)),
+        loser=(repeated(int(a[li]), rows), repeated(int(b[li]), cols)),
         delta=float(delta),
         corr_gain=math.log2(1.0 + delta / p_g),
-        corr_lose=math.inf if rem <= 0.0 else math.log2(p_l / rem),
+        corr_lose=math.inf if left <= 0.0 else math.log2(p_l / left),
         p_gainer=p_g,
         p_loser=p_l,
         same_row=same_row,
     )
-    return info, out.reshape(P.shape)
+    return _PairLaw(
+        groups=groups,
+        l1_to_iid=(gained - p_g) + (p_l - left),
+        info=info,
+        corr_range=_corr_range(np.exp(log_p), log_mult, delta),
+    )
 
 
-def _corr_range(P: np.ndarray, delta: float) -> dict:
-    """Spread of the two threshold corrections across all support cells.
+def _corr_range(seq_p: np.ndarray, log_mult: np.ndarray, delta: float) -> dict:
+    """Spread of the two threshold corrections across all support
+    sequences, from the sequence mass ``seq_p`` and log multinomial of
+    each type.
 
     The correction formulas depend on which cell the chain tracks; this
     reports how much that choice can move them for a fixed transfer size.
     Cells a ``lose`` correction would empty are excluded from its range
     (their correction is unbounded) and counted instead.
     """
-    sup_vals = P[P > 0]
+    sup = seq_p > 0
+    sup_vals = seq_p[sup]
     gains = np.log2(1.0 + delta / sup_vals)
     keep = sup_vals > delta
     if np.any(keep):
@@ -392,7 +478,7 @@ def _corr_range(P: np.ndarray, delta: float) -> dict:
         "gain_max": float(gains.max()),
         "lose_min": lose_min,
         "lose_max": lose_max,
-        "lose_cells_excluded": int(np.count_nonzero(~keep)),
+        "lose_cells_excluded": _sequence_count(log_mult[sup][~keep]),
     }
 
 
@@ -460,24 +546,10 @@ class WitnessReport:
     corr_range: dict | None
 
 
-def _iid_pair(pair: JointPmf, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-fold iid pair law P and the product Q of its two n-fold
-    marginals, both as dense |A|^n x |B|^n tables."""
-    P = iid_extension(pair, n).probs
-    Q = np.outer(
-        iid_extension(marginalize(pair, 0), n).probs,
-        iid_extension(marginalize(pair, 1), n).probs,
-    )
-    return P, Q
-
-
 def _assemble(
     kind: str,
     mode: str,
-    P: np.ndarray,
-    P2: np.ndarray,
-    Q: np.ndarray,
-    info: _Transfer | None,
+    law: _PairLaw,
     n: int,
     eps: float,
     y: float,
@@ -485,24 +557,19 @@ def _assemble(
     lower_gain: float,
     rate_penalty: float,
 ) -> WitnessReport:
-    """Walk the converse chain on the law P2 (P moved by the transfer
-    ``info``, if any) against Q.  The Neyman-Pearson solution and every
-    candidate's tail premise read the same tie groups of log2(P2/Q)."""
+    """Walk the converse chain on a perturbed pair law.  The Neyman-Pearson
+    solution and every candidate's tail premise read the same tie groups
+    of log2(P2/Q)."""
     b = stats.b_over_sqrt_n(n)
     alpha = eps - b
     log_arg = eps - y - 2.0 * b
     valid = log_arg > 0.0
     h_standin = n * stats.mu
-    l1_to_iid = float(np.abs(P2 - P).sum())
-    p = P2.reshape(-1)
-    q = Q.reshape(-1)
-    if np.any((p > 0) & (q <= 0)):
-        raise DomainError("perturbed law puts mass where the product law has none")
-    groups = _llr_groups(p, q)
+    groups, info = law.groups, law.info
 
     beta = log2_inv_beta = np_thr = np_rand = math.nan
     if 0.0 < alpha < 1.0:
-        res = _np_solve(groups, p.size, alpha)[0]
+        res = _np_solve(groups, alpha)[0]
         beta, np_thr, np_rand = res.beta, res.threshold, res.randomization
         log2_inv_beta = math.inf if beta <= 0.0 else -math.log2(beta)
     have_beta = not math.isnan(beta)
@@ -517,7 +584,7 @@ def _assemble(
     upper = []
     for name, shift in candidates:
         lg0 = zero_up + shift
-        tail = groups.tail(lg0, strict=False)
+        tail = groups.tail(groups.at_group(lg0), strict=False)
         premise = tail >= alpha - PREMISE_TOL
         ok = (log2_inv_beta >= lg0 - BOUND_TOL) if (premise and have_beta) else None
         upper.append(
@@ -536,7 +603,7 @@ def _assemble(
     lower = []
     for name, shift in candidates:
         lgam = h_standin + shift
-        tail = groups.tail(lgam, strict=True)
+        tail = groups.tail(groups.at_group(lgam), strict=True)
         premise = tail <= budget + PREMISE_TOL
         lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
         ok = (lhs >= log2_inv_beta - BOUND_TOL) if (premise and valid and have_beta) else None
@@ -581,10 +648,30 @@ def _assemble(
         lower=tuple(lower),
         upper_ok=any(c.ok is True for c in upper),
         lower_ok=any(c.ok is True for c in lower),
-        l1_to_iid=l1_to_iid,
+        l1_to_iid=law.l1_to_iid,
         transfer=None if info is None else asdict(info),
-        corr_range=None if info is None else _corr_range(P, info.delta),
+        corr_range=law.corr_range,
     )
+
+
+def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
+    """A coded scheme's realized table ``P2`` against the product of the
+    n-fold marginals of ``pair``, with its L1 distance from the iid table.
+    The product law is read on the support of P2 only, never built as a
+    table, and each large array is dropped as soon as it is read."""
+    diff = P2 - iid_extension(pair, n).probs
+    l1 = float(np.abs(diff, out=diff).sum())
+    del diff
+    pb = iid_extension(marginalize(pair, 1), n).probs
+    sup = np.flatnonzero(P2.reshape(-1) > 0)
+    q = iid_extension(marginalize(pair, 0), n).probs[sup // pb.size]
+    q *= pb[sup % pb.size]
+    if np.any(q <= 0):
+        raise DomainError("perturbed law puts mass where the product law has none")
+    p = P2.reshape(-1)[sup]
+    del sup
+    llr = p / q
+    return _PairLaw(_sorted_groups(np.log2(llr, out=llr), p, q), l1)
 
 
 def _check_witness_params(n: int, eps: float, y: float) -> int:
@@ -617,7 +704,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
         raise DomainError(f"mode must be one of case1/case2/coded, got {mode!r}")
     n = _check_witness_params(n, eps, y)
 
-    P, Q = _iid_pair(marginalize(d.joint(), ("u", "w")), n)
+    pair = marginalize(d.joint(), ("u", "w"))
     if mode == "coded":
         cfg = SchemeConfig(
             n=n,
@@ -627,13 +714,11 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
             seed=0,
             decomposition=d,
         )
-        realization = draw_binning(cfg, 0)
-        info, P2 = None, rc_joint(d, realization, cfg).marginal(("u", "w")).probs
+        P2 = rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs
+        law = _table_law(P2, pair, n)
     else:
-        info, P2 = _pick_transfer(P, Q, eps, "gain" if mode == "case1" else "lose")
-    return _assemble(
-        "rate", mode, P, P2, Q, info, n, eps, y, stats_wu(d), lower_gain=0.0, rate_penalty=0.0
-    )
+        law = _type_transfer(pair.probs, n, eps, "gain" if mode == "case1" else "lose")
+    return _assemble("rate", mode, law, n, eps, y, stats_wu(d), lower_gain=0.0, rate_penalty=0.0)
 
 
 def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> WitnessReport:
@@ -650,10 +735,9 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     """
     n = _check_witness_params(n, eps, y)
 
-    P, Q = _iid_pair(regroup_pair(d.joint(), ("u", "v"), "w"), n)
-    info, P2 = _pick_transfer(P, Q, eps, "gain")
+    law = _type_transfer(regroup_pair(d.joint(), ("u", "v"), "w").probs, n, eps, "gain")
     g_eps = continuity_term(eps, d.u_size * d.v_size)
     return _assemble(
-        "sum-rate", "case1", P, P2, Q, info, n, eps, y, stats_wuv(d),
+        "sum-rate", "case1", law, n, eps, y, stats_wuv(d),
         lower_gain=2.0 * n * g_eps, rate_penalty=2.0 * g_eps,
     )

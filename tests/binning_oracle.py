@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coordsim.binning import W_FALLBACK, BinningRealization, TrialMetrics, _Tables
+from coordsim.binning import BinningRealization, TrialMetrics, _Tables
 
 
 @dataclass
@@ -58,9 +58,9 @@ def key_paths(tab: _Tables, b: BinningRealization) -> tuple[list[KeyPath], np.nd
             if z_t > 0:
                 vrows[sel] = (t_mass / z_t) @ tab.pvn[members[sel]]
             else:
-                vrows[sel] = tab.pvn[W_FALLBACK]
+                vrows[sel] = tab.pvn[tab.w0]
         path = (tab.pu[:, None] * enc) @ vrows
-        path += w0_mass[:, None] * tab.pvn[W_FALLBACK][None, :]
+        path += w0_mass[:, None] * tab.pvn[tab.w0][None, :]
         paths.append(KeyPath(key=int(kv), members=members, enc=enc,
                              w0_enc_mass=w0_mass, vrows=vrows, path_uv=path))
     return paths, key
@@ -70,7 +70,7 @@ def seed_scan(tab: _Tables, b: BinningRealization, paths: list[KeyPath]) -> dict
     """f -> (conditional reverse-vs-protocol L1, conditional protocol law)
     for every seed value that carries reverse-joint mass, in increasing f."""
     q = 1.0 / (b.bins_f * b.bins_c)
-    lump = np.outer(tab.pu, tab.pvn[W_FALLBACK])
+    lump = np.outer(tab.pu, tab.pvn[tab.w0])
     by_f: dict[int, list[KeyPath]] = {}
     for p in paths:
         by_f.setdefault(p.key // b.bins_c, []).append(p)
@@ -118,7 +118,7 @@ def trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     for p in paths:
         rc_uv += q * p.path_uv
         abort += q * float(p.w0_enc_mass.sum())
-    lump = np.outer(tab.pu, tab.pvn[W_FALLBACK])
+    lump = np.outer(tab.pu, tab.pvn[tab.w0])
     rc_uv += (n_keys_total - len(paths)) * q * lump
     l1_uv = float(np.abs(rc_uv - tab.target_uv).sum())
 

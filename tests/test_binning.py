@@ -123,9 +123,11 @@ def brute_rb_full(d: Decomposition, b: BinningRealization, n: int):
 
 def brute_rc_full(d: Decomposition, b: BinningRealization, n: int):
     """Protocol joint, axes (u, f, c, w, m, hw, v), by direct enumeration,
-    and the mass aborted through the w0 fallback."""
+    and the mass aborted through the w0 fallback (the first sequence with
+    reference mass)."""
     pu, puw, pw, k_vw = brute_tables(d, n)
     n_u, n_w = puw.shape
+    w0 = next(w for w in range(n_w) if pw[w] > 0)
     n_v = k_vw.shape[1]
     out = np.zeros((n_u, b.bins_f, b.bins_c, n_w, b.bins_m, n_w, n_v))
     abort = 0.0
@@ -146,7 +148,7 @@ def brute_rc_full(d: Decomposition, b: BinningRealization, n: int):
                     if bin_ws and mass > 0:
                         enc = {w: pw[w] / mass for w in bin_ws}
                     else:
-                        enc = {0: 1.0}
+                        enc = {w0: 1.0}
                         abort += base
                 for wt, pe in enc.items():
                     if pe <= 0:
@@ -157,7 +159,7 @@ def brute_rc_full(d: Decomposition, b: BinningRealization, n: int):
                     if trip and tmass > 0:
                         post = {w: pw[w] / tmass for w in trip if pw[w] > 0}
                     else:
-                        post = {0: 1.0}
+                        post = {w0: 1.0}
                     for hw, pd in post.items():
                         for v in range(n_v):
                             out[u, f, c, wt, m, hw, v] += base * pe * pd * k_vw[hw, v]

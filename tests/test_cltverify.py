@@ -226,8 +226,9 @@ def type_law(law: AtomLaw, n: int) -> tuple[np.ndarray, np.ndarray]:
     c . values and the multinomial mass exp(lgamma(n+1) - sum lgamma(c+1)
     + c . log probs)."""
     k = law.n_atoms
-    bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
-    rows = bars.shape[0]
+    rows = math.comb(n + k - 1, k - 1)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(n + k - 1), k - 1))
+    bars = np.fromiter(bars, dtype=np.int64, count=rows * (k - 1)).reshape(rows, k - 1)
     counts = np.diff(np.column_stack([np.full(rows, -1), bars, np.full(rows, n + k - 1)]), axis=1) - 1
     lg = np.array([math.lgamma(c + 1) for c in range(n + 1)])
     masses = np.exp(lg[n] - lg[counts].sum(axis=1) + counts @ np.log(law.probs))
@@ -250,13 +251,11 @@ CLOSED_FORM_LAWS = {
 }
 
 
-# BSC stops at 2,000: from about n = 2,200 the absolute TIE_TOL splits true
-# binomial atoms (3,560 atoms at n = 3,000; ROADMAP item 3)
 @pytest.mark.parametrize(
     "name, n",
-    [("bsc", n) for n in (1, 2, 7, 100, 1000, 2000)]
-    + [("three", n) for n in (1, 5, 50, 200)]
-    + [("chain3", n) for n in (1, 3, 12, 16, 24)],
+    [("bsc", n) for n in (1, 2, 7, 100, 1000, 2000, 4000)]
+    + [("three", n) for n in (1, 5, 50, 200, 2000)]
+    + [("chain3", n) for n in (1, 3, 12, 16, 24, 32)],
 )
 def test_convolve_matches_multinomial_types(name, n):
     """One atom per type; each atom value within n eps * n max|v| of its
@@ -264,7 +263,8 @@ def test_convolve_matches_multinomial_types(name, n):
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2); and the
     tail at every midpoint between atoms equal to the suffix sum of the
     multinomial masses within 16 n eps: n rounded products or lgamma terms,
-    10x above the worst error seen (8.2e-13 at BSC n = 2000)."""
+    5x above the worst error seen (2.8e-12 at BSC n = 4000; 8.2e-13 at
+    n = 2000, as with the convolution this law replaced)."""
     law = CLOSED_FORM_LAWS[name]()
     total = convolve_n(law, n)
     values, masses = type_law(law, n)
@@ -278,8 +278,37 @@ def test_convolve_matches_multinomial_types(name, n):
 
 
 def test_convolve_reaches_chain3_at_32():
-    # squaring the 16-fold law would need a 20,349^2 grid, over the 2^26 cap
+    # one atom per type: C(37, 5) of them, far below the 2^26 cap
     assert convolve_n(chain3_law(), 32).n_atoms == math.comb(37, 5) == 435_897
+
+
+def test_convolve_bsc_matches_binomial_oracle():
+    """BSC(0.11) at n = 10^4: one atom per count c of the larger atom, at
+    c hi + (n - c) lo, with the binomial masses comb(n, c) p^c q^(n-c)
+    (exact integer binomials, their logs by math.log of the integer) and
+    the tails summed exactly and rounded once, as math.fsum would, within
+    the 16 n eps of the multinomial test."""
+    n = 10_000
+    law = CLOSED_FORM_LAWS["bsc"]()
+    total = convolve_n(law, n)
+    assert total.n_atoms == n + 1
+    (lo, hi), (p_lo, p_hi) = law.values.tolist(), law.probs.tolist()
+    eps = np.finfo(np.float64).eps
+    values = [c * hi + (n - c) * lo for c in range(n + 1)]  # ascending in c
+    np.testing.assert_allclose(total.values, values, rtol=0, atol=n * eps * n * max(abs(lo), abs(hi)))
+    masses, comb = [], 1  # comb = math.comb(n, c), one exact step at a time
+    for c in range(n + 1):
+        masses.append(math.exp(math.log(comb) + c * math.log(p_hi) + (n - c) * math.log(p_lo)))
+        comb = comb * (n - c) // (c + 1)
+    # exact suffix sums: each mass is an integer multiple of 2^-1074
+    suffix, want = 0, []
+    for m in reversed(masses[1:]):
+        num, den = m.as_integer_ratio()
+        suffix += num << (1074 - den.bit_length() + 1)
+        want.append(suffix / (1 << 1074))
+    want.reverse()  # want[c] = P(S > atom c), correctly rounded
+    got = np.cumsum(total.probs[::-1])[::-1][1:]
+    np.testing.assert_allclose(got, want, rtol=0, atol=16 * n * eps)
 
 
 @pytest.mark.parametrize("bad", [0, 2.5, math.nan, math.inf, True])

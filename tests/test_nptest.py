@@ -472,3 +472,17 @@ def test_rr0_witness_nondegenerate_flags():
     assert math.isnan(rep.beta)
     assert not rep.valid_regime
     assert rep.corr_range["gain_min"] <= rep.corr_range["gain_max"]
+
+
+def test_witness_coded_mode_aborts_to_a_sequence_with_mass():
+    # p_W(0) = 0: the scheme's aborts go to the first W sequence with
+    # reference mass, which the product law covers, so the coded table is
+    # a valid witness input
+    d = Decomposition(
+        p_u=Pmf(np.array([0.0, 0.5, 0.5])),
+        w_given_u=ConditionalPmf(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])),
+        v_given_w=ConditionalPmf(np.eye(2)),
+    )
+    rep = converse_witness(d, n=1, eps=0.9, y=0.6, mode="coded")
+    assert rep.l1_to_iid == 0.0
+    assert rep.beta == pytest.approx(0.9, abs=1e-15)

@@ -23,7 +23,7 @@ import tie_oracle
 from coordsim.cltverify import AtomLaw, _atom_law, be_gap, convolve_n, law_stats
 from coordsim.errors import CoordsimError, DomainError
 from coordsim.measures import TIE_TOL, tie_groups, tie_heads
-from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich
+from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich, np_test
 
 
 def same_bits(a, b) -> bool:
@@ -102,7 +102,7 @@ def test_convolve_and_gap_match_oracle(data, n):
     w = np.array(data.draw(st.lists(masses, min_size=values.size, max_size=values.size)))
     law = AtomLaw(values, w / w.sum())
     got = convolve_n(law, n)
-    want = tie_oracle.convolve_n(law, n)
+    want = tie_oracle.type_convolve_n(law, n)
     if n > 1:
         note_ties(np.sort(np.add.outer(values, values).ravel()))
     assert same_bits(got.values, want.values)
@@ -120,10 +120,11 @@ def test_convolve_and_gap_match_oracle(data, n):
     n=st.integers(1, 12),
 )
 def test_schedule_matches_squaring(start, steps, weights, n):
-    """The single-letter steps change only the last bits: against pure
-    squaring, the same atoms, values within 1e-12, masses within 1e-15 and
-    the gap within 1e-12, on laws of 3 to 5 atoms at least 1e-6 apart whose
-    distinct n-fold sums lie far apart."""
+    """The n-fold law over types against both convolution schedules it
+    replaced (squaring then single letters, and pure squaring): the same
+    atoms, values within 1e-12, masses within 1e-15 and the gap within
+    1e-12, on laws of 3 to 5 atoms at least 1e-6 apart whose distinct
+    n-fold sums lie far apart."""
     values = [start]
     for step in steps:
         values.append(values[-1] + step)
@@ -137,16 +138,20 @@ def test_schedule_matches_squaring(start, steps, weights, n):
     w = np.array(weights[:k], dtype=np.float64)
     law = AtomLaw(np.array(values), w / w.sum())
     got = convolve_n(law, n)
-    want = tie_oracle.convolve_n_squaring(law, n)
-    if not (same_bits(got.values, want.values) and same_bits(got.probs, want.probs)):
-        event("last bits differ from squaring")
-    assert got.n_atoms == want.n_atoms
-    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-15)
     stats = law_stats(law)
-    if not stats.degenerate:
-        center, scale = n * stats.mu, np.sqrt(n * stats.v)
-        assert be_gap(law, n).gap == pytest.approx(tie_oracle.be_gap_worst(want, center, scale), abs=1e-12)
+    for want in (tie_oracle.convolve_n(law, n), tie_oracle.convolve_n_squaring(law, n)):
+        if not (same_bits(got.values, want.values) and same_bits(got.probs, want.probs)):
+            event("last bits differ from a schedule")
+        assert got.n_atoms == want.n_atoms
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-15)
+        if not stats.degenerate:
+            # the gap moves by phi(t) / scale per unit of atom value, which
+            # is 5e5 on atoms 1e-6 apart: the schedules' masses are checked
+            # at the types' values, which were checked above
+            center, scale = n * stats.mu, np.sqrt(n * stats.v)
+            at_types = AtomLaw(got.values, want.probs)
+            assert be_gap(law, n).gap == pytest.approx(tie_oracle.be_gap_worst(at_types, center, scale), abs=1e-12)
 
 
 @st.composite
@@ -195,13 +200,14 @@ def assert_solutions_match(p, q, alpha):
         want_res, want_dec = tie_oracle.np_solve(want, p.size, alpha)
     except CoordsimError as exc:
         with pytest.raises(CoordsimError, match=re.escape(str(exc))):
-            _np_solve(got, p.size, alpha)
+            _np_solve(got, alpha)
         return got, want
-    got_res, got_dec = _np_solve(got, p.size, alpha)
+    got_res, _ = _np_solve(got, alpha)
     assert same_bits(got_res.beta, want_res.beta)
     assert same_bits(got_res.threshold, want_res.threshold)
     assert same_bits(got_res.randomization, want_res.randomization)
-    assert same_bits(got_dec, want_dec)
+    # np_test builds the decision vector; p and q already passed _np_inputs
+    assert same_bits(np_test(p, q, alpha).decision, want_dec)
     return got, want
 
 

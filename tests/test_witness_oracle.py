@@ -1,17 +1,21 @@
 """Differential tests: the converse witnesses against the dense reference
 in ``witness_oracle``.
 
-The witnesses read beta and every tail premise from one set of
-Neyman-Pearson tie groups; the reference pushes the same perturbed table
-through ``density_law`` and ``np_beta``.  The chains are small (n <= 3)
-and have structural zeros.  Half of them are copy chains (W a
-permutation of U, U uniform on a random support): their information
-density is constant, so B/sqrt(n) vanishes and the chain actually runs
-(alpha inside (0, 1), live premises).  On the other half the premises
-are vacuous at this n, but every tail is still compared.
+The iid witnesses (case1, case2, rr0) read their chain from types over the
+pair's single-letter support cells; the reference builds the dense
+|A|^n x |B|^n tables, picks the transfer cells by scanning them and
+assembles the same chain on the moved table.  Both reports must agree
+within 1e-12 and in every flag and transfer cell.  On the dense tables
+(the reference's, and the coded scheme's realized table) the chain is
+checked once more against ``density_law`` and ``np_beta``, bit for bit for
+beta.  The chains are small (n <= 3) and have structural zeros.  Half of
+them are copy chains (W a permutation of U, U uniform on a random
+support): their information density is constant, so B/sqrt(n) vanishes
+and the chain actually runs (alpha inside (0, 1), live premises).  On the
+other half the premises are vacuous at this n, but every tail is still
+compared.
 """
 
-import inspect
 import math
 from unittest import mock
 
@@ -87,19 +91,79 @@ ALPHA_ON_BOUNDARY = chain([0.5, 0.5, 0.0], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
                           [[1.0, 0.0], [1.0, 0.0], [0.43366718040658814, 0.5663328195934118]])
 
 
-def run_witness(kind: str, d: Decomposition, n: int, eps: float, y: float):
-    """The report (or the ``DomainError`` raised instead), with the
-    (P2, Q) tables the chain was assembled on."""
-    with mock.patch.object(nptest, "_assemble", wraps=nptest._assemble) as spy:
-        try:
-            if kind == "rr0":
-                rep = rr0_converse_witness(d, n, eps, y)
-            else:
-                rep = converse_witness(d, n, eps, y, kind)
-        except DomainError as e:
-            rep = e
-    tables = inspect.signature(nptest._assemble).bind(*spy.call_args.args, **spy.call_args.kwargs)
-    return rep, tables.arguments["P2"], tables.arguments["Q"]
+def run_coded(d: Decomposition, n: int, eps: float, y: float):
+    """The coded report with the (P2, Q) tables its chain was assembled on:
+    the scheme's table and the product of the pair's n-fold marginals."""
+    with mock.patch.object(nptest, "_table_law", wraps=nptest._table_law) as spy:
+        rep = converse_witness(d, n, eps, y, "coded")
+    P2, pair, n = spy.call_args.args
+    return rep, P2, witness_oracle.iid_pair(pair, n)[1]
+
+
+def run_types(kind: str, d: Decomposition, n: int, eps: float, y: float):
+    if kind == "rr0":
+        return rr0_converse_witness(d, n, eps, y)
+    return converse_witness(d, n, eps, y, kind)
+
+
+def close(a: float, b: float) -> bool:
+    """Equal infinities and NaNs, otherwise within TOL."""
+    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return abs(a - b) <= TOL
+
+
+def assert_reports_agree(got, want):
+    """The types report against the dense one."""
+    for name in ("beta", "np_threshold", "np_randomization", "rate", "l1_to_iid",
+                 "alpha", "log_arg", "mu", "v", "b_over_sqrt_n", "h_standin"):
+        assert close(getattr(got, name), getattr(want, name)), name
+    assert (got.valid_regime, got.upper_ok, got.lower_ok) == (
+        want.valid_regime, want.upper_ok, want.lower_ok)
+    for key in ("gainer", "loser", "same_row"):
+        assert got.transfer[key] == want.transfer[key], key
+    for key in ("delta", "corr_gain", "p_gainer", "p_loser"):
+        assert close(got.transfer[key], want.transfer[key]), key
+    assert got.corr_range["lose_cells_excluded"] == want.corr_range["lose_cells_excluded"]
+    for key in ("delta", "gain_min", "gain_max"):
+        assert close(got.corr_range[key], want.corr_range[key]), key
+    # a lose correction log2(P / (P - delta)) has condition number
+    # P / (P - delta) in P (1e5 where delta nearly empties the cell), so it
+    # is compared as the fraction of the cell left, 2^-x = (P - delta) / P
+    lose = [(got.transfer, want.transfer, "corr_lose")]
+    lose += [(got.corr_range, want.corr_range, key) for key in ("lose_min", "lose_max")]
+    for mine, theirs, key in lose:
+        assert close(2.0 ** -mine[key], 2.0 ** -theirs[key]), key
+    for mine, theirs in ((got.upper, want.upper), (got.lower, want.lower)):
+        assert [c.name for c in mine] == [c.name for c in theirs]
+        for c, w in zip(mine, theirs):
+            assert close(c.tail, w.tail) and close(c.log_gamma, w.log_gamma), c.name
+            assert (c.premise_ok, c.ok) == (w.premise_ok, w.ok), c.name
+
+
+def assert_matches_reference(rep, P2, Q, note=event):
+    """The chain ``rep`` against ``density_law`` and ``np_beta`` on the dense
+    tables it was assembled on; ``note`` records hypothesis events."""
+    res, upper, lower = witness_oracle.reference_checks(rep, P2, Q)
+
+    if res is None:
+        assert math.isnan(rep.beta)
+        assert math.isnan(rep.np_threshold) and math.isnan(rep.np_randomization)
+    else:
+        note("beta computed")
+        # np_beta uses its inputs as given, so on the witness's own tables
+        # it must reproduce the witness's solution bit for bit
+        assert (rep.beta, rep.np_threshold, rep.np_randomization) == (
+            res.beta, res.threshold, res.randomization)
+
+    for checks, want in ((rep.upper, upper), (rep.lower, lower)):
+        assert len(checks) == len(want)
+        for c, (tail, premise, ok) in zip(checks, want):
+            assert abs(c.tail - tail) <= TOL, c.name
+            assert c.premise_ok == premise, c.name
+            assert c.ok == ok, c.name
+            if ok is not None:
+                note("live step")
 
 
 @pytest.mark.parametrize("kind", ["case1", "case2", "coded", "rr0"])
@@ -113,31 +177,33 @@ def run_witness(kind: str, d: Decomposition, n: int, eps: float, y: float):
     y=st.floats(0.55, 0.95),
 )
 def test_witness_matches_dense_reference(kind, d, n, eps, y):
-    rep, P2, Q = run_witness(kind, d, n, eps, y)
-    if isinstance(rep, DomainError):
-        # a coded scheme can abort to a W sequence the iid law never
-        # emits; the reference rejects that table too
-        event("rejected table")
-        with pytest.raises(DomainError, match="product law has none"):
-            witness_oracle.pair_llr_law(P2, Q)
-        return
-    res, upper, lower = witness_oracle.reference_checks(rep, P2, Q)
-
-    if res is None:
-        assert math.isnan(rep.beta)
-        assert math.isnan(rep.np_threshold) and math.isnan(rep.np_randomization)
+    if kind == "coded":
+        # the coded table aborts to a sequence with reference mass, so the
+        # product law covers it: no table is rejected
+        rep, P2, Q = run_coded(d, n, eps, y)
     else:
-        event("beta computed")
-        # np_beta uses its inputs as given, so on the witness's own tables
-        # it must reproduce the witness's solution bit for bit
-        assert (rep.beta, rep.np_threshold, rep.np_randomization) == (
-            res.beta, res.threshold, res.randomization)
+        try:
+            got = run_types(kind, d, n, eps, y)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=str(exc)):
+                witness_oracle.dense_witness(kind, d, n, eps, y)
+            return
+        rep, P2, Q = witness_oracle.dense_witness(kind, d, n, eps, y)
+        assert_reports_agree(got, rep)
+    assert_matches_reference(rep, P2, Q)
 
-    for checks, want in ((rep.upper, upper), (rep.lower, lower)):
-        assert len(checks) == len(want)
-        for c, (tail, premise, ok) in zip(checks, want):
-            assert abs(c.tail - tail) <= TOL, c.name
-            assert c.premise_ok == premise, c.name
-            assert c.ok == ok, c.name
-            if ok is not None:
-                event("live step")
+
+def copy_chain() -> Decomposition:
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    return chain([0.5, 0.5], eye, eye)
+
+
+@pytest.mark.parametrize("kind, n", [("case1", 10), ("case2", 10), ("rr0", 6)])
+def test_copy_chain_witness_matches_dense_reference(kind, n):
+    """The binary copy chain at the blocklength the benchmark runs (rr0's
+    dense table, 4^n x 2^n, is kept at n = 6)."""
+    got = run_types(kind, copy_chain(), n, 0.9, 0.6)
+    rep, P2, Q = witness_oracle.dense_witness(kind, copy_chain(), n, 0.9, 0.6)
+    assert_reports_agree(got, rep)
+    assert_matches_reference(rep, P2, Q, note=lambda _: None)
+    assert got.upper_ok and got.lower_ok

@@ -1,12 +1,18 @@
 """Per-element references for the exact verifiers' tie groups.
 
 These are the straightforward forms of ``cltverify``'s atom merge (with
-the convolution built on it) and of ``nptest``'s likelihood-ratio tie
-groups and Neyman-Pearson solver: one Python step per sorted value, with
-the head of the current group (its smallest value) kept as the anchor.
-Each group's mass is one ``np.add.reduceat`` over that group's own slice.
-The library computes the same groups with ``measures.tie_groups``; the
-differential tests require equal bits from both.
+the n-fold law over types built on it) and of ``nptest``'s likelihood-ratio
+tie groups and Neyman-Pearson solver: one Python step per type and per
+sorted value, with the head of the current group (its smallest value) kept
+as the anchor.  Each group's mass is one ``np.add.reduceat`` over that
+group's own slice.  The library computes the same groups with
+``measures.tie_groups``; the differential tests require equal bits from
+both.
+
+The two convolution schedules the library used before it enumerated types
+(squaring while the power stays small, then single letters; and pure
+binary exponentiation) live on here as references for the atoms, not for
+their last bits.
 """
 
 from __future__ import annotations
@@ -42,6 +48,38 @@ def merge_sorted(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.
     )
 
 
+def compositions(n: int, k: int):
+    """Every count vector of k letters summing to n, in lexicographic order."""
+    if k == 1:
+        yield (n,)
+        return
+    for c in range(n + 1):
+        for rest in compositions(n - c, k - 1):
+            yield (c, *rest)
+
+
+def type_convolve_n(law: AtomLaw, n: int) -> AtomLaw:
+    """n-fold sum law type by type: each type's value c . values and log
+    multinomial mass summed left to right as the library does, one stable
+    sort, ``merge_sorted``, one normalization."""
+    lf = [math.lgamma(j + 1.0) for j in range(n + 1)]
+    logp = np.log(law.probs)
+    values, logs = [], []
+    for counts in compositions(n, law.n_atoms):
+        value, log_p, log_mult = 0.0, 0.0, lf[n]
+        for c, v, lp in zip(counts, law.values, logp):
+            value += c * float(v)
+            log_p += c * float(lp)
+            log_mult -= lf[c]
+        values.append(value)
+        logs.append(log_mult + log_p)
+    values = np.array(values)
+    masses = np.exp(np.array(logs))
+    order = sorted(range(values.size), key=lambda i: values[i])
+    merged_v, merged_p = merge_sorted(values[order], masses[order])
+    return AtomLaw(merged_v, merged_p / merged_p.sum())
+
+
 def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
     sums = np.add.outer(a.values, b.values).ravel()
     masses = np.multiply.outer(a.probs, b.probs).ravel()
@@ -51,7 +89,7 @@ def _convolve(a: AtomLaw, b: AtomLaw) -> AtomLaw:
 
 
 def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
-    """n-fold sum law by the same schedule as the library: square the
+    """n-fold sum law by the schedule the library used before types: square the
     t-fold power while its atom count is at most k t (k atoms in ``law``),
     then add the remaining copies one letter at a time, law first."""
     result = None
