@@ -70,14 +70,9 @@ class BEGapResult:
 
 
 def _atom_law(values: np.ndarray, probs: np.ndarray) -> AtomLaw:
-    """The law of plain 1-D arrays of values and their masses: one stable
-    sort, then one atom per tie group (``measures.tie_groups``)."""
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    probs = probs[order]
-    del order
-    heads, masses = tie_groups(values, probs)
-    return AtomLaw(values[heads], masses)
+    """The law of plain 1-D arrays of values and their masses: one atom per
+    tie group (``measures.tie_groups``)."""
+    return AtomLaw(*tie_groups(values, probs)[2:])
 
 
 def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
@@ -138,22 +133,17 @@ def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
     not grow along a convolution path), with the multinomial mass
     exp(lf[n] - sum lf[c_i] + c . log probs).  There are exactly
     C(n+k-1, k-1) types; the memory cap (``COORDSIM_MEM_CAP``) counts them.
-    One stable sort of the type values, then the tie groups of
-    ``measures.tie_groups`` are the atoms (types with equal values, as on a
-    lattice, share one), normalized once: at most C(n+k-1, k-1) atoms, and
-    exactly that many when distinct types have values more than
-    ``TIE_TOL`` apart."""
+    The tie groups of the type values (``measures.tie_groups``) are the
+    atoms (types with equal values, as on a lattice, share one), normalized
+    once: at most C(n+k-1, k-1) atoms, and exactly that many when distinct
+    types have values more than ``TIE_TOL`` apart."""
     n = check_blocklength(n)
     with np.errstate(divide="ignore"):
         log_mult, values, log_p = _types(n, law.values, np.log(law.probs))
     masses = np.exp(log_mult + log_p)
     del log_mult, log_p
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    masses = masses[order]
-    del order
-    heads, masses = tie_groups(values, masses)
-    return AtomLaw(values[heads], masses / masses.sum())
+    _, _, values, masses = tie_groups(values, masses)
+    return AtomLaw(values, masses / masses.sum())
 
 
 def law_stats(law: AtomLaw) -> BEStats:

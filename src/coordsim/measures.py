@@ -16,7 +16,8 @@ This module is the one home of that arithmetic: ``moments`` computes
 (mu, V, T) for every caller (density tables, atom laws, the optimizer's
 batches of plain arrays), ``backoff`` is the one spelling of the
 dispersion term Q^-1(eps) sqrt(V/n), ``continuity_term`` of the converse's
-g(eps); ``check_eps`` and ``check_blocklength`` are the one eps and n checks.
+g(eps); ``check_eps``, ``check_split`` and ``check_blocklength`` are the one
+eps, y and n checks.
 
 Degeneracy policy: a variance below ``DEGENERATE_VAR`` is float dust from a
 constant density, and ``moments`` reports it as exactly V = T = 0.  Nothing
@@ -27,11 +28,12 @@ NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 
 Tie policy: ascending values within ``TIE_TOL`` of their group's head,
 its smallest value, are one point; only equal infinities tie with an
-infinity.  ``tie_groups`` is the one grouping (with one summation per
-group) and ``group_tail`` the one tail, which counts a group by that
-value, compared exactly.  Atoms of an n-fold law and Neyman-Pearson
-groups of log2(p/q) are both these groups; a converse witness reads a
-candidate threshold within ``TIE_TOL`` of a group's value at that value.
+infinity.  ``tie_groups`` sorts its input itself (one stable argsort) and
+is the only sort-then-group, with one summation per group; ``group_tail``
+is the one tail, which counts a group by that value, compared exactly.
+Atoms of an n-fold law and Neyman-Pearson groups of log2(p/q) are both
+these groups; a converse witness reads a candidate threshold within
+``TIE_TOL`` of a group's value at that value.
 
 The tolerance is absolute.  An n-fold law's atoms are its types, each
 value one k-term dot product c . v with rounding error about
@@ -89,16 +91,22 @@ def tie_heads(x: np.ndarray) -> np.ndarray:
 
 
 def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(heads, *sums)``: the ``tie_heads`` of the ascending array ``x``
-    and, for each mass array aligned with ``x``, its sum over every group
-    from one ``np.add.reduceat`` (pairwise within a group, as a reduceat
-    over the group's own slice would be).  Group g is
-    ``heads[g]:heads[g + 1]`` and stands for the value ``x[heads[g]]``.
-    Empty input gives no groups."""
+    """``(order, heads, values, *sums)`` of the values ``x``, in any order,
+    and of each mass array aligned with them.
+
+    ``order`` is the stable ascending argsort of ``x``; ``heads`` are the
+    ``tie_heads`` of the sorted values, group g being
+    ``order[heads[g]:heads[g + 1]]`` with the value ``values[g]`` of its
+    head; each mass array is summed over every group by one
+    ``np.add.reduceat`` over its sorted copy (pairwise within a group, as a
+    reduceat over the group's own slice would be).  Empty input gives no
+    groups."""
+    order = np.argsort(x, kind="stable")
+    x = x[order]
     heads = tie_heads(x)
     if heads.size == 0:
-        return (heads, *(np.zeros(0) for _ in masses))
-    return (heads, *(np.add.reduceat(m, heads) for m in masses))
+        return (order, heads, x, *(np.zeros(0) for _ in masses))
+    return (order, heads, x[heads], *(np.add.reduceat(m[order], heads) for m in masses))
 
 
 def group_tail(values: np.ndarray, masses: np.ndarray, x: float, strict: bool) -> float:
@@ -147,6 +155,14 @@ def check_eps(eps: float, message: str) -> None:
     number strictly inside (0, 1) -- the one spelling of that range check."""
     if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
         raise DomainError(f"{message}, got {eps!r}")
+
+
+def check_split(y: float) -> None:
+    """Raise ``DomainError`` unless the converse's split parameter ``y`` is
+    a real number strictly inside (1/2, 1) -- the one spelling of that
+    range check."""
+    if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
+        raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
 
 
 def check_blocklength(n, least: int = 1) -> int:

@@ -34,7 +34,7 @@ policy).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,7 @@ from .measures import (
     backoff,
     check_blocklength,
     check_eps,
+    check_split,
     continuity_term,
     gaussian_q_inv,
     group_tail,
@@ -182,19 +183,6 @@ class _TieGroups(NamedTuple):
         return min(near, key=lambda v: abs(v - x)) if near else x
 
 
-def _sorted_groups(llr: np.ndarray, p: np.ndarray, q: np.ndarray, idx=None) -> _TieGroups:
-    """Tie groups of the ratios ``llr`` with their masses, from one stable
-    ascending sort; ``idx`` (the outcome of each entry) is sorted along."""
-    order = np.argsort(llr, kind="stable")
-    llr = llr[order]
-    p, q = p[order], q[order]
-    if idx is not None:
-        idx = idx[order]
-    del order
-    heads, gp, gq = tie_groups(llr, p, q)
-    return _TieGroups(idx, heads, llr[heads], gp, gq)
-
-
 def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
     """Tie groups of log2(p/q) over the p-support of two flat laws.
 
@@ -204,7 +192,8 @@ def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
     sup = np.flatnonzero(p > 0)
     with np.errstate(divide="ignore"):
         llr = np.log2(p[sup] / q[sup])
-    return _sorted_groups(llr, p[sup], q[sup], sup)
+    order, *groups = tie_groups(llr, p[sup], q[sup])
+    return _TieGroups(sup[order], *groups)
 
 
 def _np_solve(groups: _TieGroups, alpha: float) -> tuple[NPResult, int]:
@@ -330,29 +319,15 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class _Transfer:
-    """One mass move between two support cells of a pair law."""
-
-    gainer: tuple
-    loser: tuple
-    delta: float
-    corr_gain: float  # log2(1 + delta / P(gainer))
-    corr_lose: float  # log2(P(loser) / (P(loser) - delta)); inf if emptied
-    p_gainer: float
-    p_loser: float
-    same_row: bool
-
-
 class _PairLaw(NamedTuple):
     """What a converse chain reads of its perturbed pair law P2 against the
     product law Q: the tie groups of log2(P2/Q), the L1 distance from P2
-    to the iid law, and the transfer with its correction band (None for a
-    coded scheme's table)."""
+    to the iid law, and the transfer (the dict ``WitnessReport.transfer``
+    publishes) with its correction band (None for a coded scheme's table)."""
 
     groups: _TieGroups
     l1_to_iid: float
-    info: _Transfer | None = None
+    info: dict | None = None
     corr_range: dict | None = None
 
 
@@ -429,22 +404,22 @@ def _type_transfer(pair: np.ndarray, n: int, eps: float, perturb: str) -> _PairL
     with np.errstate(divide="ignore"):  # an emptied loser is dropped below
         value[[ig, il]] = np.log2(P[[ig, il]] / Q[[ig, il]])
     sup = P > 0
-    groups = _sorted_groups(value[sup], P[sup], Q[sup])
+    groups = _TieGroups(None, *tie_groups(value[sup], P[sup], Q[sup])[1:])
 
     def repeated(letter: int, size: int) -> int:
         """Flat index of the n-fold sequence of one letter of an alphabet."""
         return letter * ((size ** n - 1) // (size - 1)) if size > 1 else 0
 
-    info = _Transfer(
-        gainer=(repeated(int(a[gi]), rows), repeated(int(b[gi]), cols)),
-        loser=(repeated(int(a[li]), rows), repeated(int(b[li]), cols)),
-        delta=float(delta),
-        corr_gain=math.log2(1.0 + delta / p_g),
-        corr_lose=math.inf if left <= 0.0 else math.log2(p_l / left),
-        p_gainer=p_g,
-        p_loser=p_l,
-        same_row=same_row,
-    )
+    info = {
+        "gainer": (repeated(int(a[gi]), rows), repeated(int(b[gi]), cols)),
+        "loser": (repeated(int(a[li]), rows), repeated(int(b[li]), cols)),
+        "delta": float(delta),
+        "corr_gain": math.log2(1.0 + delta / p_g),
+        "corr_lose": math.inf if left <= 0.0 else math.log2(p_l / left),
+        "p_gainer": p_g,
+        "p_loser": p_l,
+        "same_row": same_row,
+    }
     return _PairLaw(
         groups=groups,
         l1_to_iid=(gained - p_g) + (p_l - left),
@@ -576,48 +551,27 @@ def _assemble(
 
     shifts = []
     if info is not None:
-        shifts.append(("corrected", info.corr_gain if mode == "case1" else -info.corr_lose))
+        shifts.append(("corrected", info["corr_gain"] if mode == "case1" else -info["corr_lose"]))
     candidates = shifts + [("zero", 0.0)]
     gauss_n = 0.0 if stats.degenerate else gaussian_q_inv(eps) * math.sqrt(n * stats.v)
     zero_up = n * stats.mu + gauss_n
 
-    upper = []
-    for name, shift in candidates:
-        lg0 = zero_up + shift
-        tail = groups.tail(groups.at_group(lg0), strict=False)
-        premise = tail >= alpha - PREMISE_TOL
-        ok = (log2_inv_beta >= lg0 - BOUND_TOL) if (premise and have_beta) else None
-        upper.append(
-            CandidateCheck(
-                name=name,
-                log_gamma=float(lg0),
-                tail=float(tail),
-                premise_ok=bool(premise),
-                bound_lhs=float(log2_inv_beta),
-                bound_rhs=float(lg0),
-                ok=ok,
-            )
-        )
+    def check(name: str, lgam: float, strict: bool) -> CandidateCheck:
+        """One candidate at ``lgam``: the strict tail is the lower side's,
+        the one-sided tail the upper side's."""
+        tail = groups.tail(groups.at_group(lgam), strict=strict)
+        if strict:
+            premise, licence = tail <= y + b + PREMISE_TOL, valid
+            lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
+            rhs = log2_inv_beta
+        else:
+            premise, licence = tail >= alpha - PREMISE_TOL, True
+            lhs, rhs = log2_inv_beta, lgam
+        ok = (lhs >= rhs - BOUND_TOL) if (premise and licence and have_beta) else None
+        return CandidateCheck(name, float(lgam), float(tail), bool(premise), float(lhs), float(rhs), ok)
 
-    budget = y + b
-    lower = []
-    for name, shift in candidates:
-        lgam = h_standin + shift
-        tail = groups.tail(groups.at_group(lgam), strict=True)
-        premise = tail <= budget + PREMISE_TOL
-        lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
-        ok = (lhs >= log2_inv_beta - BOUND_TOL) if (premise and valid and have_beta) else None
-        lower.append(
-            CandidateCheck(
-                name=name,
-                log_gamma=float(lgam),
-                tail=float(tail),
-                premise_ok=bool(premise),
-                bound_lhs=float(lhs),
-                bound_rhs=float(log2_inv_beta),
-                ok=ok,
-            )
-        )
+    upper = [check(name, zero_up + shift, strict=False) for name, shift in candidates]
+    lower = [check(name, h_standin + shift, strict=True) for name, shift in candidates]
 
     rate = stats.mu + backoff(stats.v, gaussian_q_inv(eps), n)
     if valid:
@@ -649,7 +603,7 @@ def _assemble(
         upper_ok=any(c.ok is True for c in upper),
         lower_ok=any(c.ok is True for c in lower),
         l1_to_iid=law.l1_to_iid,
-        transfer=None if info is None else asdict(info),
+        transfer=info,
         corr_range=law.corr_range,
     )
 
@@ -671,14 +625,13 @@ def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
     p = P2.reshape(-1)[sup]
     del sup
     llr = p / q
-    return _PairLaw(_sorted_groups(np.log2(llr, out=llr), p, q), l1)
+    return _PairLaw(_TieGroups(None, *tie_groups(np.log2(llr, out=llr), p, q)[1:]), l1)
 
 
 def _check_witness_params(n: int, eps: float, y: float) -> int:
     n = check_blocklength(n)
     check_eps(eps, "eps must lie in (0, 1)")
-    if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
-        raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
+    check_split(y)
     return n
 
 

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .measures import BEStats, backoff, be_stats, check_blocklength, check_eps, continuity_term
-from .measures import gaussian_q_inv
+from .measures import BEStats, backoff, be_stats, check_blocklength, check_eps, check_split
+from .measures import continuity_term, gaussian_q_inv
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -227,8 +227,7 @@ def outer_bound(d: Decomposition, eps: float, n: int, y: float = 0.75) -> Region
     """
     check_eps(eps, "eps must lie in (0, 1)")
     n = check_blocklength(n)
-    if not (0.5 < y < 1.0):
-        raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
+    check_split(y)
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
     g_eps = continuity_term(eps, d.u_size * d.v_size)

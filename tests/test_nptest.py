@@ -392,10 +392,11 @@ def test_witness_rejects_bad_params():
             rr0_converse_witness(d, bad_n, 0.9, 0.6)
     with pytest.raises(DomainError):
         converse_witness(d, 3, 1.0, 0.6, "case1")
-    with pytest.raises(DomainError):
-        converse_witness(d, 3, 0.9, 0.5, "case1")
-    with pytest.raises(DomainError):
-        converse_witness(d, 3, 0.9, 1.0, "case1")
+    for bad_y in (0.5, 1.0, 1.2, True, "0.7"):
+        with pytest.raises(DomainError, match="split parameter"):
+            converse_witness(d, 3, 0.9, bad_y, "case1")
+        with pytest.raises(DomainError, match="split parameter"):
+            rr0_converse_witness(d, 3, 0.9, bad_y)
 
 
 def test_witness_nondegenerate_pair_blocks_small_n():

@@ -284,8 +284,8 @@ def test_outer_bound_g_term_hand_value():
 
 def test_outer_bound_validates_y():
     d = copy_decomposition()
-    for bad in (0.5, 1.0, 0.2, 1.3):
-        with pytest.raises(DomainError):
+    for bad in (0.5, 1.0, 0.2, 1.3, 1.2, True, "0.7"):
+        with pytest.raises(DomainError, match="split parameter"):
             outer_bound(d, 0.9, 10, y=bad)
 
 

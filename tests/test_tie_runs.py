@@ -89,10 +89,16 @@ def test_merge_matches_oracle(data):
     values = data.draw(tie_prone(-40.0, 40.0, 0, 60))
     probs = np.array(data.draw(st.lists(masses, min_size=values.size, max_size=values.size)))
     note_ties(values)
-    heads, got_p = tie_groups(values, probs)
-    want_v, want_p = tie_oracle.merge_sorted(values, probs)
-    assert same_bits(values[heads], want_v)
-    assert same_bits(got_p, want_p)
+    perm = np.array(data.draw(st.permutations(range(values.size))), dtype=np.intp)
+    # ascending as drawn, and shuffled: tie_groups sorts its input itself
+    for x, m in ((values, probs), (values[perm], probs[perm])):
+        stable = sorted(range(x.size), key=x.__getitem__)  # Python's sort is stable
+        order, heads, got_v, got_p = tie_groups(x, m)
+        assert order.tolist() == stable
+        want_v, want_p = tie_oracle.merge_sorted(x[stable], m[stable])
+        assert same_bits(got_v, want_v)
+        assert same_bits(got_p, want_p)
+        assert same_bits(x[order][heads], want_v)
 
 
 @given(data=st.data(), n=st.integers(1, 6))

@@ -112,16 +112,16 @@ def pick_transfer(pair: np.ndarray, n: int, P: np.ndarray, eps: float, perturb: 
     p_g = float(flat_p[gi])
     p_l = float(flat_p[li])
     rem = p_l - delta
-    info = nptest._Transfer(
-        gainer=tuple(int(x) for x in np.unravel_index(gi, P.shape)),
-        loser=tuple(int(x) for x in np.unravel_index(li, P.shape)),
-        delta=float(delta),
-        corr_gain=math.log2(1.0 + delta / p_g),
-        corr_lose=math.inf if rem <= 0.0 else math.log2(p_l / rem),
-        p_gainer=p_g,
-        p_loser=p_l,
-        same_row=same_row,
-    )
+    info = {
+        "gainer": tuple(int(x) for x in np.unravel_index(gi, P.shape)),
+        "loser": tuple(int(x) for x in np.unravel_index(li, P.shape)),
+        "delta": float(delta),
+        "corr_gain": math.log2(1.0 + delta / p_g),
+        "corr_lose": math.inf if rem <= 0.0 else math.log2(p_l / rem),
+        "p_gainer": p_g,
+        "p_loser": p_l,
+        "same_row": same_row,
+    }
     return info, out.reshape(P.shape)
 
 
@@ -163,7 +163,8 @@ def dense_witness(kind: str, d: Decomposition, n: int, eps: float, y: float):
         gains = {"lower_gain": 0.0, "rate_penalty": 0.0}
     P, Q = iid_pair(pair, n)
     info, P2 = pick_transfer(pair.probs, n, P, eps, perturb)
-    law = nptest._table_law(P2, pair, n)._replace(info=info, corr_range=corr_range(P, info.delta))
+    law = nptest._table_law(P2, pair, n)
+    law = law._replace(info=info, corr_range=corr_range(P, info["delta"]))
     return nptest._assemble(*labels, law, n, eps, y, stats, **gains), P2, Q
 
 
