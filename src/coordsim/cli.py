@@ -7,10 +7,12 @@ computes a table from it, and emits CSV or JSON through the shared
 output header, and ``render_output`` on that embedded config reproduces
 the file byte for byte -- the round-trip contract the tests enforce.
 
-Exit codes: 0 success; 2 I/O trouble (missing/unreadable/ill-formed
-files); 3 invalid parameters (including unknown flags and input-file
-values of the wrong JSON type); 4 resource-cap exceedance, with the
-required size in the message.  Any other exception is an internal error
+Exit codes: 0 success; 2 I/O trouble (missing/unreadable files, and files
+that are not UTF-8 JSON); 3 invalid parameters (unknown flags, input-file
+values of the wrong JSON type or shape, and every ``DomainError``,
+``ShapeError`` and ``SearchError``); 4 resource-cap exceedance, with the
+required size in the message.  Any other exception -- a bare
+``CoordsimError`` invariant, a stray ``ValueError`` -- is an internal error
 and propagates with its traceback.  The table-size cap itself honors the
 COORDSIM_MEM_CAP environment variable.
 """
@@ -20,14 +22,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from .binning import SchemeConfig, _trials, monte_carlo
 from .cltverify import be_gap, density_law
-from .errors import CoordsimError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, SearchError, ShapeError
 from .nptest import beta_sandwich, np_beta
 from .optimize import optimize_decomposition
 from .probability import ConditionalPmf, JointPmf, Pmf, info_density, marginalize, regroup_pair
@@ -46,6 +47,10 @@ class _UsageError(Exception):
     """Raised for malformed flags or configs; mapped to exit code 3."""
 
 
+class _IllFormedFile(Exception):
+    """Raised for an input file that is not UTF-8 JSON; mapped to exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2) on unknown flags; route that through the
     # invalid-parameter exit code instead, keeping 2 for real I/O trouble
@@ -60,7 +65,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as e:  # bad syntax, undecodable bytes, an over-long integer literal
+            raise _IllFormedFile(e) from e
 
 
 def _ints(text: str) -> list:
@@ -71,10 +79,11 @@ def _ints(text: str) -> list:
 
 
 def _number(value, what: str):
-    """``value`` unchanged if it is a finite JSON number (not a bool)."""
+    """``value`` unchanged if it is a JSON number (not a bool) with a
+    finite float value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _UsageError(f"{what} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, integers beyond float range
         raise _UsageError(f"{what} must be finite, got {value!r}")
     return value
 
@@ -94,17 +103,31 @@ def _string(value, what: str) -> str:
 
 
 def _numbers(value, what: str) -> list:
-    """A JSON list of numbers, as floats."""
+    """A JSON list of numbers, as floats: one type scan, one array and one
+    finiteness check; a bad list is rescanned entry by entry with
+    ``_number``, which names the first bad entry."""
     if not isinstance(value, list):
         raise _UsageError(f"{what} must be a list of numbers, got {value!r}")
-    return [float(_number(x, what)) for x in value]
+    arr = None
+    if set(map(type, value)) <= {int, float}:  # bool is its own type
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        for i, x in enumerate(value):
+            _number(x, f"{what}[{i}]")
+    return arr.tolist()
 
 
 def _matrix(value, what: str) -> list:
-    """A JSON list of lists of numbers, as floats."""
+    """A JSON list of equally long lists of numbers, as floats."""
     if not isinstance(value, list):
         raise _UsageError(f"{what} must be a list of rows, got {value!r}")
-    return [_numbers(row, what) for row in value]
+    rows = [_numbers(row, f"{what}[{i}]") for i, row in enumerate(value)]
+    if len({len(row) for row in rows}) > 1:
+        raise _UsageError(f"{what} rows must have equal lengths, got {[len(row) for row in rows]}")
+    return rows
 
 
 def _decomposition_from(obj) -> Decomposition:
@@ -418,14 +441,14 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"coordsim: invalid parameters: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except json.JSONDecodeError as e:
+    except _IllFormedFile as e:
         print(f"coordsim: unreadable input file: {e}", file=sys.stderr)
         return EXIT_IO
     except ResourceLimitError as e:
         need = f" (required {e.required})" if e.required is not None else ""
         print(f"coordsim: resource cap exceeded{need}: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CoordsimError, ValueError) as e:
+    except (DomainError, ShapeError, SearchError) as e:
         print(f"coordsim: invalid parameters: {e}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:

@@ -17,10 +17,14 @@ free scheme:
   whole grid, so it sees the whole bracket instead of assuming the line
   unimodal;
 * random restarts (each with a seed derived from (seed, restart_index))
-  run one after another and independently -- restart 0 warm-starts from
-  the copy-through construction W = (U,V) whenever the alphabet allows
-  it -- and the best objective among those matching the target marginal
-  wins, ties broken by lowest restart index.
+  run one after another and independently, and the best objective among
+  those matching the target marginal wins, ties broken by lowest restart
+  index;
+* restart 0 starts instead from the best closed-form corner -- W = V,
+  W = U or W = (U,V), each when w_size has room for it -- and keeps that
+  corner if its descent ends above it or off the marginal, so the search
+  never ends worse than the best corner (below min(|U|,|V|) letters no
+  corner fits and restart 0 starts from the all-zero point).
 
 The objective is the same finite-n rate expression ``region.inner_bound``
 reports, computed on plain arrays through the shared ``pair_density`` /
@@ -64,10 +68,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _logits_for(rows: np.ndarray, floor: float = 1e-9) -> np.ndarray:
-    """Inverse of _softmax_rows up to the floor used to avoid -inf."""
+    """Inverse of _softmax_rows (last axis) up to the floor used to avoid -inf."""
     r = np.clip(rows, floor, None)
-    r = r / r.sum(axis=1, keepdims=True)
-    return np.log(r[:, :-1]) - np.log(r[:, -1:])
+    r = r / r.sum(axis=-1, keepdims=True)
+    return np.log(r[..., :-1]) - np.log(r[..., -1:])
 
 
 @dataclass
@@ -175,26 +179,34 @@ def _descend(problem: _Problem, x0: np.ndarray) -> tuple[np.ndarray, float, floa
     return x, value, gap
 
 
-def _copy_through_start(problem: _Problem) -> np.ndarray | None:
-    """W identified with (u,v) pairs: exact marginal match, the safe but
-    rate-expensive corner of the search space."""
+def _best_corner(problem: _Problem) -> tuple[np.ndarray, float, float] | None:
+    """(params, objective value, marginal gap) of the best closed-form corner
+    that matches the target marginal, or None when none fits in ``w_size``.
+
+    A corner is W = g(U, V) for g one of v, u and the pair (u, v), each
+    only when ``w_size`` has room for its letters: P(w|u) = P(g = w | u)
+    and P(v|w) = P(v | g = w), so U - W - V reproduces the target exactly
+    up to the 1e-9 floor of the unused letters.  All corners are scored in
+    one ``evaluate_many`` call."""
     u_size, v_size = problem.target.shape
-    if problem.w_size < u_size * v_size:
+    uu, vv = np.indices((u_size, v_size))
+    maps = [g for g in (vv, uu, uu * v_size + vv) if g.max() < problem.w_size]
+    if not maps:  # below min(|U|, |V|) letters
         return None
-    rows_wu = np.full((u_size, problem.w_size), 1e-9)
-    rows_vw = np.full((problem.w_size, v_size), 1e-9)
-    for u in range(u_size):
-        pu = problem.p_u[u]
-        cond_v = problem.target[u] / pu if pu > 0 else np.full(v_size, 1.0 / v_size)
-        for v in range(v_size):
-            w = u * v_size + v
-            rows_wu[u, w] = max(cond_v[v], 1e-9)
-            rows_vw[w, v] = 1.0
-    for w in range(u_size * v_size, problem.w_size):
-        rows_vw[w, 0] = 1.0
-    rows_wu /= rows_wu.sum(axis=1, keepdims=True)
-    rows_vw /= rows_vw.sum(axis=1, keepdims=True)
-    return np.concatenate([_logits_for(rows_wu).ravel(), _logits_for(rows_vw).ravel()])
+    joint = problem.target[..., None] * (np.stack(maps)[..., None] == np.arange(problem.w_size))
+
+    def logits(mass: np.ndarray) -> np.ndarray:  # rows without mass stay 0 and come out uniform
+        total = mass.sum(axis=-1, keepdims=True)
+        return _logits_for(mass / np.where(total > 0, total, 1.0)).reshape(len(maps), -1)
+
+    # P(w|u) from the (K, u, w) and P(v|w) from the (K, w, v) marginals
+    xs = np.concatenate([logits(joint.sum(axis=2)), logits(joint.sum(axis=1).swapaxes(1, 2))], axis=1)
+    values, gaps = problem.evaluate_many(xs)
+    feasible = np.flatnonzero(gaps <= MARGINAL_TOL)
+    if feasible.size == 0:
+        return None
+    j = feasible[np.argmin(values[feasible])]
+    return xs[j], float(values[j]), float(gaps[j])
 
 
 def optimize_decomposition(
@@ -238,14 +250,14 @@ def optimize_decomposition(
     )
 
     def run_restart(idx: int) -> tuple[float, float, int, np.ndarray]:
+        corner = _best_corner(problem) if idx == 0 else None
         if idx == 0:
-            x0 = _copy_through_start(problem)
-            if x0 is None:
-                x0 = np.zeros(problem.n_params())
+            x0 = np.zeros(problem.n_params()) if corner is None else corner[0]
         else:
-            rng = np.random.default_rng([seed, idx])
-            x0 = rng.normal(scale=2.0, size=problem.n_params())
+            x0 = np.random.default_rng([seed, idx]).normal(scale=2.0, size=problem.n_params())
         x, value, gap = _descend(problem, x0)
+        if corner is not None and (gap > MARGINAL_TOL or value > corner[1]):
+            x, value, gap = corner  # the descent ended worse than where it began
         return value, gap, idx, x
 
     results = [run_restart(idx) for idx in range(restarts)]

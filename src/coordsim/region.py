@@ -164,18 +164,19 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
             raise DomainError("gamma rule 'logn' needs n >= 2 (log2 1 = 0 is not a valid gamma)")
         L = math.log2(n)
         return GammaTriple(L, 0.5 * L, L)
-    if rule.startswith("linear:"):
-        c = float(rule.split(":", 1)[1])
+    kind, _, arg = rule.partition(":")
+    try:
+        values = [float(tok) for tok in arg.split(",")]
+    except ValueError:
+        values = []
+    if kind == "linear" and len(values) == 1:
+        c = values[0]
         if c <= 0:
             raise DomainError(f"gamma rule 'linear:c' needs c > 0, got {c}")
         return GammaTriple(2 * c * n, c * n, 2 * c * n)
-    if rule.startswith("fixed:"):
-        parts = rule.split(":", 1)[1].split(",")
-        if len(parts) != 3:
-            raise DomainError(f"gamma rule 'fixed:' needs three comma-separated values, got {rule!r}")
-        a, b, c = (float(p) for p in parts)
-        return GammaTriple(a, b, c)
-    raise DomainError(f"unknown gamma rule {rule!r}")
+    if kind == "fixed" and len(values) == 3:
+        return GammaTriple(*values)
+    raise DomainError(f"gamma rule must be logn, linear:c or fixed:a,b,c with numbers a, b, c; got {rule!r}")
 
 
 # =============================================================================

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from coordsim.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_RESOURCE, main, render_output
+from coordsim.errors import CoordsimError
 from coordsim.region import Decomposition, inner_bound, outer_bound, parse_gamma_rule
 from coordsim.probability import ConditionalPmf, Pmf
 from coordsim.serialize import read_table
@@ -291,14 +292,25 @@ OPT_DOC = {"target_uv": [[0.45, 0.05], [0.05, 0.45]], "w_size": 2, "restarts": 1
     (["simulate"], {**SIM_DOC, "trials": 2.5}),
     (["optimize", "--n", "100"], {**OPT_DOC, "w_size": 2.5}),
     (["optimize", "--n", "100"], {**OPT_DOC, "restarts": 1.5}),
+    (["np"], {**NP_DOC, "p": [0.5, 10 ** 400]}),
+    (["region", "--n", "8"], {**CHAIN, "w_given_u": [[1.0, 0.0], [1.0]]}),
+    (["region", "--n", "8", "--gamma-rule", "linear:abc"], CHAIN),
 ], ids=["np-p", "np-gamma-grid", "p_u", "sim-n", "sim-gamma-rule", "opt-target",
         "opt-w-size", "tradeoff-xs", "sim-n-fraction", "sim-seed-fraction",
-        "sim-trials-fraction", "opt-w-size-fraction", "opt-restarts-fraction"])
+        "sim-trials-fraction", "opt-w-size-fraction", "opt-restarts-fraction",
+        "np-p-beyond-float", "ragged-w-given-u", "gamma-rule-not-numeric"])
 def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     assert main(argv + ["--input", str(path)]) == EXIT_INVALID
     assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_undecodable_input_is_io_error(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["region", "--input", str(path), "--n", "8"]) == EXIT_IO
+    assert "unreadable input file" in capsys.readouterr().err
 
 
 def test_integral_floats_are_stored_as_ints(tmp_path):
@@ -319,4 +331,16 @@ def test_internal_type_error_is_not_a_usage_error(monkeypatch, chain_file):
 
     monkeypatch.setattr("coordsim.cli.render_output", broken)
     with pytest.raises(TypeError, match="internal bug"):
+        main(["region", "--input", chain_file, "--n", "8"])
+
+
+@pytest.mark.parametrize("error", [ValueError, CoordsimError])
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, chain_file, error):
+    # neither a plain ValueError nor a bare CoordsimError (an invariant, as
+    # in the Neyman-Pearson solver) is a user error: both propagate
+    def broken(config):
+        raise error("internal bug")
+
+    monkeypatch.setattr("coordsim.cli.render_output", broken)
+    with pytest.raises(error, match="internal bug"):
         main(["region", "--input", chain_file, "--n", "8"])

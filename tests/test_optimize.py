@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 from coordsim.errors import DomainError, SearchError
 from coordsim.measures import backoff, gaussian_q_inv
-from coordsim.optimize import OBJECTIVES, _descend, _Problem, _softmax_rows, _zoom_min, optimize_decomposition
+from coordsim.optimize import (
+    OBJECTIVES,
+    _best_corner,
+    _descend,
+    _Problem,
+    _softmax_rows,
+    _zoom_min,
+    optimize_decomposition,
+)
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf, l1_distance
 from coordsim.region import (
     Decomposition,
@@ -272,14 +280,77 @@ def test_random_start_reaches_the_golden_section_optimum():
 
 
 def test_bench_setup_reaches_golden_section_quality():
-    # the benchmark's search: one restart from the all-zero start, w_size 3,
-    # DSBS(0.1), n = 1e4, eps = 0.1.  A sequential golden-section line search
-    # ends this search at r_inner = 0.684199116158477, the zoom 7.5e-7 below
-    # it.  The zero start is a saddle whose first moves are decided by
-    # rounding, so that margin rests on the objective's last bits: another
-    # numpy build, or any change to the objective's arithmetic, can land this
-    # search in a neighbouring basin on either side of the bound.
+    # the benchmark's search: one restart, w_size 3, DSBS(0.1), n = 1e4,
+    # eps = 0.1.  From the all-zero start (a saddle whose first moves were
+    # decided by rounding) a sequential golden-section line search ended this
+    # search at r_inner = 0.684199116158477 and the zoom 7.5e-7 below it.
+    # Restart 0 now starts from the best closed-form corner, W = V, and ends
+    # at r_inner = 0.5452, far below the bound.
     target, n, eps = dsbs(0.1), 10 ** 4, 0.1
     d = optimize_decomposition(target, w_size=3, objective="r_min", restarts=1, seed=7, eps=eps, n=n)
     assert l1_distance(d.uv_marginal(), target) <= 1e-6
     assert inner_bound(d, eps, eps, n, parse_gamma_rule("logn", n)).r_min <= 0.684199116158477
+
+
+def corner_decompositions(target: np.ndarray, w_size: int) -> list[Decomposition]:
+    """The exact corners W = V, W = U and W = (U, V) of ``target`` that fit
+    in ``w_size`` letters, with unused letters of W never taken (their
+    P(v|w) rows uniform)."""
+    u_size, v_size = target.shape
+    p_u = target.sum(axis=1)
+    out = []
+    for size, letter in ((v_size, lambda u, v: v), (u_size, lambda u, v: u),
+                         (u_size * v_size, lambda u, v: u * v_size + v)):
+        if size > w_size:
+            continue
+        w_given_u = np.zeros((u_size, w_size))
+        joint_wv = np.zeros((w_size, v_size))
+        for u in range(u_size):
+            for v in range(v_size):
+                w_given_u[u, letter(u, v)] += target[u, v] / p_u[u]
+                joint_wv[letter(u, v), v] += target[u, v]
+        mass = joint_wv.sum(axis=1, keepdims=True)
+        v_given_w = np.where(mass > 0, joint_wv / np.where(mass > 0, mass, 1.0), 1.0 / v_size)
+        d = Decomposition(Pmf(p_u), ConditionalPmf(w_given_u), ConditionalPmf(v_given_w))
+        assert l1_distance(d.uv_marginal(), JointPmf(target)) <= 1e-12
+        out.append(d)
+    return out
+
+
+def assert_not_above_corners(target: np.ndarray, w_size: int, objective: str, eps: float, n: int):
+    """The search's best corner is one of the exact corners up to its 1e-9
+    floor, and a one-restart search never ends above that corner."""
+    g = parse_gamma_rule("logn", n)
+    problem = make_problem(target, w_size, objective, eps, n, g)
+    x, corner_value, _ = _best_corner(problem)
+    rows = [_softmax_rows(logits) for logits in problem.split(x)]
+    assert any(
+        np.allclose(rows[0], d.w_given_u.rows, rtol=0, atol=1e-8)
+        and np.allclose(rows[1], d.v_given_w.rows, rtol=0, atol=1e-8)
+        for d in corner_decompositions(target, w_size)
+    )
+    d = optimize_decomposition(JointPmf(target), w_size, objective, restarts=1, seed=0, eps=eps, n=n)
+    assert l1_distance(d.uv_marginal(), JointPmf(target)) <= 1e-6
+    assert reference_objective(problem, d, eps, n, g) <= corner_value + 1e-12
+
+
+@pytest.mark.parametrize("w_size", [2, 3])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_dsbs_search_never_ends_above_a_corner(w_size, objective):
+    assert_not_above_corners(dsbs(0.1).probs, w_size, objective, 0.1, 10 ** 4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    u_size=st.integers(1, 3),
+    v_size=st.integers(1, 3),
+    data=st.data(),
+    objective=st.sampled_from(OBJECTIVES),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_search_never_ends_above_a_corner(u_size, v_size, data, objective, seed):
+    # w_size from the smallest that holds a corner, capped to keep the searches short
+    lo = min(u_size, v_size)
+    w_size = data.draw(st.integers(lo, max(lo, min(u_size * v_size + 1, 4))), label="w_size")
+    target = np.random.default_rng(seed).dirichlet(np.ones(u_size * v_size)).reshape(u_size, v_size)
+    assert_not_above_corners(target, w_size, objective, 0.1, 1000)

@@ -151,6 +151,9 @@ def test_gamma_rule_parsing():
         parse_gamma_rule("logn", 1)
     with pytest.raises(DomainError):
         parse_gamma_rule("cubic", 8)
+    for bad in ("linear:abc", "linear:", "linear:1,2", "fixed:6,3", "fixed:6,x,6"):
+        with pytest.raises(DomainError, match="gamma rule must be"):
+            parse_gamma_rule(bad, 8)
 
 
 @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True])
