@@ -278,10 +278,14 @@ def conditional_dispersion(p_in: Pmf, ch: ConditionalPmf) -> float:
         raise ShapeError(f"channel expects {ch.input_size} inputs, p_in has {p_in.size}")
     joint = JointPmf(p_in.probs[:, None] * ch.rows)
     dens = info_density(joint)
-    # one row per input; a cell off the support has weight 0 (or its input
-    # has p = 0) and is read as value 0
-    v = moments(np.where(dens.support, dens.values, 0.0), ch.rows, third=False)[1]
-    return float(p_in.probs @ v)
+    total = 0.0
+    for x in range(p_in.size):
+        px = p_in.probs[x]
+        if px <= 0:
+            continue
+        row_mask = dens.support[x]
+        total += px * moments(dens.values[x][row_mask], ch.rows[x][row_mask])[1]
+    return total
 
 
 # =============================================================================
