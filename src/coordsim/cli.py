@@ -103,21 +103,10 @@ def _string(value, what: str) -> str:
 
 
 def _numbers(value, what: str) -> list:
-    """A JSON list of numbers, as floats: one type scan, one array and one
-    finiteness check; a bad list is rescanned entry by entry with
-    ``_number``, which names the first bad entry."""
+    """A JSON list of numbers, as floats."""
     if not isinstance(value, list):
         raise _UsageError(f"{what} must be a list of numbers, got {value!r}")
-    arr = None
-    if set(map(type, value)) <= {int, float}:  # bool is its own type
-        try:
-            arr = np.array(value, dtype=np.float64)
-        except OverflowError:  # an integer beyond float range
-            pass
-    if arr is None or not np.isfinite(arr).all():
-        for i, x in enumerate(value):
-            _number(x, f"{what}[{i}]")
-    return arr.tolist()
+    return [float(_number(x, f"{what}[{i}]")) for i, x in enumerate(value)]
 
 
 def _matrix(value, what: str) -> list:

@@ -556,22 +556,21 @@ def _assemble(
     gauss_n = 0.0 if stats.degenerate else gaussian_q_inv(eps) * math.sqrt(n * stats.v)
     zero_up = n * stats.mu + gauss_n
 
-    def check(name: str, lgam: float, strict: bool) -> CandidateCheck:
-        """One candidate at ``lgam``: the strict tail is the lower side's,
-        the one-sided tail the upper side's."""
-        tail = groups.tail(groups.at_group(lgam), strict=strict)
-        if strict:
-            premise, licence = tail <= y + b + PREMISE_TOL, valid
-            lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
-            rhs = log2_inv_beta
-        else:
-            premise, licence = tail >= alpha - PREMISE_TOL, True
-            lhs, rhs = log2_inv_beta, lgam
+    def check(name: str, lgam: float, tail: float, premise: bool, licence: bool, lhs: float, rhs: float):
+        """One candidate: its bound lhs >= rhs is checked only when its tail
+        premise holds, its side is licensed and beta exists."""
         ok = (lhs >= rhs - BOUND_TOL) if (premise and licence and have_beta) else None
         return CandidateCheck(name, float(lgam), float(tail), bool(premise), float(lhs), float(rhs), ok)
 
-    upper = [check(name, zero_up + shift, strict=False) for name, shift in candidates]
-    lower = [check(name, h_standin + shift, strict=True) for name, shift in candidates]
+    upper, lower = [], []
+    for name, shift in candidates:
+        lg0 = zero_up + shift  # upper side: the one-sided tail reaches alpha
+        tail = groups.tail(groups.at_group(lg0), strict=False)
+        upper.append(check(name, lg0, tail, tail >= alpha - PREMISE_TOL, True, log2_inv_beta, lg0))
+        lgam = h_standin + shift  # lower side: the strict tail stays within y + B/sqrt(n)
+        tail = groups.tail(groups.at_group(lgam), strict=True)
+        lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
+        lower.append(check(name, lgam, tail, tail <= y + b + PREMISE_TOL, valid, lhs, log2_inv_beta))
 
     rate = stats.mu + backoff(stats.v, gaussian_q_inv(eps), n)
     if valid:

@@ -249,18 +249,15 @@ def optimize_decomposition(
         g_rr0=(g.g2 + g.g3) / n,
     )
 
-    def run_restart(idx: int) -> tuple[float, float, int, np.ndarray]:
-        corner = _best_corner(problem) if idx == 0 else None
-        if idx == 0:
-            x0 = np.zeros(problem.n_params()) if corner is None else corner[0]
-        else:
-            x0 = np.random.default_rng([seed, idx]).normal(scale=2.0, size=problem.n_params())
+    corner = _best_corner(problem)
+    starts = [np.zeros(problem.n_params()) if corner is None else corner[0]]
+    starts += [np.random.default_rng([seed, i]).normal(scale=2.0, size=problem.n_params()) for i in range(1, restarts)]
+    results = []
+    for idx, x0 in enumerate(starts):
         x, value, gap = _descend(problem, x0)
-        if corner is not None and (gap > MARGINAL_TOL or value > corner[1]):
-            x, value, gap = corner  # the descent ended worse than where it began
-        return value, gap, idx, x
-
-    results = [run_restart(idx) for idx in range(restarts)]
+        results.append((value, gap, idx, x))
+    if corner is not None and (results[0][1] > MARGINAL_TOL or results[0][0] > corner[1]):
+        results[0] = (corner[1], corner[2], 0, corner[0])  # restart 0 ended worse than its corner
 
     feasible = [r for r in results if r[1] <= MARGINAL_TOL]
     if not feasible:
