@@ -106,7 +106,7 @@ def _numbers(value, what: str) -> list:
     """A JSON list of numbers, as floats."""
     if not isinstance(value, list):
         raise _UsageError(f"{what} must be a list of numbers, got {value!r}")
-    return [float(_number(x, f"{what}[{i}]")) for i, x in enumerate(value)]
+    return [float(_number(x, what)) for x in value]
 
 
 def _matrix(value, what: str) -> list:

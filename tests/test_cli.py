@@ -306,17 +306,6 @@ def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
     assert "invalid parameters" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc, named", [
-    ({**NP_DOC, "p": [0.5, 0.25, True, "x"]}, "p[2] must be a number"),
-    ({**NP_DOC, "q": [0.25, 10 ** 400]}, "q[1] must be finite"),
-], ids=["bool-entry", "integer-beyond-float"])
-def test_bad_list_entry_is_named(tmp_path, capsys, doc, named):
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
-    assert main(["np", "--input", str(path)]) == EXIT_INVALID
-    assert named in capsys.readouterr().err
-
-
 def test_undecodable_input_is_io_error(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b"\xff\xfe{}")
