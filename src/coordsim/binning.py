@@ -28,20 +28,22 @@ product.
 Layout
 ------
 Per realization, W^n is sorted once (stably) by its (f, c, m) triple key
-(f * bins_c + c) * bins_m + m.  Every realized (f, c) key, every realized
-triple and every realized f value is then a contiguous range of rows, and
-the gathered w-major tables (P(u, w) rows, P(v | w) rows, P(w)) reduce to
-per-key and per-triple tables by segment sums: the encoder normalizers
-Z[key, u] (which are also the realized (U^n, F, C) surface), the encoder
-mass pu * enc with both fallbacks, and the decoder's reference mass.  The
-decoder posterior depends on w only through its triple, so its V law is
-computed once per triple, P(V^n | triple) = sum_w P(w) P(v | w) / Z_triple,
-and the protocol's (U^n, V^n) law under seed f is one matmul of the
-per-triple encoder mass against those laws.  Both joints are weighted path
-tables over the same layout: ``RbJoint`` has one row per sequence,
-``RcJoint`` one per encoder row plus the w0 rows of the encoder aborts and
-of the unhit (f, c) keys; a marginal sums the rows per requested index and
-spreads the result over the decoder posterior of each row's triple.
+(f * bins_c + c) * bins_m + m.  Every realized (f, c) key and every
+realized triple is then a contiguous range of rows, and each lies inside
+the block of rows of one realized seed value f.  A trial works one f block
+at a time: it gathers that block's P(u, w) and P(v | w) rows and reduces
+them by segment sums to the encoder normalizers Z[key, u] (which are also
+the realized (U^n, F, C) surface), the encoder mass pu * enc with both
+fallbacks, and the decoder's reference mass, so it never holds a table of
+all n_w rows.  The decoder posterior depends on w only through its triple,
+so its V law is computed once per triple, P(V^n | triple) = sum_w P(w)
+P(v | w) / Z_triple, and the protocol's (U^n, V^n) law under seed f is one
+matmul of the per-triple encoder mass against those laws.  Both joints are
+weighted path tables over the same layout, built over all rows at once:
+``RbJoint`` has one row per sequence, ``RcJoint`` one per encoder row plus
+the w0 rows of the encoder aborts and of the unhit (f, c) keys; a marginal
+sums the rows per requested index and spreads the result over the decoder
+posterior of each row's triple.
 
 Conventions
 -----------
@@ -297,35 +299,32 @@ def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
     if x.ndim == 1:
         return np.bincount(ids, weights=x, minlength=n_seg)
     n_col = x.shape[1]
-    cells = (ids[:, None] * n_col + np.arange(n_col)).ravel()
+    cells = np.add.outer(ids * n_col, np.arange(n_col)).ravel()
     sums = np.bincount(cells, weights=x.ravel(), minlength=n_seg * n_col)
     return sums.reshape(n_seg, n_col)
 
 
 @dataclass(frozen=True)
 class _SortedLayout:
-    """W^n sorted once by its (f, c, m) triple, with the encoder tables.
-
-    Row r of every (n_w, ...) array is sequence ``order[r]``.  Realized key
-    j = (f, c) owns rows key_bounds[j]:key_bounds[j+1], realized triple i
-    owns rows trip_bounds[i]:trip_bounds[i+1], and realized f values own
-    the rows between consecutive ``f_bounds``.  The sort is stable, so rows
-    keep increasing flat order inside a triple.  Every per-key and
-    per-triple table is a segment sum over these rows.
+    """W^n sorted once by its (f, c, m) triple: the row layout that trials
+    and joints share.  Row r is sequence ``order[r]``.  Realized key j =
+    (f, c) owns rows key_bounds[j]:key_bounds[j+1], realized triple i owns
+    rows trip_bounds[i]:trip_bounds[i+1], and realized f values own the
+    blocks between consecutive ``f_bounds``, each holding all its keys and
+    triples.  The sort is stable, so rows keep increasing flat order inside
+    a triple.  Callers gather row tables (a block or all rows at a time)
+    and reduce them by segment sums over these runs.
     """
 
     order: np.ndarray        # (n_w,) flat w index of each row
     keys: np.ndarray         # (K,) realized (f, c) keys f * bins_c + c, increasing
+    key_ids: np.ndarray      # (n_w,) key segment of each row
     key_bounds: np.ndarray   # (K + 1,) row offsets of the key segments
     trip_ids: np.ndarray     # (n_w,) triple segment of each row
     trip_bounds: np.ndarray  # (T + 1,) row offsets of the triple segments
     f_bounds: np.ndarray     # (F + 1,) row offsets of the realized f values
-    pwu: np.ndarray          # (n_w, n_u) reverse joint of each row
     pw: np.ndarray           # (n_w,) reference mass of each row
     z_t: np.ndarray          # (T,) decoder normalizer: reference mass of each triple
-    z: np.ndarray            # (K, n_u) encoder normalizers Z[k, u] = P(U^n = u, key k)
-    pu_enc: np.ndarray       # (n_w, n_u) pu(u) enc(w | key, u), both fallbacks applied
-    w0_enc: np.ndarray       # (K, n_u) mass routed to the w0 encoder fallback
 
 
 def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
@@ -333,39 +332,46 @@ def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
     order = np.argsort(key * b.bins_m + b.phi_m, kind="stable")
     key_s = key[order]
     key_ids, key_bounds = _runs(key_s)
-    n_keys = key_bounds.size - 1
-    pwu = tab.pwu[order]
     pw_s = tab.pw[order]
+    trip_ids, trip_bounds = _runs(key_s * b.bins_m + b.phi_m[order])
+    return _SortedLayout(
+        order=order, keys=key_s[key_bounds[:-1]], key_ids=key_ids, key_bounds=key_bounds,
+        trip_ids=trip_ids, trip_bounds=trip_bounds, f_bounds=_runs(b.phi_f[order])[1],
+        pw=pw_s, z_t=_segment_sums(pw_s, trip_ids, trip_bounds.size - 1),
+    )
+
+
+def _encoder(pu, pwu, pw, key_ids, n_keys, out=None):
+    """(z, pu_enc, w0_enc) of a key-sorted run of rows with reverse joint
+    ``pwu`` and reference mass ``pw``: the encoder normalizers Z[key, u] =
+    P(U^n = u, key), the (rows, n_u) encoder mass pu(u) enc(w | key, u) with
+    both fallbacks applied (written into ``out`` if given), and the
+    (keys, n_u) mass routed to the w0 encoder fallback."""
     z = _segment_sums(pwu, key_ids, n_keys)
     pos = z > 0
-    pu_enc = pwu * np.divide(tab.pu, z, out=np.zeros_like(z), where=pos)[key_ids]
+    pu_enc = np.multiply(pwu, np.divide(pu, z, out=np.zeros_like(z), where=pos)[key_ids], out=out)
     w0_enc = np.zeros_like(z)
     if not pos.all():
         # u with no mass in the bin: the reference restricted to the bin,
         # or (if the bin carries no reference mass either) the w0 abort
-        bin_mass = _segment_sums(pw_s, key_ids, n_keys)
+        bin_mass = _segment_sums(pw, key_ids, n_keys)
         has_ref = bin_mass > 0
-        refill = np.where(~pos & has_ref[:, None], tab.pu, 0.0)
-        ref = pw_s / np.where(has_ref, bin_mass, 1.0)[key_ids]
-        pu_enc += ref[:, None] * refill[key_ids]
-        w0_enc = np.where(~pos & ~has_ref[:, None], tab.pu, 0.0)
-    trip_ids, trip_bounds = _runs(key_s * b.bins_m + b.phi_m[order])
-    return _SortedLayout(
-        order=order, keys=key_s[key_bounds[:-1]], key_bounds=key_bounds,
-        trip_ids=trip_ids, trip_bounds=trip_bounds, f_bounds=_runs(b.phi_f[order])[1],
-        pwu=pwu, pw=pw_s, z_t=_segment_sums(pw_s, trip_ids, trip_bounds.size - 1),
-        z=z, pu_enc=pu_enc, w0_enc=w0_enc,
-    )
+        refill = np.where(~pos & has_ref[:, None], pu, 0.0)[key_ids]
+        ref = pw / np.where(has_ref, bin_mass, 1.0)[key_ids]
+        pu_enc += np.multiply(ref[:, None], refill, out=refill)
+        w0_enc = np.where(~pos & ~has_ref[:, None], pu, 0.0)
+    return z, pu_enc, w0_enc
 
 
-def _triple_v_laws(lay: _SortedLayout, pvn_s: np.ndarray) -> np.ndarray:
-    """(T, n_v) decoded V law of each realized triple, P(V^n | triple) =
-    sum_w P(w) P(v | w) / Z_triple, from the sorted kernel rows ``pvn_s``.
-    A zero-mass triple keeps a zero row: the encoder only emits sequences
-    with reference mass and so never reaches it."""
-    v_t = _segment_sums(lay.pw[:, None] * pvn_s, lay.trip_ids, lay.z_t.size)
-    ok = lay.z_t > 0
-    v_t[ok] /= lay.z_t[ok, None]
+def _triple_v_laws(pw, pvn_rows, trip_ids, z_t) -> np.ndarray:
+    """(T, n_v) decoded V law of each triple of a run of rows, P(V^n |
+    triple) = sum_w P(w) P(v | w) / Z_triple, from their reference mass
+    ``pw`` and kernel rows ``pvn_rows``.  A zero-mass triple keeps a zero
+    row: the encoder only emits sequences with reference mass and so never
+    reaches it."""
+    v_t = _segment_sums(pw[:, None] * pvn_rows, trip_ids, z_t.size)
+    ok = z_t > 0
+    v_t[ok] /= z_t[ok, None]
     return v_t
 
 
@@ -392,52 +398,53 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     n_keys_total = b.bins_f * b.bins_c
     q = 1.0 / n_keys_total
     n_unhit = n_keys_total - lay.keys.size
-
-    # --- uniformity surface: realized (U^n, F, C) vs ideal product --------
-    l1_index = float(np.abs(lay.z - tab.pu / n_keys_total).sum()) + n_unhit * q
-
-    # --- decoder: V law per triple, error under the reverse joint ----------
     n_trips = lay.z_t.size
-    pvn_s = tab.pvn[lay.order]
     ok = lay.z_t > 0
     decoder_error = 1.0 - float(np.sum(_segment_sums(lay.pw * lay.pw, lay.trip_ids, n_trips)[ok] / lay.z_t[ok]))
-    v_t = _triple_v_laws(lay, pvn_s)
-    enc_t = _segment_sums(lay.pu_enc, lay.trip_ids, n_trips)
 
-    # --- protocol joint on (U^n, V^n), and seed selection per f value -------
+    # --- one realized f value at a time: its rows hold all its keys and
+    # triples, so only (U^n, F, C) tables and one block of rows are built
+    z, w0_enc = np.empty((2, lay.keys.size, tab.n_u))
     lump = np.outer(tab.pu, tab.pvn[tab.w0])  # an unhit (f, c) pair, weight 1
     f_keys = np.searchsorted(lay.key_bounds, lay.f_bounds)
     f_trips = np.searchsorted(lay.trip_bounds, lay.f_bounds)
     rc_uv = (b.bins_f - (lay.f_bounds.size - 1)) * b.bins_c * q * lump  # unhit f values
-    best_f, best_dist, best_cond_rc = -1, math.inf, None
+    best_f, best_dist, l1_sel = -1, math.inf, None
     for i in range(lay.f_bounds.size - 1):
         r0, r1 = lay.f_bounds[i], lay.f_bounds[i + 1]
         k0, k1 = f_keys[i], f_keys[i + 1]
         t0, t1 = f_trips[i], f_trips[i + 1]
-        rc_f = q * (enc_t[t0:t1].T @ v_t[t0:t1])
-        rc_f += q * np.outer(lay.w0_enc[k0:k1].sum(axis=0), tab.pvn[tab.w0])
+        rows, pw, trip_ids = lay.order[r0:r1], lay.pw[r0:r1], lay.trip_ids[r0:r1] - t0
+        pwu = tab.pwu[rows]
+        z[k0:k1], pu_enc, w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0)
+        enc_t = _segment_sums(pu_enc, trip_ids, t1 - t0)
+        pvn = tab.pvn[rows]
+        cond_rb = pwu.T @ pvn
+        del pwu, pu_enc  # each row table dies once read, before the next block
+        rc_f = q * (enc_t.T @ _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1]))
+        del pvn
+        rc_f += q * np.outer(w0_enc[k0:k1].sum(axis=0), tab.pvn[tab.w0])
         rc_f += (b.bins_c - (k1 - k0)) * q * lump
         rc_uv += rc_f
-        rb_mass = float(lay.pw[r0:r1].sum())
+        rb_mass = float(pw.sum())
         if rb_mass <= 0.0:
             continue
-        cond_rb = (lay.pwu[r0:r1].T @ pvn_s[r0:r1]) / rb_mass
-        cond_rc = rc_f * b.bins_f
-        dist = float(np.abs(cond_rb - cond_rc).sum())
+        cond_rb /= rb_mass
+        rc_f *= b.bins_f  # the protocol's law conditioned on this f
+        dist = float(np.abs(cond_rb - rc_f).sum())
         if dist < best_dist - 1e-15:
-            best_f, best_dist, best_cond_rc = int(lay.keys[k0]) // b.bins_c, dist, cond_rc
-    l1_uv = float(np.abs(rc_uv - tab.target_uv).sum())
-    l1_sel = float(np.abs(best_cond_rc - tab.target_uv).sum())
-    abort = n_unhit * q + q * float(lay.w0_enc.sum())  # unhit (f,c): encoder+decoder fallback
+            best_f, best_dist = int(lay.keys[k0]) // b.bins_c, dist
+            l1_sel = float(np.abs(rc_f - tab.target_uv).sum())
 
     return TrialMetrics(
-        l1_uv=l1_uv,
+        l1_uv=float(np.abs(rc_uv - tab.target_uv).sum()),
         l1_uv_given_f=l1_sel,
         select_f_index=best_f,
         select_f_distance=best_dist,
-        l1_index_fc=l1_index,
+        # the realized (U^n, F, C) surface against the ideal product
+        l1_index_fc=float(np.abs(z - tab.pu / n_keys_total).sum()) + n_unhit * q,
         decoder_error=decoder_error,
-        abort_rate=abort,
+        abort_rate=n_unhit * q + q * float(w0_enc.sum()),  # unhit (f,c): encoder+decoder fallback
     )
 
 
@@ -556,7 +563,7 @@ class RbJoint(_PathJoint):
     def _paths(self, axes):
         b, w = self.b, self._layout.order
         coords = {"f": b.phi_f[w], "c": b.phi_c[w], "w": w, "m": b.phi_m[w]}
-        return self._layout.pwu, coords, self._slot, self.tab.pvn[w] if "v" in axes else None
+        return self.tab.pwu[w], coords, self._slot, self.tab.pvn[w] if "v" in axes else None
 
 
 class RcJoint(_PathJoint):
@@ -579,8 +586,14 @@ class RcJoint(_PathJoint):
         unhit = b.bins_f * b.bins_c // (n_f * n_c) - hit
         cells = np.flatnonzero(unhit)
         w, n_w0 = lay.order, lay.keys.size + cells.size
-        weight = np.concatenate([lay.pu_enc, lay.w0_enc, unhit[cells, None] * t.pu])
-        weight *= 1.0 / (b.bins_f * b.bins_c)  # in place: the rows can be large
+        # encoder rows, then w0 rows of the hit and the unhit keys, written
+        # in place: the rows can be large
+        weight = np.empty((w.size + n_w0, t.n_u))
+        hit_end = w.size + lay.keys.size
+        weight[w.size:hit_end] = _encoder(t.pu, t.pwu[w], lay.pw, lay.key_ids, lay.keys.size,
+                                          out=weight[:w.size])[2]
+        np.multiply(unhit[cells, None], t.pu, out=weight[hit_end:])
+        weight *= 1.0 / (b.bins_f * b.bins_c)
         coords = {"f": np.concatenate([b.phi_f[w], key_f, cells // n_c]),
                   "c": np.concatenate([b.phi_c[w], key_c, cells % n_c]),
                   "w": np.append(w, np.full(n_w0, t.w0)),
@@ -588,7 +601,7 @@ class RcJoint(_PathJoint):
         slot = np.append(self._slot, np.full(n_w0, lay.z_t.size))
         v_rows = None
         if "v" in axes and "hw" not in axes:  # the decoded V law of each slot
-            v_rows = np.vstack([_triple_v_laws(lay, t.pvn[w]), t.pvn[t.w0]])[slot]
+            v_rows = np.vstack([_triple_v_laws(lay.pw, t.pvn[w], lay.trip_ids, lay.z_t), t.pvn[t.w0]])[slot]
         return weight, coords, slot, v_rows
 
 

@@ -373,15 +373,16 @@ def conditional(joint: JointPmf, given) -> ConditionalPmf:
 
 
 def _iid_table(t: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold product of the table ``t``: each axis of size s becomes one
-    of size s**n, earlier symbols most significant.  Each step broadcasts
-    the table so far against ``t`` straight into the interleaved axes
-    (S_1, s_1, S_2, s_2, ...), so no step transposes; the bits are those of
-    ``np.kron`` folded from the left."""
-    step = t.reshape([x for s in t.shape for x in (1, s)])
-    out = t
+    """The n-fold product of the table ``t``, as a new array: each axis of
+    size s becomes one of size s**n, earlier symbols most significant.  Each
+    step writes the table so far times one entry of ``t`` straight into its
+    slice of the interleaved axes (S_1, s_1, S_2, s_2, ...), so no step
+    transposes; the bits are those of ``np.kron`` folded from the left."""
+    out = np.array(t)
     for _ in range(n - 1):
-        wide = out.reshape([x for size in out.shape for x in (size, 1)]) * step
+        wide = np.empty([x for size, s in zip(out.shape, t.shape) for x in (size, s)])
+        for idx in np.ndindex(t.shape):
+            np.multiply(out, t[idx], out=wide[tuple(x for i in idx for x in (slice(None), i))])
         out = wide.reshape([size * s for size, s in zip(out.shape, t.shape)])
     return out
 
@@ -402,7 +403,7 @@ def iid_extension(obj, n: int):
     if isinstance(obj, ConditionalPmf):
         check_table_size((obj.input_size ** n) * (obj.output_size ** n), "iid kernel")
         out = _iid_table(obj.rows, n)
-        return ConditionalPmf(out / out.sum(axis=1, keepdims=True))
+        return ConditionalPmf(np.divide(out, out.sum(axis=1, keepdims=True), out=out))
     if isinstance(obj, JointPmf):
         entries = 1
         for s in obj.shape:
@@ -413,11 +414,11 @@ def iid_extension(obj, n: int):
 
 
 def _renormalize(a: np.ndarray) -> np.ndarray:
-    """Divide out the float drift of a long product so constructors accept it."""
+    """Divide out, in place, the float drift of a long product so constructors accept it."""
     total = a.sum()
     if not math.isfinite(total) or total <= 0:
         raise DomainError(f"cannot renormalize array with total mass {total!r}")
-    return a / total
+    return np.divide(a, total, out=a)
 
 
 def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:

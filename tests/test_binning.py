@@ -3,6 +3,8 @@ blocklengths, hand-frozen corner values, and seeded invariants."""
 
 import itertools
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -471,6 +473,58 @@ def test_rc_uv_marginal_agrees_with_trial_l1(rt):
     uv = rc_joint(d, b, cfg).marginal(("u", "v")).probs
     l1 = float(np.abs(uv - tab.target_uv).sum())
     assert abs(l1 - _trial_metrics(tab, b).l1_uv) <= 1e-12
+
+
+def chain3() -> Decomposition:
+    """|U|=2, |W|=3, |V|=2 with no zero cell: the benchmark's simulate chain."""
+    return Decomposition(
+        p_u=Pmf(np.array([0.55, 0.45])),
+        w_given_u=ConditionalPmf(np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])),
+        v_given_w=ConditionalPmf(np.array([[0.8, 0.2], [0.4, 0.6], [0.1, 0.9]])),
+    )
+
+
+# every TrialMetrics field of chain3 at n = 6, rates 0.5, seed 123, trials
+# 0-2 (floats as float.hex), recorded from a trial that gathered all rows
+# at once: working per seed block must not move a bit
+CHAIN3_N6_BITS = [
+    ("0x1.81800c07e396ap-2", "0x1.c7f5b28b0f5ddp-2", 5, "0x1.a7ecbfdc82fd4p-2",
+     "0x1.14d15e6dad373p-1", "0x1.bb0ceec202734p-2", "0x0.0p+0"),
+    ("0x1.8038f40d13e9dp-2", "0x1.95d90413cf596p-2", 0, "0x1.835caccb7c81cp-2",
+     "0x1.0cca7afde2272p-1", "0x1.ba9ce95031e5cp-2", "0x0.0p+0"),
+    ("0x1.865f1e9448827p-2", "0x1.b0ff65c598af2p-2", 1, "0x1.95f44695364b6p-2",
+     "0x1.09e05e869e02cp-1", "0x1.bc696bd4562a0p-2", "0x0.0p+0"),
+]
+
+
+def test_trial_metrics_bits_at_n6():
+    # at n = 6 the 729 sequences fall into 64 (f, c) keys and at most 512
+    # triples, so segment sums add several rows per key and per triple,
+    # unlike the n = 2 golden file
+    d = chain3()
+    cfg = scheme(d, n=6, r=0.5, r0=0.5, rt=0.5, seed=123)
+    tab = _tables(d, 6)
+    for t, want in enumerate(CHAIN3_N6_BITS):
+        got = astuple(_trial_metrics(tab, draw_binning(cfg, trial=t)))
+        assert tuple(v.hex() if isinstance(v, float) else v for v in got) == want, t
+
+
+def test_trial_never_builds_a_full_row_table():
+    # a trial gathers one seed block of rows at a time, so its peak stays
+    # below one (n_w, n_u) float64 table; gathering all rows at once peaks
+    # near 5.6 tables
+    d = chain3()
+    cfg = scheme(d, n=7, r=0.5, r0=0.5, rt=0.5, seed=123)
+    tab = _tables(d, 7)
+    tab.pvn, tab.target_uv  # build the cached tables before tracing
+    b = draw_binning(cfg, trial=0)
+    tracemalloc.start()
+    try:
+        _trial_metrics(tab, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tab.n_w * tab.n_u * 8, peak / (tab.n_w * tab.n_u * 8)
 
 
 def test_abort_rate_positive_with_dead_bins():

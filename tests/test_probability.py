@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordsim.cltverify import AtomLaw
@@ -29,6 +29,7 @@ from coordsim.probability import (
     marginalize,
     sequence_digits,
     sequence_index,
+    _iid_table,
 )
 
 
@@ -248,6 +249,47 @@ def test_iid_kernel_rows_are_products():
     assert k2.rows.shape == (4, 4)
     # row (0,1), column (1,1): 0.2 * 0.8
     assert k2.rows[1, 3] == pytest.approx(0.2 * 0.8, rel=1e-12)
+
+
+def kron_fold(t: np.ndarray, n: int) -> np.ndarray:
+    """Reference n-fold product: ``np.kron`` folded from the left."""
+    out = t
+    for _ in range(n - 1):
+        out = np.kron(out, t)
+    return out
+
+
+@st.composite
+def small_tables(draw):
+    """A 1-D or 2-D table of sides 1..3 whose every row has positive mass;
+    entries mix exact zeros with arbitrary floats in (0, 1]."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = [draw(st.lists(cell, min_size=shape[-1], max_size=shape[-1]).filter(any))
+            for _ in range(math.prod(shape[:-1]))]
+    return np.array(rows).reshape(shape)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200)
+@given(t=small_tables(), n=st.integers(1, 4))
+def test_iid_table_and_extensions_match_kron_fold_bit_for_bit(t, n):
+    got = _iid_table(t, n)
+    assert same_bits(got, kron_fold(t, n))
+    assert got is not t and got.flags.writeable
+    # each law type divides the product by its total (per row for kernels)
+    if t.ndim == 1:
+        p_n = kron_fold(t / t.sum(), n)
+        assert same_bits(iid_extension(Pmf(t / t.sum()), n).probs, p_n / p_n.sum())
+    else:
+        j_n = kron_fold(t / t.sum(), n)
+        assert same_bits(iid_extension(JointPmf(t / t.sum()), n).probs, j_n / j_n.sum())
+        k = t / t.sum(axis=1, keepdims=True)
+        k_n = kron_fold(k, n)
+        assert same_bits(iid_extension(ConditionalPmf(k), n).rows, k_n / k_n.sum(axis=1, keepdims=True))
 
 
 def test_iid_respects_memory_cap(monkeypatch):
