@@ -76,6 +76,7 @@ from .probability import (
     JointPmf,
     Pmf,
     _clean_probs,
+    _freeze,
     check_table_size,
     iid_extension,
     marginalize,
@@ -492,7 +493,8 @@ class _PathJoint:
     abort slot one past the last triple, which decodes to w0) and its V^n
     law, or None when V^n is emitted from the decoded sequence hw.
     ``marginal(axes)`` materializes exactly the requested axes (any subset
-    of u, w, f, c, m, hw, v in any order), capped by the memory budget.
+    of u, w, f, c, m, hw, v in any order) as one C-ordered table, capped by
+    the memory budget.
     """
 
     def __init__(self, d: Decomposition, b: BinningRealization, cfg: SchemeConfig):
@@ -549,8 +551,12 @@ class _PathJoint:
             out = np.zeros((n_idx, weight.shape[1], t.n_w, body.shape[2]))
             # an abort slot and the triple of w0 can both reach (index, w0)
             np.add.at(out, (keys[owner] // n_slots, slice(None), hw), body)
-        table = out.reshape(tuple(sizes[a] for a in build))
-        return JointPmf(np.transpose(table, tuple(build.index(a) for a in axes)), axes=axes)
+        del weight, body  # so the path rows are not alive beside the copy below
+        # one C-ordered copy in the requested axis order, frozen so the
+        # joint keeps it without another (probability Conventions)
+        table = np.transpose(out.reshape(tuple(sizes[a] for a in build)),
+                             tuple(build.index(a) for a in axes)).copy()
+        return JointPmf(_freeze(table), axes=axes)
 
 
 class RbJoint(_PathJoint):
@@ -590,8 +596,9 @@ class RcJoint(_PathJoint):
         # in place: the rows can be large
         weight = np.empty((w.size + n_w0, t.n_u))
         hit_end = w.size + lay.keys.size
-        weight[w.size:hit_end] = _encoder(t.pu, t.pwu[w], lay.pw, lay.key_ids, lay.keys.size,
-                                          out=weight[:w.size])[2]
+        # w is a permutation, so "clip" never clips; "raise" would buffer a full copy
+        rows = np.take(t.pwu, w, axis=0, out=weight[:w.size], mode="clip")
+        weight[w.size:hit_end] = _encoder(t.pu, rows, lay.pw, lay.key_ids, lay.keys.size, out=rows)[2]
         np.multiply(unhit[cells, None], t.pu, out=weight[hit_end:])
         weight *= 1.0 / (b.bins_f * b.bins_c)
         coords = {"f": np.concatenate([b.phi_f[w], key_f, cells // n_c]),

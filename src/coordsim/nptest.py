@@ -611,20 +611,22 @@ def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
     """A coded scheme's realized table ``P2`` against the product of the
     n-fold marginals of ``pair``, with its L1 distance from the iid table.
     The product law is read on the support of P2 only, never built as a
-    table, and each large array is dropped as soon as it is read."""
+    table, and each large array is dropped as soon as it is read: the
+    caller keeps no reference to P2 (C-ordered, so flattening it is a
+    view), and the unsorted ratios go once ``tie_groups`` has sorted them."""
     diff = P2 - iid_extension(pair, n).probs
     l1 = float(np.abs(diff, out=diff).sum())
     del diff
     pb = iid_extension(marginalize(pair, 1), n).probs
-    sup = np.flatnonzero(P2.reshape(-1) > 0)
+    P2 = P2.reshape(-1)
+    sup = np.flatnonzero(P2 > 0)
     q = iid_extension(marginalize(pair, 0), n).probs[sup // pb.size]
     q *= pb[sup % pb.size]
     if np.any(q <= 0):
         raise DomainError("perturbed law puts mass where the product law has none")
-    p = P2.reshape(-1)[sup]
-    del sup
-    llr = p / q
-    return _PairLaw(_TieGroups(None, *tie_groups(np.log2(llr, out=llr), p, q)[1:]), l1)
+    p = P2[sup]
+    del P2, sup
+    return _PairLaw(_TieGroups(None, *tie_groups(np.log2(p / q), p, q)[1:]), l1)
 
 
 def _check_witness_params(n: int, eps: float, y: float) -> int:
@@ -666,8 +668,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
             seed=0,
             decomposition=d,
         )
-        P2 = rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs
-        law = _table_law(P2, pair, n)
+        law = _table_law(rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs, pair, n)
     else:
         law = _type_transfer(pair.probs, n, eps, "gain" if mode == "case1" else "lose")
     return _assemble("rate", mode, law, n, eps, y, stats_wu(d), lower_gain=0.0, rate_penalty=0.0)

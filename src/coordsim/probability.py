@@ -21,10 +21,16 @@ Conventions
 * One law check, ``_clean_probs``, decides what is a probability law:
   finite entries, entries down to -1e-15 clamped to 0 as float dust, total
   within ``NORM_TOL = 1e-12`` of 1 (per row for kernels).  It returns a
-  frozen copy, never renormalized.  Every law the program accepts passes
+  read-only array, never renormalized.  Every law the program accepts passes
   it: ``Pmf``, ``JointPmf``, ``ConditionalPmf`` rows, ``AtomLaw`` masses,
   ``BinningRealization.w_mass`` and the flattened inputs of ``np_beta``,
   ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
+* Ownership: a float64 ndarray that owns its data and is already read-only
+  is kept as it is, not copied.  That is how the package hands over a table
+  it has just built (``iid_extension``, the binning joints' marginals): it
+  freezes the fresh array first, so each large table is alive once.  Any
+  other input is copied, so a law never changes when a caller later writes
+  to the array it passed in.
 * Exact table sizes are capped (default 2**26 entries, override with the
   COORDSIM_MEM_CAP environment variable); blowing the cap raises
   ``ResourceLimitError`` with the required size attached.
@@ -86,8 +92,13 @@ def check_table_size(entries: int, what: str = "table") -> None:
 def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
     """The one law check (see Conventions): finite, nonnegative up to float
     dust, total mass 1 within NORM_TOL -- per row of a 2-D array when
-    ``rows``.  Returns a read-only copy, never renormalized."""
-    a = np.array(arr, dtype=np.float64, copy=True)
+    ``rows``.  Returns a read-only array, never renormalized: ``arr``
+    itself when it is a float64 ndarray that owns its data and is already
+    read-only (a table the package built and froze; see Conventions), else
+    a copy.  A kept array with float dust to clamp is copied first."""
+    kept = (type(arr) is np.ndarray and arr.dtype == np.float64
+            and arr.flags.owndata and not arr.flags.writeable)
+    a = arr if kept else np.array(arr, dtype=np.float64, copy=True)
     if a.size == 0:
         raise ShapeError(f"{what} must be non-empty")
     if not np.all(np.isfinite(a)):
@@ -97,7 +108,10 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
     if np.any(a < _NEG_DUST):
         bad = np.unravel_index(int(np.argmin(a)), a.shape)
         raise DomainError(f"{what} has a negative entry {a[bad]!r}", index=bad)
-    a[neg] = 0.0  # clamp -1e-15 < x < 0 float dust
+    if np.any(neg):  # clamp -1e-15 < x < 0 float dust
+        if not a.flags.writeable:
+            a = a.copy()
+        a[neg] = 0.0
     if rows:
         sums = a.sum(axis=1)
         worst = int(np.argmax(np.abs(sums - 1.0)))
@@ -107,6 +121,13 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
     if abs(total - 1.0) > NORM_TOL:
         where = "" if worst is None else f" row {worst}"
         raise DomainError(f"{what}{where} sums to {total!r}, not 1 within {NORM_TOL}", index=worst)
+    a.setflags(write=False)
+    return a
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Mark a table the package just built read-only, so a constructor
+    keeps it without a copy (see Conventions), and return it."""
     a.setflags(write=False)
     return a
 
@@ -373,17 +394,19 @@ def conditional(joint: JointPmf, given) -> ConditionalPmf:
 
 
 def _iid_table(t: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold product of the table ``t``, as a new array: each axis of
-    size s becomes one of size s**n, earlier symbols most significant.  Each
-    step writes the table so far times one entry of ``t`` straight into its
-    slice of the interleaved axes (S_1, s_1, S_2, s_2, ...), so no step
-    transposes; the bits are those of ``np.kron`` folded from the left."""
+    """The n-fold product of the table ``t``, as a new array that owns its
+    data: each axis of size s becomes one of size s**n, earlier symbols most
+    significant.  Each step writes the table so far times one entry of ``t``
+    straight into its slice of the interleaved axes (S_1, s_1, S_2, s_2,
+    ...), a view of the grown table, so no step transposes; the bits are
+    those of ``np.kron`` folded from the left."""
     out = np.array(t)
     for _ in range(n - 1):
-        wide = np.empty([x for size, s in zip(out.shape, t.shape) for x in (size, s)])
+        grown = np.empty([size * s for size, s in zip(out.shape, t.shape)])
+        wide = grown.reshape([x for size, s in zip(out.shape, t.shape) for x in (size, s)])
         for idx in np.ndindex(t.shape):
             np.multiply(out, t[idx], out=wide[tuple(x for i in idx for x in (slice(None), i))])
-        out = wide.reshape([size * s for size, s in zip(out.shape, t.shape)])
+        out = grown
     return out
 
 
@@ -393,23 +416,24 @@ def iid_extension(obj, n: int):
     Each original axis becomes one composite axis of size ``s**n`` whose flat
     index reads the n symbols first-symbol-most-significant.  Axis names are
     preserved for joints.  Raises ``ResourceLimitError`` when the extended
-    table would blow the memory cap.
+    table would blow the memory cap.  The table is built once and frozen,
+    so the law holds it without a copy.
     """
     if n < 1:
         raise DomainError(f"iid extension length must be >= 1, got {n}")
     if isinstance(obj, Pmf):
         check_table_size(obj.size ** n, "iid pmf")
-        return Pmf(_renormalize(_iid_table(obj.probs, n)))
+        return Pmf(_freeze(_renormalize(_iid_table(obj.probs, n))))
     if isinstance(obj, ConditionalPmf):
         check_table_size((obj.input_size ** n) * (obj.output_size ** n), "iid kernel")
         out = _iid_table(obj.rows, n)
-        return ConditionalPmf(np.divide(out, out.sum(axis=1, keepdims=True), out=out))
+        return ConditionalPmf(_freeze(np.divide(out, out.sum(axis=1, keepdims=True), out=out)))
     if isinstance(obj, JointPmf):
         entries = 1
         for s in obj.shape:
             entries *= s ** n
         check_table_size(entries, "iid joint")
-        return JointPmf(_renormalize(_iid_table(obj.probs, n)), axes=obj.axes)
+        return JointPmf(_freeze(_renormalize(_iid_table(obj.probs, n))), axes=obj.axes)
     raise ShapeError(f"iid_extension does not handle {type(obj).__name__}")
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError
 from .measures import BEStats, backoff, be_stats, check_blocklength, check_eps, check_split
@@ -94,6 +95,18 @@ class Decomposition:
     def uv_marginal(self) -> JointPmf:
         return marginalize(self.joint(), ("u", "v"))
 
+    # the density statistics behind ``stats_wu`` / ``stats_wuv``, computed on
+    # first read: a region sweep reads both bounds at every n
+    @cached_property
+    def _stats_wu(self) -> BEStats:
+        pair = regroup_pair(marginalize(self.joint(), ("u", "w")), "w", "u")
+        return be_stats(info_density(pair), pair)
+
+    @cached_property
+    def _stats_wuv(self) -> BEStats:
+        pair = regroup_pair(self.joint(), "w", ("u", "v"))
+        return be_stats(info_density(pair), pair)
+
 
 @dataclass(frozen=True)
 class GammaTriple:
@@ -131,15 +144,15 @@ class RegionPoint:
 
 
 def stats_wu(d: Decomposition) -> BEStats:
-    """Moments of the information density between W and U."""
-    pair = regroup_pair(marginalize(d.joint(), ("u", "w")), "w", "u")
-    return be_stats(info_density(pair), pair)
+    """Moments of the information density between W and U (computed once
+    per decomposition)."""
+    return d._stats_wu
 
 
 def stats_wuv(d: Decomposition) -> BEStats:
-    """Moments of the information density between W and the pair (U, V)."""
-    pair = regroup_pair(d.joint(), "w", ("u", "v"))
-    return be_stats(info_density(pair), pair)
+    """Moments of the information density between W and the pair (U, V)
+    (computed once per decomposition)."""
+    return d._stats_wuv
 
 
 def asymptotic_region(d: Decomposition) -> tuple[float, float]:

@@ -7,6 +7,9 @@ instance, digit by digit.
 """
 
 import math
+import sys
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -424,6 +427,59 @@ def test_witness_coded_mode_smoke():
     assert 0.0 <= rep.beta <= 1.0
     assert 0.0 <= rep.l1_to_iid <= 2.0
     assert rep.alpha == pytest.approx(0.9, abs=1e-15)
+
+
+# every float field of the bench copy-chain coded witness at n = 10, eps
+# 0.9, y 0.6 (float.hex), then (log_gamma, tail, bound_lhs, bound_rhs) of
+# each upper and lower candidate, recorded before the coded table was held
+# once: dropping copies must not move a bit
+CODED_N10_BITS = {
+    "eps": "0x1.ccccccccccccdp-1", "y": "0x1.3333333333333p-1",
+    "mu": "0x1.0000000000000p+0", "v": "0x0.0p+0", "b_over_sqrt_n": "0x0.0p+0",
+    "alpha": "0x1.ccccccccccccdp-1", "log_arg": "0x1.3333333333334p-2",
+    "beta": "0x1.47d70cccccccdp-1", "log2_inv_beta": "0x1.494b2f9f7a92fp-1",
+    "np_threshold": "-0x1.134e1b4890631p-3", "np_randomization": "0x1.cb7d9f636fd75p-2",
+    "h_standin": "0x1.4000000000000p+3", "lower_gain": "0x0.0p+0",
+    "rate_penalty": "0x0.0p+0", "rate": "0x1.a7113e9bc17b4p-1",
+    "l1_to_iid": "0x1.8000000000000p+0",
+}
+CODED_N10_CANDIDATES = {
+    "upper": [("zero", "0x1.4000000000000p+3", "0x0.0p+0", "0x1.494b2f9f7a92fp-1", "0x1.4000000000000p+3")],
+    "lower": [("zero", "0x1.4000000000000p+3", "0x0.0p+0", "0x1.779538dea712fp+3", "0x1.494b2f9f7a92fp-1")],
+}
+
+
+def float_bits(obj) -> dict:
+    return {f.name: v.hex() for f in fields(obj) if isinstance(v := getattr(obj, f.name), float)}
+
+
+def test_witness_coded_bits_at_n10():
+    rep = converse_witness(uniform_copy_chain(), n=10, eps=0.9, y=0.6, mode="coded")
+    assert float_bits(rep) == CODED_N10_BITS
+    for side, want in CODED_N10_CANDIDATES.items():
+        got = [(c.name, *float_bits(c).values()) for c in getattr(rep, side)]
+        assert got == want, side
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "the bound counts on a called frame taking over its arguments from the "
+    "caller's stack (CPython 3.11+); on 3.10 the caller keeps the coded "
+    "table and the unsorted ratios alive through the call"))
+def test_witness_coded_holds_each_table_once():
+    # the (u, w) table is held once: the scheme's path rows are dropped
+    # before it is copied out C-ordered, the joint keeps that copy, and
+    # _table_law frees it once read.  Copying it on construction and
+    # reshaping it twice peaked at 5.6 (u, w) tables
+    d = uniform_copy_chain()
+    converse_witness(d, n=10, eps=0.9, y=0.6, mode="coded")  # warm caches
+    table_bytes = 4 ** 10 * 8
+    tracemalloc.start()
+    try:
+        converse_witness(d, n=10, eps=0.9, y=0.6, mode="coded")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * table_bytes, peak / table_bytes
 
 
 # =============================================================================

@@ -6,6 +6,7 @@ was written; randomized checks use seeded generators so failures replay.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,38 @@ def test_one_law_check_everywhere(weights, case, at, sign):
         kept = form()
         if name != "np_beta":
             assert np.array_equal(kept, np.maximum(x, 0.0)), name
+
+
+def test_law_is_isolated_from_a_writable_caller_array():
+    # a constructor copies any array the caller can still write to
+    p = np.array([0.25, 0.75])
+    rows = np.array([[0.5, 0.5], [0.1, 0.9]])
+    joint = np.array([[0.125, 0.375], [0.25, 0.25]])
+    laws = (Pmf(p).probs, ConditionalPmf(rows).rows, JointPmf(joint).probs)
+    frozen = [a.copy() for a in laws]
+    for a in (p, rows, joint):
+        a[...] = 7.0
+    for law, want in zip(laws, frozen):
+        assert np.array_equal(law, want) and not law.flags.writeable
+
+
+def test_frozen_owned_table_is_kept_and_dust_is_never_written_back():
+    # a read-only float64 array that owns its data is kept as it is; one
+    # with float dust to clamp is copied, and the caller's stays untouched
+    a = np.array([0.25, 0.75])
+    a.setflags(write=False)
+    assert Pmf(a).probs is a
+    dusty = np.array([1.0 + 4e-16, -4e-16])
+    dusty.setflags(write=False)
+    kept = Pmf(dusty).probs
+    assert kept is not dusty and kept[1] == 0.0 and dusty[1] == -4e-16
+    # views and other dtypes are copied even when read-only
+    view = np.array([[0.25, 0.75]])[0]
+    view.setflags(write=False)
+    assert Pmf(view).probs is not view
+    single = np.array([0.25, 0.75], dtype=np.float32)
+    single.setflags(write=False)
+    assert Pmf(single).probs.dtype == np.float64
 
 
 def test_joint_axis_names_checked():
@@ -290,6 +323,23 @@ def test_iid_table_and_extensions_match_kron_fold_bit_for_bit(t, n):
         k = t / t.sum(axis=1, keepdims=True)
         k_n = kron_fold(k, n)
         assert same_bits(iid_extension(ConditionalPmf(k), n).rows, k_n / k_n.sum(axis=1, keepdims=True))
+
+
+def test_iid_extension_holds_its_table_once():
+    # the n-fold table is built in place and kept by the law without a
+    # copy: chain3's V|W kernel at n = 8 peaks near 1.25 tables (the last
+    # step's input and the row sums on top of the final table); a copy on
+    # construction peaked at 2.25
+    k = ConditionalPmf(np.array([[0.8, 0.2], [0.4, 0.6], [0.1, 0.9]]))
+    table_bytes = 3 ** 8 * 2 ** 8 * 8
+    tracemalloc.start()
+    try:
+        rows = iid_extension(k, 8).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.flags.owndata and not rows.flags.writeable
+    assert peak < 1.5 * table_bytes, peak / table_bytes
 
 
 def test_iid_respects_memory_cap(monkeypatch):

@@ -6,10 +6,12 @@ summation over all outcome triples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from coordsim import region
 from coordsim.errors import DomainError
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf
 from coordsim.region import (
@@ -379,3 +381,14 @@ def test_bounds_converge_to_asymptotic_region():
 def test_region_point_is_plain_data():
     pt = RegionPoint(r_min=1.0, r_plus_r0_min=1.5, eps_tot_bound=None, valid=False)
     assert pt.notes == {}
+
+
+def test_region_sweep_computes_each_statistic_once():
+    # both bounds read stats_wu and stats_wuv at every n; a decomposition
+    # computes each once, so a three-n sweep makes two be_stats calls
+    d = bsc_decomposition(0.1)
+    with mock.patch.object(region, "be_stats", wraps=region.be_stats) as spy:
+        for n in (100, 200, 400):
+            inner_bound(d, 0.1, 0.1, n, parse_gamma_rule("logn", n))
+            outer_bound(d, 0.9, n)
+    assert spy.call_count == 2
