@@ -70,7 +70,7 @@ import numpy as np
 
 from .cltverify import _atom_law, convolve_n
 from .errors import DomainError, ResourceLimitError, ShapeError
-from .measures import check_blocklength
+from .measures import check_blocklength, check_seed
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -124,8 +124,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_blocklength(self.n))
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
         # materialize the counts now so bad rates fail at construction
         self.bin_counts()
 

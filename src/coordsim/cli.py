@@ -287,7 +287,7 @@ def resolve_config(args) -> dict:
             "subcommand": sub,
             "target_uv": _matrix(doc["target_uv"], "target_uv"),
             "w_size": _integer(doc["w_size"], "w_size"),
-            "objective": str(doc.get("objective", "r_min")),
+            "objective": _string(doc.get("objective", "r_min"), "objective"),
             "restarts": _integer(doc.get("restarts", 4), "restarts"),
             "seed": args.seed,
             "eps": args.eps,

@@ -168,6 +168,13 @@ def check_split(y: float) -> None:
         raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise ``DomainError`` unless ``seed`` is an int in [0, 2^64) -- the
+    one spelling of the seed check."""
+    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 def check_blocklength(n, least: int = 1) -> int:
     """``n`` as an int, unless it is not a whole number >= ``least``
     (``DomainError("blocklength ...")``): bools and non-integral, NaN and
@@ -279,16 +286,12 @@ def conditional_dispersion(p_in: Pmf, ch: ConditionalPmf) -> float:
     """
     if ch.input_size != p_in.size:
         raise ShapeError(f"channel expects {ch.input_size} inputs, p_in has {p_in.size}")
-    joint = JointPmf(p_in.probs[:, None] * ch.rows)
-    dens = info_density(joint)
-    total = 0.0
-    for x in range(p_in.size):
-        px = p_in.probs[x]
-        if px <= 0:
-            continue
-        row_mask = dens.support[x]
-        total += px * moments(dens.values[x][row_mask], ch.rows[x][row_mask])[1]
-    return total
+    dens = info_density(JointPmf(p_in.probs[:, None] * ch.rows))
+    # one law per input row; off-support cells, all cells of an input never
+    # sent included, get value and weight 0 in place of their NaN density
+    vals = np.where(dens.support, dens.values, 0.0)
+    _, v, _ = moments(vals, np.where(dens.support, ch.rows, 0.0), third=False)
+    return float(np.dot(p_in.probs, v))
 
 
 # =============================================================================

@@ -16,6 +16,11 @@ free scheme:
   current coordinate: a few rounds, each one vectorized evaluation of a
   whole grid, so it sees the whole bracket instead of assuming the line
   unimodal;
+* a coordinate line moves one row of one block, P(w|u) or P(v|w), so its
+  grids are scored by a line evaluator (``_Problem.line``) that builds
+  everything else once per line -- the fixed block's softmax rows, the
+  (u, w) joint and, on a P(v|w) line, the whole (W;U) term, which is all
+  r_min reads -- and per round only the moving row's softmax for the grid;
 * random restarts (each with a seed derived from (seed, restart_index))
   run one after another and independently, and the best objective among
   those matching the target marginal wins, ties broken by lowest restart
@@ -29,7 +34,10 @@ free scheme:
 The objective is the same finite-n rate expression ``region.inner_bound``
 reports, computed on plain arrays through the shared ``pair_density`` /
 ``moments`` / ``backoff`` core, for a whole batch of parameter vectors in
-one numpy pass, so each evaluation skips the validating value types.
+one numpy pass, so each evaluation skips the validating value types.  One
+scorer (``_Problem._score``) serves both ``evaluate_many``, where nothing
+is fixed, and the line evaluator, with the same floating-point operations
+per row, so a line scores its grid bit for bit as ``evaluate_many`` would.
 
 The U marginal is pinned to the target's own U marginal: every valid chain
 reproduces it exactly, so searching it would only fight the penalty.
@@ -42,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .measures import backoff, gaussian_q_inv, moments
+from .measures import backoff, check_seed, gaussian_q_inv, moments
 from .probability import ConditionalPmf, JointPmf, Pmf, pair_density
 from .region import Decomposition, GammaTriple, parse_gamma_rule
 
@@ -59,12 +67,15 @@ _MAX_PASSES = 30
 OBJECTIVES = ("r_min", "r_plus_r0_min", "max_slack")
 
 
+def _softmax(full: np.ndarray) -> np.ndarray:
+    """Rows of full logits (last axis) -> stochastic rows."""
+    e = np.exp(full - full.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Rows of free logits (last axis) -> stochastic rows (implicit trailing logit 0)."""
-    full = np.concatenate([logits, np.zeros(logits.shape[:-1] + (1,))], axis=-1)
-    full -= full.max(axis=-1, keepdims=True)
-    e = np.exp(full)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(np.concatenate([logits, np.zeros(logits.shape[:-1] + (1,))], axis=-1))
 
 
 def _logits_for(rows: np.ndarray, floor: float = 1e-9) -> np.ndarray:
@@ -98,31 +109,80 @@ class _Problem:
         u, w, v = self.target.shape[0], self.w_size, self.target.shape[1]
         return u * (w - 1) + w * (v - 1)
 
+    def _term(self, pair: np.ndarray, g: float) -> tuple:
+        """(mutual information, backoff + gamma term) of the pair laws
+        ``pair`` over their last two axes, one per leading index (floats
+        for one law)."""
+        _, dens = pair_density(pair)
+        lead = pair.shape[:-2]
+        mu, v, _ = moments(dens.reshape(lead + (-1,)), pair.reshape(lead + (-1,)), third=False)
+        return mu, backoff(v, self.q_inv, self.n) + g
+
+    def _wu_term(self, joint_uw: np.ndarray) -> tuple:
+        """The (W;U) constraint's ``_term`` of the (..., u, w) joints."""
+        return self._term(joint_uw.swapaxes(-1, -2), self.g_r)
+
+    def _score(self, joint_uw: np.ndarray, rows_vw: np.ndarray, wu_term: tuple | None = None) -> tuple:
+        """(objective values, marginal L1 gaps) of the K chains with (u, w)
+        joints ``joint_uw`` and P(v|w) rows ``rows_vw``: one of the two is a
+        (K, ...) batch, the other either a batch too or one law shared by
+        all K.  ``wu_term`` is the (W;U) term of a shared ``joint_uw``,
+        already computed, or None.
+
+        Only the constraints the objective reads are computed.  Where the
+        value reads only a given ``wu_term`` (r_min), it is one float for
+        all K rows."""
+        joint = joint_uw[..., None] * rows_vw[..., None, :, :]  # (k, u, w, v)
+        gap = np.abs(joint.sum(axis=2) - self.target).sum(axis=(1, 2))
+        if wu_term is None and self.objective != "r_plus_r0_min":
+            wu_term = self._wu_term(joint_uw)
+        if self.objective == "r_min":
+            mu, q = wu_term
+            return mu + q, gap
+        mu, q = self._term(joint.transpose(0, 2, 1, 3).reshape(joint.shape[0], self.w_size, -1), self.g_rr0)
+        if self.objective == "max_slack":  # worst finite-n backoff over the two constraints
+            return np.maximum(wu_term[1], q), gap
+        return mu + q, gap
+
     def evaluate_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(objective values, marginal L1 gaps) at each row of the
-        (K, n_params) batch ``xs``, in one numpy pass.
-
-        Only the constraints the objective reads are computed.
-        """
-        k = xs.shape[0]
+        (K, n_params) batch ``xs``, in one numpy pass."""
         rows_wu, rows_vw = (_softmax_rows(logits) for logits in self.split(xs))
-        joint_uw = self.p_u[:, None] * rows_wu  # (k, u, w)
-        joint = joint_uw[..., None] * rows_vw[:, None]  # (k, u, w, v)
-        gap = np.abs(joint.sum(axis=2) - self.target).sum(axis=(1, 2))
-        pairs = []  # (k, w, other) pair laws with their gamma terms
-        if self.objective != "r_plus_r0_min":
-            pairs.append((joint_uw.transpose(0, 2, 1), self.g_r))
-        if self.objective != "r_min":
-            pairs.append((joint.transpose(0, 2, 1, 3).reshape(k, self.w_size, -1), self.g_rr0))
-        terms = []  # (mutual information, backoff + gamma term) per constraint
-        for pair, g in pairs:
-            _, dens = pair_density(pair)
-            mu, v, _ = moments(dens.reshape(k, -1), pair.reshape(k, -1), third=False)
-            terms.append((mu, backoff(v, self.q_inv, self.n) + g))
-        if self.objective == "max_slack":  # worst finite-n backoff over the two constraints
-            return np.maximum(terms[0][1], terms[1][1]), gap
-        mu, q = terms[0]
-        return mu + q, gap
+        return self._score(self.p_u[:, None] * rows_wu, rows_vw)
+
+    def line(self, x: np.ndarray, i: int):
+        """Evaluator of the line through ``x`` along coordinate ``i``:
+        ``ts`` -> (objective values, marginal L1 gaps) of x with x[i] = t,
+        for each t of ``ts``; bit for bit what ``evaluate_many`` gives on
+        those rows (the values may be one float, see ``_score``).
+
+        A line moves one row of one block, P(w|u) or P(v|w).  Everything
+        else is built here, once: both blocks' softmax rows, the (u, w)
+        joint and, on a P(v|w) line, the whole (W;U) term.  Each call builds
+        only the moving row's softmax for the ts and scores the batch."""
+        logits_wu, logits_vw = self.split(x)
+        rows_vw = _softmax_rows(logits_vw)
+        joint_uw = self.p_u[:, None] * _softmax_rows(logits_wu)
+        on_wu = i < logits_wu.size
+        logits = logits_wu if on_wu else logits_vw
+        row, col = divmod(i if on_wu else i - logits_wu.size, logits.shape[-1])
+        full = np.append(logits[row], 0.0)  # the moving row's logits, pinned trailing 0 included
+
+        def moving_rows(ts: np.ndarray) -> np.ndarray:  # (K, size) softmax rows, one per t
+            grid = np.repeat(full[None], ts.size, axis=0)
+            grid[:, col] = ts
+            return _softmax(grid)
+
+        def with_row(fixed: np.ndarray, rows: np.ndarray) -> np.ndarray:  # fixed once per row, row replaced
+            batch = np.repeat(fixed[None], rows.shape[0], axis=0)
+            batch[:, row] = rows
+            return batch
+
+        if on_wu:
+            p_row = self.p_u[row]
+            return lambda ts: self._score(with_row(joint_uw, p_row * moving_rows(ts)), rows_vw)
+        wu_term = None if self.objective == "r_plus_r0_min" else self._wu_term(joint_uw)
+        return lambda ts: self._score(joint_uw, with_row(rows_vw, moving_rows(ts)), wu_term)
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
         """(objective value, marginal L1 gap) at parameter vector x."""
@@ -158,21 +218,16 @@ def _descend(problem: _Problem, x0: np.ndarray) -> tuple[np.ndarray, float, floa
     x = x0.copy()
     for lam in _PENALTY_SCHEDULE:
 
-        def penalized(xs: np.ndarray) -> np.ndarray:
-            values, gaps = problem.evaluate_many(xs)
+        def penalized(scores: tuple) -> np.ndarray:
+            values, gaps = scores
             return values + lam * gaps * gaps
 
-        current = float(penalized(x[None, :])[0])
+        current = float(penalized(problem.evaluate_many(x[None, :]))[0])
         for _ in range(_MAX_PASSES):
             before = current
             for i in range(x.size):
-
-                def line(ts: np.ndarray) -> np.ndarray:
-                    xs = np.repeat(x[None, :], ts.size, axis=0)
-                    xs[:, i] = ts
-                    return penalized(xs)
-
-                x[i], current = _zoom_min(line, x[i], current, 2.5)
+                line = problem.line(x, i)
+                x[i], current = _zoom_min(lambda ts: penalized(line(ts)), x[i], current, 2.5)
             if before - current < 1e-11:
                 break
     value, gap = problem.evaluate(x)
@@ -226,7 +281,8 @@ def optimize_decomposition(
     at the given (eps, n) with the given gamma triple (default: the
     (log n, log n / 2, log n) rule).  The returned decomposition's (U,V)
     marginal matches the target within 1e-6 in L1; if no restart gets there,
-    ``SearchError`` carries the best-found diagnostics.
+    ``SearchError`` carries the best-found diagnostics.  ``seed`` must be an
+    int in [0, 2^64), as for the simulator, whatever the restart count.
     """
     if target.probs.ndim != 2:
         raise DomainError(f"target must be a two-axis joint, got rank {target.probs.ndim}")
@@ -237,6 +293,7 @@ def optimize_decomposition(
         raise DomainError(f"w_size must lie in [1, |U|*|V|+1] = [1, {u_size * v_size + 1}], got {w_size}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    check_seed(seed)  # checked even when one restart draws nothing from it
     g = gamma if gamma is not None else parse_gamma_rule("logn", n)
     problem = _Problem(
         p_u=target.probs.sum(axis=1),

@@ -306,6 +306,24 @@ def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
     assert "invalid parameters" in capsys.readouterr().err
 
 
+def test_optimize_negative_seed_is_invalid(tmp_path, capsys):
+    # with two restarts the seed reaches numpy's generator; it is still a
+    # parameter error (exit 3), not an internal one with a traceback
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**OPT_DOC, "restarts": 2}))
+    assert main(["optimize", "--input", str(path), "--n", "100", "--seed", "-1"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "seed must be a 64-bit unsigned integer, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_optimize_null_objective_is_reported_as_null(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**OPT_DOC, "objective": None}))
+    assert main(["optimize", "--input", str(path), "--n", "100"]) == EXIT_INVALID
+    assert "objective must be a string, got None" in capsys.readouterr().err
+
+
 def test_undecodable_input_is_io_error(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(b"\xff\xfe{}")

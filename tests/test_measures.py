@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from coordsim.errors import DomainError, ShapeError
@@ -20,6 +22,7 @@ from coordsim.measures import (
     dispersion_of_channel,
     gaussian_q,
     gaussian_q_inv,
+    moments,
     mutual_information,
 )
 from coordsim.probability import (
@@ -151,6 +154,40 @@ def test_conditional_vs_unconditional_dispersion():
         if abs(conditional_dispersion(p, ch) - dispersion_of_channel(p, ch).v) > 1e-9:
             differ += 1
     assert differ > 0  # the forms are genuinely different objects
+
+
+def conditional_dispersion_loop(p_in: Pmf, ch: ConditionalPmf) -> float:
+    """Reference: E_X[Var(i(X;Y) | X)] as one ``moments`` call per input
+    letter sent, over that row's support, summed in input order."""
+    dens = info_density(JointPmf(p_in.probs[:, None] * ch.rows))
+    total = 0.0
+    for x in range(p_in.size):
+        px = p_in.probs[x]
+        if px <= 0:
+            continue
+        row_mask = dens.support[x]
+        total += px * moments(dens.values[x][row_mask], ch.rows[x][row_mask])[1]
+    return total
+
+
+@settings(max_examples=80)
+@given(
+    x_size=st.integers(1, 5),
+    y_size=st.integers(1, 5),
+    zero_inputs=st.integers(0, 4),
+    zero_cells=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_conditional_dispersion_matches_per_input_loop(x_size, y_size, zero_inputs, zero_cells, seed):
+    # inputs never sent and channel cells of probability 0 included
+    rng = np.random.default_rng(seed)
+    p_raw = rng.dirichlet(np.ones(x_size))
+    p_raw[rng.permutation(x_size)[:min(zero_inputs, x_size - 1)]] = 0.0
+    rows = rng.dirichlet(np.ones(y_size), size=x_size)
+    rows[rng.random(rows.shape) < zero_cells] = 0.0
+    rows[np.arange(x_size), rng.integers(y_size, size=x_size)] += 0.5  # every row keeps a cell
+    p, ch = Pmf(p_raw / p_raw.sum()), ConditionalPmf(rows / rows.sum(axis=1, keepdims=True))
+    assert abs(conditional_dispersion(p, ch) - conditional_dispersion_loop(p, ch)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,20 @@ channels; the optimizer must do at least as well.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import optimize_oracle
+from coordsim import optimize
 from coordsim.errors import DomainError, SearchError
 from coordsim.measures import backoff, gaussian_q_inv
 from coordsim.optimize import (
     OBJECTIVES,
+    _ZOOM_GRID,
     _best_corner,
     _descend,
     _Problem,
@@ -211,6 +215,97 @@ def test_evaluate_many_rows_match_inner_bound(u_size, v_size, w_frac, objective,
         assert abs(value - reference_objective(problem, d, eps, n, g)) <= 1e-12
         assert abs(gap - l1_distance(d.uv_marginal(), JointPmf(target))) <= 1e-12
         assert problem.evaluate(x) == (value, gap)  # the one-row case, bit for bit
+
+
+@settings(max_examples=25)
+@given(
+    u_size=st.integers(1, 3),
+    v_size=st.integers(1, 3),
+    w_frac=st.floats(0.0, 1.0),
+    zero_row=st.booleans(),
+    saturate=st.sampled_from([0.0, 60.0, 800.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(u_size=2, v_size=2, w_frac=0.0, zero_row=False, saturate=0.0, seed=1)  # w_size 1
+@example(u_size=3, v_size=1, w_frac=0.5, zero_row=False, saturate=0.0, seed=2)  # |V| = 1
+@example(u_size=3, v_size=2, w_frac=0.6, zero_row=True, saturate=0.0, seed=3)
+@example(u_size=2, v_size=3, w_frac=0.7, zero_row=False, saturate=60.0, seed=4)
+@example(u_size=3, v_size=2, w_frac=0.5, zero_row=False, saturate=800.0, seed=5)
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_line_matches_evaluate_many_bit_for_bit(objective, u_size, v_size, w_frac, zero_row, saturate, seed):
+    # along every coordinate of both blocks, the line evaluator scores the
+    # 57 rows of a zoom round exactly as one evaluate_many call on those rows
+    # does; saturated points sweep a grid of the same half-width
+    w_size = 1 + int(w_frac * u_size * v_size)
+    rng = np.random.default_rng(seed)
+    target = rng.dirichlet(np.ones(u_size * v_size)).reshape(u_size, v_size)
+    if zero_row and u_size > 1:
+        target[0] = 0.0
+        target /= target.sum()
+    problem = make_problem(target, w_size, objective, 0.1, 1000, GammaTriple(3.0, 1.5, 3.0))
+    x = rng.normal(scale=2.0, size=problem.n_params())
+    if saturate:
+        x = saturate * rng.choice([-1.0, 1.0], size=x.shape)
+    for i in range(x.size):
+        ts = x[i] + (saturate or 2.5) * _ZOOM_GRID
+        xs = np.repeat(x[None, :], ts.size, axis=0)
+        xs[:, i] = ts
+        want_values, want_gaps = problem.evaluate_many(xs)
+        values, gaps = problem.line(x, i)(ts)
+        assert np.broadcast_to(values, want_values.shape).tobytes() == want_values.tobytes(), i
+        assert gaps.tobytes() == want_gaps.tobytes(), i
+
+
+def assert_matches_reference_descent(target: np.ndarray, w_size: int, objective: str, restarts: int, seed: int,
+                                     eps: float, n: int) -> Decomposition:
+    """The search through line evaluators returns the same P(w|u) and
+    P(v|w) bytes as the search through ``optimize_oracle.descend``."""
+    kw = dict(restarts=restarts, seed=seed, eps=eps, n=n)
+    got = optimize_decomposition(JointPmf(target), w_size, objective, **kw)
+    with mock.patch.object(optimize, "_descend", optimize_oracle.descend):
+        want = optimize_decomposition(JointPmf(target), w_size, objective, **kw)
+    assert got.w_given_u.rows.tobytes() == want.w_given_u.rows.tobytes()
+    assert got.v_given_w.rows.tobytes() == want.v_given_w.rows.tobytes()
+    return got
+
+
+@settings(max_examples=10)
+@given(
+    u_size=st.integers(1, 3),
+    v_size=st.integers(1, 2),
+    data=st.data(),
+    objective=st.sampled_from(OBJECTIVES),
+    restarts=st.integers(1, 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_search_matches_reference_descent(u_size, v_size, data, objective, restarts, seed):
+    # w_size from the smallest that holds a corner, so a restart always
+    # matches the marginal; capped to keep the searches short
+    lo = min(u_size, v_size)
+    w_size = data.draw(st.integers(lo, max(lo, min(u_size * v_size + 1, 3))), label="w_size")
+    target = np.random.default_rng(seed).dirichlet(np.ones(u_size * v_size)).reshape(u_size, v_size)
+    assert_matches_reference_descent(target, w_size, objective, restarts, seed, 0.1, 1000)
+
+
+def test_bench_search_matches_reference_descent():
+    # the benchmark's search (DSBS(0.1), w_size 3, one restart, n = 1e4,
+    # eps = 0.1), down to the r_inner it reports
+    n, eps = 10 ** 4, 0.1
+    d = assert_matches_reference_descent(dsbs(0.1).probs, 3, "r_min", 1, 0, eps, n)
+    assert inner_bound(d, eps, eps, n, parse_gamma_rule("logn", n)).r_min == 0.5451848297772249
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+def test_seed_outside_unsigned_64_bits_is_a_domain_error(restarts, seed):
+    # the simulator's seed rule, whether or not a restart draws from the seed
+    with pytest.raises(DomainError, match="seed must be a 64-bit unsigned integer"):
+        optimize_decomposition(dsbs(0.1), w_size=2, restarts=restarts, seed=seed, n=100)
+
+
+def test_largest_seed_is_accepted():
+    d = optimize_decomposition(dsbs(0.1), w_size=2, restarts=2, seed=2 ** 64 - 1, n=100)
+    assert l1_distance(d.uv_marginal(), dsbs(0.1)) <= 1e-6
 
 
 def golden_section(fn, lo: float, hi: float, iters: int = 36) -> tuple[float, float]:
