@@ -70,13 +70,16 @@ import numpy as np
 
 from .cltverify import _atom_law, convolve_n
 from .errors import DomainError, ResourceLimitError, ShapeError
-from .measures import check_blocklength, check_seed
+from .measures import mutual_information
 from .probability import (
     ConditionalPmf,
     JointPmf,
     Pmf,
     _clean_probs,
     _freeze,
+    check_blocklength,
+    check_positive,
+    check_seed,
     check_table_size,
     iid_extension,
     marginalize,
@@ -91,8 +94,7 @@ from .region import Decomposition, GammaTriple, parse_gamma_rule
 
 def _bin_count(rate: float, n: int, what: str) -> int:
     """floor(2^(n*rate)) with snapping against float dust, at least 1."""
-    if rate < 0 or not math.isfinite(rate):
-        raise DomainError(f"{what} must be a finite nonnegative rate, got {rate!r}")
+    check_positive(rate, what, zero=True)
     exponent = n * rate
     if exponent > 60:
         raise ResourceLimitError(
@@ -124,7 +126,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_blocklength(self.n))
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         # materialize the counts now so bad rates fail at construction
         self.bin_counts()
 
@@ -196,8 +198,7 @@ def draw_binning(cfg: SchemeConfig, trial: int = 0) -> BinningRealization:
     trial) pair is its own stream, so realizations are reproducible no
     matter how trials are scheduled, and distinct seeds never share a draw.
     """
-    if trial < 0:
-        raise DomainError(f"trial index must be >= 0, got {trial}")
+    trial = check_seed(trial, "trial index")
     d = cfg.decomposition
     n_w = d.w_size ** cfg.n
     check_table_size(n_w, "binning map")
@@ -470,7 +471,9 @@ def trial_metrics(d: Decomposition, cfg: SchemeConfig, trial: int) -> TrialMetri
 
 
 def _trials(d: Decomposition, cfg: SchemeConfig, trials: int) -> Iterator[TrialMetrics]:
-    """Metrics of draws 0 .. trials-1, with the iid tables built once."""
+    """Metrics of draws 0 .. trials-1, with the iid tables built once; the
+    simulator's one ``trials`` check runs at the first draw."""
+    trials = check_blocklength(trials, "trials")
     tab = _tables(d, cfg.n)
     for t in range(trials):
         yield _trial_metrics(tab, draw_binning(cfg, trial=t))
@@ -731,8 +734,7 @@ class SimReport:
             val = getattr(self, name)
             if not -1e-9 <= val <= 1.0 + 1e-9:
                 raise DomainError(f"SimReport.{name} = {val!r} outside [0, 1]")
-        if self.trials < 1:
-            raise DomainError("SimReport needs trials >= 1")
+        object.__setattr__(self, "trials", check_blocklength(self.trials, "SimReport.trials"))
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
@@ -755,12 +757,10 @@ def monte_carlo(
 
     ``gamma`` feeds the error-term formulas (default: the log-rule at n).
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
     if gamma is None:
         gamma = parse_gamma_rule("logn", cfg.n)
-    eps_app, eps_dec, eps_app2, eps_tot = epsilon_terms(d, cfg, gamma)
     runs = list(_trials(d, cfg, trials))
+    eps_app, eps_dec, eps_app2, eps_tot = epsilon_terms(d, cfg, gamma)
     stats = {name: _mean_ci([getattr(m, name) for m in runs]) for name in
              ("l1_uv", "l1_uv_given_f", "l1_index_fc", "select_f_distance",
               "decoder_error", "abort_rate")}
@@ -769,7 +769,7 @@ def monte_carlo(
         eps_dec=eps_dec,
         eps_app2=eps_app2,
         eps_tot=eps_tot,
-        trials=trials,
+        trials=len(runs),
         seed=cfg.seed,
         ci95=stats["l1_uv_given_f"][1],
         l1_uv_given_f_min=min(m.l1_uv_given_f for m in runs),
@@ -802,6 +802,7 @@ def entropy_diagnostics(ucm: JointPmf, n: int, u_size: int) -> EntropyReport:
     because the protocol draws C independent of the iid U^n.  Violations
     beyond 1e-9 raise ``DomainError``.
     """
+    n = check_blocklength(n)
     if ucm.probs.ndim != 3:
         raise ShapeError(f"expected a (u, c, m) marginal, got rank {ucm.probs.ndim}")
     if u_size ** n != ucm.probs.shape[0]:
@@ -812,8 +813,6 @@ def entropy_diagnostics(ucm: JointPmf, n: int, u_size: int) -> EntropyReport:
     h_m = float(-np.sum(p_m[p_m > 0] * np.log2(p_m[p_m > 0])))
     total_mi = 0.0
     _, n_c, n_m = ucm.probs.shape
-    from .measures import mutual_information
-
     # axis t of the reshaped table is the t-th symbol of U^n
     letters = ucm.probs.reshape((u_size,) * n + (n_c * n_m,))
     for t in range(n):
@@ -842,36 +841,37 @@ class OneShotReport:
     seed: int
 
 
-def _cond_entropy_density(joint_ab: JointPmf, ref: ConditionalPmf | None) -> np.ndarray:
-    """-log2 T(a|b) table aligned to joint axes (a, b); +inf off support."""
-    if joint_ab.probs.ndim != 2:
+def _ref_conditional(joint_ab: JointPmf, ref: ConditionalPmf | None) -> np.ndarray:
+    """The reference conditional T(a|b) of the one-shot lemmas, aligned to
+    joint axes (a, b): ``ref`` read b -> a, or the joint's own P(a|b) when
+    ``ref`` is None, which is 0 in a column without mass."""
+    p = joint_ab.probs
+    if p.ndim != 2:
         raise ShapeError("one-shot lemmas need a two-axis (a, b) joint")
     if ref is None:
-        pb = joint_ab.probs.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = joint_ab.probs / pb[None, :]
-    else:
-        if ref.rows.shape != (joint_ab.shape[1], joint_ab.shape[0]):
-            raise ShapeError(
-                f"reference kernel must map b->a with shape {(joint_ab.shape[1], joint_ab.shape[0])}"
-            )
-        cond = ref.rows.T
-    with np.errstate(divide="ignore"):
-        return -np.log2(cond)
+        pb = p.sum(axis=0)
+        return p / np.where(pb > 0, pb, 1.0)
+    if ref.rows.shape != p.shape[::-1]:
+        raise ShapeError(f"reference kernel must map b->a with shape {p.shape[::-1]}")
+    return ref.rows.T
+
+
+def _fail_mass(joint_ab: JointPmf, n_bins, gamma, ref: ConditionalPmf | None, sign: float) -> float:
+    """The mass of the cells where sign * (-log2 T(a|b) - log2 n_bins) does
+    not exceed ``gamma``: the tail term of the two one-shot bounds."""
+    n_bins = check_blocklength(n_bins, "n_bins")
+    check_positive(gamma, "gamma")
+    with np.errstate(divide="ignore"):  # -log2 0 = +inf where T(a|b) = 0
+        h = -np.log2(_ref_conditional(joint_ab, ref))
+    good = sign * (h - math.log2(n_bins)) > gamma
+    return float(joint_ab.probs[~good].sum())
 
 
 def osrb_uniformity_bound(joint_ab: JointPmf, n_bins: int, gamma: float) -> float:
     """Exact bound on E || P^RB(b, k) - (uniform k) x P(b) ||_1 for a uniform
     random binning of A into ``n_bins`` bins: the mass where the conditional
     entropy density fails to clear log2(bins) by gamma, plus 2^-(gamma+1)/2."""
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    h = _cond_entropy_density(joint_ab, None)
-    good = h - math.log2(n_bins) > gamma
-    fail_mass = float(joint_ab.probs[~good].sum())
-    return fail_mass + 2.0 ** (-(gamma + 1.0) / 2.0)
+    return _fail_mass(joint_ab, n_bins, gamma, None, 1.0) + 2.0 ** (-(gamma + 1.0) / 2.0)
 
 
 def slc_error_bound(
@@ -881,14 +881,7 @@ def slc_error_bound(
     uniform binning of A into ``n_bins`` bins with side information B: the
     mass where log2(bins) fails to clear the reference conditional entropy
     density by gamma, plus 2^-gamma."""
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    h = _cond_entropy_density(joint_ab, ref)
-    good = math.log2(n_bins) - h > gamma
-    fail_mass = float(joint_ab.probs[~good].sum())
-    return fail_mass + 2.0 ** (-gamma)
+    return _fail_mass(joint_ab, n_bins, gamma, ref, -1.0) + 2.0 ** (-gamma)
 
 
 def osrb_monte_carlo(
@@ -901,23 +894,13 @@ def osrb_monte_carlo(
     """Empirical means of the two one-shot lemma surfaces over ``trials``
     uniform binning draws: the index-uniformity L1 and the stochastic-
     likelihood decoder error.  Exact per draw; deterministic given seed."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
+    trials = check_blocklength(trials, "trials")
+    n_bins = check_blocklength(n_bins, "n_bins")
+    seed = check_seed(seed)
+    cond = _ref_conditional(joint_ab, ref)
     p = joint_ab.probs
-    if p.ndim != 2:
-        raise ShapeError("one-shot lemmas need a two-axis (a, b) joint")
     n_a, n_b = p.shape
     check_table_size(trials * n_a * max(n_bins, n_b), "one-shot draws")
-    if ref is None:
-        pb = p.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(pb[None, :] > 0, p / np.where(pb[None, :] > 0, pb, 1.0), 0.0)
-    else:
-        if ref.rows.shape != (n_b, n_a):
-            raise ShapeError(f"reference kernel must map b->a with shape {(n_b, n_a)}")
-        cond = ref.rows.T
     rng = np.random.Generator(np.random.Philox(key=seed))
     bins = rng.integers(0, n_bins, size=(trials, n_a))
     onehot = np.zeros((trials, n_a, n_bins))

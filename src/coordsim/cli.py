@@ -40,8 +40,6 @@ EXIT_IO = 2
 EXIT_INVALID = 3
 EXIT_RESOURCE = 4
 
-SUBCOMMANDS = ("region", "simulate", "np", "clt", "tradeoff", "optimize")
-
 
 class _UsageError(Exception):
     """Raised for malformed flags or configs; mapped to exit code 3."""
@@ -329,8 +327,6 @@ def run_config(config: dict):
             decomposition=d,
         )
         trials = config["trials"]
-        if trials < 1:
-            raise _UsageError(f"trials must be >= 1, got {trials}")
         gamma = parse_gamma_rule(config["gamma_rule"], cfg.n)
         if config["format"] == "csv":
             columns = ["trial", "l1_uv", "l1_uv_given_f", "select_f_index",

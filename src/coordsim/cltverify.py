@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import _SQRT2, BEStats, check_blocklength, group_tail, support_weights, tie_groups
-from .probability import DensityTable, JointPmf, Pmf, _clean_probs, check_table_size
+from .measures import _SQRT2, BEStats, group_tail, support_weights, tie_groups
+from .probability import DensityTable, JointPmf, Pmf, _clean_probs, check_blocklength, check_table_size
 
 
 @dataclass(frozen=True)

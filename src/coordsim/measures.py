@@ -16,8 +16,8 @@ This module is the one home of that arithmetic: ``moments`` computes
 (mu, V, T) for every caller (density tables, atom laws, the optimizer's
 batches of plain arrays), ``backoff`` is the one spelling of the
 dispersion term Q^-1(eps) sqrt(V/n), ``continuity_term`` of the converse's
-g(eps); ``check_eps``, ``check_split`` and ``check_blocklength`` are the one
-eps, y and n checks.
+g(eps).  Its parameter checks (count, 64-bit index, positive real, eps, y:
+one function per kind) live in ``probability``, which uses them too.
 
 Degeneracy policy: a variance below ``DEGENERATE_VAR`` is float dust from a
 constant density, and ``moments`` reports it as exactly V = T = 0.  Nothing
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .probability import ConditionalPmf, DensityTable, JointPmf, Pmf, info_density
+from .probability import ConditionalPmf, DensityTable, JointPmf, Pmf, check_blocklength, check_eps, info_density
 
 # variance below this (bits^2) is float dust from a constant density
 DEGENERATE_VAR = 1e-20
@@ -151,38 +151,6 @@ def check_threshold(x: float) -> float:
     if math.isnan(x):
         raise DomainError("tail threshold must not be NaN")
     return x
-
-
-def check_eps(eps: float, message: str) -> None:
-    """Raise ``DomainError("<message>, got <eps>")`` unless ``eps`` is a real
-    number strictly inside (0, 1) -- the one spelling of that range check."""
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise DomainError(f"{message}, got {eps!r}")
-
-
-def check_split(y: float) -> None:
-    """Raise ``DomainError`` unless the converse's split parameter ``y`` is
-    a real number strictly inside (1/2, 1) -- the one spelling of that
-    range check."""
-    if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
-        raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
-
-
-def check_seed(seed) -> None:
-    """Raise ``DomainError`` unless ``seed`` is an int in [0, 2^64) -- the
-    one spelling of the seed check."""
-    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-
-
-def check_blocklength(n, least: int = 1) -> int:
-    """``n`` as an int, unless it is not a whole number >= ``least``
-    (``DomainError("blocklength ...")``): bools and non-integral, NaN and
-    infinite floats are rejected -- the one blocklength check."""
-    whole = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
-    if isinstance(n, bool) or not whole or n < least:
-        raise DomainError(f"blocklength must be a whole number >= {least}, got {n!r}")
-    return int(n)
 
 
 def continuity_term(eps: float, uv_size: int) -> float:

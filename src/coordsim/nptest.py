@@ -46,9 +46,6 @@ from .measures import (
     TIE_TOL,
     BEStats,
     backoff,
-    check_blocklength,
-    check_eps,
-    check_split,
     continuity_term,
     gaussian_q_inv,
     group_tail,
@@ -58,6 +55,10 @@ from .probability import (
     JointPmf,
     _clean_probs,
     _probs_of,
+    check_blocklength,
+    check_eps,
+    check_positive,
+    check_split,
     iid_extension,
     marginalize,
     regroup_pair,
@@ -281,11 +282,9 @@ class SandwichReport:
 def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     """Evaluate both threshold-tail inequalities on a grid of gammas."""
     pa, qa, alpha = _np_inputs(p, q, alpha)
-    gammas = np.asarray(list(gamma_grid), dtype=np.float64)
+    gammas = np.array([check_positive(g, "gamma grid entry") for g in gamma_grid])
     if gammas.size == 0:
         raise DomainError("gamma grid must be non-empty")
-    if np.any(~np.isfinite(gammas)) or np.any(gammas <= 0):
-        raise DomainError("gamma grid entries must be finite and positive")
 
     groups = _llr_groups(pa, qa)
     beta = _np_solve(groups, alpha)[0].beta

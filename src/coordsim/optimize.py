@@ -50,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .measures import backoff, check_seed, gaussian_q_inv, moments
-from .probability import ConditionalPmf, JointPmf, Pmf, pair_density
-from .region import Decomposition, GammaTriple, parse_gamma_rule
+from .measures import backoff, gaussian_q_inv, moments
+from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps, check_seed, pair_density
+from .region import Decomposition, GammaTriple, check_w_size, parse_gamma_rule
 
 MARGINAL_TOL = 1e-6
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6, 1e9)
@@ -282,18 +282,18 @@ def optimize_decomposition(
     (log n, log n / 2, log n) rule).  The returned decomposition's (U,V)
     marginal matches the target within 1e-6 in L1; if no restart gets there,
     ``SearchError`` carries the best-found diagnostics.  ``seed`` must be an
-    int in [0, 2^64), as for the simulator, whatever the restart count.
+    integer in [0, 2^64), as for the simulator, whatever the restart count.
     """
     if target.probs.ndim != 2:
         raise DomainError(f"target must be a two-axis joint, got rank {target.probs.ndim}")
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     u_size, v_size = target.shape
-    if not 1 <= w_size <= u_size * v_size + 1:
-        raise DomainError(f"w_size must lie in [1, |U|*|V|+1] = [1, {u_size * v_size + 1}], got {w_size}")
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
-    check_seed(seed)  # checked even when one restart draws nothing from it
+    w_size = check_w_size(w_size, u_size, v_size)
+    restarts = check_blocklength(restarts, "restarts")
+    seed = check_seed(seed)  # checked even when one restart draws nothing from it
+    n = check_blocklength(n)
+    check_eps(eps, "eps must lie in (0, 1)")
     g = gamma if gamma is not None else parse_gamma_rule("logn", n)
     problem = _Problem(
         p_u=target.probs.sum(axis=1),

@@ -25,6 +25,10 @@ Conventions
   it: ``Pmf``, ``JointPmf``, ``ConditionalPmf`` rows, ``AtomLaw`` masses,
   ``BinningRealization.w_mass`` and the flattened inputs of ``np_beta``,
   ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
+* One check per parameter kind decides every such parameter, raising
+  ``DomainError``: ``check_blocklength`` (whole-number counts), ``check_seed``
+  (64-bit indices), ``check_positive`` (finite reals > 0, or >= 0),
+  ``check_eps`` (eps in (0, 1)) and ``check_split`` (y in (1/2, 1)).
 * Ownership: a float64 ndarray that owns its data and is already read-only
   is kept as it is, not copied.  That is how the package hands over a table
   it has just built (``iid_extension``, the binning joints' marginals): it
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +72,7 @@ def memory_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise DomainError(f"COORDSIM_MEM_CAP must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise DomainError(f"COORDSIM_MEM_CAP must be positive, got {cap}")
-    return cap
+    return check_blocklength(cap, "COORDSIM_MEM_CAP")
 
 
 def check_table_size(entries: int, what: str = "table") -> None:
@@ -125,6 +128,52 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
     return a
 
 
+def check_blocklength(n, name: str = "blocklength", least: int = 1) -> int:
+    """``n`` as an int, unless it is not a whole number >= ``least``: bools,
+    strings and non-integral, NaN and infinite floats are rejected -- the
+    one count check (blocklengths, trials, restarts, sizes, lengths)."""
+    whole = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
+    if isinstance(n, bool) or not whole or n < least:
+        raise DomainError(f"{name} must be a whole number >= {least}, got {n!r}")
+    return int(n)
+
+
+def check_seed(index, name: str = "seed") -> int:
+    """``index`` as a Python int, unless it is not a Python or numpy
+    integer (a bool is not) in [0, 2^64) -- the one 64-bit index check, for
+    seeds and for the trial index that keys Philox as seed | trial << 64."""
+    integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+    if not (integer and 0 <= int(index) < 2 ** 64):
+        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {index!r}")
+    return int(index)
+
+
+def check_positive(x, name: str, zero: bool = False) -> float:
+    """``x`` as a float, unless it is not a finite real number > 0, or >= 0
+    with ``zero`` (bools and strings are not) -- the one check of a gamma
+    slack, a rate or a tradeoff parameter."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    # abs(x) <= max is False for NaN and infinities, and exact for any int
+    if not (real and abs(x) <= sys.float_info.max and (x >= 0 if zero else x > 0)):
+        raise DomainError(f"{name} must be a finite real {'>=' if zero else '>'} 0, got {x!r}")
+    return float(x)
+
+
+def check_eps(eps: float, message: str) -> None:
+    """Raise ``DomainError("<message>, got <eps>")`` unless ``eps`` is a real
+    number strictly inside (0, 1) -- the one spelling of that range check."""
+    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
+        raise DomainError(f"{message}, got {eps!r}")
+
+
+def check_split(y: float) -> None:
+    """Raise ``DomainError`` unless the converse's split parameter ``y`` is
+    a real number strictly inside (1/2, 1) -- the one spelling of that
+    range check."""
+    if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
+        raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Mark a table the package just built read-only, so a constructor
     keeps it without a copy (see Conventions), and return it."""
@@ -165,12 +214,12 @@ class Pmf:
 
     @staticmethod
     def uniform(size: int) -> "Pmf":
-        if size <= 0:
-            raise DomainError(f"alphabet size must be positive, got {size}")
+        size = check_blocklength(size, "alphabet size")
         return Pmf(np.full(size, 1.0 / size))
 
     @staticmethod
     def point(size: int, index: int) -> "Pmf":
+        size = check_blocklength(size, "alphabet size")
         if not 0 <= index < size:
             raise DomainError(f"point mass index {index} outside alphabet of size {size}")
         p = np.zeros(size)
@@ -419,8 +468,7 @@ def iid_extension(obj, n: int):
     table would blow the memory cap.  The table is built once and frozen,
     so the law holds it without a copy.
     """
-    if n < 1:
-        raise DomainError(f"iid extension length must be >= 1, got {n}")
+    n = check_blocklength(n, "iid extension length")
     if isinstance(obj, Pmf):
         check_table_size(obj.size ** n, "iid pmf")
         return Pmf(_freeze(_renormalize(_iid_table(obj.probs, n))))
@@ -448,6 +496,7 @@ def _renormalize(a: np.ndarray) -> np.ndarray:
 def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:
     """Decode a composite-axis flat index into its n symbols
     (first symbol most significant)."""
+    n = check_blocklength(n, "sequence length")
     if not 0 <= flat_index < base ** n:
         raise DomainError(f"flat index {flat_index} outside [0, {base ** n})")
     digits = []

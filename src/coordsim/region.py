@@ -31,21 +31,23 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError
-from .measures import BEStats, backoff, be_stats, check_blocklength, check_eps, check_split
-from .measures import continuity_term, gaussian_q_inv
-from .probability import (
-    ConditionalPmf,
-    JointPmf,
-    Pmf,
-    compose_chain,
-    info_density,
-    marginalize,
-    regroup_pair,
-)
+from .measures import BEStats, backoff, be_stats, continuity_term, gaussian_q_inv
+from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps, check_positive
+from .probability import check_split, compose_chain, info_density, marginalize, regroup_pair
 
 # =============================================================================
 # types
 # =============================================================================
+
+
+def check_w_size(w_size, u_size: int, v_size: int) -> int:
+    """``w_size`` as an int, unless it is not a count within the cardinality
+    bound |W| <= |U| * |V| + 1 -- the one auxiliary alphabet size check."""
+    w_size = check_blocklength(w_size, "w_size")
+    cap = u_size * v_size + 1
+    if w_size > cap:
+        raise DomainError(f"auxiliary alphabet size {w_size} exceeds |U|*|V|+1 = {cap}")
+    return w_size
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,7 @@ class Decomposition:
                 f"v_given_w expects {self.v_given_w.input_size} inputs, "
                 f"w_given_u outputs {self.w_given_u.output_size}"
             )
-        cap = self.u_size * self.v_size + 1
-        if self.w_size > cap:
-            raise DomainError(
-                f"auxiliary alphabet size {self.w_size} exceeds |U|*|V|+1 = {cap}"
-            )
+        check_w_size(self.w_size, self.u_size, self.v_size)
 
     @property
     def u_size(self) -> int:
@@ -117,9 +115,8 @@ class GammaTriple:
     g3: float
 
     def __post_init__(self):
-        for name, g in (("g1", self.g1), ("g2", self.g2), ("g3", self.g3)):
-            if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
-                raise DomainError(f"GammaTriple.{name} must be a positive real, got {g!r}")
+        for name in ("g1", "g2", "g3"):
+            check_positive(getattr(self, name), f"GammaTriple.{name}")
 
 
 @dataclass(frozen=True)
@@ -172,9 +169,8 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
     "linear:c"      -> (2cn, cn, 2cn)
     "fixed:a,b,c"   -> constants (a, b, c)
     """
+    n = check_blocklength(n, least=2 if rule == "logn" else 1)  # log2 1 = 0 is no gamma
     if rule == "logn":
-        if n < 2:
-            raise DomainError("gamma rule 'logn' needs n >= 2 (log2 1 = 0 is not a valid gamma)")
         L = math.log2(n)
         return GammaTriple(L, 0.5 * L, L)
     kind, _, arg = rule.partition(":")
@@ -183,9 +179,7 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
     except ValueError:
         values = []
     if kind == "linear" and len(values) == 1:
-        c = values[0]
-        if c <= 0:
-            raise DomainError(f"gamma rule 'linear:c' needs c > 0, got {c}")
+        c = check_positive(values[0], "c of gamma rule 'linear:c'")
         return GammaTriple(2 * c * n, c * n, 2 * c * n)
     if kind == "fixed" and len(values) == 3:
         return GammaTriple(*values)
@@ -292,8 +286,7 @@ def gamma_tradeoff(xs, n: int, eps1: float, eps2: float) -> list[tuple[float, fl
     out = []
     scale = 2.0 * (math.sqrt(2.0) + 5.0)
     for x in xs:
-        if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
-            raise DomainError(f"tradeoff parameter must be a nonnegative real, got {x!r}")
+        check_positive(x, "tradeoff parameter", zero=True)
         out.append((3.0 * x / n, 10.0 * (eps1 + eps2) + scale * 2.0 ** (-x)))
     return out
 

@@ -26,6 +26,7 @@ from coordsim.binning import (
     select_f,
     slc_error_bound,
     slc_posterior,
+    trial_metrics,
     _tables,
     _trial_metrics,
 )
@@ -223,6 +224,24 @@ def test_draw_is_deterministic_and_trials_differ():
     )
     with pytest.raises(DomainError):
         draw_binning(cfg, trial=-1)
+
+
+def test_numpy_trial_index_is_its_python_int():
+    # np.int64(t) << 64 is 0, so a numpy trial index used to key Philox as
+    # trial 0; the index check hands back a Python int
+    d = skewed_chain()
+    cfg = scheme(d, seed=123)
+    maps = lambda b: (b.phi_f.tobytes(), b.phi_c.tobytes(), b.phi_m.tobytes())
+    assert maps(draw_binning(cfg, np.int64(5))) == maps(draw_binning(cfg, 5))
+    assert maps(draw_binning(cfg, np.int64(5))) != maps(draw_binning(cfg, 0))
+    hexes = lambda m: [float(x).hex() for x in astuple(m)]
+    assert hexes(trial_metrics(d, cfg, np.uint8(5))) == hexes(trial_metrics(d, cfg, 5))
+    assert hexes(trial_metrics(d, cfg, np.int64(5))) != hexes(trial_metrics(d, cfg, 0))
+    for bad in (-1, 1.5, True, 2 ** 64):
+        with pytest.raises(DomainError, match="trial index"):
+            draw_binning(cfg, bad)
+        with pytest.raises(DomainError, match="trial index"):
+            trial_metrics(d, cfg, bad)
 
 
 def test_bin_maps_are_roughly_balanced():
@@ -809,6 +828,19 @@ def test_osrb_monte_carlo_closed_form_means():
     rep_ref = osrb_monte_carlo(joint, 2, trials=2000, seed=3,
                                ref=ConditionalPmf(np.array([[0.5, 0.5]])))
     assert rep_ref.mean_error == pytest.approx(rep.mean_error, abs=1e-12)
+
+
+def test_one_shot_lemmas_ignore_an_empty_column():
+    # a B letter without mass has no conditional; all three lemmas read the
+    # same reference conditional, 0 there, so the column changes nothing
+    joint = JointPmf(np.array([[0.3, 0.1], [0.2, 0.4]]))
+    padded = JointPmf(np.array([[0.3, 0.0, 0.1], [0.2, 0.0, 0.4]]))
+    for gamma in (0.25, 1.0):
+        assert osrb_uniformity_bound(padded, 2, gamma) == osrb_uniformity_bound(joint, 2, gamma)
+        assert slc_error_bound(padded, 2, gamma) == slc_error_bound(joint, 2, gamma)
+    a, b = osrb_monte_carlo(padded, 2, trials=50, seed=9), osrb_monte_carlo(joint, 2, trials=50, seed=9)
+    assert a.mean_l1 == pytest.approx(b.mean_l1, abs=1e-15)
+    assert a.mean_error == pytest.approx(b.mean_error, abs=1e-15)
 
 
 def test_osrb_monte_carlo_determinism():

@@ -17,7 +17,6 @@ from coordsim.errors import DomainError, ShapeError
 from coordsim.measures import (
     BEStats,
     be_stats,
-    check_blocklength,
     conditional_dispersion,
     dispersion_of_channel,
     gaussian_q,
@@ -29,6 +28,7 @@ from coordsim.probability import (
     ConditionalPmf,
     JointPmf,
     Pmf,
+    check_blocklength,
     entropy_density,
     info_density,
 )

@@ -1,0 +1,118 @@
+"""One table of malformed parameters over the public entry points.
+
+Every count, 64-bit index, positive real and eps the library takes goes
+through one check per kind (``probability.check_blocklength``,
+``check_seed``, ``check_positive``, ``check_eps``), so a malformed value is
+a ``DomainError`` at every entry point -- never a ``TypeError``, a numpy
+``ValueError`` or a returned value -- and a numpy integer means what the
+Python int means.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from coordsim.binning import (
+    SchemeConfig,
+    draw_binning,
+    monte_carlo,
+    osrb_monte_carlo,
+    osrb_uniformity_bound,
+    slc_error_bound,
+    trial_metrics,
+)
+from coordsim.errors import DomainError
+from coordsim.optimize import optimize_decomposition
+from coordsim.probability import ConditionalPmf, JointPmf, Pmf, iid_extension, sequence_digits
+from coordsim.region import Decomposition, GammaTriple, parse_gamma_rule
+
+CHAIN = Decomposition(
+    p_u=Pmf(np.array([0.55, 0.45])),
+    w_given_u=ConditionalPmf(np.array([[0.5, 0.5, 0.0], [0.1, 0.2, 0.7]])),
+    v_given_w=ConditionalPmf(np.array([[0.8, 0.2], [0.4, 0.6], [0.1, 0.9]])),
+)
+TARGET = JointPmf(np.array([[0.45, 0.05], [0.05, 0.45]]))
+PAIR = JointPmf(np.array([[0.3, 0.1], [0.2, 0.4]]))
+
+
+def config(**kw) -> SchemeConfig:
+    args = dict(n=2, rate_r=1.0, rate_r0=0.5, rate_rtilde=0.5, seed=7, decomposition=CHAIN)
+    return SchemeConfig(**{**args, **kw})
+
+
+def optimize(**kw):
+    return optimize_decomposition(TARGET, **{"w_size": 2, "restarts": 1, "n": 100, **kw})
+
+
+# the malformed values of each kind; 2**64 is a valid count and a valid real
+COUNT = [2.5, True, -1, math.nan, math.inf, "3"]
+INDEX = COUNT + [2 ** 64]
+REAL = [True, -1, math.nan, math.inf, "3"]
+EPS = INDEX
+
+ENTRY_POINTS = [
+    ("optimize-n", COUNT, lambda x: optimize(n=x)),
+    ("optimize-eps", EPS, lambda x: optimize(eps=x)),
+    ("optimize-w_size", COUNT, lambda x: optimize(w_size=x)),
+    ("optimize-restarts", COUNT, lambda x: optimize(restarts=x)),
+    ("optimize-seed", INDEX, lambda x: optimize(seed=x)),
+    ("draw_binning-trial", INDEX, lambda x: draw_binning(config(), x)),
+    ("trial_metrics-trial", INDEX, lambda x: trial_metrics(CHAIN, config(), x)),
+    ("monte_carlo-trials", COUNT, lambda x: monte_carlo(CHAIN, config(), x)),
+    ("osrb_monte_carlo-trials", COUNT, lambda x: osrb_monte_carlo(PAIR, 2, x, 0)),
+    ("osrb_monte_carlo-n_bins", COUNT, lambda x: osrb_monte_carlo(PAIR, x, 3, 0)),
+    ("osrb_monte_carlo-seed", INDEX, lambda x: osrb_monte_carlo(PAIR, 2, 3, x)),
+    ("osrb_uniformity_bound-n_bins", COUNT, lambda x: osrb_uniformity_bound(PAIR, x, 1.0)),
+    ("osrb_uniformity_bound-gamma", REAL, lambda x: osrb_uniformity_bound(PAIR, 2, x)),
+    ("slc_error_bound-n_bins", COUNT, lambda x: slc_error_bound(PAIR, x, 1.0)),
+    ("slc_error_bound-gamma", REAL, lambda x: slc_error_bound(PAIR, 2, x)),
+    ("iid_extension-n", COUNT, lambda x: iid_extension(Pmf.uniform(2), x)),
+    ("sequence_digits-n", COUNT, lambda x: sequence_digits(0, 2, x)),
+    ("Pmf.uniform-size", COUNT, lambda x: Pmf.uniform(x)),
+    ("GammaTriple-g2", REAL, lambda x: GammaTriple(1.0, x, 1.0)),
+    ("parse_gamma_rule-n", COUNT, lambda x: parse_gamma_rule("logn", x)),
+    ("parse_gamma_rule-linear-n", COUNT, lambda x: parse_gamma_rule("linear:0.5", x)),
+    ("SchemeConfig-rate_r", REAL, lambda x: config(rate_r=x)),
+    ("SchemeConfig-rate_r0", REAL, lambda x: config(rate_r0=x)),
+    ("SchemeConfig-rate_rtilde", REAL, lambda x: config(rate_rtilde=x)),
+    ("SchemeConfig-seed", INDEX, lambda x: config(seed=x)),
+]
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{name}-{bad!r}")
+    for name, values, call in ENTRY_POINTS for bad in values
+])
+def test_malformed_parameter_is_a_domain_error(call, bad):
+    # DomainError is a ValueError, so a bare numpy ValueError or a
+    # TypeError would escape this exact-type check
+    with pytest.raises(Exception) as caught:
+        call(bad)
+    assert type(caught.value) is DomainError, repr(caught.value)
+
+
+def test_linear_gamma_rule_constant_is_a_positive_real():
+    for bad in ("linear:0", "linear:-1", "linear:nan", "linear:inf"):
+        with pytest.raises(DomainError, match="linear:c"):
+            parse_gamma_rule(bad, 8)
+
+
+def test_numpy_integers_give_the_python_int_bytes():
+    py = monte_carlo(CHAIN, config(seed=7), 2)
+    npy = monte_carlo(CHAIN, config(seed=np.uint64(7), n=np.int64(2)), np.int32(2))
+    assert npy == py
+    assert type(npy.seed) is int and type(npy.trials) is int
+
+    a = osrb_monte_carlo(PAIR, np.int64(2), np.int16(5), np.uint64(9))
+    assert a == osrb_monte_carlo(PAIR, 2, 5, 9)
+    assert type(a.seed) is int and type(a.trials) is int
+
+    d_np = optimize_decomposition(TARGET, np.int64(2), restarts=np.int64(2), seed=np.uint64(3), n=np.int64(100))
+    d_py = optimize_decomposition(TARGET, 2, restarts=2, seed=3, n=100)
+    assert d_np.w_given_u.rows.tobytes() == d_py.w_given_u.rows.tobytes()
+    assert d_np.v_given_w.rows.tobytes() == d_py.v_given_w.rows.tobytes()
+
+    assert iid_extension(PAIR, np.int64(2)).probs.tobytes() == iid_extension(PAIR, 2).probs.tobytes()
+    assert sequence_digits(5, 2, np.int64(3)) == sequence_digits(5, 2, 3) == (1, 0, 1)
+    assert Pmf.uniform(np.int64(3)).probs.tobytes() == Pmf.uniform(3).probs.tobytes()
