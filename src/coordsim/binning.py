@@ -20,10 +20,11 @@ coordination means the (U^n, V^n) marginal of P^RC is L1-close to the iid
 target, and the analysis prices that through three exact tail terms
 (eps_app / eps_dec / eps_app2) combined into eps_tot.
 
-Everything here is exact per realization: joints are held factored (iid
-tables plus bin maps) and only requested marginals are materialized, so
-the memory cost is the size of what you ask for, never the seven-axis
-product.
+Everything here is exact per realization: joints are held factored (bin
+maps plus the iid tables, themselves held as (n-1)-fold factors) and only
+requested marginals and rows are materialized, so the memory cost is the
+size of what you ask for, never the seven-axis product or a full n-fold
+table.
 
 Layout
 ------
@@ -31,7 +32,7 @@ Per realization, W^n is sorted once (stably) by its (f, c, m) triple key
 (f * bins_c + c) * bins_m + m.  Every realized (f, c) key and every
 realized triple is then a contiguous range of rows, and each lies inside
 the block of rows of one realized seed value f.  A trial works one f block
-at a time: it gathers that block's P(u, w) and P(v | w) rows and reduces
+at a time: it builds that block's P(u, w) and P(v | w) rows and reduces
 them by segment sums to the encoder normalizers Z[key, u] (which are also
 the realized (U^n, F, C) surface), the encoder mass pu * enc with both
 fallbacks, and the decoder's reference mass, so it never holds a table of
@@ -77,6 +78,8 @@ from .probability import (
     Pmf,
     _clean_probs,
     _freeze,
+    _iid_rows,
+    _IidRows,
     check_blocklength,
     check_positive,
     check_seed,
@@ -244,9 +247,13 @@ def slc_posterior(b: BinningRealization, f: int, c: int, m: int) -> tuple[Pmf, b
 
 @dataclass(frozen=True)
 class _Tables:
-    """iid blocks shared by every per-realization computation.  The V^n
-    kernel and the (U^n, V^n) target are built on first read: a (u, w)
-    marginal never reads them."""
+    """iid blocks shared by every per-realization computation.  The
+    (n_w, n_u) joint P(w, u) and the (n_w, n_v) kernel P(v | w) are held as
+    factors, each 1/(|W| |U|) or 1/(|W| |V|) of its table: ``rows(w)``
+    builds just the rows a caller asks for, with the bits of the full table
+    (``probability._IidRows``).  Each full table is built and law-checked
+    once, then dropped.  The kernel and the (U^n, V^n) target are built on
+    first read: a (u, w) marginal never reads them."""
 
     d: Decomposition
     n: int
@@ -254,14 +261,19 @@ class _Tables:
     n_w: int
     n_v: int
     pu: np.ndarray        # (n_u,)
-    pwu: np.ndarray       # (n_w, n_u) joint, w-major so sorted rows gather contiguously
+    pwu: _IidRows         # rows of the (n_w, n_u) joint
     pw: np.ndarray        # (n_w,)
     w0: int               # fallback sequence: the lowest flat index with reference mass
 
     @cached_property
-    def pvn(self) -> np.ndarray:
-        """(n_w, n_v) kernel rows."""
-        return iid_extension(self.d.v_given_w, self.n).rows
+    def pvn(self) -> _IidRows:
+        """Rows of the (n_w, n_v) kernel."""
+        return _iid_rows(self.d.v_given_w, self.n)[1]
+
+    @cached_property
+    def pv0(self) -> np.ndarray:
+        """(n_v,) kernel row of the fallback sequence w0."""
+        return self.pvn.rows(np.array([self.w0]))[0]
 
     @cached_property
     def target_uv(self) -> np.ndarray:
@@ -273,11 +285,11 @@ class _Tables:
 def _tables(d: Decomposition, n: int) -> _Tables:
     n_u, n_w, n_v = d.u_size ** n, d.w_size ** n, d.v_size ** n
     check_table_size(max(n_u * n_w, n_w * n_v, n_u * n_v), "scheme tables")
-    pwu = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n).probs
-    pw = pwu.sum(axis=1)
+    joint, pwu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n)
+    pw = joint.probs.sum(axis=1)
     return _Tables(
         d=d, n=n, n_u=n_u, n_w=n_w, n_v=n_v,
-        pu=pwu.sum(axis=0), pwu=pwu, pw=pw, w0=int(np.flatnonzero(pw > 0)[0]),
+        pu=joint.probs.sum(axis=0), pwu=pwu, pw=pw, w0=int(np.flatnonzero(pw > 0)[0]),
     )
 
 
@@ -406,7 +418,7 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     # --- one realized f value at a time: its rows hold all its keys and
     # triples, so only (U^n, F, C) tables and one block of rows are built
     z, w0_enc = np.empty((2, lay.keys.size, tab.n_u))
-    lump = np.outer(tab.pu, tab.pvn[tab.w0])  # an unhit (f, c) pair, weight 1
+    lump = np.outer(tab.pu, tab.pv0)  # an unhit (f, c) pair, weight 1
     f_keys = np.searchsorted(lay.key_bounds, lay.f_bounds)
     f_trips = np.searchsorted(lay.trip_bounds, lay.f_bounds)
     rc_uv = (b.bins_f - (lay.f_bounds.size - 1)) * b.bins_c * q * lump  # unhit f values
@@ -416,15 +428,15 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         k0, k1 = f_keys[i], f_keys[i + 1]
         t0, t1 = f_trips[i], f_trips[i + 1]
         rows, pw, trip_ids = lay.order[r0:r1], lay.pw[r0:r1], lay.trip_ids[r0:r1] - t0
-        pwu = tab.pwu[rows]
+        pwu = tab.pwu.rows(rows)
         z[k0:k1], pu_enc, w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0)
         enc_t = _segment_sums(pu_enc, trip_ids, t1 - t0)
-        pvn = tab.pvn[rows]
+        pvn = tab.pvn.rows(rows)
         cond_rb = pwu.T @ pvn
         del pwu, pu_enc  # each row table dies once read, before the next block
         rc_f = q * (enc_t.T @ _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1]))
         del pvn
-        rc_f += q * np.outer(w0_enc[k0:k1].sum(axis=0), tab.pvn[tab.w0])
+        rc_f += q * np.outer(w0_enc[k0:k1].sum(axis=0), tab.pv0)
         rc_f += (b.bins_c - (k1 - k0)) * q * lump
         rc_uv += rc_f
         rb_mass = float(pw.sum())
@@ -549,7 +561,7 @@ class _PathJoint:
             hw = np.append(lay.order, t.w0)[src]
             body = body[owner] * post[src, None, None]
             if "v" in axes and v_rows is None:
-                body = body * t.pvn[hw][:, None, :]
+                body = body * t.pvn.rows(hw)[:, None, :]
             out = np.zeros((n_idx, weight.shape[1], t.n_w, body.shape[2]))
             # an abort slot and the triple of w0 can both reach (index, w0)
             np.add.at(out, (keys[owner] // n_slots, slice(None), hw), body)
@@ -571,7 +583,7 @@ class RbJoint(_PathJoint):
     def _paths(self, axes):
         b, w = self.b, self._layout.order
         coords = {"f": b.phi_f[w], "c": b.phi_c[w], "w": w, "m": b.phi_m[w]}
-        return self.tab.pwu[w], coords, self._slot, self.tab.pvn[w] if "v" in axes else None
+        return self.tab.pwu.rows(w), coords, self._slot, self.tab.pvn.rows(w) if "v" in axes else None
 
 
 class RcJoint(_PathJoint):
@@ -598,8 +610,7 @@ class RcJoint(_PathJoint):
         # in place: the rows can be large
         weight = np.empty((w.size + n_w0, t.n_u))
         hit_end = w.size + lay.keys.size
-        # w is a permutation, so "clip" never clips; "raise" would buffer a full copy
-        rows = np.take(t.pwu, w, axis=0, out=weight[:w.size], mode="clip")
+        rows = t.pwu.rows(w, out=weight[:w.size])
         weight[w.size:hit_end] = _encoder(t.pu, rows, lay.pw, lay.key_ids, lay.keys.size, out=rows)[2]
         np.multiply(unhit[cells, None], t.pu, out=weight[hit_end:])
         weight *= 1.0 / (b.bins_f * b.bins_c)
@@ -610,7 +621,7 @@ class RcJoint(_PathJoint):
         slot = np.append(self._slot, np.full(n_w0, lay.z_t.size))
         v_rows = None
         if "v" in axes and "hw" not in axes:  # the decoded V law of each slot
-            v_rows = np.vstack([_triple_v_laws(lay.pw, t.pvn[w], lay.trip_ids, lay.z_t), t.pvn[t.w0]])[slot]
+            v_rows = np.vstack([_triple_v_laws(lay.pw, t.pvn.rows(w), lay.trip_ids, lay.z_t), t.pv0])[slot]
         return weight, coords, slot, v_rows
 
 

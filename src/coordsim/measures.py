@@ -282,7 +282,7 @@ def gaussian_q_inv(eps: float) -> float:
     |Q(t) - eps| <= 1e-12 everywhere in that range.  eps outside (0,1) raises
     ``DomainError``.
     """
-    check_eps(eps, "gaussian_q_inv needs eps in (0, 1)")
+    eps = check_eps(eps, "gaussian_q_inv needs eps in (0, 1)")
     lo, hi = -8.0, 8.0  # Q decreasing: Q(lo) > eps > Q(hi) once the bracket holds
     while gaussian_q(lo) < eps:
         lo *= 2.0

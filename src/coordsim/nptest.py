@@ -90,12 +90,12 @@ __all__ = [
 def _np_inputs(p, q, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Validated (p, q, alpha) for the tests below: two flattened laws with
     the same number of outcomes, alpha strictly inside (0, 1)."""
-    check_eps(alpha, "alpha must lie strictly inside (0, 1)")
+    alpha = check_eps(alpha, "alpha must lie strictly inside (0, 1)")
     pa = _clean_probs(_probs_of(p).reshape(-1), "p")
     qa = _clean_probs(_probs_of(q).reshape(-1), "q")
     if pa.shape != qa.shape:
         raise ShapeError(f"p has {pa.shape[0]} outcomes, q has {qa.shape[0]}")
-    return pa, qa, float(alpha)
+    return pa, qa, alpha
 
 
 # =============================================================================
@@ -628,11 +628,8 @@ def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
     return _PairLaw(_TieGroups(None, *tie_groups(np.log2(p / q), p, q)[1:]), l1)
 
 
-def _check_witness_params(n: int, eps: float, y: float) -> int:
-    n = check_blocklength(n)
-    check_eps(eps, "eps must lie in (0, 1)")
-    check_split(y)
-    return n
+def _check_witness_params(n: int, eps: float, y: float) -> tuple[int, float, float]:
+    return check_blocklength(n), check_eps(eps, "eps must lie in (0, 1)"), check_split(y)
 
 
 def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) -> WitnessReport:
@@ -655,7 +652,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
     """
     if mode not in ("case1", "case2", "coded"):
         raise DomainError(f"mode must be one of case1/case2/coded, got {mode!r}")
-    n = _check_witness_params(n, eps, y)
+    n, eps, y = _check_witness_params(n, eps, y)
 
     pair = marginalize(d.joint(), ("u", "w"))
     if mode == "coded":
@@ -685,7 +682,7 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     lower inequality's left side and the final rate subtracts 2 g(eps)
     per symbol.  The perturbation is sized from the gaining cell.
     """
-    n = _check_witness_params(n, eps, y)
+    n, eps, y = _check_witness_params(n, eps, y)
 
     law = _type_transfer(regroup_pair(d.joint(), ("u", "v"), "w").probs, n, eps, "gain")
     g_eps = continuity_term(eps, d.u_size * d.v_size)

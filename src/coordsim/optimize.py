@@ -293,7 +293,7 @@ def optimize_decomposition(
     restarts = check_blocklength(restarts, "restarts")
     seed = check_seed(seed)  # checked even when one restart draws nothing from it
     n = check_blocklength(n)
-    check_eps(eps, "eps must lie in (0, 1)")
+    eps = check_eps(eps, "eps must lie in (0, 1)")
     g = gamma if gamma is not None else parse_gamma_rule("logn", n)
     problem = _Problem(
         p_u=target.probs.sum(axis=1),

@@ -27,8 +27,11 @@ Conventions
   ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
 * One check per parameter kind decides every such parameter, raising
   ``DomainError``: ``check_blocklength`` (whole-number counts), ``check_seed``
-  (64-bit indices), ``check_positive`` (finite reals > 0, or >= 0),
-  ``check_eps`` (eps in (0, 1)) and ``check_split`` (y in (1/2, 1)).
+  (64-bit indices), ``check_index`` (in-alphabet indices), ``check_positive``
+  (finite reals > 0, or >= 0), ``check_eps`` (eps in (0, 1)) and
+  ``check_split`` (y in (1/2, 1)).  Integers are Python or numpy integers
+  and reals Python or numpy reals, never bools or strings; each check
+  returns the Python int or float.
 * Ownership: a float64 ndarray that owns its data and is already read-only
   is kept as it is, not copied.  That is how the package hands over a table
   it has just built (``iid_extension``, the binning joints' marginals): it
@@ -104,17 +107,19 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
     a = arr if kept else np.array(arr, dtype=np.float64, copy=True)
     if a.size == 0:
         raise ShapeError(f"{what} must be non-empty")
-    if not np.all(np.isfinite(a)):
+    # two reductions and no full-size mask: a NaN makes both NaN and an
+    # infinity shows in one of them
+    least, most = float(a.min()), float(a.max())
+    if not (math.isfinite(least) and math.isfinite(most)):
         bad = np.unravel_index(int(np.argmin(np.isfinite(a))), a.shape)
         raise DomainError(f"{what} has a non-finite entry", index=bad)
-    neg = a < 0
-    if np.any(a < _NEG_DUST):
+    if least < _NEG_DUST:
         bad = np.unravel_index(int(np.argmin(a)), a.shape)
         raise DomainError(f"{what} has a negative entry {a[bad]!r}", index=bad)
-    if np.any(neg):  # clamp -1e-15 < x < 0 float dust
+    if least < 0:  # clamp -1e-15 < x < 0 float dust
         if not a.flags.writeable:
             a = a.copy()
-        a[neg] = 0.0
+        a[a < 0] = 0.0
     if rows:
         sums = a.sum(axis=1)
         worst = int(np.argmax(np.abs(sums - 1.0)))
@@ -138,13 +143,32 @@ def check_blocklength(n, name: str = "blocklength", least: int = 1) -> int:
     return int(n)
 
 
+def _integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """Whether ``x`` is a Python or numpy real number; bools and strings
+    are not."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def check_seed(index, name: str = "seed") -> int:
     """``index`` as a Python int, unless it is not a Python or numpy
     integer (a bool is not) in [0, 2^64) -- the one 64-bit index check, for
     seeds and for the trial index that keys Philox as seed | trial << 64."""
-    integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
-    if not (integer and 0 <= int(index) < 2 ** 64):
+    if not (_integer(index) and 0 <= int(index) < 2 ** 64):
         raise DomainError(f"{name} must be a 64-bit unsigned integer, got {index!r}")
+    return int(index)
+
+
+def check_index(index, size: int, name: str) -> int:
+    """``index`` as a Python int, unless it is not a Python or numpy
+    integer (a bool is not) in [0, size) -- the one in-alphabet index
+    check, for flat sequence indices, digits and point masses."""
+    if not (_integer(index) and 0 <= int(index) < size):
+        raise DomainError(f"{name} must be an integer in [0, {size}), got {index!r}")
     return int(index)
 
 
@@ -152,26 +176,28 @@ def check_positive(x, name: str, zero: bool = False) -> float:
     """``x`` as a float, unless it is not a finite real number > 0, or >= 0
     with ``zero`` (bools and strings are not) -- the one check of a gamma
     slack, a rate or a tradeoff parameter."""
-    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
     # abs(x) <= max is False for NaN and infinities, and exact for any int
-    if not (real and abs(x) <= sys.float_info.max and (x >= 0 if zero else x > 0)):
+    if not (_real(x) and abs(x) <= sys.float_info.max and (x >= 0 if zero else x > 0)):
         raise DomainError(f"{name} must be a finite real {'>=' if zero else '>'} 0, got {x!r}")
     return float(x)
 
 
-def check_eps(eps: float, message: str) -> None:
-    """Raise ``DomainError("<message>, got <eps>")`` unless ``eps`` is a real
-    number strictly inside (0, 1) -- the one spelling of that range check."""
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
+def check_eps(eps, message: str) -> float:
+    """``eps`` as a float, unless it is not a real number strictly inside
+    (0, 1) (bools and strings are not): then ``DomainError("<message>, got
+    <eps>")`` -- the one spelling of that range check."""
+    if not (_real(eps) and 0.0 < eps < 1.0):
         raise DomainError(f"{message}, got {eps!r}")
+    return float(eps)
 
 
-def check_split(y: float) -> None:
-    """Raise ``DomainError`` unless the converse's split parameter ``y`` is
-    a real number strictly inside (1/2, 1) -- the one spelling of that
-    range check."""
-    if not (isinstance(y, (int, float)) and 0.5 < y < 1.0):
+def check_split(y) -> float:
+    """``y`` as a float, unless the converse's split parameter is not a
+    real number strictly inside (1/2, 1) -- the one spelling of that range
+    check."""
+    if not (_real(y) and 0.5 < y < 1.0):
         raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
+    return float(y)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -220,8 +246,7 @@ class Pmf:
     @staticmethod
     def point(size: int, index: int) -> "Pmf":
         size = check_blocklength(size, "alphabet size")
-        if not 0 <= index < size:
-            raise DomainError(f"point mass index {index} outside alphabet of size {size}")
+        index = check_index(index, size, "point mass index")
         p = np.zeros(size)
         p[index] = 1.0
         return Pmf(p)
@@ -442,20 +467,27 @@ def conditional(joint: JointPmf, given) -> ConditionalPmf:
     return ConditionalPmf(rows, fallback_rows=fallback)
 
 
+def _iid_grow(out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One step of the left fold: the product so far ``out`` times each
+    entry of ``t``, written straight into its slice of the interleaved axes
+    (S_1, s_1, S_2, s_2, ...), a view of the grown table, so no step
+    transposes."""
+    grown = np.empty([size * s for size, s in zip(out.shape, t.shape)])
+    wide = grown.reshape([x for size, s in zip(out.shape, t.shape) for x in (size, s)])
+    for idx in np.ndindex(t.shape):
+        np.multiply(out, t[idx], out=wide[tuple(x for i in idx for x in (slice(None), i))])
+    return grown
+
+
 def _iid_table(t: np.ndarray, n: int) -> np.ndarray:
     """The n-fold product of the table ``t``, as a new array that owns its
     data: each axis of size s becomes one of size s**n, earlier symbols most
-    significant.  Each step writes the table so far times one entry of ``t``
-    straight into its slice of the interleaved axes (S_1, s_1, S_2, s_2,
-    ...), a view of the grown table, so no step transposes; the bits are
-    those of ``np.kron`` folded from the left."""
-    out = np.array(t)
-    for _ in range(n - 1):
-        grown = np.empty([size * s for size, s in zip(out.shape, t.shape)])
-        wide = grown.reshape([x for size, s in zip(out.shape, t.shape) for x in (size, s)])
-        for idx in np.ndindex(t.shape):
-            np.multiply(out, t[idx], out=wide[tuple(x for i in idx for x in (slice(None), i))])
-        out = grown
+    significant.  The fold starts from the empty product, ones of side 1
+    (n = 0), and 1.0 * x is exact, so the bits are those of ``np.kron``
+    folded from the left."""
+    out = np.ones([1] * t.ndim)
+    for _ in range(n):
+        out = _iid_grow(out, t)
     return out
 
 
@@ -471,34 +503,76 @@ def iid_extension(obj, n: int):
     n = check_blocklength(n, "iid extension length")
     if isinstance(obj, Pmf):
         check_table_size(obj.size ** n, "iid pmf")
-        return Pmf(_freeze(_renormalize(_iid_table(obj.probs, n))))
-    if isinstance(obj, ConditionalPmf):
-        check_table_size((obj.input_size ** n) * (obj.output_size ** n), "iid kernel")
-        out = _iid_table(obj.rows, n)
-        return ConditionalPmf(_freeze(np.divide(out, out.sum(axis=1, keepdims=True), out=out)))
-    if isinstance(obj, JointPmf):
-        entries = 1
-        for s in obj.shape:
-            entries *= s ** n
-        check_table_size(entries, "iid joint")
-        return JointPmf(_freeze(_renormalize(_iid_table(obj.probs, n))), axes=obj.axes)
+        out = _iid_table(obj.probs, n)
+        _renormalize(out)
+        return Pmf(_freeze(out))
+    if isinstance(obj, (ConditionalPmf, JointPmf)):
+        return _iid_rows(obj, n)[0]
     raise ShapeError(f"iid_extension does not handle {type(obj).__name__}")
 
 
-def _renormalize(a: np.ndarray) -> np.ndarray:
-    """Divide out, in place, the float drift of a long product so constructors accept it."""
-    total = a.sum()
-    if not math.isfinite(total) or total <= 0:
-        raise DomainError(f"cannot renormalize array with total mass {total!r}")
-    return np.divide(a, total, out=a)
+def _renormalize(a: np.ndarray, rows: bool = False):
+    """Divide out, in place, the float drift of a long product so
+    constructors accept it: by its total, or by each row's sum for a
+    kernel's ``rows``.  Returns the divisor (a scalar, or (rows, 1))."""
+    norm = a.sum(axis=1, keepdims=True) if rows else a.sum()
+    if not rows and (not math.isfinite(norm) or norm <= 0):
+        raise DomainError(f"cannot renormalize array with total mass {norm!r}")
+    np.divide(a, norm, out=a)
+    return norm
+
+
+class _IidRows:
+    """Rows of an n-fold table of ``iid_extension`` held as factors: the
+    raw product ``pre`` of the first n-1 letters, the one-letter table ``t``
+    (r, s) and the divisor the full table was renormalized by.  It is
+    1/(r s) of the full table.  (A plain class: each dataclass adds to the
+    CLI's cold start.)"""
+
+    def __init__(self, pre: np.ndarray, t: np.ndarray, norm: np.ndarray):
+        self.pre = pre    # (r**(n-1), s**(n-1)) raw (n-1)-fold product
+        self.t = t        # (r, s) one-letter table
+        self.norm = norm  # the full table's raw total, or its (r**n, 1) raw row sums
+
+    def rows(self, w, out=None) -> np.ndarray:
+        """Rows ``w`` (flat indices in any order, repeats allowed) of the
+        full table, with its bits: row w is pre[w // r] times t[w % r] in
+        the interleaved order of the fold's last step, then divided by the
+        divisor.  Written into ``out``, a C-contiguous (len(w), s**n)
+        array, if given."""
+        hi, lo = np.divmod(w, self.t.shape[0])
+        pre, last = self.pre[hi], self.t[lo]
+        (k, size), s = pre.shape, last.shape[1]
+        if out is None:
+            out = np.empty((k, size * s))
+        wide = out.reshape((k, size, s), copy=False)
+        for j in range(s):  # s strided passes: one broadcast over s is several times slower
+            np.multiply(pre, last[:, j, None], out=wide[:, :, j])
+        return np.divide(out, self.norm if self.norm.ndim == 0 else self.norm[w], out=out)
+
+
+def _iid_rows(obj, n: int):
+    """(law, rows) for a JointPmf or a ConditionalPmf and a checked n: its
+    n-fold law, built once and law-checked (``iid_extension`` returns just
+    the law), and an ``_IidRows`` that rebuilds any row of a two-axis law's
+    table from the (n-1)-fold factor with the same bits.  A caller that
+    keeps only the rows frees the full table."""
+    kernel = isinstance(obj, ConditionalPmf)
+    t = obj.rows if kernel else obj.probs
+    check_table_size(t.size ** n, "iid kernel" if kernel else "iid joint")
+    pre = _freeze(_iid_table(t, n - 1))
+    full = _iid_grow(pre, t)
+    norm = _renormalize(full, rows=kernel)
+    law = ConditionalPmf(_freeze(full)) if kernel else JointPmf(_freeze(full), axes=obj.axes)
+    return law, _IidRows(pre, t, norm)
 
 
 def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:
     """Decode a composite-axis flat index into its n symbols
     (first symbol most significant)."""
     n = check_blocklength(n, "sequence length")
-    if not 0 <= flat_index < base ** n:
-        raise DomainError(f"flat index {flat_index} outside [0, {base ** n})")
+    base = check_blocklength(base, "alphabet size")
+    flat_index = check_index(flat_index, base ** n, "flat index")
     digits = []
     x = flat_index
     for _ in range(n):
@@ -509,11 +583,10 @@ def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:
 
 def sequence_index(digits, base: int) -> int:
     """Inverse of ``sequence_digits``."""
+    base = check_blocklength(base, "alphabet size")
     idx = 0
     for d in digits:
-        if not 0 <= d < base:
-            raise DomainError(f"digit {d} outside alphabet of size {base}")
-        idx = idx * base + int(d)
+        idx = idx * base + check_index(d, base, "digit")
     return idx
 
 

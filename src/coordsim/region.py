@@ -169,6 +169,8 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
     "linear:c"      -> (2cn, cn, 2cn)
     "fixed:a,b,c"   -> constants (a, b, c)
     """
+    if not isinstance(rule, str):
+        raise DomainError(f"gamma rule must be a string, got {rule!r}")
     n = check_blocklength(n, least=2 if rule == "logn" else 1)  # log2 1 = 0 is no gamma
     if rule == "logn":
         L = math.log2(n)
@@ -199,8 +201,8 @@ def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTrip
     total-variation budget including tail terms and the Berry-Esseen
     corrections eps* = eps + B/sqrt(n).
     """
-    check_eps(eps1, "eps1 must lie in (0, 1)")
-    check_eps(eps2, "eps2 must lie in (0, 1)")
+    eps1 = check_eps(eps1, "eps1 must lie in (0, 1)")
+    eps2 = check_eps(eps2, "eps2 must lie in (0, 1)")
     n = check_blocklength(n)
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
@@ -233,9 +235,9 @@ def outer_bound(d: Decomposition, eps: float, n: int, y: float = 0.75) -> Region
     and that log term is omitted from the reported rate (see module notes);
     nothing is ever thrown for regime reasons.
     """
-    check_eps(eps, "eps must lie in (0, 1)")
+    eps = check_eps(eps, "eps must lie in (0, 1)")
     n = check_blocklength(n)
-    check_split(y)
+    y = check_split(y)
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
     g_eps = continuity_term(eps, d.u_size * d.v_size)

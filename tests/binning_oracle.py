@@ -4,7 +4,9 @@ This is the straightforward form of the simulator's per-trial metrics: one
 pass per realized key, gathering that key's columns, renormalizing the
 encoder, and building the decoder's V law once per member sequence.  The
 library computes the same tables as segment sums over W^n sorted by bin
-triple; the differential tests compare the two.
+triple; the differential tests compare the two.  It reads its iid
+tables from full ``iid_extension`` tables of its own, not from the
+library's factored rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coordsim.binning import BinningRealization, TrialMetrics, _Tables
+from coordsim.probability import iid_extension, marginalize, regroup_pair
 
 
 @dataclass
@@ -29,14 +32,22 @@ class KeyPath:
     path_uv: np.ndarray       # (n_u, n_v) joint of the path, weight 1
 
 
+def full_tables(tab: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """The full (n_w, n_u) joint P(w, u) and (n_w, n_v) kernel P(v | w)."""
+    d = tab.d
+    pwu = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), tab.n).probs
+    return pwu, iid_extension(d.v_given_w, tab.n).rows
+
+
 def key_paths(tab: _Tables, b: BinningRealization) -> tuple[list[KeyPath], np.ndarray]:
     """Per-hit-key path tables plus the (f,c)-key array."""
+    pwu, pvn = full_tables(tab)
     key = b.phi_f * b.bins_c + b.phi_c
     uniq, inv = np.unique(key, return_inverse=True)
     paths: list[KeyPath] = []
     for j, kv in enumerate(uniq):
         members = np.where(inv == j)[0]
-        encw = tab.pwu[members].T
+        encw = pwu[members].T
         z_u = encw.sum(axis=1)
         enc = np.zeros_like(encw)
         pos = z_u > 0
@@ -56,11 +67,11 @@ def key_paths(tab: _Tables, b: BinningRealization) -> tuple[list[KeyPath], np.nd
             t_mass = tab.pw[members[sel]]
             z_t = float(t_mass.sum())
             if z_t > 0:
-                vrows[sel] = (t_mass / z_t) @ tab.pvn[members[sel]]
+                vrows[sel] = (t_mass / z_t) @ pvn[members[sel]]
             else:
-                vrows[sel] = tab.pvn[tab.w0]
+                vrows[sel] = pvn[tab.w0]
         path = (tab.pu[:, None] * enc) @ vrows
-        path += w0_mass[:, None] * tab.pvn[tab.w0][None, :]
+        path += w0_mass[:, None] * pvn[tab.w0][None, :]
         paths.append(KeyPath(key=int(kv), members=members, enc=enc,
                              w0_enc_mass=w0_mass, vrows=vrows, path_uv=path))
     return paths, key
@@ -70,7 +81,8 @@ def seed_scan(tab: _Tables, b: BinningRealization, paths: list[KeyPath]) -> dict
     """f -> (conditional reverse-vs-protocol L1, conditional protocol law)
     for every seed value that carries reverse-joint mass, in increasing f."""
     q = 1.0 / (b.bins_f * b.bins_c)
-    lump = np.outer(tab.pu, tab.pvn[tab.w0])
+    pwu, pvn = full_tables(tab)
+    lump = np.outer(tab.pu, pvn[tab.w0])
     by_f: dict[int, list[KeyPath]] = {}
     for p in paths:
         by_f.setdefault(p.key // b.bins_c, []).append(p)
@@ -81,7 +93,7 @@ def seed_scan(tab: _Tables, b: BinningRealization, paths: list[KeyPath]) -> dict
         rb_mass = float(tab.pw[members].sum())
         if rb_mass <= 0.0:
             continue
-        rb_fuv = tab.pwu[members].T @ tab.pvn[members]
+        rb_fuv = pwu[members].T @ pvn[members]
         cond_rb = rb_fuv / rb_mass
         rc_f = sum(q * p.path_uv for p in group)
         rc_f = rc_f + (b.bins_c - len(group)) * q * lump
@@ -94,11 +106,12 @@ def trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     """The per-key reference of ``binning._trial_metrics``."""
     n_keys_total = b.bins_f * b.bins_c
     paths, key = key_paths(tab, b)
+    pwu, pvn = full_tables(tab)
 
     # --- uniformity surface: realized (U^n, F, C) vs ideal product --------
     l1_index = 0.0
     for p in paths:
-        rb_col = tab.pwu[p.members].sum(axis=0)
+        rb_col = pwu[p.members].sum(axis=0)
         l1_index += float(np.abs(rb_col - tab.pu / n_keys_total).sum())
     l1_index += (n_keys_total - len(paths)) / n_keys_total  # unhit ideal mass
 
@@ -118,7 +131,7 @@ def trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     for p in paths:
         rc_uv += q * p.path_uv
         abort += q * float(p.w0_enc_mass.sum())
-    lump = np.outer(tab.pu, tab.pvn[tab.w0])
+    lump = np.outer(tab.pu, pvn[tab.w0])
     rc_uv += (n_keys_total - len(paths)) * q * lump
     l1_uv = float(np.abs(rc_uv - tab.target_uv).sum())
 

@@ -31,7 +31,15 @@ from coordsim.binning import (
     _trial_metrics,
 )
 from coordsim.errors import DomainError, ResourceLimitError, ShapeError
-from coordsim.probability import ConditionalPmf, JointPmf, Pmf
+from coordsim.probability import (
+    ConditionalPmf,
+    JointPmf,
+    Pmf,
+    _IidRows,
+    iid_extension,
+    marginalize,
+    regroup_pair,
+)
 from coordsim.region import Decomposition, GammaTriple
 
 # =============================================================================
@@ -535,7 +543,7 @@ def test_trial_never_builds_a_full_row_table():
     d = chain3()
     cfg = scheme(d, n=7, r=0.5, r0=0.5, rt=0.5, seed=123)
     tab = _tables(d, 7)
-    tab.pvn, tab.target_uv  # build the cached tables before tracing
+    tab.pv0, tab.target_uv  # build the kernel factor and the target before tracing
     b = draw_binning(cfg, trial=0)
     tracemalloc.start()
     try:
@@ -544,6 +552,54 @@ def test_trial_never_builds_a_full_row_table():
     finally:
         tracemalloc.stop()
     assert peak < tab.n_w * tab.n_u * 8, peak / (tab.n_w * tab.n_u * 8)
+
+
+def test_tables_hold_factors_not_full_tables():
+    # from building the tables through one trial, the peak stays below two
+    # (n_w, n_u) float64 tables and what is still held afterwards below half
+    # of one: the full joint and kernel are each built and checked once,
+    # then only their (n-1)-fold factors are kept (holding both full tables
+    # peaks near 2.9 and keeps 2.1)
+    d = chain3()
+    cfg = scheme(d, n=7, r=0.5, r0=0.5, rt=0.5, seed=123)
+    b = draw_binning(cfg, trial=0)
+    table_bytes = 3 ** 7 * 2 ** 7 * 8
+    tracemalloc.start()
+    try:
+        tab = _tables(d, 7)
+        _trial_metrics(tab, b)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table_bytes, peak / table_bytes
+    assert held < 0.5 * table_bytes, held / table_bytes
+    for value in vars(tab).values():
+        arrays = vars(value).values() if isinstance(value, _IidRows) else [value]
+        for a in arrays:
+            assert np.size(a) < tab.n_w * min(tab.n_u, tab.n_v), np.shape(a)
+
+
+@settings(max_examples=150)
+@given(d=chains_with_zero_cells(), n=st.integers(1, 5), data=st.data())
+def test_factor_rows_match_the_full_tables_bit_for_bit(d, n, data):
+    tab = _tables(d, n)
+    joint = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n).probs
+    kernel = iid_extension(d.v_given_w, n).rows
+    # unsorted, repeated and empty index arrays
+    w = np.array(data.draw(st.lists(st.integers(0, tab.n_w - 1), max_size=12), label="w"),
+                 dtype=np.int64)
+    pad = data.draw(st.integers(0, 3), label="pad")
+    for factor, full in ((tab.pwu, joint), (tab.pvn, kernel)):
+        want = full[w].view(np.int64)
+        assert np.array_equal(factor.rows(w).view(np.int64), want)
+        # written into a slice of a larger array
+        big = np.full((w.size + 2 * pad, full.shape[1]), np.nan)
+        got = factor.rows(w, out=big[pad:pad + w.size])
+        assert got.size == 0 or np.shares_memory(got, big)
+        assert np.array_equal(big[pad:pad + w.size].view(np.int64), want)
+        assert np.isnan(big[:pad]).all() and np.isnan(big[pad + w.size:]).all()
+    assert np.array_equal(tab.pw, joint.sum(axis=1)) and np.array_equal(tab.pu, joint.sum(axis=0))
+    assert np.array_equal(tab.pv0, kernel[tab.w0])
 
 
 def test_abort_rate_positive_with_dead_bins():

@@ -79,6 +79,7 @@ LAW_CASES = {
     "total-off-large": (0.0, 2e-12, False),
     "nan": (math.nan, 0.0, False),
     "inf": (math.inf, 0.0, False),
+    "-inf": (-math.inf, 0.0, False),
 }
 
 
@@ -340,6 +341,21 @@ def test_iid_extension_holds_its_table_once():
         tracemalloc.stop()
     assert rows.flags.owndata and not rows.flags.writeable
     assert peak < 1.5 * table_bytes, peak / table_bytes
+
+
+def test_law_check_of_a_kept_table_allocates_no_full_size_mask():
+    # a frozen table is checked by reductions alone, so the check adds no
+    # full-size temporary (two boolean masks added a quarter of its bytes)
+    for law, cell in ((JointPmf, 1.0 / 512 ** 2), (ConditionalPmf, 1.0 / 512)):
+        table = np.full((512, 512), cell)
+        table.setflags(write=False)
+        tracemalloc.start()
+        try:
+            law(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * table.nbytes, (law.__name__, peak / table.nbytes)
 
 
 def test_iid_respects_memory_cap(monkeypatch):

@@ -1,8 +1,9 @@
 """One table of malformed parameters over the public entry points.
 
-Every count, 64-bit index, positive real and eps the library takes goes
-through one check per kind (``probability.check_blocklength``,
-``check_seed``, ``check_positive``, ``check_eps``), so a malformed value is
+Every count, 64-bit index, in-alphabet index, positive real, eps and split
+parameter the library takes goes through one check per kind
+(``probability.check_blocklength``, ``check_seed``, ``check_index``,
+``check_positive``, ``check_eps``, ``check_split``), so a malformed value is
 a ``DomainError`` at every entry point -- never a ``TypeError``, a numpy
 ``ValueError`` or a returned value -- and a numpy integer means what the
 Python int means.
@@ -24,8 +25,15 @@ from coordsim.binning import (
 )
 from coordsim.errors import DomainError
 from coordsim.optimize import optimize_decomposition
-from coordsim.probability import ConditionalPmf, JointPmf, Pmf, iid_extension, sequence_digits
-from coordsim.region import Decomposition, GammaTriple, parse_gamma_rule
+from coordsim.probability import (
+    ConditionalPmf,
+    JointPmf,
+    Pmf,
+    iid_extension,
+    sequence_digits,
+    sequence_index,
+)
+from coordsim.region import Decomposition, GammaTriple, inner_bound, outer_bound, parse_gamma_rule
 
 CHAIN = Decomposition(
     p_u=Pmf(np.array([0.55, 0.45])),
@@ -50,6 +58,10 @@ COUNT = [2.5, True, -1, math.nan, math.inf, "3"]
 INDEX = COUNT + [2 ** 64]
 REAL = [True, -1, math.nan, math.inf, "3"]
 EPS = INDEX
+SPLIT = [0.5, 1, True, math.nan, math.inf, "0.75", np.float32(0.25)]
+# indices into an alphabet of 4: an integral float is not an index either
+LETTER = [2.5, 1.0, True, -1, math.nan, math.inf, "3", 4, np.int64(4)]
+GAMMA = GammaTriple(2.0, 1.0, 2.0)
 
 ENTRY_POINTS = [
     ("optimize-n", COUNT, lambda x: optimize(n=x)),
@@ -69,6 +81,14 @@ ENTRY_POINTS = [
     ("slc_error_bound-gamma", REAL, lambda x: slc_error_bound(PAIR, 2, x)),
     ("iid_extension-n", COUNT, lambda x: iid_extension(Pmf.uniform(2), x)),
     ("sequence_digits-n", COUNT, lambda x: sequence_digits(0, 2, x)),
+    ("sequence_digits-flat_index", LETTER, lambda x: sequence_digits(x, 2, 2)),
+    ("sequence_digits-base", COUNT, lambda x: sequence_digits(0, x, 2)),
+    ("sequence_index-base", COUNT, lambda x: sequence_index([0], x)),
+    ("sequence_index-digit", LETTER, lambda x: sequence_index([0, x], 4)),
+    ("Pmf.point-index", LETTER, lambda x: Pmf.point(4, x)),
+    ("inner_bound-eps1", EPS, lambda x: inner_bound(CHAIN, x, 0.1, 100, GAMMA)),
+    ("outer_bound-y", SPLIT, lambda x: outer_bound(CHAIN, 0.9, 100, x)),
+    ("parse_gamma_rule-rule", [None, 3, b"logn"], lambda x: parse_gamma_rule(x, 8)),
     ("Pmf.uniform-size", COUNT, lambda x: Pmf.uniform(x)),
     ("GammaTriple-g2", REAL, lambda x: GammaTriple(1.0, x, 1.0)),
     ("parse_gamma_rule-n", COUNT, lambda x: parse_gamma_rule("logn", x)),
@@ -116,3 +136,18 @@ def test_numpy_integers_give_the_python_int_bytes():
     assert iid_extension(PAIR, np.int64(2)).probs.tobytes() == iid_extension(PAIR, 2).probs.tobytes()
     assert sequence_digits(5, 2, np.int64(3)) == sequence_digits(5, 2, 3) == (1, 0, 1)
     assert Pmf.uniform(np.int64(3)).probs.tobytes() == Pmf.uniform(3).probs.tobytes()
+
+
+def test_numpy_reals_give_the_python_float_bytes():
+    # a numpy float32 eps or y means the float it holds
+    eps, y = np.float32(0.1), np.float32(0.75)
+    assert inner_bound(CHAIN, eps, 0.1, 100, GAMMA) == inner_bound(CHAIN, float(eps), 0.1, 100, GAMMA)
+    assert outer_bound(CHAIN, 0.9, 100, y) == outer_bound(CHAIN, 0.9, 100, float(y))
+    assert outer_bound(CHAIN, np.float32(0.875), 100) == outer_bound(CHAIN, 0.875, 100)
+
+
+def test_numpy_integer_indices_mean_the_python_int():
+    assert sequence_digits(np.int64(5), 2, 3) == (1, 0, 1)
+    assert all(type(x) is int for x in sequence_digits(np.uint8(5), 2, 3))
+    assert sequence_index([np.int64(1), 0, np.int16(1)], 2) == 5
+    assert Pmf.point(4, np.int64(2)).probs.tobytes() == Pmf.point(4, 2).probs.tobytes()
