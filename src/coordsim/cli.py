@@ -1,11 +1,12 @@
 """Batch command-line surface over the toolkit.
 
-Subcommands: region | simulate | np | clt | tradeoff | optimize.  Every
-run resolves its inputs into one self-contained configuration dict,
-computes a table from it, and emits CSV or JSON through the shared
-17-significant-digit writer.  The configuration is embedded in the
-output header, and ``render_output`` on that embedded config reproduces
-the file byte for byte -- the round-trip contract the tests enforce.
+Subcommands: region | simulate | np | clt | tradeoff | optimize, each one
+``_Command``: its flags, a resolver that folds flags and input file into
+one self-contained configuration dict, and a runner that computes a table
+from that dict, emitted as CSV or JSON through the shared
+17-significant-digit writer.  The configuration is embedded in the output
+header, and ``render_output`` on that embedded config reproduces the file
+byte for byte -- the round-trip contract the tests enforce.
 
 Exit codes: 0 success; 2 I/O trouble (missing/unreadable files, and files
 that are not UTF-8 JSON); 3 invalid parameters (unknown flags, input-file
@@ -23,10 +24,12 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binning import SchemeConfig, _trials, monte_carlo
+from .binning import SchemeConfig, TrialMetrics, _trials, monte_carlo
 from .cltverify import be_gap, density_law
 from .errors import DomainError, ResourceLimitError, SearchError, ShapeError
 from .nptest import beta_sandwich, np_beta
@@ -41,10 +44,6 @@ EXIT_INVALID = 3
 EXIT_RESOURCE = 4
 
 
-class _UsageError(Exception):
-    """Raised for malformed flags or configs; mapped to exit code 3."""
-
-
 class _IllFormedFile(Exception):
     """Raised for an input file that is not UTF-8 JSON; mapped to exit code 2."""
 
@@ -53,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2) on unknown flags; route that through the
     # invalid-parameter exit code instead, keeping 2 for real I/O trouble
     def error(self, message):
-        raise _UsageError(message)
+        raise DomainError(message)
 
 
 # =============================================================================
@@ -69,20 +68,32 @@ def _load_json(path: str):
             raise _IllFormedFile(e) from e
 
 
+def _document(args, needs: str) -> dict:
+    """The input file of ``args``, a JSON object with every key quoted in
+    ``needs`` (e.g. "'p' and 'q' keys")."""
+    doc = _load_json(args.input)
+    if not (isinstance(doc, dict) and all(key in doc for key in needs.split("'")[1::2])):
+        raise DomainError(f"{args.subcommand} input JSON needs {needs}")
+    return doc
+
+
 def _ints(text: str) -> list:
     try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as e:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from e
+        ints = [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        ints = []
+    if not ints:
+        raise DomainError(f"expected comma-separated integers, got {text!r}")
+    return ints
 
 
 def _number(value, what: str):
     """``value`` unchanged if it is a JSON number (not a bool) with a
     finite float value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _UsageError(f"{what} must be a number, got {value!r}")
+        raise DomainError(f"{what} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, integers beyond float range
-        raise _UsageError(f"{what} must be finite, got {value!r}")
+        raise DomainError(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -90,39 +101,39 @@ def _integer(value, what: str) -> int:
     """A JSON number with an integral value, as an int."""
     value = _number(value, what)
     if isinstance(value, float) and not value.is_integer():
-        raise _UsageError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise _UsageError(f"{what} must be a string, got {value!r}")
+        raise DomainError(f"{what} must be a string, got {value!r}")
     return value
 
 
 def _numbers(value, what: str) -> list:
     """A JSON list of numbers, as floats."""
     if not isinstance(value, list):
-        raise _UsageError(f"{what} must be a list of numbers, got {value!r}")
+        raise DomainError(f"{what} must be a list of numbers, got {value!r}")
     return [float(_number(x, what)) for x in value]
 
 
 def _matrix(value, what: str) -> list:
     """A JSON list of equally long lists of numbers, as floats."""
     if not isinstance(value, list):
-        raise _UsageError(f"{what} must be a list of rows, got {value!r}")
+        raise DomainError(f"{what} must be a list of rows, got {value!r}")
     rows = [_numbers(row, f"{what}[{i}]") for i, row in enumerate(value)]
     if len({len(row) for row in rows}) > 1:
-        raise _UsageError(f"{what} rows must have equal lengths, got {[len(row) for row in rows]}")
+        raise DomainError(f"{what} rows must have equal lengths, got {[len(row) for row in rows]}")
     return rows
 
 
-def _decomposition_from(obj) -> Decomposition:
+def _decomposition(obj) -> Decomposition:
     if not isinstance(obj, dict):
-        raise _UsageError("decomposition must be a JSON object")
+        raise DomainError("decomposition must be a JSON object")
     for key in ("p_u", "w_given_u", "v_given_w"):
         if key not in obj:
-            raise _UsageError(f"decomposition JSON is missing {key!r}")
+            raise DomainError(f"decomposition JSON is missing {key!r}")
     return Decomposition(
         p_u=Pmf(np.array(_numbers(obj["p_u"], "p_u"))),
         w_given_u=ConditionalPmf(np.array(_matrix(obj["w_given_u"], "w_given_u"))),
@@ -130,283 +141,213 @@ def _decomposition_from(obj) -> Decomposition:
     )
 
 
-def _decomposition_echo(d: Decomposition) -> dict:
+def _echo(d: Decomposition) -> dict:
+    return {"p_u": d.p_u.probs.tolist(), "w_given_u": d.w_given_u.rows.tolist(),
+            "v_given_w": d.v_given_w.rows.tolist()}
+
+
+def _gamma_rule(args, default: str) -> str:
+    if args.gamma is not None:
+        return "fixed:" + args.gamma
+    return default if args.gamma_rule is None else args.gamma_rule
+
+
+# =============================================================================
+# subcommands: resolve (args -> config entries) and run (config -> table)
+# =============================================================================
+
+_RATES = ("rate_r", "rate_r0", "rate_rtilde")
+# SimReport attributes in column order; the three effective rates follow
+_REPORT_COLUMNS = ("l1_uv", "l1_uv_given_f", "l1_uv_given_f_min", "l1_index_fc",
+                   "select_f_distance", "decoder_error", "abort_rate",
+                   "eps_app", "eps_dec", "eps_app2", "eps_tot", "trials", "seed", "ci95")
+
+
+def _resolve_sweep(args) -> dict:
+    """A decomposition file and the --n blocklengths: all of clt, the start of region."""
+    return {"decomposition": _echo(_decomposition(_load_json(args.input))), "ns": _ints(args.n)}
+
+
+def _resolve_region(args) -> dict:
+    return {**_resolve_sweep(args), "eps": args.eps,
+            "eps1": args.eps if args.eps1 is None else args.eps1,
+            "eps2": args.eps if args.eps2 is None else args.eps2,
+            "gamma_rule": _gamma_rule(args, "logn"), "y": args.y}
+
+
+def _run_region(config: dict):
+    d = _decomposition(config["decomposition"])
+    rows = []
+    for n in config["ns"]:
+        g = parse_gamma_rule(config["gamma_rule"], n)
+        ib = inner_bound(d, config["eps1"], config["eps2"], n, g)
+        ob = outer_bound(d, config["eps"], n, config["y"])
+        rows.append([n, config["eps"], ib.r_min, ib.r_plus_r0_min,
+                     ob.r_min, ob.r_plus_r0_min, ib.eps_tot_bound, ob.valid])
+    columns = ["n", "eps", "r_inner", "rr0_inner", "r_outer", "rr0_outer",
+               "eps_tot_bound", "valid"]
+    return columns, rows, None
+
+
+def _resolve_simulate(args) -> dict:
+    doc = _document(args, "a 'decomposition' key")
+
+    def whole(key, default):  # a flag overrides the file
+        flag = getattr(args, key)
+        return _integer(doc.get(key, default) if flag is None else flag, key)
+
     return {
-        "p_u": d.p_u.probs.tolist(),
-        "w_given_u": d.w_given_u.rows.tolist(),
-        "v_given_w": d.v_given_w.rows.tolist(),
+        "decomposition": _echo(_decomposition(doc["decomposition"])),
+        "n": whole("n", 2),
+        **{key: _number(doc.get(key, 1.0), key) for key in _RATES},
+        "seed": whole("seed", 0),
+        "trials": whole("trials", 100),
+        "gamma_rule": _gamma_rule(args, _string(doc.get("gamma_rule", "logn"), "gamma_rule")),
     }
 
 
-def _gamma_rule_from(args, default: str | None) -> str | None:
-    if getattr(args, "gamma", None) is not None:
-        return "fixed:" + args.gamma
-    if getattr(args, "gamma_rule", None) is not None:
-        return args.gamma_rule
-    return default
+def _run_simulate(config: dict):
+    d = _decomposition(config["decomposition"])
+    cfg = SchemeConfig(n=config["n"], seed=config["seed"], decomposition=d,
+                       **{key: float(config[key]) for key in _RATES})
+    gamma = parse_gamma_rule(config["gamma_rule"], cfg.n)
+    if config["format"] == "csv":
+        metrics = [field.name for field in fields(TrialMetrics)]
+        rows = [[t, *(getattr(m, key) for key in metrics)]
+                for t, m in enumerate(_trials(d, cfg, config["trials"]))]
+        return ["trial", *metrics], rows, None
+    rep = monte_carlo(d, cfg, config["trials"], gamma)
+    row = [*(getattr(rep, key) for key in _REPORT_COLUMNS), *rep.effective_rates]
+    columns = [*_REPORT_COLUMNS, "rate_r_eff", "rate_r0_eff", "rate_rtilde_eff"]
+    return columns, [row], {"ci95_by_metric": dict(rep.ci95_by_metric)}
+
+
+def _resolve_np(args) -> dict:
+    doc = _document(args, "'p' and 'q' keys")
+    alpha = doc.get("alpha") if args.eps is None else args.eps
+    if alpha is None:
+        raise DomainError("np needs an alpha (file key 'alpha' or flag --eps)")
+    grid = doc.get("gamma_grid")
+    return {"p": _numbers(doc["p"], "p"), "q": _numbers(doc["q"], "q"),
+            "alpha": float(_number(alpha, "alpha")),
+            "gamma_grid": None if grid is None else _numbers(grid, "gamma_grid")}
+
+
+def _run_np(config: dict):
+    p, q, alpha = config["p"], config["q"], config["alpha"]
+    res = np_beta(p, q, alpha)
+    row = [alpha, res.beta, res.threshold, res.randomization, None, None, None]
+    if config["gamma_grid"] is not None:
+        rep = beta_sandwich(p, q, alpha, config["gamma_grid"])
+        row[4:] = rep.worst_lower_slack, rep.worst_upper_slack, rep.ok
+    columns = ["alpha", "beta", "threshold", "randomization",
+               "worst_lower_slack", "worst_upper_slack", "sandwich_ok"]
+    return columns, [row], None
+
+
+def _run_clt(config: dict):
+    d = _decomposition(config["decomposition"])
+    pair = regroup_pair(marginalize(d.joint(), ("u", "w")), "w", "u")
+    law = density_law(info_density(pair), pair)
+    gaps = [be_gap(law, n) for n in config["ns"]]
+    rows = [[n, r.gap, r.bound] for n, r in zip(config["ns"], gaps)]
+    return ["n", "gap", "bound"], rows, None
+
+
+def _resolve_tradeoff(args) -> dict:
+    xs = list(range(13))
+    if args.input is not None:
+        xs = _numbers(_document(args, "an 'xs' key")["xs"], "xs")
+    return {"xs": xs, "n": args.n, "eps1": args.eps1, "eps2": args.eps2}
+
+
+def _run_tradeoff(config: dict):
+    pairs = gamma_tradeoff(config["xs"], config["n"], config["eps1"], config["eps2"])
+    rows = [[x, p, b] for x, (p, b) in zip(config["xs"], pairs)]
+    return ["x", "rate_penalty", "eps_bound"], rows, None
+
+
+def _resolve_optimize(args) -> dict:
+    doc = _document(args, "'target_uv' and 'w_size' keys")
+    return {
+        "target_uv": _matrix(doc["target_uv"], "target_uv"),
+        "w_size": _integer(doc["w_size"], "w_size"),
+        "objective": _string(doc.get("objective", "r_min"), "objective"),
+        "restarts": _integer(doc.get("restarts", 4), "restarts"),
+        "seed": args.seed, "eps": args.eps, "n": args.n,
+        "gamma_rule": _gamma_rule(args, "logn"),
+    }
+
+
+def _run_optimize(config: dict):
+    target = JointPmf(np.asarray(config["target_uv"], dtype=np.float64))
+    gamma = parse_gamma_rule(config["gamma_rule"], config["n"])
+    d = optimize_decomposition(target, config["w_size"], config["objective"],
+                               restarts=config["restarts"], seed=config["seed"],
+                               eps=config["eps"], n=config["n"], gamma=gamma)
+    ib = inner_bound(d, config["eps"], config["eps"], config["n"], gamma)
+    columns = ["objective", "w_size", "r_inner", "rr0_inner",
+               "eps_tot_bound", "i_wu", "i_wuv"]
+    row = [config["objective"], config["w_size"], ib.r_min, ib.r_plus_r0_min,
+           ib.eps_tot_bound, ib.notes["i_wu"], ib.notes["i_wuv"]]
+    return columns, [row], {"decomposition": _echo(d)}
+
+
+class _Command(NamedTuple):
+    help: str
+    resolve: Callable  # parsed args -> the config entries of this subcommand
+    run: Callable  # config -> (columns, rows, extra JSON payload or None)
+    flags: dict  # flag -> add_argument keywords, after --input, --output, --format
+    gamma: bool = False  # whether --gamma / --gamma-rule follow
+    input_required: bool = True
+
+
+_NS = {"--n": dict(required=True, help="comma-separated blocklengths")}
+_COMMANDS = {
+    "region": _Command("inner/outer rate-region sweep", _resolve_region, _run_region, {
+        **_NS, "--eps": dict(type=float, default=0.1), "--eps1": dict(type=float),
+        "--eps2": dict(type=float), "--y": dict(type=float, default=0.75)}, gamma=True),
+    "simulate": _Command("exact binning-scheme Monte Carlo", _resolve_simulate, _run_simulate, {
+        "--n": dict(type=int), "--seed": dict(type=int), "--trials": dict(type=int)}, gamma=True),
+    "np": _Command("optimal binary test and tail sandwich", _resolve_np, _run_np, {
+        "--eps": dict(type=float, help="overrides the file's alpha")}),
+    "clt": _Command("exact-vs-Gaussian tail gap per blocklength", _resolve_sweep, _run_clt, _NS),
+    "tradeoff": _Command("rate-penalty / error-budget curve", _resolve_tradeoff, _run_tradeoff, {
+        "--n": dict(type=int, required=True), "--eps1": dict(type=float, default=0.0),
+        "--eps2": dict(type=float, default=0.0)}, input_required=False),
+    "optimize": _Command("search a decomposition for a target", _resolve_optimize, _run_optimize, {
+        "--n": dict(type=int, default=10_000), "--eps": dict(type=float, default=0.1),
+        "--seed": dict(type=int, default=0)}, gamma=True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coordsim", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, input_required: bool):
-        sp.add_argument("--input", required=input_required, help="input JSON path")
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
+    for name, command in _COMMANDS.items():
+        sp = subs.add_parser(name, help=command.help)
+        sp.add_argument("--input", required=command.input_required, help="input JSON path")
+        sp.add_argument("--output", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def gamma_flags(sp):
-        group = sp.add_mutually_exclusive_group()
-        group.add_argument("--gamma", default=None, metavar="G1,G2,G3")
-        group.add_argument("--gamma-rule", default=None, metavar="RULE",
-                           help="logn | linear:x | fixed:a,b,c")
-
-    sp = subs.add_parser("region", help="inner/outer rate-region sweep")
-    common(sp, True)
-    sp.add_argument("--n", required=True, help="comma-separated blocklengths")
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--eps1", type=float, default=None)
-    sp.add_argument("--eps2", type=float, default=None)
-    sp.add_argument("--y", type=float, default=0.75)
-    gamma_flags(sp)
-
-    sp = subs.add_parser("simulate", help="exact binning-scheme Monte Carlo")
-    common(sp, True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    gamma_flags(sp)
-
-    sp = subs.add_parser("np", help="optimal binary test and tail sandwich")
-    common(sp, True)
-    sp.add_argument("--eps", type=float, default=None, help="overrides the file's alpha")
-
-    sp = subs.add_parser("clt", help="exact-vs-Gaussian tail gap per blocklength")
-    common(sp, True)
-    sp.add_argument("--n", required=True, help="comma-separated blocklengths")
-
-    sp = subs.add_parser("tradeoff", help="rate-penalty / error-budget curve")
-    common(sp, False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--eps1", type=float, default=0.0)
-    sp.add_argument("--eps2", type=float, default=0.0)
-
-    sp = subs.add_parser("optimize", help="search a decomposition for a target")
-    common(sp, True)
-    sp.add_argument("--n", type=int, default=10_000)
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--seed", type=int, default=0)
-    gamma_flags(sp)
-
+        for flag, options in command.flags.items():
+            sp.add_argument(flag, **options)
+        if command.gamma:
+            group = sp.add_mutually_exclusive_group()
+            group.add_argument("--gamma", metavar="G1,G2,G3")
+            group.add_argument("--gamma-rule", metavar="RULE",
+                               help="logn | linear:x | fixed:a,b,c")
     return parser
 
 
 def resolve_config(args) -> dict:
     """Fold flags and input files into one self-contained config dict."""
     sub = args.subcommand
-    if sub == "region":
-        return {
-            "subcommand": sub,
-            "decomposition": _decomposition_echo(_decomposition_from(_load_json(args.input))),
-            "ns": _ints(args.n),
-            "eps": args.eps,
-            "eps1": args.eps if args.eps1 is None else args.eps1,
-            "eps2": args.eps if args.eps2 is None else args.eps2,
-            "gamma_rule": _gamma_rule_from(args, "logn"),
-            "y": args.y,
-            "format": args.format,
-        }
-    if sub == "simulate":
-        doc = _load_json(args.input)
-        if not isinstance(doc, dict) or "decomposition" not in doc:
-            raise _UsageError("simulate input JSON needs a 'decomposition' key")
-        def pick(flag, key, default):
-            if flag is not None:
-                return flag
-            return doc.get(key, default)
-        config = {
-            "subcommand": sub,
-            "decomposition": _decomposition_echo(_decomposition_from(doc["decomposition"])),
-            "n": _integer(pick(args.n, "n", 2), "n"),
-            "rate_r": _number(doc.get("rate_r", 1.0), "rate_r"),
-            "rate_r0": _number(doc.get("rate_r0", 1.0), "rate_r0"),
-            "rate_rtilde": _number(doc.get("rate_rtilde", 1.0), "rate_rtilde"),
-            "seed": _integer(pick(args.seed, "seed", 0), "seed"),
-            "trials": _integer(pick(args.trials, "trials", 100), "trials"),
-            "gamma_rule": _gamma_rule_from(
-                args, _string(doc.get("gamma_rule", "logn"), "gamma_rule")
-            ),
-            "format": args.format,
-        }
-        return config
-    if sub == "np":
-        doc = _load_json(args.input)
-        if not isinstance(doc, dict) or "p" not in doc or "q" not in doc:
-            raise _UsageError("np input JSON needs 'p' and 'q' keys")
-        alpha = args.eps if args.eps is not None else doc.get("alpha")
-        if alpha is None:
-            raise _UsageError("np needs an alpha (file key 'alpha' or flag --eps)")
-        grid = doc.get("gamma_grid")
-        return {
-            "subcommand": sub,
-            "p": _numbers(doc["p"], "p"),
-            "q": _numbers(doc["q"], "q"),
-            "alpha": float(_number(alpha, "alpha")),
-            "gamma_grid": None if grid is None else _numbers(grid, "gamma_grid"),
-            "format": args.format,
-        }
-    if sub == "clt":
-        return {
-            "subcommand": sub,
-            "decomposition": _decomposition_echo(_decomposition_from(_load_json(args.input))),
-            "ns": _ints(args.n),
-            "format": args.format,
-        }
-    if sub == "tradeoff":
-        xs = list(range(13))
-        if args.input is not None:
-            doc = _load_json(args.input)
-            if not isinstance(doc, dict) or "xs" not in doc:
-                raise _UsageError("tradeoff input JSON needs an 'xs' key")
-            xs = _numbers(doc["xs"], "xs")
-        return {
-            "subcommand": sub,
-            "xs": xs,
-            "n": args.n,
-            "eps1": args.eps1,
-            "eps2": args.eps2,
-            "format": args.format,
-        }
-    if sub == "optimize":
-        doc = _load_json(args.input)
-        if not isinstance(doc, dict) or "target_uv" not in doc or "w_size" not in doc:
-            raise _UsageError("optimize input JSON needs 'target_uv' and 'w_size' keys")
-        return {
-            "subcommand": sub,
-            "target_uv": _matrix(doc["target_uv"], "target_uv"),
-            "w_size": _integer(doc["w_size"], "w_size"),
-            "objective": _string(doc.get("objective", "r_min"), "objective"),
-            "restarts": _integer(doc.get("restarts", 4), "restarts"),
-            "seed": args.seed,
-            "eps": args.eps,
-            "n": args.n,
-            "gamma_rule": _gamma_rule_from(args, "logn"),
-            "format": args.format,
-        }
-    raise _UsageError(f"unknown subcommand {sub!r}")
-
-
-# =============================================================================
-# pure compute step: config dict -> (columns, rows, extra)
-# =============================================================================
-
-
-def run_config(config: dict):
-    sub = config["subcommand"]
-    if sub == "region":
-        d = _decomposition_from(config["decomposition"])
-        columns = ["n", "eps", "r_inner", "rr0_inner", "r_outer", "rr0_outer",
-                   "eps_tot_bound", "valid"]
-        rows = []
-        for n in config["ns"]:
-            g = parse_gamma_rule(config["gamma_rule"], n)
-            ib = inner_bound(d, config["eps1"], config["eps2"], n, g)
-            ob = outer_bound(d, config["eps"], n, config["y"])
-            rows.append([n, config["eps"], ib.r_min, ib.r_plus_r0_min,
-                         ob.r_min, ob.r_plus_r0_min, ib.eps_tot_bound, ob.valid])
-        return columns, rows, None
-
-    if sub == "simulate":
-        d = _decomposition_from(config["decomposition"])
-        cfg = SchemeConfig(
-            n=config["n"],
-            rate_r=float(config["rate_r"]),
-            rate_r0=float(config["rate_r0"]),
-            rate_rtilde=float(config["rate_rtilde"]),
-            seed=config["seed"],
-            decomposition=d,
-        )
-        trials = config["trials"]
-        gamma = parse_gamma_rule(config["gamma_rule"], cfg.n)
-        if config["format"] == "csv":
-            columns = ["trial", "l1_uv", "l1_uv_given_f", "select_f_index",
-                       "select_f_distance", "l1_index_fc", "decoder_error", "abort_rate"]
-            rows = []
-            for t, m in enumerate(_trials(d, cfg, trials)):
-                rows.append([t, m.l1_uv, m.l1_uv_given_f, m.select_f_index,
-                             m.select_f_distance, m.l1_index_fc, m.decoder_error,
-                             m.abort_rate])
-            return columns, rows, None
-        rep = monte_carlo(d, cfg, trials, gamma)
-        columns = ["l1_uv", "l1_uv_given_f", "l1_uv_given_f_min", "l1_index_fc",
-                   "select_f_distance", "decoder_error", "abort_rate",
-                   "eps_app", "eps_dec", "eps_app2", "eps_tot",
-                   "trials", "seed", "ci95",
-                   "rate_r_eff", "rate_r0_eff", "rate_rtilde_eff"]
-        row = [rep.l1_uv, rep.l1_uv_given_f, rep.l1_uv_given_f_min, rep.l1_index_fc,
-               rep.select_f_distance, rep.decoder_error, rep.abort_rate,
-               rep.eps_app, rep.eps_dec, rep.eps_app2, rep.eps_tot,
-               rep.trials, rep.seed, rep.ci95,
-               rep.effective_rates[0], rep.effective_rates[1], rep.effective_rates[2]]
-        return columns, [row], {"ci95_by_metric": dict(rep.ci95_by_metric)}
-
-    if sub == "np":
-        res = np_beta(config["p"], config["q"], config["alpha"])
-        columns = ["alpha", "beta", "threshold", "randomization",
-                   "worst_lower_slack", "worst_upper_slack", "sandwich_ok"]
-        if config["gamma_grid"] is None:
-            row = [config["alpha"], res.beta, res.threshold, res.randomization,
-                   None, None, None]
-        else:
-            rep = beta_sandwich(config["p"], config["q"], config["alpha"],
-                                config["gamma_grid"])
-            row = [config["alpha"], res.beta, res.threshold, res.randomization,
-                   rep.worst_lower_slack, rep.worst_upper_slack, rep.ok]
-        return columns, [row], None
-
-    if sub == "clt":
-        d = _decomposition_from(config["decomposition"])
-        pair = regroup_pair(marginalize(d.joint(), ("u", "w")), "w", "u")
-        law = density_law(info_density(pair), pair)
-        columns = ["n", "gap", "bound"]
-        rows = []
-        for n in config["ns"]:
-            r = be_gap(law, n)
-            rows.append([n, r.gap, r.bound])
-        return columns, rows, None
-
-    if sub == "tradeoff":
-        pairs = gamma_tradeoff(config["xs"], config["n"], config["eps1"], config["eps2"])
-        columns = ["x", "rate_penalty", "eps_bound"]
-        rows = [[x, p, b] for x, (p, b) in zip(config["xs"], pairs)]
-        return columns, rows, None
-
-    if sub == "optimize":
-        target = JointPmf(np.asarray(config["target_uv"], dtype=np.float64))
-        gamma = parse_gamma_rule(config["gamma_rule"], config["n"])
-        d = optimize_decomposition(
-            target,
-            config["w_size"],
-            config["objective"],
-            restarts=config["restarts"],
-            seed=config["seed"],
-            eps=config["eps"],
-            n=config["n"],
-            gamma=gamma,
-        )
-        ib = inner_bound(d, config["eps"], config["eps"], config["n"], gamma)
-        columns = ["objective", "w_size", "r_inner", "rr0_inner",
-                   "eps_tot_bound", "i_wu", "i_wuv"]
-        row = [config["objective"], config["w_size"], ib.r_min, ib.r_plus_r0_min,
-               ib.eps_tot_bound, ib.notes["i_wu"], ib.notes["i_wuv"]]
-        return columns, [row], {"decomposition": _decomposition_echo(d)}
-
-    raise _UsageError(f"unknown subcommand {sub!r}")
+    return {"subcommand": sub, **_COMMANDS[sub].resolve(args), "format": args.format}
 
 
 def render_output(config: dict) -> str:
     """Compute a config's table and render it; the round-trip primitive."""
-    columns, rows, extra = run_config(config)
+    columns, rows, extra = _COMMANDS[config["subcommand"]].run(config)
     sink = io.StringIO()
     write_table(sink, config, columns, rows, config["format"], extra=extra)
     return sink.getvalue()
@@ -418,14 +359,14 @@ def render_output(config: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = resolve_config(args)
-        text = render_output(config)
-    except _UsageError as e:
-        print(f"coordsim: invalid parameters: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        args = build_parser().parse_args(argv)
+        text = render_output(resolve_config(args))
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
     except _IllFormedFile as e:
         print(f"coordsim: unreadable input file: {e}", file=sys.stderr)
         return EXIT_IO
@@ -436,16 +377,6 @@ def main(argv=None) -> int:
     except (DomainError, ShapeError, SearchError) as e:
         print(f"coordsim: invalid parameters: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as e:
-        print(f"coordsim: {e}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
     except OSError as e:
         print(f"coordsim: {e}", file=sys.stderr)
         return EXIT_IO

@@ -176,10 +176,13 @@ def check_positive(x, name: str, zero: bool = False) -> float:
     """``x`` as a float, unless it is not a finite real number > 0, or >= 0
     with ``zero`` (bools and strings are not) -- the one check of a gamma
     slack, a rate or a tradeoff parameter."""
-    # abs(x) <= max is False for NaN and infinities, and exact for any int
-    if not (_real(x) and abs(x) <= sys.float_info.max and (x >= 0 if zero else x > 0)):
+    # abs(v) <= max is False for NaN and infinities, and exact for any int;
+    # a numpy scalar compares as the Python number it holds (a float32
+    # would cast max to inf)
+    v = x.item() if isinstance(x, np.generic) else x
+    if not (_real(x) and abs(v) <= sys.float_info.max and (v >= 0 if zero else v > 0)):
         raise DomainError(f"{name} must be a finite real {'>=' if zero else '>'} 0, got {x!r}")
-    return float(x)
+    return float(v)
 
 
 def check_eps(eps, message: str) -> float:

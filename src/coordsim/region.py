@@ -171,8 +171,11 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
     """
     if not isinstance(rule, str):
         raise DomainError(f"gamma rule must be a string, got {rule!r}")
-    n = check_blocklength(n, least=2 if rule == "logn" else 1)  # log2 1 = 0 is no gamma
+    n = check_blocklength(n)
     if rule == "logn":
+        if n < 2:  # log2 1 = 0 is no gamma
+            raise DomainError("gamma rule 'logn' needs blocklength n >= 2, got 1; the rule "
+                              "'fixed:a,b,c' (flag --gamma a,b,c) works at n = 1")
         L = math.log2(n)
         return GammaTriple(L, 0.5 * L, L)
     kind, _, arg = rule.partition(":")
@@ -283,13 +286,14 @@ def gamma_tradeoff(xs, n: int, eps1: float, eps2: float) -> list[tuple[float, fl
     """
     n = check_blocklength(n)
     for name, e in (("eps1", eps1), ("eps2", eps2)):
-        if not (isinstance(e, (int, float)) and 0.0 <= e < 1.0):
+        if check_positive(e, name, zero=True) >= 1.0:
             raise DomainError(f"{name} must lie in [0, 1), got {e!r}")
+    budget = 10.0 * (float(eps1) + float(eps2))
     out = []
     scale = 2.0 * (math.sqrt(2.0) + 5.0)
     for x in xs:
-        check_positive(x, "tradeoff parameter", zero=True)
-        out.append((3.0 * x / n, 10.0 * (eps1 + eps2) + scale * 2.0 ** (-x)))
+        x = check_positive(x, "tradeoff parameter", zero=True)
+        out.append((3.0 * x / n, budget + scale * 2.0 ** (-x)))
     return out
 
 

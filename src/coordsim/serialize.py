@@ -30,36 +30,25 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _csv_token(v) -> str:
+def _token(v, csv: bool) -> str:
+    """One scalar as a CSV cell (``csv``) or as a JSON value: the two
+    spellings differ only for None, strings and non-finite floats."""
     if v is None:
-        return ""
+        return "" if csv else "null"
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return format_float(v)
+        # non-finite floats are not JSON numbers; keep the CSV spelling as
+        # a string so the two formats stay mirror images
+        return format_float(v) if csv or math.isfinite(v) else json.dumps(format_float(v))
     if isinstance(v, str):
+        if not csv:
+            return json.dumps(v)
         if any(c in v for c in _CSV_FORBIDDEN):
             raise DomainError(f"CSV cell {v!r} needs quoting, which this format forbids")
         return v
-    raise DomainError(f"cannot serialize {type(v).__name__} into a table cell")
-
-
-def _json_token(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        x = float(v)
-        # non-finite floats are not JSON numbers; keep the CSV spelling as
-        # a string so the two formats stay mirror images
-        return format_float(x) if math.isfinite(x) else json.dumps(format_float(x))
-    if isinstance(v, str):
-        return json.dumps(v)
     raise DomainError(f"cannot serialize {type(v).__name__} into a table cell")
 
 
@@ -76,7 +65,7 @@ def _json_value(v) -> str:
         return "[" + ",".join(_json_value(item) for item in v) + "]"
     if isinstance(v, np.ndarray):
         return _json_value(v.tolist())
-    return _json_token(v)
+    return _token(v, csv=False)
 
 
 def config_json(config: dict) -> str:
@@ -96,9 +85,8 @@ def write_table(f, config: dict, columns, rows, fmt: str, extra: dict | None = N
             raise ShapeError(f"row of width {len(row)} under {len(columns)} columns")
     if fmt == "csv":
         f.write("# config: " + config_json(config) + "\n")
-        f.write(",".join(_csv_token(c) for c in columns) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_token(v) for v in row) + "\n")
+        for line in [columns, *rows]:
+            f.write(",".join(_token(v, csv=True) for v in line) + "\n")
     elif fmt == "json":
         body = [
             f'"config":{config_json(config)}',
@@ -121,7 +109,7 @@ def read_table(text: str) -> tuple[dict, list, list]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(stripped)
-        rows = [[_token_back(v) for v in row] for row in doc["rows"]]
+        rows = [[_token(v, csv=True) for v in row] for row in doc["rows"]]
         return doc["config"], list(doc["columns"]), rows
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or not lines[0].startswith("# config: "):
@@ -130,16 +118,3 @@ def read_table(text: str) -> tuple[dict, list, list]:
     columns = lines[1].split(",")
     rows = [ln.split(",") for ln in lines[2:]]
     return config, columns, rows
-
-
-def _token_back(v) -> str:
-    """Render a parsed JSON cell the way the CSV spelled it."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)

@@ -295,15 +295,29 @@ OPT_DOC = {"target_uv": [[0.45, 0.05], [0.05, 0.45]], "w_size": 2, "restarts": 1
     (["np"], {**NP_DOC, "p": [0.5, 10 ** 400]}),
     (["region", "--n", "8"], {**CHAIN, "w_given_u": [[1.0, 0.0], [1.0]]}),
     (["region", "--n", "8", "--gamma-rule", "linear:abc"], CHAIN),
+    (["region", "--n", ","], CHAIN),
+    (["clt", "--n", ""], CHAIN),
 ], ids=["np-p", "np-gamma-grid", "p_u", "sim-n", "sim-gamma-rule", "opt-target",
         "opt-w-size", "tradeoff-xs", "sim-n-fraction", "sim-seed-fraction",
         "sim-trials-fraction", "opt-w-size-fraction", "opt-restarts-fraction",
-        "np-p-beyond-float", "ragged-w-given-u", "gamma-rule-not-numeric"])
+        "np-p-beyond-float", "ragged-w-given-u", "gamma-rule-not-numeric",
+        "region-no-blocklength", "clt-no-blocklength"])
 def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     assert main(argv + ["--input", str(path)]) == EXIT_INVALID
     assert "invalid parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["region", "simulate"])
+def test_logn_rule_at_one_letter_names_the_rule(capsys, chain_file, sim_file, sub):
+    path = chain_file if sub == "region" else sim_file
+    assert main([sub, "--input", path, "--n", "1"]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "coordsim: invalid parameters: gamma rule 'logn' needs blocklength n >= 2, got 1; "
+        "the rule 'fixed:a,b,c' (flag --gamma a,b,c) works at n = 1\n")
+    assert main([sub, "--input", path, "--n", "1", "--gamma", "1,1,1",
+                 "--output", path + ".out"]) == EXIT_OK
 
 
 def test_optimize_negative_seed_is_invalid(tmp_path, capsys):
@@ -362,3 +376,61 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, chain_file, erro
     monkeypatch.setattr("coordsim.cli.render_output", broken)
     with pytest.raises(error, match="internal bug"):
         main(["region", "--input", chain_file, "--n", "8"])
+
+
+# =============================================================================
+# the exact stderr line of each kind of rejected invocation
+# =============================================================================
+
+# (argv, input document or raw text -- None for a missing file, exit code,
+# stderr line after "coordsim: "); every argv reads in.json or missing.json
+ERROR_LINES = [
+    (["region", "--n", "8"], [1, 2], EXIT_INVALID,
+     "invalid parameters: decomposition must be a JSON object"),
+    (["region", "--n", "8"], {"p_u": [1.0], "v_given_w": [[1.0]]}, EXIT_INVALID,
+     "invalid parameters: decomposition JSON is missing 'w_given_u'"),
+    (["simulate"], {"n": 2}, EXIT_INVALID,
+     "invalid parameters: simulate input JSON needs a 'decomposition' key"),
+    (["np"], {"p": [0.5, 0.5]}, EXIT_INVALID,
+     "invalid parameters: np input JSON needs 'p' and 'q' keys"),
+    (["tradeoff", "--n", "64"], {}, EXIT_INVALID,
+     "invalid parameters: tradeoff input JSON needs an 'xs' key"),
+    (["optimize"], {"w_size": 2}, EXIT_INVALID,
+     "invalid parameters: optimize input JSON needs 'target_uv' and 'w_size' keys"),
+    (["np"], {"p": [0.5, 0.5], "q": [0.5, 0.5]}, EXIT_INVALID,
+     "invalid parameters: np needs an alpha (file key 'alpha' or flag --eps)"),
+    (["region", "--n", "8"], {**CHAIN, "w_given_u": [[1.0, 0.0], [1.0]]}, EXIT_INVALID,
+     "invalid parameters: w_given_u rows must have equal lengths, got [2, 1]"),
+    (["region", "--n", "8,x"], CHAIN, EXIT_INVALID,
+     "invalid parameters: expected comma-separated integers, got '8,x'"),
+    (["region", "--n", "8", "--frobnicate"], CHAIN, EXIT_INVALID,
+     "invalid parameters: unrecognized arguments: --frobnicate"),
+    (["np"], {**NP_DOC, "p": [True, 0.5]}, EXIT_INVALID,
+     "invalid parameters: p must be a number, got True"),
+    (["simulate"], {**SIM_DOC, "n": 2.5}, EXIT_INVALID,
+     "invalid parameters: n must be an integer, got 2.5"),
+    (["region", "--n", "8"], "{not json", EXIT_IO,
+     "unreadable input file: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (["region", "--n", "8"], None, EXIT_IO,
+     "[Errno 2] No such file or directory: 'missing.json'"),
+    ([], CHAIN, EXIT_INVALID,
+     "invalid parameters: the following arguments are required: subcommand"),
+    (["region", "--n", "8", "--gamma", "1,1,1", "--gamma-rule", "logn"], CHAIN, EXIT_INVALID,
+     "invalid parameters: argument --gamma-rule: not allowed with argument --gamma"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, code, line", ERROR_LINES, ids=[
+    "not-an-object", "missing-kernel", "simulate-keys", "np-keys", "tradeoff-keys",
+    "optimize-keys", "np-alpha", "ragged", "bad-n-token", "unknown-flag", "bool-in-p",
+    "fractional-n", "malformed-json", "missing-file", "no-subcommand", "two-gamma-flags"])
+def test_error_line(tmp_path, monkeypatch, capsys, argv, doc, code, line):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "in.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if argv:
+        argv = argv + ["--input", "missing.json" if doc is None else "in.json"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"coordsim: {line}\n"
+

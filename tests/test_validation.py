@@ -33,7 +33,14 @@ from coordsim.probability import (
     sequence_digits,
     sequence_index,
 )
-from coordsim.region import Decomposition, GammaTriple, inner_bound, outer_bound, parse_gamma_rule
+from coordsim.region import (
+    Decomposition,
+    GammaTriple,
+    gamma_tradeoff,
+    inner_bound,
+    outer_bound,
+    parse_gamma_rule,
+)
 
 CHAIN = Decomposition(
     p_u=Pmf(np.array([0.55, 0.45])),
@@ -56,9 +63,11 @@ def optimize(**kw):
 # the malformed values of each kind; 2**64 is a valid count and a valid real
 COUNT = [2.5, True, -1, math.nan, math.inf, "3"]
 INDEX = COUNT + [2 ** 64]
-REAL = [True, -1, math.nan, math.inf, "3"]
+REAL = [True, -1, math.nan, math.inf, "3", np.float32(math.inf)]
 EPS = INDEX
 SPLIT = [0.5, 1, True, math.nan, math.inf, "0.75", np.float32(0.25)]
+# the tradeoff's raw eps lies in [0, 1)
+TRADEOFF_EPS = [False, True, "0.1", math.nan, math.inf, -0.1, 1.0]
 # indices into an alphabet of 4: an integral float is not an index either
 LETTER = [2.5, 1.0, True, -1, math.nan, math.inf, "3", 4, np.int64(4)]
 GAMMA = GammaTriple(2.0, 1.0, 2.0)
@@ -88,6 +97,8 @@ ENTRY_POINTS = [
     ("Pmf.point-index", LETTER, lambda x: Pmf.point(4, x)),
     ("inner_bound-eps1", EPS, lambda x: inner_bound(CHAIN, x, 0.1, 100, GAMMA)),
     ("outer_bound-y", SPLIT, lambda x: outer_bound(CHAIN, 0.9, 100, x)),
+    ("gamma_tradeoff-eps1", TRADEOFF_EPS, lambda x: gamma_tradeoff([1.0], 10, x, 0.0)),
+    ("gamma_tradeoff-eps2", TRADEOFF_EPS, lambda x: gamma_tradeoff([1.0], 10, 0.0, x)),
     ("parse_gamma_rule-rule", [None, 3, b"logn"], lambda x: parse_gamma_rule(x, 8)),
     ("Pmf.uniform-size", COUNT, lambda x: Pmf.uniform(x)),
     ("GammaTriple-g2", REAL, lambda x: GammaTriple(1.0, x, 1.0)),
@@ -139,11 +150,15 @@ def test_numpy_integers_give_the_python_int_bytes():
 
 
 def test_numpy_reals_give_the_python_float_bytes():
-    # a numpy float32 eps or y means the float it holds
+    # a numpy float32 eps or y means the float it holds, and a numpy eps or
+    # tradeoff parameter gives Python floats back
     eps, y = np.float32(0.1), np.float32(0.75)
     assert inner_bound(CHAIN, eps, 0.1, 100, GAMMA) == inner_bound(CHAIN, float(eps), 0.1, 100, GAMMA)
     assert outer_bound(CHAIN, 0.9, 100, y) == outer_bound(CHAIN, 0.9, 100, float(y))
     assert outer_bound(CHAIN, np.float32(0.875), 100) == outer_bound(CHAIN, 0.875, 100)
+    assert gamma_tradeoff([1.0], 10, eps, 0.0) == gamma_tradeoff([1.0], 10, float(eps), 0.0)
+    pairs = gamma_tradeoff([np.float64(2.0)], 10, np.float64(0.1), np.float32(0.0))
+    assert all(type(v) is float for pair in pairs for v in pair)
 
 
 def test_numpy_integer_indices_mean_the_python_int():
