@@ -71,7 +71,7 @@ import numpy as np
 
 from .cltverify import _atom_law, convolve_n
 from .errors import DomainError, ResourceLimitError, ShapeError
-from .measures import mutual_information
+from .measures import group_tail, mutual_information, tie_groups
 from .probability import (
     ConditionalPmf,
     JointPmf,
@@ -88,7 +88,7 @@ from .probability import (
     marginalize,
     regroup_pair,
 )
-from .region import Decomposition, GammaTriple, parse_gamma_rule
+from .region import Decomposition, GammaTriple, _eps_total, _osrb_slack, _slc_slack, parse_gamma_rule
 
 # =============================================================================
 # configuration
@@ -662,11 +662,11 @@ def epsilon_terms(
              independent-of-U^n under the reverse joint;
     eps_dec  prices the triple-bin decoder's error;
     eps_app2 prices how far F is from independent of (U^n, V^n);
-    eps_tot = 2 (eps_app2 + eps_app + 5 eps_dec).
+    eps_tot = 2 (eps_app2 + eps_app + 5 eps_dec), as ``region._eps_total``.
 
-    Each tail probability is an exact n-fold convolution of the per-symbol
-    entropy-density law -- identical to summing the set indicator over the
-    iid chain, just grouped by density value.
+    Each is a one-shot lemma term (``_osrb_term`` / ``_slc_term``) of an exact
+    n-fold convolution of the per-symbol entropy-density law -- identical to
+    summing the set indicator over the iid chain, just grouped by value.
     """
     bf, bc, bm = cfg.bin_counts()
     n = cfg.n
@@ -688,14 +688,11 @@ def epsilon_terms(
         keep = w > 0
         sums.append(convolve_n(_atom_law(values[keep], w[keep]), n))
     sum1, sum2, sum3 = sums
-    t1 = math.log2(bf) + math.log2(bc) + g.g1
-    t2 = math.log2(bf) + math.log2(bc) + math.log2(bm) - g.g2
-    t3 = math.log2(bf) + g.g3
-    eps_app = (1.0 - sum1.tail_gt(t1)) + 2.0 ** (-(g.g1 + 1.0) / 2.0)
-    eps_dec = sum2.tail_ge(t2) + 2.0 ** (-g.g2)
-    eps_app2 = (1.0 - sum3.tail_gt(t3)) + 2.0 ** (-(g.g3 + 1.0) / 2.0)
-    eps_tot = 2.0 * (eps_app2 + eps_app + 5.0 * eps_dec)
-    return eps_app, eps_dec, eps_app2, eps_tot
+    lf, lc, lm = math.log2(bf), math.log2(bc), math.log2(bm)
+    eps_app = _osrb_term(sum1.values, sum1.probs, lf + lc, g.g1)
+    eps_dec = _slc_term(sum2.values, sum2.probs, lf + lc + lm, g.g2)
+    eps_app2 = _osrb_term(sum3.values, sum3.probs, lf, g.g3)
+    return eps_app, eps_dec, eps_app2, _eps_total(eps_app, eps_dec, eps_app2)
 
 
 # =============================================================================
@@ -867,22 +864,32 @@ def _ref_conditional(joint_ab: JointPmf, ref: ConditionalPmf | None) -> np.ndarr
     return ref.rows.T
 
 
-def _fail_mass(joint_ab: JointPmf, n_bins, gamma, ref: ConditionalPmf | None, sign: float) -> float:
-    """The mass of the cells where sign * (-log2 T(a|b) - log2 n_bins) does
-    not exceed ``gamma``: the tail term of the two one-shot bounds."""
+def _osrb_term(values: np.ndarray, masses: np.ndarray, log2_bins: float, gamma: float) -> float:
+    """OSRB lemma term of an entropy density h (ascending ``values``, their
+    ``masses``): the mass where h <= log2(bins) + gamma, plus the slack."""
+    return (1.0 - group_tail(values, masses, log2_bins + gamma, strict=True)) + _osrb_slack(gamma)
+
+
+def _slc_term(values: np.ndarray, masses: np.ndarray, log2_bins: float, gamma: float) -> float:
+    """SLC lemma term: the mass where h >= log2(bins) - gamma, plus the slack."""
+    return group_tail(values, masses, log2_bins - gamma, strict=False) + _slc_slack(gamma)
+
+
+def _one_shot_args(joint_ab: JointPmf, n_bins, gamma, ref: ConditionalPmf | None) -> tuple:
+    """The lemma terms' arguments for the one-shot bounds: the tie groups of
+    h = -log2 T(a|b) under P(a, b) (+inf where T(a|b) = 0), log2 bins, gamma."""
     n_bins = check_blocklength(n_bins, "n_bins")
-    check_positive(gamma, "gamma")
-    with np.errstate(divide="ignore"):  # -log2 0 = +inf where T(a|b) = 0
+    gamma = check_positive(gamma, "gamma")
+    with np.errstate(divide="ignore"):
         h = -np.log2(_ref_conditional(joint_ab, ref))
-    good = sign * (h - math.log2(n_bins)) > gamma
-    return float(joint_ab.probs[~good].sum())
+    return (*tie_groups(h.ravel(), joint_ab.probs.ravel())[2:], math.log2(n_bins), gamma)
 
 
 def osrb_uniformity_bound(joint_ab: JointPmf, n_bins: int, gamma: float) -> float:
     """Exact bound on E || P^RB(b, k) - (uniform k) x P(b) ||_1 for a uniform
     random binning of A into ``n_bins`` bins: the mass where the conditional
     entropy density fails to clear log2(bins) by gamma, plus 2^-(gamma+1)/2."""
-    return _fail_mass(joint_ab, n_bins, gamma, None, 1.0) + 2.0 ** (-(gamma + 1.0) / 2.0)
+    return _osrb_term(*_one_shot_args(joint_ab, n_bins, gamma, None))
 
 
 def slc_error_bound(
@@ -892,7 +899,7 @@ def slc_error_bound(
     uniform binning of A into ``n_bins`` bins with side information B: the
     mass where log2(bins) fails to clear the reference conditional entropy
     density by gamma, plus 2^-gamma."""
-    return _fail_mass(joint_ab, n_bins, gamma, ref, -1.0) + 2.0 ** (-gamma)
+    return _slc_term(*_one_shot_args(joint_ab, n_bins, gamma, ref))
 
 
 def osrb_monte_carlo(

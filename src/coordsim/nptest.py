@@ -42,28 +42,18 @@ import numpy as np
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .cltverify import _types
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import (
-    TIE_TOL,
-    BEStats,
-    backoff,
-    continuity_term,
-    gaussian_q_inv,
-    group_tail,
-    tie_groups,
-)
+from .measures import TIE_TOL, gaussian_q_inv, group_tail, tie_groups
 from .probability import (
     JointPmf,
     _clean_probs,
     _probs_of,
-    check_blocklength,
     check_eps,
     check_positive,
-    check_split,
     iid_extension,
     marginalize,
     regroup_pair,
 )
-from .region import Decomposition, stats_wu, stats_wuv
+from .region import Decomposition, _converse_params, _converse_point, _ConversePoint
 
 PREMISE_TOL = 1e-12  # slack granted to tail premises
 BOUND_TOL = 1e-10  # slack granted to conclusions
@@ -487,9 +477,9 @@ class WitnessReport:
     one-sided tail premise P{llr >= log_gamma} >= alpha.  Lower-side
     candidates check  log_gamma + gain - log2(log_arg) >= log2(1/beta)
     against the strict-tail premise P{llr > log_gamma} <= y + B/sqrt(n).
-    ``rate`` is the final per-symbol bound implied by the chain, with the
-    log term omitted (and ``valid_regime`` False) when its argument
-    eps - y - 2B/sqrt(n) is nonpositive.
+    ``alpha``, ``log_arg``, ``rate_penalty`` and ``rate`` are ``outer_bound``'s
+    for the constraint; the rate omits the log term (and ``valid_regime`` is
+    False) when log_arg = eps - y - 2B/sqrt(n) is nonpositive.
     """
 
     kind: str
@@ -520,24 +510,15 @@ class WitnessReport:
     corr_range: dict | None
 
 
-def _assemble(
-    kind: str,
-    mode: str,
-    law: _PairLaw,
-    n: int,
-    eps: float,
-    y: float,
-    stats: BEStats,
-    lower_gain: float,
-    rate_penalty: float,
-) -> WitnessReport:
-    """Walk the converse chain on a perturbed pair law.  The Neyman-Pearson
-    solution and every candidate's tail premise read the same tie groups
-    of log2(P2/Q)."""
-    b = stats.b_over_sqrt_n(n)
-    alpha = eps - b
-    log_arg = eps - y - 2.0 * b
+def _assemble(kind: str, mode: str, law: _PairLaw, n: int, eps: float, y: float,
+              point: _ConversePoint) -> WitnessReport:
+    """Walk the converse chain on a perturbed pair law for ``outer_bound``'s
+    converse ``point`` at (eps, n, y); the lower side gains n times its
+    penalty.  The Neyman-Pearson solution and every candidate's tail
+    premise read the same tie groups of log2(P2/Q)."""
+    stats, b, alpha, log_arg = point.stats, point.b, point.alpha, point.log_arg
     valid = log_arg > 0.0
+    lower_gain = n * point.penalty
     h_standin = n * stats.mu
     groups, info = law.groups, law.info
 
@@ -552,8 +533,7 @@ def _assemble(
     if info is not None:
         shifts.append(("corrected", info["corr_gain"] if mode == "case1" else -info["corr_lose"]))
     candidates = shifts + [("zero", 0.0)]
-    gauss_n = 0.0 if stats.degenerate else gaussian_q_inv(eps) * math.sqrt(n * stats.v)
-    zero_up = n * stats.mu + gauss_n
+    zero_up = h_standin + (0.0 if stats.degenerate else gaussian_q_inv(eps) * math.sqrt(n * stats.v))
 
     def check(name: str, lgam: float, tail: float, premise: bool, licence: bool, lhs: float, rhs: float):
         """One candidate: its bound lhs >= rhs is checked only when its tail
@@ -570,11 +550,6 @@ def _assemble(
         tail = groups.tail(groups.at_group(lgam), strict=True)
         lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
         lower.append(check(name, lgam, tail, tail <= y + b + PREMISE_TOL, valid, lhs, log2_inv_beta))
-
-    rate = stats.mu + backoff(stats.v, gaussian_q_inv(eps), n)
-    if valid:
-        rate += math.log2(log_arg) / n
-    rate -= rate_penalty
 
     return WitnessReport(
         kind=kind,
@@ -594,8 +569,8 @@ def _assemble(
         np_randomization=np_rand,
         h_standin=h_standin,
         lower_gain=lower_gain,
-        rate_penalty=rate_penalty,
-        rate=rate,
+        rate_penalty=point.penalty,
+        rate=point.rate,
         upper=tuple(upper),
         lower=tuple(lower),
         upper_ok=any(c.ok is True for c in upper),
@@ -628,10 +603,6 @@ def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
     return _PairLaw(_TieGroups(None, *tie_groups(np.log2(p / q), p, q)[1:]), l1)
 
 
-def _check_witness_params(n: int, eps: float, y: float) -> tuple[int, float, float]:
-    return check_blocklength(n), check_eps(eps, "eps must lie in (0, 1)"), check_split(y)
-
-
 def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) -> WitnessReport:
     """Assemble and check the message-rate converse chain on one instance.
 
@@ -652,7 +623,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
     """
     if mode not in ("case1", "case2", "coded"):
         raise DomainError(f"mode must be one of case1/case2/coded, got {mode!r}")
-    n, eps, y = _check_witness_params(n, eps, y)
+    eps, n, y = _converse_params(eps, n, y)
 
     pair = marginalize(d.joint(), ("u", "w"))
     if mode == "coded":
@@ -667,7 +638,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
         law = _table_law(rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs, pair, n)
     else:
         law = _type_transfer(pair.probs, n, eps, "gain" if mode == "case1" else "lose")
-    return _assemble("rate", mode, law, n, eps, y, stats_wu(d), lower_gain=0.0, rate_penalty=0.0)
+    return _assemble("rate", mode, law, n, eps, y, _converse_point(d, eps, n, y, sum_rate=False))
 
 
 def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> WitnessReport:
@@ -677,16 +648,11 @@ def rr0_converse_witness(d: Decomposition, n: int, eps: float, y: float) -> Witn
     the iid pair marginal and the iid W marginal.  The lower-side
     thresholds sit at the entropy stand-in n*I (the first-order value of
     the code entropy the chain tracks); converting that entropy to a sum
-    rate costs at most 2 n g(eps) with
-    g(eps) = 2 eps (log2|UxV| + log2(1/eps)), so that slack enters the
-    lower inequality's left side and the final rate subtracts 2 g(eps)
-    per symbol.  The perturbation is sized from the gaining cell.
+    rate costs at most n times the sum-rate penalty 2 g(eps) of
+    ``outer_bound``, which enters the lower inequality's left side.  The
+    perturbation is sized from the gaining cell.
     """
-    n, eps, y = _check_witness_params(n, eps, y)
+    eps, n, y = _converse_params(eps, n, y)
 
     law = _type_transfer(regroup_pair(d.joint(), ("u", "v"), "w").probs, n, eps, "gain")
-    g_eps = continuity_term(eps, d.u_size * d.v_size)
-    return _assemble(
-        "sum-rate", "case1", law, n, eps, y, stats_wuv(d),
-        lower_gain=2.0 * n * g_eps, rate_penalty=2.0 * g_eps,
-    )
+    return _assemble("sum-rate", "case1", law, n, eps, y, _converse_point(d, eps, n, y, sum_rate=True))

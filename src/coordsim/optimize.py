@@ -52,7 +52,7 @@ import numpy as np
 from .errors import DomainError, SearchError
 from .measures import backoff, gaussian_q_inv, moments
 from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps, check_seed, pair_density
-from .region import Decomposition, GammaTriple, check_w_size, parse_gamma_rule
+from .region import Decomposition, GammaTriple, _gamma_split, check_w_size, parse_gamma_rule
 
 MARGINAL_TOL = 1e-6
 _PENALTY_SCHEDULE = (1e2, 1e4, 1e6, 1e9)
@@ -93,8 +93,8 @@ class _Problem:
     objective: str
     q_inv: float
     n: int
-    g_r: float  # (g1+g2)/n
-    g_rr0: float  # (g2+g3)/n
+    g_r: float  # the two terms of region._gamma_split
+    g_rr0: float
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P(w|u) logits, P(v|w) logits) of a parameter vector, or of each
@@ -294,7 +294,7 @@ def optimize_decomposition(
     seed = check_seed(seed)  # checked even when one restart draws nothing from it
     n = check_blocklength(n)
     eps = check_eps(eps, "eps must lie in (0, 1)")
-    g = gamma if gamma is not None else parse_gamma_rule("logn", n)
+    g_r, g_rr0 = _gamma_split(gamma if gamma is not None else parse_gamma_rule("logn", n), n)
     problem = _Problem(
         p_u=target.probs.sum(axis=1),
         target=target.probs,
@@ -302,8 +302,8 @@ def optimize_decomposition(
         objective=objective,
         q_inv=gaussian_q_inv(eps),
         n=n,
-        g_r=(g.g1 + g.g2) / n,
-        g_rr0=(g.g2 + g.g3) / n,
+        g_r=g_r,
+        g_rr0=g_rr0,
     )
 
     corner = _best_corner(problem)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError
 from .measures import BEStats, backoff, be_stats, continuity_term, gaussian_q_inv
@@ -116,7 +117,7 @@ class GammaTriple:
 
     def __post_init__(self):
         for name in ("g1", "g2", "g3"):
-            check_positive(getattr(self, name), f"GammaTriple.{name}")
+            object.__setattr__(self, name, check_positive(getattr(self, name), f"GammaTriple.{name}"))
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,58 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
 
 
 # =============================================================================
-# bounds
+# bounds, and the formulas binning, nptest and optimize read from here
 # =============================================================================
+
+
+def _osrb_slack(gamma: float) -> float:
+    """Slack 2^-(gamma+1)/2 of the one-shot OSRB (index-uniformity) lemma."""
+    return 2.0 ** (-(gamma + 1.0) / 2.0)
+
+
+def _slc_slack(gamma: float) -> float:
+    """Slack 2^-gamma of the one-shot SLC (likelihood-decoder) lemma."""
+    return 2.0 ** (-gamma)
+
+
+def _eps_total(eps_app: float, eps_dec: float, eps_app2: float) -> float:
+    """The total budget eps_tot = 2 (eps_app2 + eps_app + 5 eps_dec), summed in that order."""
+    return 2.0 * (eps_app2 + eps_app + 5.0 * eps_dec)
+
+
+def _gamma_split(g: GammaTriple, n: int) -> tuple[float, float]:
+    """The gamma terms (g1 + g2)/n of the message rate and (g2 + g3)/n of the sum rate."""
+    return (g.g1 + g.g2) / n, (g.g2 + g.g3) / n
+
+
+class _ConversePoint(NamedTuple):
+    """One converse constraint at (eps, n, y), from ``_converse_point``."""
+
+    stats: BEStats
+    b: float  # B/sqrt(n)
+    alpha: float
+    log_arg: float
+    penalty: float
+    rate: float
+
+
+def _converse_params(eps, n, y) -> tuple[float, int, float]:
+    """(eps, n, y) checked, as ``outer_bound`` and the converse witnesses take them."""
+    return check_eps(eps, "eps must lie in (0, 1)"), check_blocklength(n), check_split(y)
+
+
+def _converse_point(d: Decomposition, eps: float, n: int, y: float, sum_rate: bool) -> _ConversePoint:
+    """The message-rate (W;U) or, with ``sum_rate``, sum-rate (W;UV) converse point at checked
+    (eps, n, y): alpha = eps - b, log argument eps - y - 2b, penalty 2 g(eps) on the sum rate
+    (else 0), rate mu + backoff - penalty, plus log2(log_arg)/n when log_arg > 0."""
+    stats = stats_wuv(d) if sum_rate else stats_wu(d)
+    penalty = 2.0 * continuity_term(eps, d.u_size * d.v_size) if sum_rate else 0.0
+    b = stats.b_over_sqrt_n(n)
+    log_arg = eps - y - 2.0 * b
+    rate = stats.mu + backoff(stats.v, gaussian_q_inv(eps), n) - penalty
+    if log_arg > 0.0:
+        rate += math.log2(log_arg) / n
+    return _ConversePoint(stats, b, eps - b, log_arg, penalty, rate)
 
 
 def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTriple) -> RegionPoint:
@@ -209,24 +260,19 @@ def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTrip
     n = check_blocklength(n)
     s_wu = stats_wu(d)
     s_wuv = stats_wuv(d)
-    r_min = s_wu.mu + backoff(s_wu.v, gaussian_q_inv(eps2), n) + (g.g1 + g.g2) / n
-    rr0_min = s_wuv.mu + backoff(s_wuv.v, gaussian_q_inv(eps1), n) + (g.g2 + g.g3) / n
+    g_r, g_rr0 = _gamma_split(g, n)
+    r_min = s_wu.mu + backoff(s_wu.v, gaussian_q_inv(eps2), n) + g_r
+    rr0_min = s_wuv.mu + backoff(s_wuv.v, gaussian_q_inv(eps1), n) + g_rr0
     eps1_star = eps1 + s_wuv.b_over_sqrt_n(n)
     eps2_star = eps2 + s_wu.b_over_sqrt_n(n)
-    tail = 2.0 * (2.0 ** (-(g.g1 + 1.0) / 2.0) + 5.0 * 2.0 ** (-g.g2) + 2.0 ** (-(g.g3 + 1.0) / 2.0))
+    tail = _eps_total(_osrb_slack(g.g1), _slc_slack(g.g2), _osrb_slack(g.g3))
     eps_tot = 10.0 * (eps1_star + eps2_star) + tail
     return RegionPoint(
         r_min=r_min,
         r_plus_r0_min=rr0_min,
         eps_tot_bound=eps_tot,
         valid=True,
-        notes={
-            "eps1_star": eps1_star,
-            "eps2_star": eps2_star,
-            "gamma_tail": tail,
-            "i_wu": s_wu.mu,
-            "i_wuv": s_wuv.mu,
-        },
+        notes={"eps1_star": eps1_star, "eps2_star": eps2_star, "gamma_tail": tail, "i_wu": s_wu.mu, "i_wuv": s_wuv.mu},
     )
 
 
@@ -238,47 +284,22 @@ def outer_bound(d: Decomposition, eps: float, n: int, y: float = 0.75) -> Region
     and that log term is omitted from the reported rate (see module notes);
     nothing is ever thrown for regime reasons.
     """
-    eps = check_eps(eps, "eps must lie in (0, 1)")
-    n = check_blocklength(n)
-    y = check_split(y)
-    s_wu = stats_wu(d)
-    s_wuv = stats_wuv(d)
-    g_eps = continuity_term(eps, d.u_size * d.v_size)
-
-    def log_arg(stats: BEStats) -> float:
-        # alpha = eps - B/sqrt(n); argument = alpha - y - B/sqrt(n)
-        return eps - y - 2.0 * stats.b_over_sqrt_n(n)
-
-    arg_r = log_arg(s_wu)
-    arg_rr0 = log_arg(s_wuv)
-    valid = arg_r > 0.0 and arg_rr0 > 0.0
-    q_inv = gaussian_q_inv(eps)
-    r_min = s_wu.mu + backoff(s_wu.v, q_inv, n)
-    if arg_r > 0.0:
-        r_min += math.log2(arg_r) / n
-    rr0_min = s_wuv.mu + backoff(s_wuv.v, q_inv, n) - 2.0 * g_eps
-    if arg_rr0 > 0.0:
-        rr0_min += math.log2(arg_rr0) / n
+    eps, n, y = _converse_params(eps, n, y)
+    r, rr0 = (_converse_point(d, eps, n, y, sum_rate) for sum_rate in (False, True))
     return RegionPoint(
-        r_min=r_min,
-        r_plus_r0_min=rr0_min,
+        r_min=r.rate,
+        r_plus_r0_min=rr0.rate,
         eps_tot_bound=None,
-        valid=valid,
-        notes={
-            "alpha_wu": eps - s_wu.b_over_sqrt_n(n),
-            "alpha_wuv": eps - s_wuv.b_over_sqrt_n(n),
-            "log_arg_r": arg_r,
-            "log_arg_rr0": arg_rr0,
-            "g_eps": g_eps,
-            "i_wu": s_wu.mu,
-            "i_wuv": s_wuv.mu,
-        },
+        valid=r.log_arg > 0.0 and rr0.log_arg > 0.0,
+        notes={"alpha_wu": r.alpha, "alpha_wuv": rr0.alpha, "log_arg_r": r.log_arg, "log_arg_rr0": rr0.log_arg,
+               "g_eps": rr0.penalty / 2.0, "i_wu": r.stats.mu, "i_wuv": rr0.stats.mu},
     )
 
 
 def gamma_tradeoff(xs, n: int, eps1: float, eps2: float) -> list[tuple[float, float]]:
     """Rate-penalty / error-budget pairs for the one-parameter gamma family
-    (2x, x, 2x): penalty 3x/n against budget 10(eps1+eps2) + 2(sqrt2+5) 2^-x.
+    (2x, x, 2x): penalty 3x/n against budget 10(eps1+eps2) + 2(sqrt2+5) 2^-x,
+    the closed form of ``_eps_total`` of the slacks there (equal to rounding).
 
     x = 0 is accepted (zero-penalty endpoint, budget 2(sqrt2+5) at zero eps);
     eps here enters raw, without Berry-Esseen stars -- this is the knob-

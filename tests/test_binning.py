@@ -677,6 +677,29 @@ def test_epsilon_terms_match_brute_force_sets():
     assert e_tot == pytest.approx(2 * (e_app2 + e_app + 5 * e_dec), abs=1e-12)
 
 
+@pytest.mark.parametrize("rates", [(0, 0, 0), (1, 0, 1), (1, 1, 2), (2, 1, 0), (3, 2, 1)])
+@pytest.mark.parametrize("g", [GammaTriple(0.3, 0.7, 1.6), GammaTriple(1.3, 0.45, 0.2)])
+def test_epsilon_terms_at_one_letter_are_the_one_shot_bounds(rates, g):
+    # at n = 1 each tail term is a one-shot lemma on a one-letter joint:
+    # OSRB of W given U into bins_f bins_c, SLC of W alone into all the
+    # bins, OSRB of W given (U, V) into bins_f; power-of-two counts keep
+    # log2 of a product the sum of the logs
+    d = skewed_chain()
+    rt, r0, r = rates
+    cfg = scheme(d, n=1, r=r, r0=r0, rt=rt, seed=0)
+    bf, bc, bm = cfg.bin_counts()
+    assert (bf, bc, bm) == (2 ** rt, 2 ** r0, 2 ** r)
+    joint = d.joint()
+    w_u = regroup_pair(marginalize(joint, ("u", "w")), "w", "u")
+    w_alone = JointPmf(marginalize(joint, ("w",)).probs[:, None])
+    w_uv = regroup_pair(joint, "w", ("u", "v"))
+    e_app, e_dec, e_app2, e_tot = epsilon_terms(d, cfg, g)
+    assert e_app == pytest.approx(osrb_uniformity_bound(w_u, bf * bc, g.g1), abs=1e-12)
+    assert e_dec == pytest.approx(slc_error_bound(w_alone, bf * bc * bm, g.g2), abs=1e-12)
+    assert e_app2 == pytest.approx(osrb_uniformity_bound(w_uv, bf, g.g3), abs=1e-12)
+    assert e_tot == 2 * (e_app2 + e_app + 5 * e_dec)
+
+
 def test_eps_dec_reduces_to_floor_term_when_tail_empty():
     # copy chain, uniform binary W, n=2: entropy density sums to exactly 2
     # bits; with 16 message bins and gamma2 = 1 the tail set is empty

@@ -332,6 +332,15 @@ def test_gamma_tradeoff_x_one_halves_endpoint_constant():
     assert bound == pytest.approx(math.sqrt(2) + 5, abs=1e-12)
 
 
+def test_gamma_tradeoff_is_the_shared_budget_on_its_family():
+    # the closed form 2(sqrt2+5) 2^-x is the total budget of the slacks at
+    # gamma = (2x, x, 2x)
+    pairs = gamma_tradeoff(range(13), n=8, eps1=0.0, eps2=0.0)
+    for x, (_, bound) in enumerate(pairs):
+        shared = region._eps_total(region._osrb_slack(2 * x), region._slc_slack(x), region._osrb_slack(2 * x))
+        assert bound == pytest.approx(shared, abs=1e-12)
+
+
 def test_gamma_tradeoff_rejects_negative_x():
     with pytest.raises(DomainError):
         gamma_tradeoff([-1.0], n=4, eps1=0.1, eps2=0.1)

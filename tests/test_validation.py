@@ -157,6 +157,11 @@ def test_numpy_reals_give_the_python_float_bytes():
     assert outer_bound(CHAIN, 0.9, 100, y) == outer_bound(CHAIN, 0.9, 100, float(y))
     assert outer_bound(CHAIN, np.float32(0.875), 100) == outer_bound(CHAIN, 0.875, 100)
     assert gamma_tradeoff([1.0], 10, eps, 0.0) == gamma_tradeoff([1.0], 10, float(eps), 0.0)
+    # numpy float32 slacks mean the floats they hold, so a bound computes in float64
+    g32 = GammaTriple(*np.float32([2.3, 1.1, 2.3]))
+    assert all(type(v) is float for v in (g32.g1, g32.g2, g32.g3))
+    g64 = GammaTriple(*np.float32([2.3, 1.1, 2.3]).tolist())
+    assert inner_bound(CHAIN, 0.1, 0.1, 100, g32) == inner_bound(CHAIN, 0.1, 0.1, 100, g64)
     pairs = gamma_tradeoff([np.float64(2.0)], 10, np.float64(0.1), np.float32(0.0))
     assert all(type(v) is float for pair in pairs for v in pair)
 

@@ -29,7 +29,7 @@ from coordsim import nptest
 from coordsim.errors import DomainError
 from coordsim.nptest import converse_witness, rr0_converse_witness
 from coordsim.probability import ConditionalPmf, Pmf
-from coordsim.region import Decomposition
+from coordsim.region import Decomposition, outer_bound
 
 TOL = 1e-12
 
@@ -191,6 +191,38 @@ def test_witness_matches_dense_reference(kind, d, n, eps, y):
         rep, P2, Q = witness_oracle.dense_witness(kind, d, n, eps, y)
         assert_reports_agree(got, rep)
     assert_matches_reference(rep, P2, Q)
+
+
+# a sum-rate point in the valid regime where subtracting the penalty before
+# the log term, as outer_bound does, and after it give different last bits
+PENALTY_ORDER = chain([0.5, 0.5], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("kind", ["case1", "case2", "rr0"])
+@settings(max_examples=60)
+@example(d=PENALTY_ORDER, n=3, eps=0.9202800056811427, y=0.55285958996929)
+@given(
+    d=chains(),
+    n=st.integers(1, 3),
+    eps=st.floats(0.05, 0.95),
+    y=st.floats(0.55, 0.95),
+)
+def test_witness_reports_the_outer_bound_point(kind, d, n, eps, y):
+    """A witness's rate, alpha, log argument and regime are those of the
+    matching constraint of ``outer_bound``, bit for bit."""
+    try:
+        rep = run_types(kind, d, n, eps, y)
+    except DomainError:
+        return  # no transfer fits; the dense reference test covers the message
+    outer = outer_bound(d, eps, n, y)
+    if kind == "rr0":
+        want = (outer.r_plus_r0_min, outer.notes["alpha_wuv"], outer.notes["log_arg_rr0"])
+        assert rep.rate_penalty == 2.0 * outer.notes["g_eps"]
+    else:
+        want = (outer.r_min, outer.notes["alpha_wu"], outer.notes["log_arg_r"])
+        assert rep.rate_penalty == 0.0
+    assert [v.hex() for v in (rep.rate, rep.alpha, rep.log_arg)] == [v.hex() for v in want]
+    assert rep.valid_regime == (want[2] > 0.0)
 
 
 def copy_chain() -> Decomposition:

@@ -26,7 +26,6 @@ import numpy as np
 from coordsim import nptest
 from coordsim.cltverify import AtomLaw, density_law
 from coordsim.errors import DomainError
-from coordsim.measures import continuity_term
 from coordsim.nptest import BOUND_TOL, PREMISE_TOL, WitnessReport, np_beta
 from coordsim.probability import (
     DensityTable,
@@ -36,7 +35,7 @@ from coordsim.probability import (
     regroup_pair,
     sequence_digits,
 )
-from coordsim.region import Decomposition, stats_wu, stats_wuv
+from coordsim.region import Decomposition, _converse_params, _converse_point
 
 TIE_TOL = 1e-12
 
@@ -150,22 +149,20 @@ def dense_witness(kind: str, d: Decomposition, n: int, eps: float, y: float):
     """(report, P2, Q): ``converse_witness(d, n, eps, y, kind)`` for kind
     case1 / case2, or ``rr0_converse_witness`` for kind rr0, assembled on
     the dense tables."""
-    nptest._check_witness_params(n, eps, y)
+    eps, n, y = _converse_params(eps, n, y)
     if kind == "rr0":
         pair = regroup_pair(d.joint(), ("u", "v"), "w")
-        g_eps = continuity_term(eps, d.u_size * d.v_size)
-        labels, stats, perturb = ("sum-rate", "case1"), stats_wuv(d), "gain"
-        gains = {"lower_gain": 2.0 * n * g_eps, "rate_penalty": 2.0 * g_eps}
+        labels, perturb = ("sum-rate", "case1"), "gain"
     else:
         pair = marginalize(d.joint(), ("u", "w"))
-        labels, stats = ("rate", kind), stats_wu(d)
+        labels = ("rate", kind)
         perturb = "gain" if kind == "case1" else "lose"
-        gains = {"lower_gain": 0.0, "rate_penalty": 0.0}
     P, Q = iid_pair(pair, n)
     info, P2 = pick_transfer(pair.probs, n, P, eps, perturb)
     law = nptest._table_law(P2, pair, n)
     law = law._replace(info=info, corr_range=corr_range(P, info["delta"]))
-    return nptest._assemble(*labels, law, n, eps, y, stats, **gains), P2, Q
+    point = _converse_point(d, eps, n, y, sum_rate=kind == "rr0")
+    return nptest._assemble(*labels, law, n, eps, y, point), P2, Q
 
 
 def pair_llr_law(P2: np.ndarray, Q: np.ndarray) -> AtomLaw:
