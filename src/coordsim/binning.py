@@ -210,15 +210,11 @@ def draw_binning(cfg: SchemeConfig, trial: int = 0) -> BinningRealization:
     phi_f = rng.integers(0, bf, size=n_w, dtype=np.int64)
     phi_c = rng.integers(0, bc, size=n_w, dtype=np.int64)
     phi_m = rng.integers(0, bm, size=n_w, dtype=np.int64)
-    w_mass = iid_extension(_w_marginal(d), cfg.n).probs
+    w_mass = iid_extension(marginalize(d.joint(), "w"), cfg.n).probs
     return BinningRealization(
         phi_f=phi_f, phi_c=phi_c, phi_m=phi_m,
         bins_f=bf, bins_c=bc, bins_m=bm, w_mass=w_mass,
     )
-
-
-def _w_marginal(d: Decomposition) -> Pmf:
-    return marginalize(d.joint(), "w")
 
 
 def slc_posterior(b: BinningRealization, f: int, c: int, m: int) -> tuple[Pmf, bool]:
@@ -278,8 +274,7 @@ class _Tables:
     @cached_property
     def target_uv(self) -> np.ndarray:
         """(n_u, n_v) iid target."""
-        uv = regroup_pair(marginalize(self.d.joint(), ("u", "v")), "u", "v")
-        return iid_extension(uv, self.n).probs
+        return iid_extension(marginalize(self.d.joint(), ("u", "v")), self.n).probs
 
 
 def _tables(d: Decomposition, n: int) -> _Tables:
@@ -309,12 +304,10 @@ def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
     segments of wide rows it is several times faster than
     ``np.add.reduceat``, which loops over every (segment, column) pair.
     """
-    if x.ndim == 1:
-        return np.bincount(ids, weights=x, minlength=n_seg)
-    n_col = x.shape[1]
+    n_col = math.prod(x.shape[1:])  # 1 for a 1-D x: its one-column view
     cells = np.add.outer(ids * n_col, np.arange(n_col)).ravel()
     sums = np.bincount(cells, weights=x.ravel(), minlength=n_seg * n_col)
-    return sums.reshape(n_seg, n_col)
+    return sums.reshape((n_seg, *x.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -658,10 +651,12 @@ def epsilon_terms(
     """The three exact tail terms and their total, at the *effective*
     (post-rounding) rates.
 
-    eps_app  prices how far the (F, C) indices are from uniform-and-
-             independent-of-U^n under the reverse joint;
+    eps_app  bounds the expected total variation (half the L1) of the
+             (U^n, F, C) reverse joint from uniform (F, C) independent of
+             U^n;
     eps_dec  prices the triple-bin decoder's error;
-    eps_app2 prices how far F is from independent of (U^n, V^n);
+    eps_app2 bounds the expected total variation of the (U^n, V^n, F)
+             reverse joint from uniform F independent of (U^n, V^n);
     eps_tot = 2 (eps_app2 + eps_app + 5 eps_dec), as ``region._eps_total``.
 
     Each is a one-shot lemma term (``_osrb_term`` / ``_slc_term``) of an exact
@@ -673,21 +668,17 @@ def epsilon_terms(
     joint = d.joint()
     puwv = joint.probs  # (u, w, v)
     puv = puwv.sum(axis=1)
-    p_w = _w_marginal(d).probs
+    p_w = marginalize(joint, "w").probs
     # per-symbol h(w|u), h(w), h(w|u,v) with their weights; cells off the
-    # weights' support hold inf or NaN and are dropped with them
+    # weights' support hold inf or NaN, and ``_atom_law`` drops them
     with np.errstate(divide="ignore", invalid="ignore"):
         densities = (
             (-np.log2(d.w_given_u.rows), marginalize(joint, ("u", "w")).probs),
             (-np.log2(p_w), p_w),
             (-np.log2(puwv / puv[:, None, :]), puwv),
         )
-    sums = []
-    for values, weights in densities:
-        w = weights / weights.sum()
-        keep = w > 0
-        sums.append(convolve_n(_atom_law(values[keep], w[keep]), n))
-    sum1, sum2, sum3 = sums
+    sum1, sum2, sum3 = (convolve_n(_atom_law(values, weights / weights.sum()), n)
+                        for values, weights in densities)
     lf, lc, lm = math.log2(bf), math.log2(bc), math.log2(bm)
     eps_app = _osrb_term(sum1.values, sum1.probs, lf + lc, g.g1)
     eps_dec = _slc_term(sum2.values, sum2.probs, lf + lc + lm, g.g2)
@@ -866,7 +857,9 @@ def _ref_conditional(joint_ab: JointPmf, ref: ConditionalPmf | None) -> np.ndarr
 
 def _osrb_term(values: np.ndarray, masses: np.ndarray, log2_bins: float, gamma: float) -> float:
     """OSRB lemma term of an entropy density h (ascending ``values``, their
-    ``masses``): the mass where h <= log2(bins) + gamma, plus the slack."""
+    ``masses``): the mass where h <= log2(bins) + gamma, plus the slack.  It
+    bounds an expected total variation, half the L1: at most 1 + slack, it
+    cannot bound an L1 that nears 2 once the bins outnumber the letters."""
     return (1.0 - group_tail(values, masses, log2_bins + gamma, strict=True)) + _osrb_slack(gamma)
 
 
@@ -886,9 +879,11 @@ def _one_shot_args(joint_ab: JointPmf, n_bins, gamma, ref: ConditionalPmf | None
 
 
 def osrb_uniformity_bound(joint_ab: JointPmf, n_bins: int, gamma: float) -> float:
-    """Exact bound on E || P^RB(b, k) - (uniform k) x P(b) ||_1 for a uniform
-    random binning of A into ``n_bins`` bins: the mass where the conditional
-    entropy density fails to clear log2(bins) by gamma, plus 2^-(gamma+1)/2."""
+    """Exact bound on the expected total variation E ||P^RB(b, k) -
+    (uniform k) x P(b)||_TV, half the L1, for a uniform random binning of A
+    into ``n_bins`` bins: the mass where the conditional entropy density
+    fails to clear log2(bins) by gamma, plus 2^-(gamma+1)/2 (the one-shot
+    OSRB lemma of Yassaee, Aref and Gohari, IEEE T-IT 2014)."""
     return _osrb_term(*_one_shot_args(joint_ab, n_bins, gamma, None))
 
 
@@ -911,7 +906,9 @@ def osrb_monte_carlo(
 ) -> OneShotReport:
     """Empirical means of the two one-shot lemma surfaces over ``trials``
     uniform binning draws: the index-uniformity L1 and the stochastic-
-    likelihood decoder error.  Exact per draw; deterministic given seed."""
+    likelihood decoder error.  Exact per draw; deterministic given seed.
+    ``mean_l1`` is an L1, twice the total variation that
+    ``osrb_uniformity_bound`` bounds."""
     trials = check_blocklength(trials, "trials")
     n_bins = check_blocklength(n_bins, "n_bins")
     seed = check_seed(seed)

@@ -70,9 +70,11 @@ class BEGapResult:
 
 
 def _atom_law(values: np.ndarray, probs: np.ndarray) -> AtomLaw:
-    """The law of plain 1-D arrays of values and their masses: one atom per
-    tie group (``measures.tie_groups``)."""
-    return AtomLaw(*tie_groups(values, probs)[2:])
+    """The law of plain arrays of values and their masses: one atom per tie
+    group (``measures.tie_groups``) of the cells with positive mass, so a
+    value off the masses' support (an inf or NaN log) is never read."""
+    keep = probs > 0
+    return AtomLaw(*tie_groups(values[keep], probs[keep])[2:])
 
 
 def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
@@ -82,9 +84,7 @@ def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
     Zero-mass support cells are dropped; weights off support raise
     ``DomainError`` (same contract as the moment computation).
     """
-    w = support_weights(density, weights)
-    mask = density.support & (w > 0)
-    return _atom_law(density.values[mask], w[mask])
+    return _atom_law(density.values, support_weights(density, weights))
 
 
 def _types(n: int, *columns: np.ndarray) -> list[np.ndarray]:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -420,6 +420,12 @@ def compose_chain(p_u: Pmf, w_given_u: ConditionalPmf, v_given_w: ConditionalPmf
     return JointPmf(probs, axes=("u", "w", "v"))
 
 
+def _axis_list(joint: JointPmf, spec) -> list[int]:
+    """Indices of an axis spec: one axis name or index, or a sequence of
+    them, in the order given."""
+    return [joint.axis_index(a) for a in ((spec,) if isinstance(spec, (str, int)) else spec)]
+
+
 def marginalize(joint: JointPmf, keep) -> Pmf | JointPmf:
     """Marginal of ``joint`` on the given axes (names or indices, any order
     accepted; result axes follow the joint's own axis order).
@@ -427,9 +433,7 @@ def marginalize(joint: JointPmf, keep) -> Pmf | JointPmf:
     Returns a Pmf when a single axis is kept, else a JointPmf (axis names
     preserved when present).
     """
-    if isinstance(keep, (str, int)):
-        keep = (keep,)
-    idxs = sorted({joint.axis_index(k) for k in keep})
+    idxs = sorted(set(_axis_list(joint, keep)))
     if not idxs:
         raise ShapeError("marginalize must keep at least one axis")
     drop = tuple(i for i in range(joint.probs.ndim) if i not in idxs)
@@ -448,25 +452,19 @@ def conditional(joint: JointPmf, given) -> ConditionalPmf:
     Rows with zero marginal mass have no defined conditional: they are set to
     the uniform row and flagged in ``fallback_rows``.
     """
-    if isinstance(given, (str, int)):
-        given = (given,)
-    gidx = sorted({joint.axis_index(g) for g in given})
+    gidx = sorted(set(_axis_list(joint, given)))
     if not gidx:
         raise ShapeError("conditional needs at least one conditioning axis")
     rest = [i for i in range(joint.probs.ndim) if i not in gidx]
     if not rest:
         raise ShapeError("conditional needs at least one target axis")
-    perm = gidx + rest
-    moved = np.transpose(joint.probs, perm)
-    n_in = int(np.prod([joint.probs.shape[i] for i in gidx]))
-    n_out = int(np.prod([joint.probs.shape[i] for i in rest]))
-    flat = moved.reshape(n_in, n_out)
+    flat = regroup_pair(joint, gidx, rest).probs
     row_mass = flat.sum(axis=1)
     fallback = row_mass <= 0.0
     rows = np.empty_like(flat)
     ok = ~fallback
     rows[ok] = flat[ok] / row_mass[ok, None]
-    rows[fallback] = 1.0 / n_out
+    rows[fallback] = 1.0 / flat.shape[1]
     return ConditionalPmf(rows, fallback_rows=fallback)
 
 
@@ -504,12 +502,7 @@ def iid_extension(obj, n: int):
     so the law holds it without a copy.
     """
     n = check_blocklength(n, "iid extension length")
-    if isinstance(obj, Pmf):
-        check_table_size(obj.size ** n, "iid pmf")
-        out = _iid_table(obj.probs, n)
-        _renormalize(out)
-        return Pmf(_freeze(out))
-    if isinstance(obj, (ConditionalPmf, JointPmf)):
+    if isinstance(obj, (Pmf, ConditionalPmf, JointPmf)):
         return _iid_rows(obj, n)[0]
     raise ShapeError(f"iid_extension does not handle {type(obj).__name__}")
 
@@ -555,18 +548,19 @@ class _IidRows:
 
 
 def _iid_rows(obj, n: int):
-    """(law, rows) for a JointPmf or a ConditionalPmf and a checked n: its
-    n-fold law, built once and law-checked (``iid_extension`` returns just
-    the law), and an ``_IidRows`` that rebuilds any row of a two-axis law's
-    table from the (n-1)-fold factor with the same bits.  A caller that
-    keeps only the rows frees the full table."""
+    """(law, rows) for a Pmf, JointPmf or ConditionalPmf and a checked n:
+    its n-fold law, built once and law-checked (``iid_extension`` returns
+    just the law), and an ``_IidRows`` that rebuilds any row of a two-axis
+    law's table from the (n-1)-fold factor with the same bits.  A caller
+    that keeps only the rows frees the full table."""
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
-    check_table_size(t.size ** n, "iid kernel" if kernel else "iid joint")
+    what = "iid kernel" if kernel else "iid pmf" if isinstance(obj, Pmf) else "iid joint"
+    check_table_size(t.size ** n, what)
     pre = _freeze(_iid_table(t, n - 1))
     full = _iid_grow(pre, t)
     norm = _renormalize(full, rows=kernel)
-    law = ConditionalPmf(_freeze(full)) if kernel else JointPmf(_freeze(full), axes=obj.axes)
+    law = ConditionalPmf(_freeze(full)) if kernel else replace(obj, probs=_freeze(full))
     return law, _IidRows(pre, t, norm)
 
 
@@ -598,12 +592,7 @@ def regroup_pair(joint: JointPmf, left, right) -> JointPmf:
     alphabets ``left`` x ``right`` (axis names or indices; every axis must be
     used exactly once).  Flat indices enumerate each group C-style in the
     order given."""
-    if isinstance(left, (str, int)):
-        left = (left,)
-    if isinstance(right, (str, int)):
-        right = (right,)
-    li = [joint.axis_index(a) for a in left]
-    ri = [joint.axis_index(a) for a in right]
+    li, ri = _axis_list(joint, left), _axis_list(joint, right)
     used = li + ri
     if sorted(used) != list(range(joint.probs.ndim)):
         raise ShapeError(
@@ -643,13 +632,10 @@ def info_density(joint: JointPmf) -> DensityTable:
     if joint.probs.ndim != 2:
         raise ShapeError(f"info_density needs a two-axis joint, got rank {joint.probs.ndim}")
     supp, vals = pair_density(joint.probs)
-    return DensityTable(np.where(supp, vals, np.nan), supp)
+    return DensityTable(vals, supp)
 
 
 def entropy_density(p: Pmf | JointPmf) -> DensityTable:
     """Entropy density table h(a) = -log2 P(a) on the support of ``p``."""
-    arr = p.probs
-    supp = arr > 0
-    vals = np.full(arr.shape, np.nan)
-    vals[supp] = -np.log2(arr[supp])
-    return DensityTable(vals, supp)
+    with np.errstate(divide="ignore"):
+        return DensityTable(-np.log2(p.probs), p.probs > 0)

@@ -198,7 +198,8 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
 
 
 def _osrb_slack(gamma: float) -> float:
-    """Slack 2^-(gamma+1)/2 of the one-shot OSRB (index-uniformity) lemma."""
+    """Slack 2^-(gamma+1)/2 of the one-shot OSRB (index-uniformity) lemma,
+    a bound on an expected total variation (half the L1)."""
     return 2.0 ** (-(gamma + 1.0) / 2.0)
 
 

@@ -59,7 +59,10 @@ def every_map(joint: JointPmf, n_bins: int, ref: ConditionalPmf | None = None) -
 def _subsets(size: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Every subset of ``size`` letters as a boolean row, with its chance
     of being exactly one bin's member set."""
-    rows = np.array(list(itertools.product((False, True), repeat=size)), dtype=bool).reshape(-1, size)
+    # an explicit shape: a one-letter A leaves ``size`` = 0 other letters,
+    # whose one empty subset a -1 reshape cannot place
+    rows = np.array(list(itertools.product((False, True), repeat=size)), dtype=bool)
+    rows = rows.reshape(2 ** size, size)
     k = rows.sum(axis=1)
     return rows, (1.0 / n_bins) ** k * (1.0 - 1.0 / n_bins) ** (size - k)
 

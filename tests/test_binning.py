@@ -909,6 +909,28 @@ def test_osrb_monte_carlo_closed_form_means():
     assert rep_ref.mean_error == pytest.approx(rep.mean_error, abs=1e-12)
 
 
+def test_per_lemma_sweep_on_chain3_reads_the_uniformity_term_in_total_variation():
+    # chain3 with all three rates equal, 10 trials per point: at every point
+    # half the (U^n, F, C) L1 (its total variation) stays within eps_app and
+    # the decoder error within eps_dec, 3 half-widths below the mean.  The
+    # L1 itself clears eps_app by more than 3 half-widths where the bins
+    # outnumber what the conditional entropy fills (the first such rate is
+    # 1.3, 1.0 and 0.9 at n = 2, 4 and 6), so eps_app is not an L1 bound
+    d = chain3()
+    l1_above = []
+    for n, top in ((2, 16), (4, 16), (6, 10)):
+        for rate in (k / 10 for k in range(1, top + 1)):
+            rep = monte_carlo(d, scheme(d, n=n, r=rate, r0=rate, rt=rate, seed=3), trials=10)
+            ci = rep.ci95_by_metric
+            l1_low = rep.l1_index_fc - 3.0 * ci["l1_index_fc"]
+            assert l1_low / 2 <= rep.eps_app, (n, rate)
+            assert rep.decoder_error - 3.0 * ci["decoder_error"] <= rep.eps_dec, (n, rate)
+            if l1_low > rep.eps_app:
+                l1_above.append((n, rate))
+    first = {n: min(r for m, r in l1_above if m == n) for n, _ in l1_above}
+    assert first == {2: 1.3, 4: 1.0, 6: 0.9}
+
+
 def test_one_shot_lemmas_ignore_an_empty_column():
     # a B letter without mass has no conditional; all three lemmas read the
     # same reference conditional, 0 there, so the column changes nothing

@@ -282,6 +282,26 @@ def test_convolve_reaches_chain3_at_32():
     assert convolve_n(chain3_law(), 32).n_atoms == math.comb(37, 5) == 435_897
 
 
+def lattice_law() -> AtomLaw:
+    """Atoms 0, log2 3 and 2 log2 3 with masses 1/4, 1/2, 1/4: the sum of n
+    copies takes the 2n + 1 values k log2 3, k = 0..2n, but distinct types
+    reach the same value by different float sums."""
+    step = math.log2(3.0)
+    return AtomLaw(np.array([0.0, step, 2.0 * step]), np.array([0.25, 0.5, 0.25]))
+
+
+def test_lattice_law_keeps_its_atoms_at_1000():
+    # the types' float sums of one lattice value still fall within the
+    # absolute tie tolerance of each other
+    assert convolve_n(lattice_law(), 1000).n_atoms == 2001
+
+
+@pytest.mark.xfail(strict=True, reason="open defect: the absolute tie tolerance 1e-12 does not "
+                   "scale with n max|v|, so equal lattice values split (4,050 atoms)")
+def test_lattice_law_keeps_its_atoms_at_2000():
+    assert convolve_n(lattice_law(), 2000).n_atoms == 4001
+
+
 def test_convolve_bsc_matches_binomial_oracle():
     """BSC(0.11) at n = 10^4: one atom per count c of the larger atom, at
     c hi + (n - c) lo, with the binomial masses comb(n, c) p^c q^(n-c)
