@@ -202,15 +202,12 @@ def draw_binning(cfg: SchemeConfig, trial: int = 0) -> BinningRealization:
     matter how trials are scheduled, and distinct seeds never share a draw.
     """
     trial = check_seed(trial, "trial index")
-    d = cfg.decomposition
-    n_w = d.w_size ** cfg.n
-    check_table_size(n_w, "binning map")
+    w_mass = iid_extension(marginalize(cfg.decomposition.joint(), "w"), cfg.n).probs
     bf, bc, bm = cfg.bin_counts()
     rng = np.random.Generator(np.random.Philox(key=cfg.seed | (trial << 64)))
-    phi_f = rng.integers(0, bf, size=n_w, dtype=np.int64)
-    phi_c = rng.integers(0, bc, size=n_w, dtype=np.int64)
-    phi_m = rng.integers(0, bm, size=n_w, dtype=np.int64)
-    w_mass = iid_extension(marginalize(d.joint(), "w"), cfg.n).probs
+    phi_f = rng.integers(0, bf, size=w_mass.size, dtype=np.int64)
+    phi_c = rng.integers(0, bc, size=w_mass.size, dtype=np.int64)
+    phi_m = rng.integers(0, bm, size=w_mass.size, dtype=np.int64)
     return BinningRealization(
         phi_f=phi_f, phi_c=phi_c, phi_m=phi_m,
         bins_f=bf, bins_c=bc, bins_m=bm, w_mass=w_mass,
@@ -278,8 +275,9 @@ class _Tables:
 
 
 def _tables(d: Decomposition, n: int) -> _Tables:
-    n_u, n_w, n_v = d.u_size ** n, d.w_size ** n, d.v_size ** n
-    check_table_size(max(n_u * n_w, n_w * n_v, n_u * n_v), "scheme tables")
+    u, w, v = d.u_size, d.w_size, d.v_size
+    check_table_size(max(u * w, w * v, u * v), "scheme tables", n)
+    n_u, n_w, n_v = u ** n, w ** n, v ** n
     joint, pwu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n)
     pw = joint.probs.sum(axis=1)
     return _Tables(
@@ -703,6 +701,8 @@ class SimReport:
                         selected seed
     decoder_error    mean triple-bin decoder error under the reverse joint
     abort_rate       mean protocol mass through a w0 fallback
+    eps_tot          the L1 budget (twice a total variation) of the three
+                     tail terms, ``region._eps_total``
     ci95             95% half-width for l1_uv_given_f; ci95_by_metric has
                      the rest
     """

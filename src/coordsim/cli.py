@@ -34,7 +34,8 @@ from .cltverify import be_gap, density_law
 from .errors import DomainError, ResourceLimitError, SearchError, ShapeError
 from .nptest import beta_sandwich, np_beta
 from .optimize import optimize_decomposition
-from .probability import ConditionalPmf, JointPmf, Pmf, info_density, marginalize, regroup_pair
+from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps
+from .probability import check_positive, info_density, marginalize, regroup_pair
 from .region import Decomposition, gamma_tradeoff, inner_bound, outer_bound, parse_gamma_rule
 from .serialize import write_table
 
@@ -94,20 +95,6 @@ def _number(value, what: str):
         raise DomainError(f"{what} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, integers beyond float range
         raise DomainError(f"{what} must be finite, got {value!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """A JSON number with an integral value, as an int."""
-    value = _number(value, what)
-    if isinstance(value, float) and not value.is_integer():
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise DomainError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -192,24 +179,24 @@ def _run_region(config: dict):
 def _resolve_simulate(args) -> dict:
     doc = _document(args, "a 'decomposition' key")
 
-    def whole(key, default):  # a flag overrides the file
+    def whole(key, default, least=1):  # a flag overrides the file
         flag = getattr(args, key)
-        return _integer(doc.get(key, default) if flag is None else flag, key)
+        return check_blocklength(doc.get(key, default) if flag is None else flag, key, least)
 
     return {
         "decomposition": _echo(_decomposition(doc["decomposition"])),
         "n": whole("n", 2),
-        **{key: _number(doc.get(key, 1.0), key) for key in _RATES},
-        "seed": whole("seed", 0),
+        **{key: check_positive(doc.get(key, 1.0), key, zero=True) for key in _RATES},
+        "seed": whole("seed", 0, least=0),
         "trials": whole("trials", 100),
-        "gamma_rule": _gamma_rule(args, _string(doc.get("gamma_rule", "logn"), "gamma_rule")),
+        "gamma_rule": _gamma_rule(args, doc.get("gamma_rule", "logn")),
     }
 
 
 def _run_simulate(config: dict):
     d = _decomposition(config["decomposition"])
     cfg = SchemeConfig(n=config["n"], seed=config["seed"], decomposition=d,
-                       **{key: float(config[key]) for key in _RATES})
+                       **{key: config[key] for key in _RATES})
     gamma = parse_gamma_rule(config["gamma_rule"], cfg.n)
     if config["format"] == "csv":
         metrics = [field.name for field in fields(TrialMetrics)]
@@ -229,7 +216,7 @@ def _resolve_np(args) -> dict:
         raise DomainError("np needs an alpha (file key 'alpha' or flag --eps)")
     grid = doc.get("gamma_grid")
     return {"p": _numbers(doc["p"], "p"), "q": _numbers(doc["q"], "q"),
-            "alpha": float(_number(alpha, "alpha")),
+            "alpha": check_eps(alpha, "alpha must lie strictly inside (0, 1)"),
             "gamma_grid": None if grid is None else _numbers(grid, "gamma_grid")}
 
 
@@ -271,9 +258,9 @@ def _resolve_optimize(args) -> dict:
     doc = _document(args, "'target_uv' and 'w_size' keys")
     return {
         "target_uv": _matrix(doc["target_uv"], "target_uv"),
-        "w_size": _integer(doc["w_size"], "w_size"),
-        "objective": _string(doc.get("objective", "r_min"), "objective"),
-        "restarts": _integer(doc.get("restarts", 4), "restarts"),
+        "w_size": check_blocklength(doc["w_size"], "w_size"),
+        "objective": doc.get("objective", "r_min"),
+        "restarts": check_blocklength(doc.get("restarts", 4), "restarts"),
         "seed": args.seed, "eps": args.eps, "n": args.n,
         "gamma_rule": _gamma_rule(args, "logn"),
     }

@@ -34,7 +34,8 @@ class DomainError(CoordsimError, ValueError):
 class ResourceLimitError(CoordsimError, RuntimeError):
     """An exact computation would exceed the configured memory cap.
 
-    ``required`` is the number of table entries the computation needed.
+    ``required`` is the number of table entries the computation needed, or
+    None when that count is too large to form.
     """
 
     def __init__(self, message: str, required: int | None = None):

@@ -230,8 +230,6 @@ def be_stats(density: DensityTable, weights: Pmf | JointPmf) -> BEStats:
 
 def mutual_information(joint: JointPmf) -> float:
     """Mutual information (bits) between the two axes of a joint."""
-    if joint.probs.ndim != 2:
-        raise ShapeError(f"mutual_information needs a two-axis joint, got rank {joint.probs.ndim}")
     return be_stats(info_density(joint), joint).mu
 
 

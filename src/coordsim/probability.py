@@ -26,12 +26,12 @@ Conventions
   ``BinningRealization.w_mass`` and the flattened inputs of ``np_beta``,
   ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
 * One check per parameter kind decides every such parameter, raising
-  ``DomainError``: ``check_blocklength`` (whole-number counts), ``check_seed``
-  (64-bit indices), ``check_index`` (in-alphabet indices), ``check_positive``
-  (finite reals > 0, or >= 0), ``check_eps`` (eps in (0, 1)) and
-  ``check_split`` (y in (1/2, 1)).  Integers are Python or numpy integers
-  and reals Python or numpy reals, never bools or strings; each check
-  returns the Python int or float.
+  ``DomainError``: ``check_blocklength`` (whole-number counts below 2^64),
+  ``check_seed`` (64-bit indices), ``check_index`` (in-alphabet indices),
+  ``check_positive`` (finite reals > 0, or >= 0), ``check_eps`` (eps in
+  (0, 1)) and ``check_split`` (y in (1/2, 1)).  Integers are Python or
+  numpy integers and reals Python or numpy reals, never bools or strings;
+  each check returns the Python int or float.
 * Ownership: a float64 ndarray that owns its data and is already read-only
   is kept as it is, not copied.  That is how the package hands over a table
   it has just built (``iid_extension``, the binning joints' marginals): it
@@ -40,7 +40,8 @@ Conventions
   to the array it passed in.
 * Exact table sizes are capped (default 2**26 entries, override with the
   COORDSIM_MEM_CAP environment variable); blowing the cap raises
-  ``ResourceLimitError`` with the required size attached.
+  ``ResourceLimitError`` with the required size attached.  An n-fold size
+  |A|^n is judged by n log2|A| before the power is formed.
 """
 
 from __future__ import annotations
@@ -78,15 +79,20 @@ def memory_cap() -> int:
     return check_blocklength(cap, "COORDSIM_MEM_CAP")
 
 
-def check_table_size(entries: int, what: str = "table") -> None:
-    """Raise ``ResourceLimitError`` if an exact table of ``entries`` cells
-    would exceed the configured cap."""
+def check_table_size(entries: int, what: str = "table", n: int = 1) -> None:
+    """Raise ``ResourceLimitError`` if an exact table of ``entries ** n``
+    cells would exceed the configured cap.  The power is formed only when
+    n log2(entries) is at most 65 bits; a larger count, beyond any cap, is
+    named by its exponent and attached as ``required=None``: it may take
+    long to form and have more digits than Python prints."""
     cap = memory_cap()
-    if entries > cap:
+    bits = n * math.log2(entries)
+    count = entries ** n if bits <= 65 else None
+    if count is None or count > cap:
+        need = f"2^{bits:.1f}" if count is None else count
         raise ResourceLimitError(
-            f"{what} needs {entries} entries, cap is {cap} "
-            f"(set COORDSIM_MEM_CAP to raise it)",
-            required=entries,
+            f"{what} needs {need} entries, cap is {cap} (set COORDSIM_MEM_CAP to raise it)",
+            required=count,
         )
 
 
@@ -134,12 +140,14 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
 
 
 def check_blocklength(n, name: str = "blocklength", least: int = 1) -> int:
-    """``n`` as an int, unless it is not a whole number >= ``least``: bools,
-    strings and non-integral, NaN and infinite floats are rejected -- the
-    one count check (blocklengths, trials, restarts, sizes, lengths)."""
+    """``n`` as an int, unless it is not a whole number in [``least``,
+    2^64): bools, strings and non-integral, NaN and infinite floats are
+    rejected -- the one count check (blocklengths, trials, restarts, sizes,
+    lengths).  The bound is ``check_seed``'s range, so a count always fits
+    a float and a 64-bit index."""
     whole = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
-    if isinstance(n, bool) or not whole or n < least:
-        raise DomainError(f"{name} must be a whole number >= {least}, got {n!r}")
+    if isinstance(n, bool) or not whole or not least <= n < 2 ** 64:
+        raise DomainError(f"{name} must be a whole number >= {least} and < 2^64, got {n!r}")
     return int(n)
 
 
@@ -556,7 +564,7 @@ def _iid_rows(obj, n: int):
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
     what = "iid kernel" if kernel else "iid pmf" if isinstance(obj, Pmf) else "iid joint"
-    check_table_size(t.size ** n, what)
+    check_table_size(t.size, what, n)
     pre = _freeze(_iid_table(t, n - 1))
     full = _iid_grow(pre, t)
     norm = _renormalize(full, rows=kernel)

@@ -7,8 +7,8 @@ both constraints pick up a Gaussian dispersion backoff Q^,-1(eps)*sqrt(V/n)
 plus lower-order terms:
 
 * inner (achievability): additive gamma/n terms from the binning analysis,
-  and a total-variation budget priced by the Berry-Esseen-corrected
-  eps* = eps + B/sqrt(n);
+  and an L1 budget (twice a total variation) priced by the
+  Berry-Esseen-corrected eps* = eps + B/sqrt(n);
 * outer (converse): a log(alpha - y - B/sqrt(n))/n correction whose argument
   is positive only in the high-eps regime, plus (on the sum rate) a
   -4 eps (log2|U x V| + log2(1/eps)) continuity term.
@@ -56,23 +56,17 @@ class Decomposition:
     """Markov splitting U - W - V of a target (U,V) correlation.
 
     The auxiliary alphabet obeys the cardinality bound
-    |W| <= |U| * |V| + 1 (enforced at construction).
+    |W| <= |U| * |V| + 1, and the chain law is built and checked once, by
+    ``compose_chain``, both at construction.
     """
 
     p_u: Pmf
     w_given_u: ConditionalPmf
     v_given_w: ConditionalPmf
+    _joint: JointPmf = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.w_given_u.input_size != self.p_u.size:
-            raise DomainError(
-                f"w_given_u expects {self.w_given_u.input_size} inputs, p_u has {self.p_u.size}"
-            )
-        if self.v_given_w.input_size != self.w_given_u.output_size:
-            raise DomainError(
-                f"v_given_w expects {self.v_given_w.input_size} inputs, "
-                f"w_given_u outputs {self.w_given_u.output_size}"
-            )
+        object.__setattr__(self, "_joint", compose_chain(self.p_u, self.w_given_u, self.v_given_w))
         check_w_size(self.w_size, self.u_size, self.v_size)
 
     @property
@@ -89,7 +83,7 @@ class Decomposition:
 
     def joint(self) -> JointPmf:
         """Exact joint over axes ("u", "w", "v")."""
-        return compose_chain(self.p_u, self.w_given_u, self.v_given_w)
+        return self._joint
 
     def uv_marginal(self) -> JointPmf:
         return marginalize(self.joint(), ("u", "v"))
@@ -124,9 +118,10 @@ class GammaTriple:
 class RegionPoint:
     """One evaluated point of a rate region boundary.
 
-    For inner points, eps_tot_bound is the total-variation budget and valid
-    is always True.  For outer points, eps_tot_bound is None and valid marks
-    whether every log correction had a positive argument.
+    For inner points, eps_tot_bound is the L1 budget (twice a total
+    variation) and valid is always True.  For outer points, eps_tot_bound
+    is None and valid marks whether every log correction had a positive
+    argument.
     """
 
     r_min: float
@@ -209,7 +204,8 @@ def _slc_slack(gamma: float) -> float:
 
 
 def _eps_total(eps_app: float, eps_dec: float, eps_app2: float) -> float:
-    """The total budget eps_tot = 2 (eps_app2 + eps_app + 5 eps_dec), summed in that order."""
+    """The total budget eps_tot = 2 (eps_app2 + eps_app + 5 eps_dec), summed in that order:
+    twice a sum of total-variation bounds, so an L1 budget (twice a total variation)."""
     return 2.0 * (eps_app2 + eps_app + 5.0 * eps_dec)
 
 
@@ -252,9 +248,9 @@ def inner_bound(d: Decomposition, eps1: float, eps2: float, n: int, g: GammaTrip
     """Achievability point at blocklength n.
 
     eps2 prices the message-rate constraint (pair W;U), eps1 the sum-rate
-    constraint (pair W;UV).  The returned eps_tot_bound is the full
-    total-variation budget including tail terms and the Berry-Esseen
-    corrections eps* = eps + B/sqrt(n).
+    constraint (pair W;UV).  The returned eps_tot_bound is the full L1
+    budget (twice a total variation) including tail terms and the
+    Berry-Esseen corrections eps* = eps + B/sqrt(n).
     """
     eps1 = check_eps(eps1, "eps1 must lie in (0, 1)")
     eps2 = check_eps(eps2, "eps2 must lie in (0, 1)")

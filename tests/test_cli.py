@@ -7,6 +7,7 @@ be asserted literally.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ def test_simulate_resource_cap(tmp_path, sim_file, monkeypatch):
     code = main(["simulate", "--input", sim_file, "--n", "12",
                  "--output", str(tmp_path / "x.json")])
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("sub, n, code, line", [
+    ("region", 10 ** 400, EXIT_INVALID, "invalid parameters: blocklength must be a whole number"),
+    ("simulate", 10 ** 30, EXIT_INVALID, "invalid parameters: n must be a whole number"),
+    ("simulate", 10 ** 4, EXIT_RESOURCE, "resource cap exceeded: scheme tables needs 2^"),
+    ("simulate", 10 ** 12, EXIT_RESOURCE, "resource cap exceeded: scheme tables needs 2^"),
+], ids=["region-401-digits", "simulate-1e30", "simulate-1e4", "simulate-1e12"])
+def test_oversized_count_is_a_parameter_or_cap_error(tmp_path, capsys, sub, n, code, line):
+    # counts from 2^64 on fail the count check; below it, the cap is decided
+    # from n log2|A| before |A|^n is formed, so neither case overflows or hangs
+    path = tmp_path / "in.json"
+    rates = dict.fromkeys(("rate_r", "rate_r0", "rate_rtilde"), 0.0)
+    path.write_text(json.dumps(CHAIN if sub == "region" else {**SIM_DOC, **rates}))
+    start = time.perf_counter()
+    assert main([sub, "--input", str(path), "--n", str(n), "--gamma", "1,1,1"]) == code
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"coordsim: {line}")
 
 
 def test_simulate_flag_overrides_file(tmp_path, sim_file):
@@ -335,7 +354,8 @@ def test_optimize_null_objective_is_reported_as_null(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({**OPT_DOC, "objective": None}))
     assert main(["optimize", "--input", str(path), "--n", "100"]) == EXIT_INVALID
-    assert "objective must be a string, got None" in capsys.readouterr().err
+    assert "objective must be one of ('r_min', 'r_plus_r0_min', 'max_slack'), got None" in (
+        capsys.readouterr().err)
 
 
 def test_undecodable_input_is_io_error(tmp_path, capsys):
@@ -408,7 +428,7 @@ ERROR_LINES = [
     (["np"], {**NP_DOC, "p": [True, 0.5]}, EXIT_INVALID,
      "invalid parameters: p must be a number, got True"),
     (["simulate"], {**SIM_DOC, "n": 2.5}, EXIT_INVALID,
-     "invalid parameters: n must be an integer, got 2.5"),
+     "invalid parameters: n must be a whole number >= 1 and < 2^64, got 2.5"),
     (["region", "--n", "8"], "{not json", EXIT_IO,
      "unreadable input file: Expecting property name enclosed in double quotes: "
      "line 1 column 2 (char 1)"),

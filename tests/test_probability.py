@@ -6,6 +6,7 @@ was written; randomized checks use seeded generators so failures replay.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,16 @@ def test_iid_respects_memory_cap(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         iid_extension(Pmf.uniform(2), 20)
     assert err.value.required == 2 ** 20
+
+
+def test_iid_cap_is_decided_before_the_power_is_formed():
+    # 3^(10^7) has millions of digits: the cap is decided from n log2|A|,
+    # and the count is neither formed nor printed
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"iid pmf needs 2\^15849625\.0 entries") as err:
+        iid_extension(Pmf(np.array([0.2, 0.3, 0.5])), 10 ** 7)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.required is None
 
 
 def test_sequence_digit_round_trip():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coordsim import region
-from coordsim.errors import DomainError
+from coordsim.errors import DomainError, ShapeError
 from coordsim.probability import ConditionalPmf, JointPmf, Pmf
 from coordsim.region import (
     Decomposition,
@@ -71,7 +71,7 @@ def test_decomposition_enforces_cardinality_bound():
 
 
 def test_decomposition_size_mismatch():
-    with pytest.raises(DomainError):
+    with pytest.raises(ShapeError, match="w_given_u expects 2 input letters, p_u has 3"):
         Decomposition(Pmf.uniform(3), bsc(0.1), bsc(0.1))
 
 

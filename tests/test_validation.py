@@ -6,30 +6,44 @@ parameter the library takes goes through one check per kind
 ``check_positive``, ``check_eps``, ``check_split``), so a malformed value is
 a ``DomainError`` at every entry point -- never a ``TypeError``, a numpy
 ``ValueError`` or a returned value -- and a numpy integer means what the
-Python int means.
+Python int means.  A second table covers the structural checks of the
+public entry points: each raises the error class its contract names.
 """
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from coordsim.binning import (
+    BinningRealization,
     SchemeConfig,
     draw_binning,
+    entropy_diagnostics,
     monte_carlo,
     osrb_monte_carlo,
     osrb_uniformity_bound,
+    rb_joint,
     slc_error_bound,
     trial_metrics,
 )
-from coordsim.errors import DomainError
+from coordsim.cltverify import AtomLaw
+from coordsim.errors import DomainError, ShapeError
+from coordsim.measures import conditional_dispersion, dispersion_of_channel, mutual_information
 from coordsim.optimize import optimize_decomposition
 from coordsim.probability import (
     ConditionalPmf,
+    DensityTable,
     JointPmf,
     Pmf,
+    compose_chain,
+    conditional,
     iid_extension,
+    info_density,
+    kl_divergence,
+    marginalize,
+    regroup_pair,
     sequence_digits,
     sequence_index,
 )
@@ -41,6 +55,7 @@ from coordsim.region import (
     outer_bound,
     parse_gamma_rule,
 )
+from coordsim.serialize import write_table
 
 CHAIN = Decomposition(
     p_u=Pmf(np.array([0.55, 0.45])),
@@ -60,9 +75,9 @@ def optimize(**kw):
     return optimize_decomposition(TARGET, **{"w_size": 2, "restarts": 1, "n": 100, **kw})
 
 
-# the malformed values of each kind; 2**64 is a valid count and a valid real
-COUNT = [2.5, True, -1, math.nan, math.inf, "3"]
-INDEX = COUNT + [2 ** 64]
+# the malformed values of each kind; 2**64 is a valid real, but neither a
+# count nor a 64-bit index
+COUNT = INDEX = [2.5, True, -1, math.nan, math.inf, "3", 2 ** 64]
 REAL = [True, -1, math.nan, math.inf, "3", np.float32(math.inf)]
 EPS = INDEX
 SPLIT = [0.5, 1, True, math.nan, math.inf, "0.75", np.float32(0.25)]
@@ -171,3 +186,62 @@ def test_numpy_integer_indices_mean_the_python_int():
     assert all(type(x) is int for x in sequence_digits(np.uint8(5), 2, 3))
     assert sequence_index([np.int64(1), 0, np.int16(1)], 2) == 5
     assert Pmf.point(4, np.int64(2)).probs.tobytes() == Pmf.point(4, 2).probs.tobytes()
+
+
+CUBE = JointPmf(np.full((2, 2, 2), 0.125), axes=("a", "b", "c"))
+BSC = ConditionalPmf(np.array([[0.9, 0.1], [0.1, 0.9]]))
+HALF = Pmf(np.array([0.5, 0.5]))
+
+
+def rb_marginal(axes):
+    return rb_joint(CHAIN, draw_binning(config()), config()).marginal(axes)
+
+
+# (entry point and case, the error class its contract names, the call)
+STRUCTURE = [
+    ("compose_chain-v_given_w", ShapeError, lambda: compose_chain(HALF, BSC, CHAIN.v_given_w)),
+    ("JointPmf.axis_index-name", ShapeError, lambda: CUBE.axis_index("z")),
+    ("JointPmf.axis_index-index", ShapeError, lambda: CUBE.axis_index(3)),
+    ("DensityTable-shape", ShapeError, lambda: DensityTable(np.zeros(2), np.ones(3, dtype=bool))),
+    ("DensityTable-non-finite", DomainError,
+     lambda: DensityTable(np.array([0.0, math.inf]), np.ones(2, dtype=bool))),
+    ("kl_divergence-shape", ShapeError, lambda: kl_divergence(HALF, Pmf.uniform(3))),
+    ("marginalize-keep", ShapeError, lambda: marginalize(CUBE, ())),
+    ("conditional-given", ShapeError, lambda: conditional(CUBE, ())),
+    ("conditional-target", ShapeError, lambda: conditional(CUBE, ("a", "b", "c"))),
+    ("iid_extension-type", ShapeError, lambda: iid_extension(np.array([0.5, 0.5]), 2)),
+    ("regroup_pair-reused", ShapeError, lambda: regroup_pair(CUBE, ("a", "b"), ("b", "c"))),
+    ("info_density-rank", ShapeError, lambda: info_density(CUBE)),
+    ("mutual_information-rank", ShapeError, lambda: mutual_information(CUBE)),
+    ("AtomLaw-non-finite", DomainError, lambda: AtomLaw([0.0, math.nan], [0.5, 0.5])),
+    ("dispersion_of_channel-size", ShapeError, lambda: dispersion_of_channel(Pmf.uniform(3), BSC)),
+    ("conditional_dispersion-size", ShapeError, lambda: conditional_dispersion(Pmf.uniform(3), BSC)),
+    ("optimize_decomposition-rank", DomainError, lambda: optimize_decomposition(CUBE, 2)),
+    ("BinningRealization-w_mass", ShapeError,
+     lambda: BinningRealization([0, 1], [0, 0], [0, 0], 2, 1, 1, np.full(3, 1 / 3))),
+    ("rb_joint.marginal-empty", ShapeError, lambda: rb_marginal(set())),
+    ("rb_joint.marginal-duplicate", ShapeError, lambda: rb_marginal(("u", "u"))),
+    ("rb_joint.marginal-unknown", ShapeError, lambda: rb_marginal(("z",))),
+    ("entropy_diagnostics-rank", ShapeError, lambda: entropy_diagnostics(PAIR, 1, 2)),
+    ("entropy_diagnostics-u_size", ShapeError, lambda: entropy_diagnostics(CUBE, 2, 2)),
+    ("osrb_uniformity_bound-rank", ShapeError, lambda: osrb_uniformity_bound(CUBE, 2, 1.0)),
+    ("slc_error_bound-rank", ShapeError, lambda: slc_error_bound(CUBE, 2, 1.0)),
+    ("slc_error_bound-ref", ShapeError,
+     lambda: slc_error_bound(JointPmf(np.full((2, 3), 1 / 6)), 2, 1.0, BSC)),
+    ("write_table-json-key", DomainError,
+     lambda: write_table(io.StringIO(), {}, ["x"], [[1]], "json", extra={1: 2})),
+]
+
+
+@pytest.mark.parametrize("error, call", [
+    pytest.param(error, call, id=name) for name, error, call in STRUCTURE
+])
+def test_structural_check_raises_its_class(error, call):
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is error, repr(caught.value)
+
+
+def test_support_and_row_accessors():
+    assert Pmf(np.array([0.5, 0.0, 0.5])).support.tolist() == [True, False, True]
+    assert BSC.row(1).probs.tolist() == [0.1, 0.9]
