@@ -152,8 +152,10 @@ class SchemeConfig:
 class BinningRealization:
     """One drawn triple of total bin maps over the W-sequence space.
 
-    Carries the reference iid W^n mass so the stochastic likelihood coder
-    is self-contained; total-map validity is enforced at construction.
+    Carries the iid W^n mass ``w_mass``, read only by ``slc_posterior``:
+    ``trial_metrics``, ``rb_joint``, ``rc_joint`` and ``select_f`` decode
+    with ``_tables``' P(W^n), the (W, U) joint's row sums, which differs in
+    its last bits (by <= 1.9e-19 at n = 8).  Maps are checked total at construction.
     """
 
     phi_f: np.ndarray
@@ -802,21 +804,22 @@ def entropy_diagnostics(ucm: JointPmf, n: int, u_size: int) -> EntropyReport:
     beyond 1e-9 raise ``DomainError``.
     """
     n = check_blocklength(n)
+    u_size = check_blocklength(u_size, "u alphabet size")
     if ucm.probs.ndim != 3:
         raise ShapeError(f"expected a (u, c, m) marginal, got rank {ucm.probs.ndim}")
-    if u_size ** n != ucm.probs.shape[0]:
-        raise ShapeError(
-            f"u-axis size {ucm.probs.shape[0]} is not {u_size}^{n}"
-        )
+    rows, n_c, n_m = ucm.probs.shape
+    # n log2(u_size) rules out a mismatch before the power is formed
+    if n * math.log2(u_size) > math.log2(rows) + 1 or u_size ** n != rows:
+        raise ShapeError(f"u-axis size {rows} is not {u_size}^{n}")
     p_m = ucm.probs.sum(axis=(0, 1))
     h_m = float(-np.sum(p_m[p_m > 0] * np.log2(p_m[p_m > 0])))
     total_mi = 0.0
-    _, n_c, n_m = ucm.probs.shape
-    # axis t of the reshaped table is the t-th symbol of U^n
-    letters = ucm.probs.reshape((u_size,) * n + (n_c * n_m,))
-    for t in range(n):
-        pair = letters.sum(axis=tuple(s for s in range(n) if s != t))
-        total_mi += mutual_information(JointPmf(pair))
+    if u_size > 1:  # a one-letter U carries no information: its terms are 0
+        # axis t of the reshaped table is the t-th symbol of U^n
+        letters = ucm.probs.reshape((u_size,) * n + (n_c * n_m,))
+        for t in range(n):
+            pair = letters.sum(axis=tuple(s for s in range(n) if s != t))
+            total_mi += mutual_information(JointPmf(pair))
     slack = h_m - total_mi
     if slack < -1e-9:
         raise DomainError(f"entropy bound violated: H(M) = {h_m} < {total_mi}")

@@ -136,7 +136,10 @@ def _echo(d: Decomposition) -> dict:
 def _gamma_rule(args, default: str) -> str:
     if args.gamma is not None:
         return "fixed:" + args.gamma
-    return default if args.gamma_rule is None else args.gamma_rule
+    rule = default if args.gamma_rule is None else args.gamma_rule
+    if not isinstance(rule, str):  # checked here: a per-trial trace never parses it
+        raise DomainError(f"gamma rule must be a string, got {rule!r}")
+    return rule
 
 
 # =============================================================================
@@ -197,13 +200,12 @@ def _run_simulate(config: dict):
     d = _decomposition(config["decomposition"])
     cfg = SchemeConfig(n=config["n"], seed=config["seed"], decomposition=d,
                        **{key: config[key] for key in _RATES})
-    gamma = parse_gamma_rule(config["gamma_rule"], cfg.n)
-    if config["format"] == "csv":
+    if config["format"] == "csv":  # the per-trial trace reads no gamma
         metrics = [field.name for field in fields(TrialMetrics)]
         rows = [[t, *(getattr(m, key) for key in metrics)]
                 for t, m in enumerate(_trials(d, cfg, config["trials"]))]
         return ["trial", *metrics], rows, None
-    rep = monte_carlo(d, cfg, config["trials"], gamma)
+    rep = monte_carlo(d, cfg, config["trials"], parse_gamma_rule(config["gamma_rule"], cfg.n))
     row = [*(getattr(rep, key) for key in _REPORT_COLUMNS), *rep.effective_rates]
     columns = [*_REPORT_COLUMNS, "rate_r_eff", "rate_r0_eff", "rate_rtilde_eff"]
     return columns, [row], {"ci95_by_metric": dict(rep.ci95_by_metric)}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .measures import _SQRT2, BEStats, group_tail, support_weights, tie_groups
+from .measures import _SQRT2, BEStats, support_weights, tie_groups
 from .probability import DensityTable, JointPmf, Pmf, _clean_probs, check_blocklength, check_table_size
 
 
@@ -50,14 +50,6 @@ class AtomLaw:
     @property
     def n_atoms(self) -> int:
         return self.values.shape[0]
-
-    def tail_gt(self, x: float) -> float:
-        """P(Z > x), strict."""
-        return group_tail(self.values, self.probs, x, strict=True)
-
-    def tail_ge(self, x: float) -> float:
-        """P(Z >= x)."""
-        return group_tail(self.values, self.probs, x, strict=False)
 
 
 @dataclass(frozen=True)
@@ -101,6 +93,8 @@ def _types(n: int, *columns: np.ndarray) -> list[np.ndarray]:
     (the log of a zero mass) adds 0 where its count is 0.  The memory cap
     counts the types."""
     k = columns[0].size
+    if k == 1:  # the one type c = (n), log multinomial 0: no table of n + 1 entries
+        return [np.zeros(1), *(_count_times(np.array([float(n)]), col[0]) for col in columns)]
     check_table_size(math.comb(n + k - 1, k - 1), "n-fold types")
     lf = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
     left = np.array([n], dtype=np.int32)  # draws left for the letters after i

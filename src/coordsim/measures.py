@@ -29,11 +29,11 @@ NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 Tie policy: ascending values within ``TIE_TOL`` of their group's head,
 its smallest value, are one point; only equal infinities tie with an
 infinity.  ``tie_groups`` sorts its input itself (one stable argsort) and
-is the only sort-then-group, with one summation per group; ``group_tail``
-is the one tail, which counts a group by that value, compared exactly.
-Atoms of an n-fold law and Neyman-Pearson groups of log2(p/q) are both
-these groups; a converse witness reads a candidate threshold within
-``TIE_TOL`` of a group's value at that value.
+is the only sort-then-group, one summation per group, for n-fold atoms and
+Neyman-Pearson groups of log2(p/q) alike.  ``group_tail`` is the only
+tail read (``cltverify.be_gap`` sums a law's tails in one pass), exact in
+a group's value, and ``group_at`` the only threshold snap: a threshold
+within ``TIE_TOL`` of a group is read at its value.
 
 The tolerance is absolute.  An n-fold law's atoms are its types, each
 value one k-term dot product c . v with rounding error about
@@ -115,9 +115,20 @@ def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
 def group_tail(values: np.ndarray, masses: np.ndarray, x: float, strict: bool) -> float:
     """Mass of the groups whose value (ascending ``values``) exceeds ``x``
     (``strict``) or reaches it: one ``searchsorted``, then the sum of the
-    suffix.  A NaN threshold raises ``DomainError`` (``check_threshold``)."""
-    k = np.searchsorted(values, check_threshold(x), side="right" if strict else "left")
+    suffix.  A NaN threshold raises ``DomainError``."""
+    if math.isnan(x):
+        raise DomainError("tail threshold must not be NaN")
+    k = np.searchsorted(values, x, side="right" if strict else "left")
     return float(masses[k:].sum())
+
+
+def group_at(values: np.ndarray, x: float) -> float:
+    """The nearest of the ascending ``values`` within ``TIE_TOL`` of ``x``,
+    else ``x``: a threshold that close to a group is read at it, so values
+    that differ only in their last bits read the same tails."""
+    i = int(np.searchsorted(values, x))
+    near = [v for v in values[max(i - 1, 0) : i + 1].tolist() if abs(v - x) <= TIE_TOL]
+    return min(near, key=lambda v: abs(v - x)) if near else x
 
 
 def moments(vals: np.ndarray, ws: np.ndarray, third: bool = True) -> tuple:
@@ -143,14 +154,6 @@ def backoff(v: float | np.ndarray, q_inv: float, n: int) -> float | np.ndarray:
     variances (a float for a float v); exactly 0.0 where v = 0."""
     out = q_inv * np.sqrt(v / n) + 0.0  # + 0.0 turns the -0.0 of q_inv < 0 into 0.0
     return float(out) if out.ndim == 0 else out
-
-
-def check_threshold(x: float) -> float:
-    """``x`` itself, unless it is NaN (``DomainError``): a tail P(Z > x) or
-    P(Z >= x) at a NaN threshold is not a probability of anything."""
-    if math.isnan(x):
-        raise DomainError("tail threshold must not be NaN")
-    return x
 
 
 def continuity_term(eps: float, uv_size: int) -> float:

@@ -26,9 +26,7 @@ law of its log-likelihood ratio, so they read everything from types over
 the pair's single-letter support cells (``cltverify._types``), with the
 two moved sequences as two extra atoms.  The ``coded`` witness stays
 dense, because its law is the realized scheme's table, and so does
-``np_beta``, which is given its outcomes.  A candidate threshold within
-``TIE_TOL`` of a group's value is read at that group (``measures`` tie
-policy).
+``np_beta``, which is given its outcomes; ``measures`` reads every tail.
 """
 
 from __future__ import annotations
@@ -42,11 +40,12 @@ import numpy as np
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .cltverify import _types
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import TIE_TOL, gaussian_q_inv, group_tail, tie_groups
+from .measures import gaussian_q_inv, group_at, group_tail, tie_groups
 from .probability import (
     JointPmf,
     _clean_probs,
     _probs_of,
+    _shown,
     check_eps,
     check_positive,
     iid_extension,
@@ -159,20 +158,6 @@ class _TieGroups(NamedTuple):
     p: np.ndarray
     q: np.ndarray
 
-    def tail(self, x: float, strict: bool) -> float:
-        """P_p{llr > x} (``strict``) or P_p{llr >= x}, counting each group
-        by its smallest ratio (``measures.group_tail``)."""
-        return group_tail(self.llr, self.p, x, strict)
-
-    def at_group(self, x: float) -> float:
-        """The value of the nearest group within ``TIE_TOL`` of ``x``, else
-        ``x``: a threshold that close to a group is at that group, so two
-        computations of the same ratios that differ in the last bits read
-        the same tails there."""
-        i = int(np.searchsorted(self.llr, x))
-        near = [v for v in self.llr[max(i - 1, 0) : i + 1].tolist() if abs(v - x) <= TIE_TOL]
-        return min(near, key=lambda v: abs(v - x)) if near else x
-
 
 def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
     """Tie groups of log2(p/q) over the p-support of two flat laws.
@@ -282,7 +267,7 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     lower = []
     upper = []
     for gam in gammas:
-        tail = groups.tail(math.log2(gam), strict=True)
+        tail = group_tail(groups.llr, groups.p, math.log2(gam), strict=True)
         lower.append(tail + gam * beta - alpha)
         upper.append(1.0 / gam - beta if tail >= alpha else None)
 
@@ -544,10 +529,10 @@ def _assemble(kind: str, mode: str, law: _PairLaw, n: int, eps: float, y: float,
     upper, lower = [], []
     for name, shift in candidates:
         lg0 = zero_up + shift  # upper side: the one-sided tail reaches alpha
-        tail = groups.tail(groups.at_group(lg0), strict=False)
+        tail = group_tail(groups.llr, groups.p, group_at(groups.llr, lg0), strict=False)
         upper.append(check(name, lg0, tail, tail >= alpha - PREMISE_TOL, True, log2_inv_beta, lg0))
         lgam = h_standin + shift  # lower side: the strict tail stays within y + B/sqrt(n)
-        tail = groups.tail(groups.at_group(lgam), strict=True)
+        tail = group_tail(groups.llr, groups.p, group_at(groups.llr, lgam), strict=True)
         lhs = lgam + lower_gain - math.log2(log_arg) if valid else math.nan
         lower.append(check(name, lgam, tail, tail <= y + b + PREMISE_TOL, valid, lhs, log2_inv_beta))
 
@@ -622,7 +607,7 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
     admissible cell choice, as a sensitivity band for the chain.
     """
     if mode not in ("case1", "case2", "coded"):
-        raise DomainError(f"mode must be one of case1/case2/coded, got {mode!r}")
+        raise DomainError(f"mode must be one of case1/case2/coded, got {_shown(mode)}")
     eps, n, y = _converse_params(eps, n, y)
 
     pair = marginalize(d.joint(), ("u", "w"))

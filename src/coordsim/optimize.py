@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DomainError, SearchError
 from .measures import backoff, gaussian_q_inv, moments
-from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps, check_seed, pair_density
+from .probability import ConditionalPmf, JointPmf, Pmf, _shown, check_blocklength, check_eps, check_seed, pair_density
 from .region import Decomposition, GammaTriple, _gamma_split, check_w_size, parse_gamma_rule
 
 MARGINAL_TOL = 1e-6
@@ -287,7 +287,7 @@ def optimize_decomposition(
     if target.probs.ndim != 2:
         raise DomainError(f"target must be a two-axis joint, got rank {target.probs.ndim}")
     if objective not in OBJECTIVES:
-        raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        raise DomainError(f"objective must be one of {OBJECTIVES}, got {_shown(objective)}")
     u_size, v_size = target.shape
     w_size = check_w_size(w_size, u_size, v_size)
     restarts = check_blocklength(restarts, "restarts")

@@ -31,7 +31,7 @@ Conventions
   ``check_positive`` (finite reals > 0, or >= 0), ``check_eps`` (eps in
   (0, 1)) and ``check_split`` (y in (1/2, 1)).  Integers are Python or
   numpy integers and reals Python or numpy reals, never bools or strings;
-  each check returns the Python int or float.
+  each returns the Python int or float and shows a rejected one by ``_shown``.
 * Ownership: a float64 ndarray that owns its data and is already read-only
   is kept as it is, not copied.  That is how the package hands over a table
   it has just built (``iid_extension``, the binning joints' marginals): it
@@ -139,6 +139,14 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
     return a
 
 
+def _shown(x) -> str:
+    """``repr(x)`` for an error message, or the size of an int too long to print."""
+    try:
+        return repr(x)
+    except ValueError:  # beyond sys.get_int_max_str_digits(), maybe inside a container
+        return f"an int of {x.bit_length()} bits" if isinstance(x, int) else "an unprintable value"
+
+
 def check_blocklength(n, name: str = "blocklength", least: int = 1) -> int:
     """``n`` as an int, unless it is not a whole number in [``least``,
     2^64): bools, strings and non-integral, NaN and infinite floats are
@@ -147,7 +155,7 @@ def check_blocklength(n, name: str = "blocklength", least: int = 1) -> int:
     a float and a 64-bit index."""
     whole = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
     if isinstance(n, bool) or not whole or not least <= n < 2 ** 64:
-        raise DomainError(f"{name} must be a whole number >= {least} and < 2^64, got {n!r}")
+        raise DomainError(f"{name} must be a whole number >= {least} and < 2^64, got {_shown(n)}")
     return int(n)
 
 
@@ -167,7 +175,7 @@ def check_seed(index, name: str = "seed") -> int:
     integer (a bool is not) in [0, 2^64) -- the one 64-bit index check, for
     seeds and for the trial index that keys Philox as seed | trial << 64."""
     if not (_integer(index) and 0 <= int(index) < 2 ** 64):
-        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {index!r}")
+        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {_shown(index)}")
     return int(index)
 
 
@@ -176,7 +184,7 @@ def check_index(index, size: int, name: str) -> int:
     integer (a bool is not) in [0, size) -- the one in-alphabet index
     check, for flat sequence indices, digits and point masses."""
     if not (_integer(index) and 0 <= int(index) < size):
-        raise DomainError(f"{name} must be an integer in [0, {size}), got {index!r}")
+        raise DomainError(f"{name} must be an integer in [0, {size}), got {_shown(index)}")
     return int(index)
 
 
@@ -189,7 +197,8 @@ def check_positive(x, name: str, zero: bool = False) -> float:
     # would cast max to inf)
     v = x.item() if isinstance(x, np.generic) else x
     if not (_real(x) and abs(v) <= sys.float_info.max and (v >= 0 if zero else v > 0)):
-        raise DomainError(f"{name} must be a finite real {'>=' if zero else '>'} 0, got {x!r}")
+        least = ">=" if zero else ">"
+        raise DomainError(f"{name} must be a finite real {least} 0, got {_shown(x)}")
     return float(v)
 
 
@@ -198,7 +207,7 @@ def check_eps(eps, message: str) -> float:
     (0, 1) (bools and strings are not): then ``DomainError("<message>, got
     <eps>")`` -- the one spelling of that range check."""
     if not (_real(eps) and 0.0 < eps < 1.0):
-        raise DomainError(f"{message}, got {eps!r}")
+        raise DomainError(f"{message}, got {_shown(eps)}")
     return float(eps)
 
 
@@ -207,7 +216,7 @@ def check_split(y) -> float:
     real number strictly inside (1/2, 1) -- the one spelling of that range
     check."""
     if not (_real(y) and 0.5 < y < 1.0):
-        raise DomainError(f"split parameter y must lie in (0.5, 1), got {y!r}")
+        raise DomainError(f"split parameter y must lie in (0.5, 1), got {_shown(y)}")
     return float(y)
 
 
@@ -557,15 +566,15 @@ class _IidRows:
 
 def _iid_rows(obj, n: int):
     """(law, rows) for a Pmf, JointPmf or ConditionalPmf and a checked n:
-    its n-fold law, built once and law-checked (``iid_extension`` returns
-    just the law), and an ``_IidRows`` that rebuilds any row of a two-axis
-    law's table from the (n-1)-fold factor with the same bits.  A caller
-    that keeps only the rows frees the full table."""
+    its n-fold law, built once and law-checked, and an ``_IidRows`` that
+    rebuilds any row of a two-axis table from the (n-1)-fold factor with
+    the same bits (a caller that keeps only the rows frees the table).  A
+    one-cell table folds at most twice: x^k / x^k = 1.0 at any k."""
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
     what = "iid kernel" if kernel else "iid pmf" if isinstance(obj, Pmf) else "iid joint"
     check_table_size(t.size, what, n)
-    pre = _freeze(_iid_table(t, n - 1))
+    pre = _freeze(_iid_table(t, min(n - 1, 1) if t.size == 1 else n - 1))
     full = _iid_grow(pre, t)
     norm = _renormalize(full, rows=kernel)
     law = ConditionalPmf(_freeze(full)) if kernel else replace(obj, probs=_freeze(full))

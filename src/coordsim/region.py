@@ -34,7 +34,8 @@ from typing import NamedTuple
 from .errors import DomainError
 from .measures import BEStats, backoff, be_stats, continuity_term, gaussian_q_inv
 from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps, check_positive
-from .probability import check_split, compose_chain, info_density, marginalize, regroup_pair
+from .probability import _shown, check_split, compose_chain, info_density, marginalize
+from .probability import regroup_pair
 
 # =============================================================================
 # types
@@ -166,7 +167,7 @@ def parse_gamma_rule(rule: str, n: int) -> GammaTriple:
     "fixed:a,b,c"   -> constants (a, b, c)
     """
     if not isinstance(rule, str):
-        raise DomainError(f"gamma rule must be a string, got {rule!r}")
+        raise DomainError(f"gamma rule must be a string, got {_shown(rule)}")
     n = check_blocklength(n)
     if rule == "logn":
         if n < 2:  # log2 1 = 0 is no gamma

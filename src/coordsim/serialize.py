@@ -1,11 +1,12 @@
 """Deterministic table serialization: CSV plus a mirroring JSON layout.
 
-Every float in either format is rendered by one shared 17-significant-
-digit formatter, so a run repeated with the same inputs produces
-byte-identical files and parsed values round-trip to the exact same
-doubles.  Each emitted document starts with the fully resolved run
-configuration; re-running that configuration must reproduce the numeric
-columns bit for bit.
+Every float in a cell or in the JSON ``extra`` payload is rendered by one
+shared 17-significant-digit formatter, so a run repeated with the same
+inputs produces byte-identical files and parsed values round-trip to the
+exact same doubles.  Each emitted document starts with the fully resolved
+run configuration, written by ``json.dumps`` in Python's shortest float
+spelling (``0.8`` in a region table's header, ``0.80000000000000004`` in
+its cells); re-running it must reproduce the numeric columns bit for bit.
 
 CSV layout:   one ``# config: {...}`` comment line, a header line, then
 one line per row.  JSON layout: an object with ``config``, ``columns``,
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .probability import _shown
 
 _CSV_FORBIDDEN = (",", "\n", "\r", '"')
 
@@ -58,7 +60,7 @@ def _json_value(v) -> str:
         parts = []
         for k, item in v.items():
             if not isinstance(k, str):
-                raise DomainError(f"JSON object keys must be strings, got {k!r}")
+                raise DomainError(f"JSON object keys must be strings, got {_shown(k)}")
             parts.append(f"{json.dumps(k)}:{_json_value(item)}")
         return "{" + ",".join(parts) + "}"
     if isinstance(v, (list, tuple)):
@@ -97,7 +99,7 @@ def write_table(f, config: dict, columns, rows, fmt: str, extra: dict | None = N
             body.append(f'"extra":{_json_value(extra)}')
         f.write("{" + ",".join(body) + "}\n")
     else:
-        raise DomainError(f"format must be csv or json, got {fmt!r}")
+        raise DomainError(f"format must be csv or json, got {_shown(fmt)}")
 
 
 def read_table(text: str) -> tuple[dict, list, list]:

@@ -3,6 +3,7 @@ blocklengths, hand-frozen corner values, and seeded invariants."""
 
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import astuple
 
@@ -854,6 +855,23 @@ def test_entropy_diagnostics_random_realizations():
         ucm = rc_joint(d, b, cfg).marginal(("u", "c", "m"))
         rep = entropy_diagnostics(ucm, n=2, u_size=2)
         assert rep.ok and rep.slack >= -1e-9
+
+
+def test_entropy_diagnostics_one_letter_u_needs_no_reshape():
+    # a (1, 2, 2) table at n = 70 would need a 71-axis reshape (numpy
+    # allows 64); a one-letter U carries no information, so its terms are 0
+    rep = entropy_diagnostics(JointPmf(np.full((1, 2, 2), 0.25)), n=70, u_size=1)
+    assert rep.n_times_mi == 0.0
+    assert rep.slack == rep.h_m == 1.0
+
+
+def test_entropy_diagnostics_shape_is_decided_before_the_power():
+    # 2^(10^6) is never formed: n log2(u_size) already exceeds the axis
+    ucm = JointPmf(np.full((4, 2, 2), 1 / 16))
+    start = time.perf_counter()
+    with pytest.raises(ShapeError, match=r"is not 2\^1000000"):
+        entropy_diagnostics(ucm, n=10 ** 6, u_size=2)
+    assert time.perf_counter() - start < 0.005
 
 
 # =============================================================================

@@ -175,6 +175,38 @@ def test_oversized_count_is_a_parameter_or_cap_error(tmp_path, capsys, sub, n, c
     assert capsys.readouterr().err.startswith(f"coordsim: {line}")
 
 
+ONE_LETTER = {"decomposition": {"p_u": [1.0], "w_given_u": [[1.0]], "v_given_w": [[1.0]]},
+              "rate_r": 0, "rate_r0": 0, "rate_rtilde": 0, "trials": 1}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_letter_chain_simulates_any_n_at_once(tmp_path, fmt):
+    # every table of a one-letter chain has one cell at every n, so no loop
+    # may run n times: n = 10^12 gives the rows of n = 2 in well under 1 s
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(ONE_LETTER))
+    argv = ["simulate", "--input", str(path), "--gamma-rule", "fixed:1,1,1", "--format", fmt]
+    tables = []
+    for n in (2, 10 ** 12):
+        start = time.perf_counter()
+        code, text = run_to_file(tmp_path, f"o{n}.{fmt}", argv + ["--n", str(n)])
+        assert code == EXIT_OK and time.perf_counter() - start < 1.0
+        config, columns, rows = read_table(text)
+        assert config["n"] == n
+        tables.append((columns, rows))
+    assert tables[0] == tables[1]
+
+
+def test_simulate_csv_trace_reads_no_gamma_rule(tmp_path, sim_file):
+    # the per-trial trace never reads gamma, so the default logn rule, which
+    # needs n >= 2, does not stop it at n = 1; the config still echoes it
+    code, text = run_to_file(tmp_path, "o.csv", ["simulate", "--input", sim_file, "--n", "1",
+                                                 "--trials", "2", "--format", "csv"])
+    assert code == EXIT_OK
+    config, _, rows = read_table(text)
+    assert config["gamma_rule"] == "logn" and len(rows) == 2
+
+
 def test_simulate_flag_overrides_file(tmp_path, sim_file):
     _, text = run_to_file(tmp_path, "o.json",
                           ["simulate", "--input", sim_file, "--format", "json",
@@ -330,8 +362,9 @@ def test_ill_typed_input_is_invalid(tmp_path, capsys, argv, doc):
 
 @pytest.mark.parametrize("sub", ["region", "simulate"])
 def test_logn_rule_at_one_letter_names_the_rule(capsys, chain_file, sim_file, sub):
-    path = chain_file if sub == "region" else sim_file
-    assert main([sub, "--input", path, "--n", "1"]) == EXIT_INVALID
+    # simulate parses the rule for its JSON report only; the CSV trace reads no gamma
+    path, fmt = (chain_file, "csv") if sub == "region" else (sim_file, "json")
+    assert main([sub, "--input", path, "--n", "1", "--format", fmt]) == EXIT_INVALID
     assert capsys.readouterr().err == (
         "coordsim: invalid parameters: gamma rule 'logn' needs blocklength n >= 2, got 1; "
         "the rule 'fixed:a,b,c' (flag --gamma a,b,c) works at n = 1\n")

@@ -7,6 +7,7 @@ shares nothing with them.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from coordsim.cltverify import (
     law_stats,
 )
 from coordsim.errors import DomainError, ResourceLimitError, ShapeError
-from coordsim.measures import gaussian_q
+from coordsim.measures import gaussian_q, group_tail
 from coordsim.probability import (
     ConditionalPmf,
     DensityTable,
@@ -66,19 +67,20 @@ def test_atom_law_requires_normalization():
 
 def test_tail_conventions():
     law = AtomLaw(np.array([-1.0, 2.0]), np.array([0.3, 0.7]))
-    assert law.tail_gt(-1.0) == pytest.approx(0.7)
-    assert law.tail_ge(-1.0) == pytest.approx(1.0)
-    assert law.tail_gt(2.0) == 0.0
-    assert law.tail_ge(2.0) == pytest.approx(0.7)
-    assert law.tail_gt(0.0) == pytest.approx(0.7)
+    v, p = law.values, law.probs
+    assert group_tail(v, p, -1.0, strict=True) == pytest.approx(0.7)
+    assert group_tail(v, p, -1.0, strict=False) == pytest.approx(1.0)
+    assert group_tail(v, p, 2.0, strict=True) == 0.0
+    assert group_tail(v, p, 2.0, strict=False) == pytest.approx(0.7)
+    assert group_tail(v, p, 0.0, strict=True) == pytest.approx(0.7)
 
 
 def test_tails_reject_nan_threshold():
     law = AtomLaw(np.array([-1.0, 2.0]), np.array([0.3, 0.7]))
     with pytest.raises(DomainError, match="NaN"):
-        law.tail_gt(math.nan)
+        group_tail(law.values, law.probs, math.nan, strict=True)
     with pytest.raises(DomainError, match="NaN"):
-        law.tail_ge(math.nan)
+        group_tail(law.values, law.probs, math.nan, strict=False)
 
 
 @given(
@@ -90,9 +92,10 @@ def test_tails_reject_nan_threshold():
     n=st.integers(1, 4),
 )
 def test_tails_bracket_brute_force_sum(values, weights, n):
-    """tail_gt / tail_ge of the n-fold law at thresholds exactly on its
-    atoms, against the exact sum over all atom sequences: a sum within
-    float noise of the threshold counts for tail_ge only."""
+    """The strict and the one-sided tail of the n-fold law at thresholds
+    exactly on its atoms, against the exact sum over all atom sequences: a
+    sum within float noise of the threshold counts for the one-sided tail
+    only."""
     values = sorted(values)
     assume(all(b - a > 1e-6 for a, b in zip(values, values[1:])))
     w = np.array(weights[: len(values)], dtype=np.float64)
@@ -111,14 +114,27 @@ def test_tails_bracket_brute_force_sum(values, weights, n):
         fx = Fraction(x)
         above = sum(pr for s, pr in exact.items() if s > fx + delta)
         at_or_above = sum(pr for s, pr in exact.items() if s > fx - delta)
-        gt, ge = total.tail_gt(x), total.tail_ge(x)
+        gt, ge = (group_tail(total.values, total.probs, x, strict) for strict in (True, False))
         assert above - 1e-12 <= gt <= ge <= at_or_above + 1e-12
         assert gt == pytest.approx(above, abs=1e-12)
         assert ge == pytest.approx(at_or_above, abs=1e-12)
     lo, hi = float(total.values[0]), float(total.values[-1])
-    assert total.tail_ge(lo) == pytest.approx(1.0, abs=1e-12)
-    assert total.tail_gt(hi) == 0.0
-    assert total.tail_gt(lo - 1.0) == total.tail_ge(lo)
+    assert group_tail(total.values, total.probs, lo, strict=False) == pytest.approx(1.0, abs=1e-12)
+    assert group_tail(total.values, total.probs, hi, strict=True) == 0.0
+    assert (group_tail(total.values, total.probs, lo - 1.0, strict=True)
+            == group_tail(total.values, total.probs, lo, strict=False))
+
+
+def test_one_atom_law_convolves_at_once():
+    # one letter has the one type c = (n): no log-factorial table of n + 1
+    # entries, so n = 10^12 returns at once, with the generic path's bits
+    law = AtomLaw(np.array([0.7]), np.array([1.0]))
+    start = time.perf_counter()
+    total = convolve_n(law, 10 ** 12)
+    assert time.perf_counter() - start < 0.1
+    assert total.values.tolist() == [10 ** 12 * 0.7] and total.probs.tolist() == [1.0]
+    for n in (1, 2, 5, 100):
+        assert convolve_n(law, n).values.tolist() == [n * 0.7]
 
 
 # ---------------------------------------------------------------------------

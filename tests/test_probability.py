@@ -31,6 +31,7 @@ from coordsim.probability import (
     marginalize,
     sequence_digits,
     sequence_index,
+    _iid_rows,
     _iid_table,
 )
 
@@ -374,6 +375,23 @@ def test_iid_cap_is_decided_before_the_power_is_formed():
         iid_extension(Pmf(np.array([0.2, 0.3, 0.5])), 10 ** 7)
     assert time.perf_counter() - start < 1.0
     assert err.value.required is None
+
+
+def test_one_cell_tables_extend_at_once_with_the_bits_of_the_full_fold():
+    # x^k / x^k = 1.0 at every k, so folding a one-cell table at most twice
+    # gives the law and the rows of the full fold: [1.0], even for an entry
+    # 1e-13 below 1, and n = 10^12 returns at once
+    x = 1.0 - 1e-13
+    laws = [Pmf(np.array([x])), JointPmf(np.array([[x]])), ConditionalPmf(np.array([[x]]))]
+    start = time.perf_counter()
+    for law in laws:
+        for n in (1, 2, 3, 7, 10 ** 12):
+            full, rows = _iid_rows(law, n)
+            table = full.rows if isinstance(law, ConditionalPmf) else full.probs
+            assert table.reshape(-1).tolist() == [1.0]
+            if table.ndim == 2:
+                assert rows.rows(np.array([0, 0])).tolist() == [[1.0], [1.0]]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sequence_digit_round_trip():

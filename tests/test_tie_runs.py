@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import tie_oracle
 from coordsim.cltverify import AtomLaw, _atom_law, be_gap, convolve_n, law_stats
 from coordsim.errors import CoordsimError, DomainError
-from coordsim.measures import TIE_TOL, tie_groups, tie_heads
+from coordsim.measures import TIE_TOL, group_at, group_tail, tie_groups, tie_heads
 from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich, np_test
 
 
@@ -283,19 +283,33 @@ def test_one_large_group_sums_accurately():
 
 @given(law=law_pairs())
 def test_group_tails_are_prefix_sums(law):
-    """``_TieGroups.tail`` counts a group by its smallest ratio and sums a
-    suffix of the groups, with the bits of the masked sum."""
+    """``group_tail`` on Neyman-Pearson groups counts a group by its
+    smallest ratio and sums a suffix of the groups, with the bits of the
+    masked sum."""
     p, q, _ = law
     g = _llr_groups(p, q)
     finite = g.llr[np.isfinite(g.llr)]
     xs = [*g.llr.tolist(), *((finite[1:] + finite[:-1]) / 2).tolist(), -np.inf, np.inf, 0.0]
     for x in xs:
-        assert same_bits(g.tail(x, strict=True), g.p[g.llr > x].sum())
-        assert same_bits(g.tail(x, strict=False), g.p[g.llr >= x].sum())
+        assert same_bits(group_tail(g.llr, g.p, x, strict=True), g.p[g.llr > x].sum())
+        assert same_bits(group_tail(g.llr, g.p, x, strict=False), g.p[g.llr >= x].sum())
 
 
 def test_group_tails_reject_nan_threshold():
     g = _llr_groups(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
     for strict in (True, False):
         with pytest.raises(DomainError, match="NaN"):
-            g.tail(float("nan"), strict=strict)
+            group_tail(g.llr, g.p, float("nan"), strict=strict)
+
+
+def test_group_at_snaps_to_the_nearest_group_within_tie_tol():
+    """A threshold within ``TIE_TOL`` of a group value is read at the
+    nearest such value; anything farther, NaN included, is returned as is."""
+    values = np.array([-np.inf, 0.0, 1.5e-12, 1.0, np.inf])
+    assert group_at(values, 0.7e-12) == 0.0
+    assert group_at(values, 0.8e-12) == 1.5e-12
+    assert group_at(values, -TIE_TOL) == 0.0
+    assert group_at(values, 1.0 - 0.5e-12) == 1.0
+    assert group_at(values, 0.5) == 0.5
+    assert group_at(values, np.inf) == np.inf
+    assert math.isnan(group_at(values, float("nan")))

@@ -44,9 +44,16 @@ from coordsim.probability import (
     kl_divergence,
     marginalize,
     regroup_pair,
+    check_blocklength,
+    check_eps,
+    check_index,
+    check_positive,
+    check_seed,
+    check_split,
     sequence_digits,
     sequence_index,
 )
+from coordsim.nptest import converse_witness
 from coordsim.region import (
     Decomposition,
     GammaTriple,
@@ -136,6 +143,34 @@ def test_malformed_parameter_is_a_domain_error(call, bad):
     with pytest.raises(Exception) as caught:
         call(bad)
     assert type(caught.value) is DomainError, repr(caught.value)
+
+
+# an int of more digits than Python prints (4,300 by default), as a
+# library caller can pass it
+HUGE = 10 ** 5000
+TOO_LONG = [
+    ("check_blocklength", lambda: check_blocklength(HUGE)),
+    ("check_seed", lambda: check_seed(HUGE)),
+    ("check_index", lambda: check_index(HUGE, 4, "index")),
+    ("check_positive", lambda: check_positive(HUGE, "gamma")),
+    ("check_eps", lambda: check_eps(HUGE, "eps must lie in (0, 1)")),
+    ("check_split", lambda: check_split(HUGE)),
+    ("parse_gamma_rule", lambda: parse_gamma_rule(HUGE, 8)),
+    ("parse_gamma_rule-list", lambda: parse_gamma_rule([HUGE], 8)),
+    ("optimize-objective", lambda: optimize(objective=HUGE)),
+    ("converse_witness-mode", lambda: converse_witness(CHAIN, 4, 0.9, 0.75, HUGE)),
+    ("write_table-format", lambda: write_table(io.StringIO(), {}, ["x"], [[1]], HUGE)),
+    ("write_table-json-key", lambda: write_table(io.StringIO(), {}, ["x"], [[1]], "json", {HUGE: 1})),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in TOO_LONG])
+def test_an_int_too_long_to_print_is_a_domain_error(call):
+    # repr of such an int raises a bare ValueError; the message names its size
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is DomainError, repr(caught.value)
+    assert f"an int of {HUGE.bit_length()} bits" in str(caught.value) or "an unprintable value" in str(caught.value)
 
 
 def test_linear_gamma_rule_constant_is_a_positive_real():

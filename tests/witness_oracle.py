@@ -26,6 +26,7 @@ import numpy as np
 from coordsim import nptest
 from coordsim.cltverify import AtomLaw, density_law
 from coordsim.errors import DomainError
+from coordsim.measures import group_tail
 from coordsim.nptest import BOUND_TOL, PREMISE_TOL, WitnessReport, np_beta
 from coordsim.probability import (
     DensityTable,
@@ -195,7 +196,7 @@ def reference_checks(rep: WitnessReport, P2: np.ndarray, Q: np.ndarray):
 
     upper = []
     for c in rep.upper:
-        tail = law.tail_ge(at_atom(law, c.log_gamma))
+        tail = group_tail(law.values, law.probs, at_atom(law, c.log_gamma), strict=False)
         premise = tail >= rep.alpha - PREMISE_TOL
         ok = (log2_inv_beta >= c.log_gamma - BOUND_TOL) if (premise and res is not None) else None
         upper.append((tail, premise, ok))
@@ -203,7 +204,7 @@ def reference_checks(rep: WitnessReport, P2: np.ndarray, Q: np.ndarray):
     budget = rep.y + rep.b_over_sqrt_n
     lower = []
     for c in rep.lower:
-        tail = law.tail_gt(at_atom(law, c.log_gamma))
+        tail = group_tail(law.values, law.probs, at_atom(law, c.log_gamma), strict=True)
         premise = tail <= budget + PREMISE_TOL
         live = premise and rep.valid_regime and res is not None
         ok = (c.bound_lhs >= log2_inv_beta - BOUND_TOL) if live else None
