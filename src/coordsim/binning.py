@@ -57,20 +57,29 @@ encoder emits w0 and the path counts as an abort.  A decoder triple bin
 with no reference mass likewise outputs w0 and aborts.  RNG is the
 counter-based Philox generator; trial t of a config with seed s uses the
 128-bit key s | (t << 64), so trials are reproducible individually and in
-parallel, and no two (seed, trial) pairs share a stream.
+parallel, and no two (seed, trial) pairs share a stream.  A trial's
+products run on one BLAS thread, so its bits do not depend on the core
+count; a large enough run of trials is spread over forked worker
+processes, one per usable core (``_trials``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import pickle
+import sys
+import threading
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .cltverify import _atom_law, convolve_n
-from .errors import DomainError, ResourceLimitError, ShapeError
+from .errors import CoordsimError, DomainError, ResourceLimitError, ShapeError
 from .measures import group_tail, mutual_information, tie_groups
 from .probability import (
     ConditionalPmf,
@@ -201,7 +210,9 @@ def draw_binning(cfg: SchemeConfig, trial: int = 0) -> BinningRealization:
 
     Uses Philox with the 128-bit key seed | (trial << 64): each (seed,
     trial) pair is its own stream, so realizations are reproducible no
-    matter how trials are scheduled, and distinct seeds never share a draw.
+    matter how trials are scheduled -- in one process or spread over the
+    worker processes of ``_trials`` -- and distinct seeds never share a
+    draw.
     """
     trial = check_seed(trial, "trial index")
     w_mass = iid_extension(marginalize(cfg.decomposition.joint(), "w"), cfg.n).probs
@@ -399,6 +410,51 @@ class TrialMetrics:
     abort_rate: float
 
 
+@cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded,
+    found through /proc/self/maps, or None when no loaded library exports
+    them (another BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count.  A
+    multithreaded dgemm splits its sums by thread count, so this makes a
+    trial's bits independent of the core count and of the worker count.
+    A count already at 1 is left alone: after a fork, setting it restarts
+    OpenBLAS's thread pool, whose new threads spin for about 0.1 s."""
+    get, put = _blas_thread_calls() or (lambda: 1, None)
+    before = get()
+    if before == 1:  # no OpenBLAS found, or already one thread
+        yield
+        return
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@_one_blas_thread()
 def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     lay = _sorted_layout(tab, b)
     n_keys_total = b.bins_f * b.bins_c
@@ -475,11 +531,143 @@ def trial_metrics(d: Decomposition, cfg: SchemeConfig, trial: int) -> TrialMetri
     return _trial_metrics(_tables(d, cfg.n), b)
 
 
+# trials x n_w x (n_u + n_v), the row cells a run of trials builds, below
+# which forked workers cost more than they save.  On 2 cores a fork cost
+# 5-12 ms: 5 trials at n = 2 (360 cells) took 6-8 ms serially and 13-20 ms
+# forked, 2 trials at n = 6 (1.9e5) 8-12 against 16-17 ms, 2 trials at
+# n = 7 (1.1e6) 39 against 33 ms, and 5 trials at n = 8 (1.7e7) 355-387
+# against 220-260 ms
+_FORK_CELLS = 1 << 20
+
+
+def _worker_cpus(tab: _Tables, trials: int) -> list[int]:
+    """The cores to run ``trials`` on, one per worker process: each usable
+    core, at most one per trial, when the run reaches _FORK_CELLS, the
+    process can fork (no other Python thread is running) and the BLAS can
+    be pinned.  Fewer than two means the trials run here, serially."""
+    if trials < 2 or trials * tab.n_w * (tab.n_u + tab.n_v) < _FORK_CELLS:
+        return []
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return []
+    if threading.active_count() > 1 or _blas_thread_calls() is None:
+        return []
+    return sorted(os.sched_getaffinity(0))[:trials]
+
+
+def _pin(cpus) -> None:
+    """Move this process onto ``cpus``.  Where the kernel does not balance
+    load across cores (a cpuset without load balancing), a forked child
+    stays on its parent's core and the two run at half speed each; a
+    refused move costs only that speed."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _share(tab: _Tables, cfg: SchemeConfig, trials: range) -> tuple[list, tuple | None]:
+    """(metrics, failure) of the draws in ``trials``, which stop at the
+    first that raises; failure is None or (that trial, its exception)."""
+    done = []
+    for t in trials:
+        try:
+            done.append(_trial_metrics(tab, draw_binning(cfg, trial=t)))
+        except Exception as e:  # raised again by _forked_trials, in trial order
+            return done, (t, e)
+    return done, None
+
+
+def _worker(pipe_fds: tuple[int, int], cpu: int, tab: _Tables, cfg: SchemeConfig,
+            trials: range) -> None:
+    """A forked child's whole life: move onto ``cpu``, send its pickled
+    share through the write end of ``pipe_fds`` and leave by ``os._exit``,
+    so it never returns into the parent's code or runs its cleanup.  A
+    share that cannot be sent leaves a traceback on stderr and an empty
+    pipe."""
+    read, write = pipe_fds
+    code = 1
+    try:
+        os.close(read)
+        _pin({cpu})
+        data = pickle.dumps(_share(tab, cfg, trials))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _forked_trials(tab: _Tables, cfg: SchemeConfig, trials: int,
+                   cpus: list[int]) -> list[TrialMetrics]:
+    """Metrics of draws 0 .. trials-1 over one process per core of ``cpus``:
+    worker k runs on cpus[k] and computes the trials t = k (mod workers);
+    worker 0 is this process and the others are forked children that send
+    their share through a pipe.  Every child is reaped, and this process's
+    cores restored, before this returns or raises.  A failed trial raises
+    the exception of the first failing trial, as the serial loop would."""
+    tab.pvn, tab.pv0, tab.target_uv  # built once, before the fork, not once per worker
+    workers, mask = len(cpus), os.sched_getaffinity(0)
+    children = []  # (pid, read end of its pipe)
+    done = False
+    # children inherit the one-thread count, so no trial sets it again; the
+    # count comes back after the cores, so a restarted pool may use them all
+    with _one_blas_thread():
+        try:
+            _pin({cpus[0]})
+            for k in range(1, workers):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    _worker((read, write), cpus[k], tab, cfg, range(k, trials, workers))
+                os.close(write)
+                children.append((pid, read))
+            shares = [_share(tab, cfg, range(0, trials, workers))]
+            for pid, read in children:
+                with open(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                if not data:
+                    raise CoordsimError(f"trial worker {pid} ended without sending its trials")
+                shares.append(pickle.loads(data))
+            done = True
+        finally:
+            _pin(mask)
+            for pid, read in children:
+                os.close(read)
+                if not done:  # nobody will read its trials
+                    import signal  # here, not at import: only an interrupted run needs it
+
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [shares[t % workers][0][t // workers] for t in range(trials)]
+
+
 def _trials(d: Decomposition, cfg: SchemeConfig, trials: int) -> Iterator[TrialMetrics]:
-    """Metrics of draws 0 .. trials-1, with the iid tables built once; the
-    simulator's one ``trials`` check runs at the first draw."""
+    """Metrics of draws 0 .. trials-1 in trial order, with the iid tables
+    built once; the simulator's one ``trials`` check runs at the first draw.
+
+    A run whose trials build at least _FORK_CELLS row cells is spread over
+    one process per usable core (``_worker_cpus``, ``_forked_trials``), and
+    otherwise runs here, one trial after another.  Each trial pins BLAS to
+    one thread (``_trial_metrics``), so the metrics are the same bits
+    either way, whatever the core count.
+    """
     trials = check_blocklength(trials, "trials")
     tab = _tables(d, cfg.n)
+    cpus = _worker_cpus(tab, trials)
+    if len(cpus) > 1:
+        yield from _forked_trials(tab, cfg, trials, cpus)
+        return
     for t in range(trials):
         yield _trial_metrics(tab, draw_binning(cfg, trial=t))
 
@@ -754,9 +942,13 @@ def monte_carlo(
     gamma: GammaTriple | None = None,
 ) -> SimReport:
     """Exact per-draw metrics averaged over ``trials`` binning draws,
-    with 95% confidence half-widths; bit-identical for identical seeds.
+    with 95% confidence half-widths; bit-identical for identical seeds,
+    whatever the core count.
 
-    ``gamma`` feeds the error-term formulas (default: the log-rule at n).
+    The draws come from ``_trials``: a large run is spread over one forked
+    worker process per usable core, each trial's products run on one BLAS
+    thread, and the means are summed in trial order.  ``gamma`` feeds the
+    error-term formulas (default: the log-rule at n).
     """
     if gamma is None:
         gamma = parse_gamma_rule("logn", cfg.n)

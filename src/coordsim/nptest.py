@@ -371,6 +371,9 @@ def _type_transfer(pair: np.ndarray, n: int, eps: float, perturb: str) -> _PairL
     P = np.exp(log_mult + log_p)
     Q = np.exp(log_mult + log_q)
     p_g, p_l = float(P[ig]), float(P[il])
+    if p_g == 0.0:
+        raise DomainError(f"the gainer's sequence mass underflows to 0.0 at n = {n}: "
+                          "the mass transfer has no size")
     delta = min(eps * (p_g if perturb == "gain" else p_l), p_l)
     gained, left = p_g + delta, p_l - delta
     # each moved sequence is its whole type: its atom is replaced in place

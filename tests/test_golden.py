@@ -14,8 +14,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coordsim.binning import _blas_thread_calls
 from coordsim.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,10 +58,23 @@ def run_case(sub: str, fmt: str, workdir: Path) -> bytes:
     return out.read_bytes()
 
 
+def blas_build() -> str:
+    """The BLAS numpy loaded and its thread count.  Output bytes are
+    reproducible per BLAS build: another build may order a product's sums
+    differently."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    calls = _blas_thread_calls()
+    threads = "unknown" if calls is None else calls[0]()
+    config = blas.get("openblas configuration", "")
+    return f"BLAS {blas.get('name')} {blas.get('version')} ({config}), {threads} threads"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("sub", sorted(CASES))
 def test_cli_output_matches_golden(sub, fmt, tmp_path):
-    assert run_case(sub, fmt, tmp_path) == (GOLDEN / f"{sub}.{fmt}").read_bytes()
+    got = run_case(sub, fmt, tmp_path)
+    want = (GOLDEN / f"{sub}.{fmt}").read_bytes()
+    assert got == want, f"{sub}.{fmt} differs under {blas_build()}"
 
 
 if __name__ == "__main__":

@@ -419,6 +419,26 @@ def test_witness_nondegenerate_pair_blocks_small_n():
     assert rep.transfer["delta"] > 0.0
 
 
+def test_witness_at_the_last_blocklength_before_the_gainer_underflows():
+    # the copy chain's gainer is one sequence of mass 2^-n: 2^-1074 is the
+    # smallest subnormal double
+    d = uniform_copy_chain()
+    for rep in (converse_witness(d, 1074, 0.9, 0.75, "case1"),
+                converse_witness(d, 1074, 0.9, 0.75, "case2"),
+                rr0_converse_witness(d, 1074, 0.9, 0.75)):
+        assert rep.transfer["p_gainer"] == 2.0 ** -1074
+    assert converse_witness(d, 1074, 0.9, 0.75, "case1").rate == pytest.approx(0.99745, abs=1e-5)
+
+
+def test_witness_rejects_an_underflowed_gainer():
+    d = uniform_copy_chain()
+    for witness in (lambda: converse_witness(d, 1075, 0.9, 0.75, "case1"),
+                    lambda: converse_witness(d, 1075, 0.9, 0.75, "case2"),
+                    lambda: rr0_converse_witness(d, 1075, 0.9, 0.75)):
+        with pytest.raises(DomainError, match="underflows to 0.0 at n = 1075"):
+            witness()
+
+
 def test_witness_coded_mode_smoke():
     rep = converse_witness(uniform_copy_chain(), n=2, eps=0.9, y=0.6, mode="coded")
     assert rep.mode == "coded"
