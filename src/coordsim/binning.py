@@ -725,12 +725,13 @@ class _PathJoint:
             body = _segment_sums(weight, seg, n_seg)[:, :, None]
         elif "u" not in axes:
             body = _segment_sums(weight * v_rows, seg, n_seg)[:, None, :]
-        else:  # one matmul per realized segment
+        else:  # one matmul per realized segment, on one BLAS thread as in a trial
             rows = np.argsort(seg, kind="stable")
             bounds = _runs(seg[rows])[1]
             body = np.zeros((n_seg, weight.shape[1], v_rows.shape[1]))
-            for i, j in zip(bounds[:-1], bounds[1:]):
-                body[seg[rows[i]]] = weight[rows[i:j]].T @ v_rows[rows[i:j]]
+            with _one_blas_thread():
+                for i, j in zip(bounds[:-1], bounds[1:]):
+                    body[seg[rows[i]]] = weight[rows[i:j]].T @ v_rows[rows[i:j]]
         out = body
         if "hw" in axes:  # spread each segment over the posterior of its slot
             n = np.append(np.diff(lay.trip_bounds), 1)[keys % n_slots]

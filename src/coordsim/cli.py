@@ -32,7 +32,7 @@ import numpy as np
 from .binning import SchemeConfig, TrialMetrics, _trials, monte_carlo
 from .cltverify import be_gap, density_law
 from .errors import DomainError, ResourceLimitError, SearchError, ShapeError
-from .nptest import beta_sandwich, np_beta
+from .nptest import _np_report
 from .optimize import optimize_decomposition
 from .probability import ConditionalPmf, JointPmf, Pmf, check_blocklength, check_eps
 from .probability import check_positive, info_density, marginalize, regroup_pair
@@ -99,9 +99,21 @@ def _number(value, what: str):
 
 
 def _numbers(value, what: str) -> list:
-    """A JSON list of numbers, as floats."""
+    """A JSON list of numbers, as floats.  A list of ints and floats only is
+    converted as one array, kept when each float is below the largest
+    float in magnitude (then each entry is one ``_number`` accepts, and
+    each float its ``float(x)``); any other list goes entry by entry
+    through ``_number``, which raises for the first bad one."""
     if not isinstance(value, list):
         raise DomainError(f"{what} must be a list of numbers, got {value!r}")
+    if set(map(type, value)) <= {int, float}:  # a bool's type is bool
+        try:
+            floats = np.array(value, dtype=np.float64)
+        except OverflowError:  # an int beyond float range
+            pass
+        else:
+            if np.all(np.abs(floats) < sys.float_info.max):  # NaN and infinities fail
+                return floats.tolist()
     return [float(_number(x, what)) for x in value]
 
 
@@ -223,11 +235,10 @@ def _resolve_np(args) -> dict:
 
 
 def _run_np(config: dict):
-    p, q, alpha = config["p"], config["q"], config["alpha"]
-    res = np_beta(p, q, alpha)
+    alpha = config["alpha"]
+    res, rep = _np_report(config["p"], config["q"], alpha, config["gamma_grid"])
     row = [alpha, res.beta, res.threshold, res.randomization, None, None, None]
-    if config["gamma_grid"] is not None:
-        rep = beta_sandwich(p, q, alpha, config["gamma_grid"])
+    if rep is not None:
         row[4:] = rep.worst_lower_slack, rep.worst_upper_slack, rep.ok
     columns = ["alpha", "beta", "threshold", "randomization",
                "worst_lower_slack", "worst_upper_slack", "sandwich_ok"]

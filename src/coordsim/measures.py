@@ -28,7 +28,9 @@ NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 
 Tie policy: ascending values within ``TIE_TOL`` of their group's head,
 its smallest value, are one point; only equal infinities tie with an
-infinity.  ``tie_groups`` sorts its input itself (one stable argsort) and
+infinity.  ``tie_groups`` sorts its input itself, in the order of
+``np.argsort(kind="stable")`` bit for bit but found from the ranks of the
+distinct values (``_stable_order``: no merge sort of the values), and
 is the only sort-then-group, one summation per group, for n-fold atoms and
 Neyman-Pearson groups of log2(p/q) alike.  ``group_tail`` is the only
 tail read (``cltverify.be_gap`` sums a law's tails in one pass), exact in
@@ -92,18 +94,75 @@ def tie_heads(x: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((heads, np.array(extra, dtype=np.intp))))
 
 
+# at most this many distinct values are ranked by comparisons for a radix sort
+_FEW_DISTINCT = 32
+
+
+def _stable_order(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")``, bit for bit, without its merge sort.
+
+    Equal values (under ``==``: -0.0 equals 0.0, and every NaN, sorted
+    last, is one value) keep their input order.  One unstable ``np.sort``
+    of the values counts the distinct ones (no hash table, so memory stays
+    a few arrays of the input's size) and picks the cheapest route to that
+    one order:
+
+    * all distinct: any ascending argsort is the stable one;
+    * at most ``_FEW_DISTINCT``: each value's rank, the number of distinct
+      values below it, as ``uint8`` (one comparison pass per distinct
+      value), whose stable argsort is a radix sort;
+    * otherwise: the ranks in sorted order, shifted left past an index's
+      b bits, are or-ed with an unstable argsort, and one sort of those
+      int64 keys ``rank << b | index`` puts each run of equal values back
+      in input order.  A key fits 63 bits up to 2^31 values; a larger
+      array takes the merge sort.
+    """
+    if x.size < 2:
+        return np.argsort(x)
+    s = np.sort(x)
+    new = s[1:] != s[:-1]  # a value unlike the one before it starts a run
+    new &= ~np.isnan(s[:-1])  # NaNs sort last and are one value
+    distinct = np.count_nonzero(new) + 1
+    if distinct == x.size:
+        return np.argsort(x)
+    if distinct <= _FEW_DISTINCT:
+        below = s[:-1][new].tolist()  # the distinct values but the largest
+        del s, new
+        rank = np.zeros(x.size, dtype=np.uint8)
+        above = np.empty(x.size, dtype=bool)
+        for v in below:
+            np.less_equal(x, v, out=above)  # a NaN, never <=, counts past all
+            rank += np.logical_not(above, out=above)
+        del above
+        return np.argsort(rank, kind="stable")
+    del s
+    bits = (x.size - 1).bit_length()
+    if bits > 31:
+        return np.argsort(x, kind="stable")
+    key = np.zeros(x.size, dtype=np.int64)
+    np.cumsum(new, out=key[1:])
+    del new
+    key <<= bits
+    key |= np.argsort(x)
+    key.sort()
+    key &= (1 << bits) - 1
+    return key
+
+
 def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(order, heads, values, *sums)`` of the values ``x``, in any order,
     and of each mass array aligned with them.
 
-    ``order`` is the stable ascending argsort of ``x``; ``heads`` are the
-    ``tie_heads`` of the sorted values, group g being
-    ``order[heads[g]:heads[g + 1]]`` with the value ``values[g]`` of its
-    head; each mass array is summed over every group by one
-    ``np.add.reduceat`` over its sorted copy (pairwise within a group, as a
-    reduceat over the group's own slice would be).  Empty input gives no
-    groups."""
-    order = np.argsort(x, kind="stable")
+    ``order`` is ``_stable_order(x)``, the stable ascending argsort of ``x``
+    (found from the ranks of its distinct values, bit-equal to
+    ``np.argsort(x, kind="stable")``); ``heads`` are the ``tie_heads`` of
+    the sorted values, group g being ``order[heads[g]:heads[g + 1]]`` with
+    the value ``values[g]`` of its head; each mass array is summed over
+    every group by one ``np.add.reduceat`` over its sorted copy (pairwise
+    within a group, as a reduceat over the group's own slice would be, so
+    the sums depend on where each group sits and need exactly that order).
+    Empty input gives no groups."""
+    order = _stable_order(x)
     x = x[order]
     heads = tie_heads(x)
     if heads.size == 0:

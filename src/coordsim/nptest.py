@@ -205,8 +205,7 @@ def np_beta(p, q, alpha: float) -> NPResult:
     1) and are used as given, never renormalized, so a converse witness on
     the same tables gets the same bits.  alpha must lie strictly inside (0, 1).
     """
-    pa, qa, alpha = _np_inputs(p, q, alpha)
-    return _np_solve(_llr_groups(pa, qa), alpha)[0]
+    return _np_report(p, q, alpha)[0]
 
 
 def np_test(p, q, alpha: float) -> BinaryTest:
@@ -256,14 +255,24 @@ class SandwichReport:
 
 def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     """Evaluate both threshold-tail inequalities on a grid of gammas."""
+    return _np_report(p, q, alpha, gamma_grid)[1]
+
+
+def _np_report(p, q, alpha: float, gamma_grid=None) -> tuple[NPResult, SandwichReport | None]:
+    """``np_beta(p, q, alpha)`` and, given a gamma grid, ``beta_sandwich``
+    on it, from one check of the laws and one tie-group pass: the laws and
+    alpha are checked first, then the grid, as ``beta_sandwich`` does."""
     pa, qa, alpha = _np_inputs(p, q, alpha)
-    gammas = np.array([check_positive(g, "gamma grid entry") for g in gamma_grid])
-    if gammas.size == 0:
-        raise DomainError("gamma grid must be non-empty")
-
+    if gamma_grid is not None:
+        gammas = np.array([check_positive(g, "gamma grid entry") for g in gamma_grid])
+        if gammas.size == 0:
+            raise DomainError("gamma grid must be non-empty")
     groups = _llr_groups(pa, qa)
-    beta = _np_solve(groups, alpha)[0].beta
+    result = _np_solve(groups, alpha)[0]
+    if gamma_grid is None:
+        return result, None
 
+    beta = result.beta
     lower = []
     upper = []
     for gam in gammas:
@@ -275,7 +284,7 @@ def beta_sandwich(p, q, alpha: float, gamma_grid) -> SandwichReport:
     worst_upper = min(applicable) if applicable else math.inf
     worst_lower = min(lower)
     ok = worst_lower >= -BOUND_TOL and worst_upper >= -BOUND_TOL
-    return SandwichReport(
+    return result, SandwichReport(
         alpha=alpha,
         beta=beta,
         gammas=tuple(float(g) for g in gammas),

@@ -5,8 +5,11 @@ Exit 1 is an internal error, an exception the CLI did not map (see
 six subcommands' fixed inputs and flags, and mutates it: up to three
 values of its input file, at any depth, become a value of the wrong type,
 a huge, negative, NaN or infinite number, an empty container, or go
-missing, and up to two flags get a bad value.  The run must exit 0, 2, 3
-or 4 within a 10 s alarm; 1,000 examples take about 7 s.  The examples are drawn the same way on every
+missing, and up to two flags get a bad value.  Half the ``np`` examples
+instead draw a fresh valid law pair (``np_documents``) with at most one
+mutation, so that runs reach the solver and not only the input checks.
+The run must exit 0, 2, 3 or 4 within a 10 s alarm; 1,000 examples take
+about 7 s.  The examples are drawn the same way on every
 run (the suite's derandomized profile), so a failure reproduces from the
 suite alone.  The memory cap is lowered so a mutated blocklength ends in
 exit 4 instead of building a large table.
@@ -76,17 +79,37 @@ def mutate(doc, path, value):
 
 
 @st.composite
+def np_documents(draw):
+    """A valid ``np`` input: two laws over 1-40 outcomes from small integer
+    weights (so ties, and zero cells in either law), an alpha inside
+    (0, 1) and, half the time, a gamma grid."""
+    k = draw(st.integers(1, 40))
+    weights = st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
+    p, q = draw(weights), draw(weights)
+    doc = {"p": [w / sum(p) for w in p], "q": [w / sum(q) for w in q],
+           "alpha": draw(st.floats(0.001, 0.999))}
+    if draw(st.booleans()):
+        doc["gamma_grid"] = draw(st.lists(st.floats(2.0 ** -8, 2.0 ** 8), min_size=1, max_size=6))
+    return doc
+
+
+@st.composite
 def invocations(draw):
-    """(argv without --input/--output, input document or None)."""
+    """(argv without --input/--output, input document or None).  Half the
+    ``np`` cases draw a fresh valid document, mutated at most once and
+    given no bad flag, so most of them reach the solver."""
     sub = draw(st.sampled_from(sorted(CASES)))
     doc, flags = CASES[sub]
+    fresh = sub == "np" and draw(st.booleans())
+    if fresh:
+        doc = draw(np_documents())
     if doc is not None:
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 1 if fresh else 3))):
             where = paths(doc)
             if where:
                 doc = mutate(doc, draw(st.sampled_from(where)), draw(st.sampled_from(VALUES)))
     flags = list(flags)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 0 if fresh else 2))):
         flag = draw(st.sampled_from(sorted(FLAGS)))
         flags += [flag, draw(st.sampled_from(FLAGS[flag]))]
     return [sub, *flags], doc

@@ -238,6 +238,32 @@ def test_blas_thread_count_is_pinned_in_a_trial_and_restored_after(monkeypatch, 
     assert inside == [1] * (16 + 8 + 1)
 
 
+def test_joint_marginals_do_not_depend_on_the_blas_thread_count():
+    # the per-segment matmuls of _PathJoint.marginal differ in about a
+    # third of their cells between one and two OpenBLAS threads unless
+    # they run on one
+    calls = binning._blas_thread_calls()
+    if calls is None:
+        pytest.skip("the OpenBLAS thread count cannot be set")
+    get, put = calls
+    d, cfg = chain3(), scheme(8)
+    b = draw_binning(cfg, 0)
+    before = get()
+    tables = []
+    try:
+        for k in (1, 2):
+            put(k)
+            if get() != k:
+                pytest.skip(f"OpenBLAS does not run {k} threads here")
+            tables.append([binning.rc_joint(d, b, cfg).marginal(("u", "v")).probs,
+                           binning.rb_joint(d, b, cfg).marginal(("u", "f", "v")).probs])
+            assert get() == k
+    finally:
+        put(before)
+    for one, two in zip(*tables):
+        assert one.tobytes() == two.tobytes()
+
+
 def test_a_run_below_the_work_threshold_never_forks(tmp_path, monkeypatch, cores):
     def refuse():
         raise AssertionError("os.fork called below the work threshold")

@@ -4,7 +4,8 @@ These are the straightforward forms of ``cltverify``'s atom merge (with
 the n-fold law over types built on it) and of ``nptest``'s likelihood-ratio
 tie groups and Neyman-Pearson solver: one Python step per type and per
 sorted value, with the head of the current group (its smallest value) kept
-as the anchor.  Each group's mass is one ``np.add.reduceat`` over that
+as the anchor, and the sort-then-group itself with numpy's stable merge
+sort.  Each group's mass is one ``np.add.reduceat`` over that
 group's own slice.  The library computes the same groups with
 ``measures.tie_groups``; the differential tests require equal bits from
 both.
@@ -23,10 +24,23 @@ import numpy as np
 
 from coordsim.cltverify import AtomLaw
 from coordsim.errors import CoordsimError
-from coordsim.measures import gaussian_q
+from coordsim.measures import gaussian_q, tie_heads
 from coordsim.nptest import PREMISE_TOL, NPResult
 
 TIE_TOL = 1e-12
+
+
+def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``measures.tie_groups`` with its order from numpy's stable merge sort,
+    ``np.argsort(x, kind="stable")``: the reference the library's order,
+    found from the ranks of the distinct values, must equal bit for bit,
+    along with the heads, values and sums read through it."""
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    heads = tie_heads(x)
+    if heads.size == 0:
+        return (order, heads, x, *(np.zeros(0) for _ in masses))
+    return (order, heads, x[heads], *(np.add.reduceat(m[order], heads) for m in masses))
 
 
 def _group_mass(masses: np.ndarray) -> float:
