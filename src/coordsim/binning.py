@@ -257,9 +257,11 @@ class _Tables:
     (n_w, n_u) joint P(w, u) and the (n_w, n_v) kernel P(v | w) are held as
     factors, each 1/(|W| |U|) or 1/(|W| |V|) of its table: ``rows(w)``
     builds just the rows a caller asks for, with the bits of the full table
-    (``probability._IidRows``).  Each full table is built and law-checked
-    once, then dropped.  The kernel and the (U^n, V^n) target are built on
-    first read: a (u, w) marginal never reads them."""
+    (``probability._IidRows``).  No full table is ever built: the divisors,
+    ``pu``, ``pw`` and the law checks are read off streamed row blocks with
+    the full tables' bits (``probability._iid_rows``).  The kernel and the
+    (U^n, V^n) target are built on first read: a (u, w) marginal never
+    reads them."""
 
     d: Decomposition
     n: int
@@ -274,7 +276,7 @@ class _Tables:
     @cached_property
     def pvn(self) -> _IidRows:
         """Rows of the (n_w, n_v) kernel."""
-        return _iid_rows(self.d.v_given_w, self.n)[1]
+        return _iid_rows(self.d.v_given_w, self.n)[0]
 
     @cached_property
     def pv0(self) -> np.ndarray:
@@ -291,12 +293,9 @@ def _tables(d: Decomposition, n: int) -> _Tables:
     u, w, v = d.u_size, d.w_size, d.v_size
     check_table_size(max(u * w, w * v, u * v), "scheme tables", n)
     n_u, n_w, n_v = u ** n, w ** n, v ** n
-    joint, pwu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n)
-    pw = joint.probs.sum(axis=1)
-    return _Tables(
-        d=d, n=n, n_u=n_u, n_w=n_w, n_v=n_v,
-        pu=joint.probs.sum(axis=0), pwu=pwu, pw=pw, w0=int(np.flatnonzero(pw > 0)[0]),
-    )
+    pwu, pw, pu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n)
+    return _Tables(d=d, n=n, n_u=n_u, n_w=n_w, n_v=n_v, pu=pu, pwu=pwu, pw=pw,
+                   w0=int(np.flatnonzero(pw > 0)[0]))
 
 
 def _runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,15 +307,23 @@ def _runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, bounds
 
 
-def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
+def _segment_cells(ids: np.ndarray, n_col: int) -> np.ndarray:
+    """The flat (segment, column) cell of each entry of a (rows, n_col)
+    table whose rows have segment ``ids``."""
+    return np.add.outer(ids * n_col, np.arange(n_col)).ravel()
+
+
+def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int, cells=None) -> np.ndarray:
     """Sums of the rows of ``x`` (1-D or 2-D) per segment id, in row order.
 
     One ``np.bincount`` over flat (segment, column) cells: on many short
     segments of wide rows it is several times faster than
     ``np.add.reduceat``, which loops over every (segment, column) pair.
+    ``cells``, if given, are ``_segment_cells`` of these ids and width.
     """
     n_col = math.prod(x.shape[1:])  # 1 for a 1-D x: its one-column view
-    cells = np.add.outer(ids * n_col, np.arange(n_col)).ravel()
+    if cells is None:
+        cells = _segment_cells(ids, n_col)
     sums = np.bincount(cells, weights=x.ravel(), minlength=n_seg * n_col)
     return sums.reshape((n_seg, *x.shape[1:]))
 
@@ -380,13 +387,14 @@ def _encoder(pu, pwu, pw, key_ids, n_keys, out=None):
     return z, pu_enc, w0_enc
 
 
-def _triple_v_laws(pw, pvn_rows, trip_ids, z_t) -> np.ndarray:
+def _triple_v_laws(pw, pvn_rows, trip_ids, z_t, cells=None) -> np.ndarray:
     """(T, n_v) decoded V law of each triple of a run of rows, P(V^n |
     triple) = sum_w P(w) P(v | w) / Z_triple, from their reference mass
-    ``pw`` and kernel rows ``pvn_rows``.  A zero-mass triple keeps a zero
-    row: the encoder only emits sequences with reference mass and so never
-    reaches it."""
-    v_t = _segment_sums(pw[:, None] * pvn_rows, trip_ids, z_t.size)
+    ``pw`` and kernel rows ``pvn_rows``, which it overwrites (``cells`` as
+    in ``_segment_sums``).  A zero-mass triple keeps a zero row: the
+    encoder only emits sequences with reference mass and so never reaches
+    it."""
+    v_t = _segment_sums(np.multiply(pw[:, None], pvn_rows, out=pvn_rows), trip_ids, z_t.size, cells)
     ok = z_t > 0
     v_t[ok] /= z_t[ok, None]
     return v_t
@@ -477,23 +485,30 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         k0, k1 = f_keys[i], f_keys[i + 1]
         t0, t1 = f_trips[i], f_trips[i + 1]
         rows, pw, trip_ids = lay.order[r0:r1], lay.pw[r0:r1], lay.trip_ids[r0:r1] - t0
-        pwu = tab.pwu.rows(rows)
-        z[k0:k1], pu_enc, w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0)
-        enc_t = _segment_sums(pu_enc, trip_ids, t1 - t0)
-        pvn = tab.pvn.rows(rows)
+        pwu, pvn = tab.pwu.rows(rows), tab.pvn.rows(rows)
         cond_rb = pwu.T @ pvn
-        del pwu, pu_enc  # each row table dies once read, before the next block
-        rc_f = q * (enc_t.T @ _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1]))
-        del pvn
-        rc_f += q * np.outer(w0_enc[k0:k1].sum(axis=0), tab.pv0)
-        rc_f += (b.bins_c - (k1 - k0)) * q * lump
+        # the encoder mass overwrites pwu and the decoded V laws pvn; each
+        # row table dies once read, before the next block
+        z[k0:k1], pu_enc, w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0,
+                                                   out=pwu)
+        cells = _segment_cells(trip_ids, tab.n_u)
+        enc_t = _segment_sums(pu_enc, trip_ids, t1 - t0, cells)
+        v_t = _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1], cells if tab.n_v == tab.n_u else None)
+        del pwu, pu_enc, pvn, cells
+        rc_f = q * (enc_t.T @ v_t)
+        # each skipped term adds exactly +0.0 to the non-negative rc_f
+        w0 = w0_enc[k0:k1]
+        if w0.any():
+            rc_f += q * np.outer(w0.sum(axis=0), tab.pv0)
+        if k1 - k0 < b.bins_c:
+            rc_f += (b.bins_c - (k1 - k0)) * q * lump
         rc_uv += rc_f
         rb_mass = float(pw.sum())
         if rb_mass <= 0.0:
             continue
         cond_rb /= rb_mass
         rc_f *= b.bins_f  # the protocol's law conditioned on this f
-        dist = float(np.abs(cond_rb - rc_f).sum())
+        dist = float(np.abs(np.subtract(cond_rb, rc_f, out=cond_rb), out=cond_rb).sum())
         if dist < best_dist - 1e-15:
             best_f, best_dist = int(lay.keys[k0]) // b.bins_c, dist
             l1_sel = float(np.abs(rc_f - tab.target_uv).sum())

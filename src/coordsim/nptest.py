@@ -387,7 +387,8 @@ def _type_transfer(pair: np.ndarray, n: int, eps: float, perturb: str) -> _PairL
     gained, left = p_g + delta, p_l - delta
     # each moved sequence is its whole type: its atom is replaced in place
     P[ig], P[il] = gained, left
-    with np.errstate(divide="ignore"):  # an emptied loser is dropped below
+    # an emptied loser is dropped below; its Q may have underflowed too (0/0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         value[[ig, il]] = np.log2(P[[ig, il]] / Q[[ig, il]])
     sup = P > 0
     groups = _TieGroups(None, *tie_groups(value[sup], P[sup], Q[sup])[1:])

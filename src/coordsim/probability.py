@@ -126,17 +126,20 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
         if not a.flags.writeable:
             a = a.copy()
         a[a < 0] = 0.0
-    if rows:
-        sums = a.sum(axis=1)
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        total = float(sums[worst])
-    else:
-        worst, total = None, float(a.sum())
+    with np.errstate(over="ignore"):  # finite entries may sum to inf, rejected below
+        _check_total(a.sum(axis=1) if rows else a.sum(), what, rows)
+    a.setflags(write=False)
+    return a
+
+
+def _check_total(total, what: str, rows: bool) -> None:
+    """``_clean_probs``' total check: ``total`` (each row's sum when
+    ``rows``, reporting the row farthest from 1) within NORM_TOL of 1."""
+    worst = int(np.argmax(np.abs(total - 1.0))) if rows else None
+    total = float(total[worst] if rows else total)
     if abs(total - 1.0) > NORM_TOL:
         where = "" if worst is None else f" row {worst}"
         raise DomainError(f"{what}{where} sums to {total!r}, not 1 within {NORM_TOL}", index=worst)
-    a.setflags(write=False)
-    return a
 
 
 def _shown(x) -> str:
@@ -485,13 +488,15 @@ def conditional(joint: JointPmf, given) -> ConditionalPmf:
     return ConditionalPmf(rows, fallback_rows=fallback)
 
 
-def _iid_grow(out: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _iid_grow(out: np.ndarray, t: np.ndarray, grown: np.ndarray | None = None) -> np.ndarray:
     """One step of the left fold: the product so far ``out`` times each
     entry of ``t``, written straight into its slice of the interleaved axes
     (S_1, s_1, S_2, s_2, ...), a view of the grown table, so no step
-    transposes."""
-    grown = np.empty([size * s for size, s in zip(out.shape, t.shape)])
-    wide = grown.reshape([x for size, s in zip(out.shape, t.shape) for x in (size, s)])
+    transposes.  Written into ``grown``, a C-contiguous array of the grown
+    shape, if given."""
+    if grown is None:
+        grown = np.empty([size * s for size, s in zip(out.shape, t.shape)])
+    wide = grown.reshape([x for size, s in zip(out.shape, t.shape) for x in (size, s)], copy=False)
     for idx in np.ndindex(t.shape):
         np.multiply(out, t[idx], out=wide[tuple(x for i in idx for x in (slice(None), i))])
     return grown
@@ -516,36 +521,55 @@ def iid_extension(obj, n: int):
     index reads the n symbols first-symbol-most-significant.  Axis names are
     preserved for joints.  Raises ``ResourceLimitError`` when the extended
     table would blow the memory cap.  The table is built once and frozen,
-    so the law holds it without a copy.
+    so the law holds it without a copy.  A one-cell table folds at most
+    twice: x^k / x^k = 1.0 at any k.
     """
     n = check_blocklength(n, "iid extension length")
-    if isinstance(obj, (Pmf, ConditionalPmf, JointPmf)):
-        return _iid_rows(obj, n)[0]
-    raise ShapeError(f"iid_extension does not handle {type(obj).__name__}")
+    if not isinstance(obj, (Pmf, ConditionalPmf, JointPmf)):
+        raise ShapeError(f"iid_extension does not handle {type(obj).__name__}")
+    kernel = isinstance(obj, ConditionalPmf)
+    t = obj.rows if kernel else obj.probs
+    what = "iid kernel" if kernel else "iid pmf" if isinstance(obj, Pmf) else "iid joint"
+    check_table_size(t.size, what, n)
+    full = _iid_table(t, min(n, 2) if t.size == 1 else n)
+    # divide out the float drift of the long product so constructors accept
+    # it: by each row's sum for a kernel, else by the total
+    np.divide(full, full.sum(axis=1, keepdims=True) if kernel else _divisor(full.sum()), out=full)
+    return ConditionalPmf(_freeze(full)) if kernel else replace(obj, probs=_freeze(full))
 
 
-def _renormalize(a: np.ndarray, rows: bool = False):
-    """Divide out, in place, the float drift of a long product so
-    constructors accept it: by its total, or by each row's sum for a
-    kernel's ``rows``.  Returns the divisor (a scalar, or (rows, 1))."""
-    norm = a.sum(axis=1, keepdims=True) if rows else a.sum()
-    if not rows and (not math.isfinite(norm) or norm <= 0):
-        raise DomainError(f"cannot renormalize array with total mass {norm!r}")
-    np.divide(a, norm, out=a)
-    return norm
+def _divisor(total):
+    """``total`` as the divisor of a table, unless it is not finite and
+    positive.  (A kernel's row sums are not checked here: its law check
+    rejects the rows they give.)"""
+    if not math.isfinite(total) or total <= 0:
+        raise DomainError(f"cannot renormalize array with total mass {total!r}")
+    return total
+
+
+# entries of one row block of a streamed n-fold table: about 2 MB, so a
+# block stays small beside the tables while numpy's per-call cost stays a
+# small share of the time
+_BLOCK_CELLS = 1 << 18
 
 
 class _IidRows:
     """Rows of an n-fold table of ``iid_extension`` held as factors: the
     raw product ``pre`` of the first n-1 letters, the one-letter table ``t``
-    (r, s) and the divisor the full table was renormalized by.  It is
-    1/(r s) of the full table.  (A plain class: each dataclass adds to the
-    CLI's cold start.)"""
+    (r, s) and the divisor the full table is renormalized by.  It is 1/(r s)
+    of the full table, and ``_iid_rows`` reads the divisor, the marginals
+    and the law check off row blocks, so the full table is never built.  (A
+    plain class: each dataclass adds to the CLI's cold start.)"""
 
-    def __init__(self, pre: np.ndarray, t: np.ndarray, norm: np.ndarray):
+    def __init__(self, pre: np.ndarray, t: np.ndarray, norm=None):
         self.pre = pre    # (r**(n-1), s**(n-1)) raw (n-1)-fold product
         self.t = t        # (r, s) one-letter table
         self.norm = norm  # the full table's raw total, or its (r**n, 1) raw row sums
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The full table's shape, (r**n, s**n)."""
+        return self.pre.shape[0] * self.t.shape[0], self.pre.shape[1] * self.t.shape[1]
 
     def rows(self, w, out=None) -> np.ndarray:
         """Rows ``w`` (flat indices in any order, repeats allowed) of the
@@ -564,21 +588,124 @@ class _IidRows:
         return np.divide(out, self.norm if self.norm.ndim == 0 else self.norm[w], out=out)
 
 
-def _iid_rows(obj, n: int):
-    """(law, rows) for a Pmf, JointPmf or ConditionalPmf and a checked n:
-    its n-fold law, built once and law-checked, and an ``_IidRows`` that
-    rebuilds any row of a two-axis table from the (n-1)-fold factor with
-    the same bits (a caller that keeps only the rows frees the table).  A
-    one-cell table folds at most twice: x^k / x^k = 1.0 at any k."""
+def _pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int):
+    """numpy's ``sum`` of the flat range [lo, hi) of a contiguous float64
+    buffer, by its own pairwise tree: a range of more than 128 entries
+    splits at half its length rounded down to a multiple of 8.  A range of
+    at most ``leaf`` entries is a leaf, summed by ``leaf_sum(lo, hi)``:
+    ``np.sum`` of those entries sums it with the same tree.  Leaves are
+    visited in order."""
+    if hi - lo <= max(leaf, 128):
+        return leaf_sum(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(leaf_sum, lo, lo + half, leaf) + _pairwise_sum(leaf_sum, lo + half, hi, leaf)
+
+
+def _block_total(iid: _IidRows, cells: int, visit=None):
+    """The full table's ``sum()`` with its bits, from row blocks of the
+    raw product: ``_pairwise_sum`` over leaves of about ``cells`` entries
+    (more for wide rows).  A leaf builds the rows it touches, rounded out to
+    whole rows of ``pre``, into rows 1.. of a block whose row 0 is spare,
+    and ``visit(block, r0, start, end)`` may rewrite them in place before
+    the leaf is summed: the block starts at table row r0, and rows
+    start..end-1 end in this leaf, so each row ends in exactly one."""
+    r, (n_rows, n_cols) = iid.t.shape[0], iid.shape
+
+    def leaf_sum(lo, hi):
+        p0, p1 = lo // (r * n_cols), -(-hi // (r * n_cols))
+        block = np.empty((1 + (p1 - p0) * r, n_cols))
+        _iid_grow(iid.pre[p0:p1], iid.t, block[1:])
+        r0 = p0 * r
+        if visit is not None:
+            visit(block, r0, lo // n_cols, hi // n_cols)
+        return np.sum(block[1:].reshape(-1)[lo - r0 * n_cols:hi - r0 * n_cols])
+
+    return _pairwise_sum(leaf_sum, 0, n_rows * n_cols, max(cells, 2 * r * n_cols))
+
+
+def _law_scan(iid: _IidRows, cells: int, kernel: bool, clamp: bool = False):
+    """(row sums, column sums, total, least, most) of the full table, with
+    the bits of its ``sum(axis=1)``, ``sum(axis=0)`` (None for a kernel),
+    ``sum()``, ``min()`` and ``max()``, from the blocks of
+    ``_block_total``, divided as the table is and, when ``clamp``, with
+    entries below 0 set to 0.  A kernel's divisor, its raw row sums, is
+    read off the same blocks and set on ``iid``.  Column sums add rows in
+    order, continued across blocks from the row before a block's first
+    ending row (outside the leaf); a one-column table is summed pairwise
+    instead, as its total."""
+    n_rows, n_cols = iid.shape
+    row_sums, acc = np.empty(n_rows), np.zeros(n_cols)
+    least, most = np.inf, -np.inf
+    if kernel:
+        iid.norm = np.empty((n_rows, 1))
+
+    def visit(block, r0, start, end):
+        nonlocal acc, least, most
+        body = block[1:]
+        if kernel:
+            div = body.sum(axis=1, keepdims=True)
+            iid.norm[start:end] = div[start - r0:end - r0]
+        np.divide(body, div if kernel else iid.norm, out=body)
+        if clamp:
+            body[body < 0] = 0.0
+        least, most = np.minimum(least, body.min()), np.maximum(most, body.max())
+        if end > start:
+            row_sums[start:end] = body[start - r0:end - r0].sum(axis=1)
+            if not kernel:
+                block[start - r0] = acc
+                acc = np.add.reduce(block[start - r0:end - r0 + 1], axis=0)
+
+    total = _block_total(iid, cells, visit)
+    col_sums = None if kernel else acc if n_cols > 1 else np.array([total])
+    return row_sums, col_sums, total, float(least), float(most)
+
+
+def _law_failure(iid: _IidRows, what: str, cells: int, least: float, most: float) -> DomainError:
+    """``_clean_probs``' error for the full table, whose ``min()`` and
+    ``max()`` are ``least`` and ``most``, when it has a non-finite entry or
+    one below float dust, at the same index: the first non-finite entry,
+    else the first least one."""
+    n_rows, n_cols = iid.shape
+    finite = math.isfinite(least) and math.isfinite(most)
+    step = max(1, cells // n_cols)
+    for r in range(0, n_rows, step):
+        block = iid.rows(np.arange(r, min(r + step, n_rows)))
+        hit = block == least if finite else ~np.isfinite(block)
+        if hit.any():
+            at = int(np.argmax(hit))
+            index = np.unravel_index(r * n_cols + at, (n_rows, n_cols))
+            if finite:
+                return DomainError(f"{what} has a negative entry {block.reshape(-1)[at]!r}", index=index)
+            return DomainError(f"{what} has a non-finite entry", index=index)
+    raise AssertionError("no entry fails the law check")
+
+
+def _iid_rows(obj, n: int, cells: int = _BLOCK_CELLS):
+    """(rows, row sums, column sums) of the n-fold law of a two-axis
+    JointPmf or a ConditionalPmf and a checked n: an ``_IidRows`` that
+    builds any row of the table ``iid_extension`` gives, with its bits, and
+    that table's ``sum(axis=1)`` and ``sum(axis=0)`` (None for a kernel).
+    The full table is never built: its divisor (a joint's raw total, a
+    kernel's raw row sums), the sums and the law check come from row blocks
+    of about ``cells`` entries, and the check decides as ``_clean_probs``
+    on the full table would, with the same message.  A one-cell table
+    folds at most twice: x^k / x^k = 1.0 at any k."""
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
-    what = "iid kernel" if kernel else "iid pmf" if isinstance(obj, Pmf) else "iid joint"
-    check_table_size(t.size, what, n)
-    pre = _freeze(_iid_table(t, min(n - 1, 1) if t.size == 1 else n - 1))
-    full = _iid_grow(pre, t)
-    norm = _renormalize(full, rows=kernel)
-    law = ConditionalPmf(_freeze(full)) if kernel else replace(obj, probs=_freeze(full))
-    return law, _IidRows(pre, t, norm)
+    check_table_size(t.size, "iid kernel" if kernel else "iid joint", n)
+    iid = _IidRows(_freeze(_iid_table(t, min(n - 1, 1) if t.size == 1 else n - 1)), t)
+    if not kernel:
+        iid.norm = _divisor(_block_total(iid, cells))
+    what = type(obj).__name__
+    with np.errstate(over="ignore"):  # as in ``_clean_probs``
+        row_sums, col_sums, total, least, most = _law_scan(iid, cells, kernel)
+        if not (math.isfinite(least) and math.isfinite(most)) or least < _NEG_DUST:
+            raise _law_failure(iid, what, cells, least, most)
+        if least < 0:  # float dust, clamped as ``_clean_probs`` clamps it
+            row_sums, col_sums, total, _, _ = _law_scan(iid, cells, kernel, clamp=True)
+    _check_total(row_sums if kernel else total, what, kernel)
+    return iid, row_sums, col_sums
 
 
 def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:

@@ -37,6 +37,8 @@ from coordsim.probability import (
     JointPmf,
     Pmf,
     _IidRows,
+    _iid_rows,
+    _iid_table,
     iid_extension,
     marginalize,
     regroup_pair,
@@ -558,9 +560,8 @@ def test_trial_never_builds_a_full_row_table():
 def test_tables_hold_factors_not_full_tables():
     # from building the tables through one trial, the peak stays below two
     # (n_w, n_u) float64 tables and what is still held afterwards below half
-    # of one: the full joint and kernel are each built and checked once,
-    # then only their (n-1)-fold factors are kept (holding both full tables
-    # peaks near 2.9 and keeps 2.1)
+    # of one: only the (n-1)-fold factors of the joint and kernel are kept
+    # (holding both full tables peaks near 2.9 and keeps 2.1)
     d = chain3()
     cfg = scheme(d, n=7, r=0.5, r0=0.5, rt=0.5, seed=123)
     b = draw_binning(cfg, trial=0)
@@ -578,6 +579,63 @@ def test_tables_hold_factors_not_full_tables():
         arrays = vars(value).values() if isinstance(value, _IidRows) else [value]
         for a in arrays:
             assert np.size(a) < tab.n_w * min(tab.n_u, tab.n_v), np.shape(a)
+
+
+def test_table_build_never_holds_a_full_table():
+    # the divisor, marginals and law check of both n-fold tables come from
+    # row blocks: building the tables and the kernel traces about 0.48 of one
+    # (n_w, n_u) float64 table at n = 8 (the two held factors are a third of
+    # one); building each full table once, as before, traced 1.36
+    d = chain3()
+    table_bytes = 3 ** 8 * 2 ** 8 * 8
+    tracemalloc.start()
+    try:
+        tab = _tables(d, 8)
+        tab.pvn
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * table_bytes, peak / table_bytes
+
+
+def hex_list(a) -> list:
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=chains_with_zero_cells(), n=st.integers(1, 6), cells=st.sampled_from([1, 200, 1000, 1 << 18]))
+def test_streamed_divisors_and_marginals_match_the_full_tables(d, n, cells):
+    # numpy's pairwise total, its column sums and the row sums of both
+    # tables, read off row blocks of every size (at cells = 1 the leaves
+    # are a few rows, most of them cutting a row), against the full
+    # tables' own; a one-cell table folds at most twice
+    joint = regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u")
+    for law, t in ((joint, joint.probs), (d.v_given_w, d.v_given_w.rows)):
+        raw = _iid_table(t, min(n, 2) if t.size == 1 else n)
+        rows, row_sums, col_sums = _iid_rows(law, n, cells=cells)
+        if isinstance(law, ConditionalPmf):
+            full = iid_extension(law, n).rows
+            assert hex_list(rows.norm) == hex_list(raw.sum(axis=1, keepdims=True))
+            assert col_sums is None
+        else:
+            full = iid_extension(law, n).probs
+            assert hex_list(rows.norm) == hex_list(raw.sum())
+            assert hex_list(col_sums) == hex_list(full.sum(axis=0))
+        assert hex_list(row_sums) == hex_list(full.sum(axis=1))
+
+
+def test_streamed_tables_at_n6_cut_rows_and_keep_their_bits():
+    # chain3 at n = 6 with the smallest leaves: the first split of the
+    # joint's 729 x 64 entries falls inside row 364
+    d = chain3()
+    tab = _tables(d, 6)
+    full = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), 6).probs
+    rows, pw, pu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), 6, cells=1)
+    assert (729 * 64 // 2) % 64 != 0
+    for got in ((rows.norm, pw, pu), (tab.pwu.norm, tab.pw, tab.pu)):
+        assert hex_list(got[0]) == hex_list(_iid_table(tab.pwu.t, 6).sum())
+        assert hex_list(got[1]) == hex_list(full.sum(axis=1))
+        assert hex_list(got[2]) == hex_list(full.sum(axis=0))
 
 
 @settings(max_examples=150)

@@ -7,7 +7,11 @@ be asserted literally.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from coordsim.errors import CoordsimError
 from coordsim.region import Decomposition, inner_bound, outer_bound, parse_gamma_rule
 from coordsim.probability import ConditionalPmf, Pmf
 from coordsim.serialize import read_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHAIN = {
     "p_u": [0.5, 0.5],
@@ -230,6 +236,22 @@ def test_np_equal_laws_row(tmp_path):
     row = dict(zip(columns, rows[0]))
     assert float(row["beta"]) == float(row["alpha"]) == 0.3
     assert row["sandwich_ok"] == "true"
+
+
+def test_np_huge_law_entries_exit_3_without_a_numpy_warning(tmp_path):
+    # finite entries whose total overflows to inf are rejected by the law
+    # check's total alone; numpy's "overflow encountered in reduce" must not
+    # reach stderr first (a fresh interpreter, so no test harness filters it)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"p": [1e308, 1e308], "q": [0.5, 0.5], "alpha": 0.3}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from coordsim.cli import main; sys.exit(main(sys.argv[1:]))",
+         "np", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == EXIT_INVALID
+    assert out.stderr == "coordsim: invalid parameters: p sums to inf, not 1 within 1e-12\n"
 
 
 def test_np_alpha_flag_override(tmp_path):

@@ -9,6 +9,7 @@ instance, digit by digit.
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -421,11 +422,15 @@ def test_witness_nondegenerate_pair_blocks_small_n():
 
 def test_witness_at_the_last_blocklength_before_the_gainer_underflows():
     # the copy chain's gainer is one sequence of mass 2^-n: 2^-1074 is the
-    # smallest subnormal double
+    # smallest subnormal double.  The loser's P and Q both underflow to 0.0,
+    # and its 0/0 ratio, dropped with it, must not warn
     d = uniform_copy_chain()
-    for rep in (converse_witness(d, 1074, 0.9, 0.75, "case1"),
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = (converse_witness(d, 1074, 0.9, 0.75, "case1"),
                 converse_witness(d, 1074, 0.9, 0.75, "case2"),
-                rr0_converse_witness(d, 1074, 0.9, 0.75)):
+                rr0_converse_witness(d, 1074, 0.9, 0.75))
+    for rep in reps:
         assert rep.transfer["p_gainer"] == 2.0 ** -1074
     assert converse_witness(d, 1074, 0.9, 0.75, "case1").rate == pytest.approx(0.99745, abs=1e-5)
 

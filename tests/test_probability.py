@@ -386,12 +386,52 @@ def test_one_cell_tables_extend_at_once_with_the_bits_of_the_full_fold():
     start = time.perf_counter()
     for law in laws:
         for n in (1, 2, 3, 7, 10 ** 12):
-            full, rows = _iid_rows(law, n)
+            full = iid_extension(law, n)
             table = full.rows if isinstance(law, ConditionalPmf) else full.probs
             assert table.reshape(-1).tolist() == [1.0]
             if table.ndim == 2:
+                rows, row_sums, col_sums = _iid_rows(law, n)
                 assert rows.rows(np.array([0, 0])).tolist() == [[1.0], [1.0]]
+                assert row_sums.tolist() == [1.0]
+                assert col_sums is None if isinstance(law, ConditionalPmf) else col_sums.tolist() == [1.0]
     assert time.perf_counter() - start < 0.5
+
+
+def unchecked(law, table):
+    """``law`` holding ``table`` as it is, past its constructor's check."""
+    object.__setattr__(law, "rows" if isinstance(law, ConditionalPmf) else "probs", table)
+    return law
+
+
+@pytest.mark.parametrize("law, table", [
+    # a NaN: a joint's total cannot divide, a kernel's row is non-finite
+    (JointPmf(np.eye(2) / 2), [[0.5, np.nan], [0.25, 0.25]]),
+    (ConditionalPmf(np.eye(2)), [[0.5, 0.5], [np.nan, 1.0]]),
+    # a negative entry, first met in the middle of a row of the n-fold table
+    (JointPmf(np.eye(2) / 2), [[0.5, 0.3], [0.4, -0.2]]),
+    (ConditionalPmf(np.eye(3)), [[0.5, 0.25, 0.25], [0.2, 1.1, -0.3], [0.0, 0.5, 0.5]]),
+])
+@pytest.mark.parametrize("cells", [1, 1 << 18])
+def test_streamed_law_check_raises_what_the_full_table_check_raises(law, table, cells):
+    for n in (1, 3, 5):
+        with pytest.raises(DomainError) as full:
+            iid_extension(unchecked(law, np.array(table)), n)
+        with pytest.raises(DomainError) as streamed:
+            _iid_rows(unchecked(law, np.array(table)), n, cells=cells)
+        assert str(streamed.value) == str(full.value)
+        assert repr(streamed.value.index) == repr(full.value.index)
+
+
+def test_streamed_law_check_clamps_float_dust_as_the_full_check():
+    # entries down to -1e-15 are set to 0 before the sums, as in the full
+    # table the law holds
+    table = np.array([[0.5, 0.25], [0.25 + 1e-16, -1e-16]])
+    for n in (2, 4):
+        full = iid_extension(unchecked(JointPmf(np.eye(2) / 2), table), n).probs
+        assert full.min() == 0.0
+        _, row_sums, col_sums = _iid_rows(unchecked(JointPmf(np.eye(2) / 2), table), n, cells=1)
+        assert row_sums.tobytes() == full.sum(axis=1).tobytes()
+        assert col_sums.tobytes() == full.sum(axis=0).tobytes()
 
 
 def test_sequence_digit_round_trip():
