@@ -82,6 +82,7 @@ from .cltverify import _atom_law, convolve_n
 from .errors import CoordsimError, DomainError, ResourceLimitError, ShapeError
 from .measures import group_tail, mutual_information, tie_groups
 from .probability import (
+    _GATHER_CELLS,
     ConditionalPmf,
     JointPmf,
     Pmf,
@@ -307,25 +308,59 @@ def _runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, bounds
 
 
-def _segment_cells(ids: np.ndarray, n_col: int) -> np.ndarray:
-    """The flat (segment, column) cell of each entry of a (rows, n_col)
-    table whose rows have segment ``ids``."""
-    return np.add.outer(ids * n_col, np.arange(n_col)).ravel()
+def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
+    """Sums of the rows of ``x`` (1-D or 2-D) per segment id, each added in
+    row order from 0.0: the bits of one ``np.bincount`` over flat (segment,
+    column) cells, without an index as large as ``x``.
 
-
-def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int, cells=None) -> np.ndarray:
-    """Sums of the rows of ``x`` (1-D or 2-D) per segment id, in row order.
-
-    One ``np.bincount`` over flat (segment, column) cells: on many short
-    segments of wide rows it is several times faster than
-    ``np.add.reduceat``, which loops over every (segment, column) pair.
-    ``cells``, if given, are ``_segment_cells`` of these ids and width.
+    A one-column ``x`` is that bincount, over the ids themselves.  Wider
+    rows rest on two facts: ``np.add.reduce`` over the rows of a C-ordered
+    table adds them one at a time from 0.0, column by column (a single
+    column it would sum pairwise), and adding +0.0 changes no sum that
+    starts from 0.0.  Each row's position in its segment comes from a
+    stable argsort of the ids (none when they are sorted).  If every
+    segment padded with zero rows to the longest fits in
+    ``_GATHER_CELLS`` entries, all are reduced at once.  Otherwise the
+    segments longer than some k are reduced one call each, and the others
+    in blocks of about ``_GATHER_CELLS`` entries, longest first: the
+    block's first rows, then pass j adds the j-th row of each segment that
+    has one.  k minimizes passes plus calls.
     """
-    n_col = math.prod(x.shape[1:])  # 1 for a 1-D x: its one-column view
-    if cells is None:
-        cells = _segment_cells(ids, n_col)
-    sums = np.bincount(cells, weights=x.ravel(), minlength=n_seg * n_col)
-    return sums.reshape((n_seg, *x.shape[1:]))
+    if x.ndim == 1 or x.shape[1] == 1:
+        sums = np.bincount(ids, weights=x.reshape(-1), minlength=n_seg)
+        return sums.reshape((n_seg, *x.shape[1:]))
+    x, n_col = np.ascontiguousarray(x), x.shape[1]
+    order = np.argsort(ids, kind="stable") if (ids[1:] < ids[:-1]).any() else None
+    ids_s = ids if order is None else ids[order]
+    pos = np.arange(ids.size) - np.searchsorted(ids_s, ids_s)  # of each sorted row in its segment
+    k = int(pos.max(initial=0)) + 1
+    if k * n_seg * n_col <= _GATHER_CELLS:
+        if order is not None:
+            pos[order] = pos.copy()
+        pad = np.zeros((k, n_seg, n_col))
+        pad[pos, ids] = x
+        return np.add.reduce(pad, axis=0)
+    out = np.zeros((n_seg, n_col))
+    starts = np.flatnonzero(pos == 0)
+    lengths = np.diff(np.append(starts, ids.size))
+    by_len = np.argsort(-lengths, kind="stable")
+    starts, lengths, seg = starts[by_len], lengths[by_len], ids_s[starts[by_len]]
+    k = int(np.argmin(np.arange(k + 1) + np.searchsorted(-lengths, -np.arange(k + 1))))
+    n_long = int(np.searchsorted(-lengths, -k))  # segments longer than k
+    for s, a, n in zip(seg[:n_long].tolist(), starts[:n_long].tolist(), lengths[:n_long].tolist()):
+        out[s] = np.add.reduce(x[a:a + n] if order is None else x[order[a:a + n]], axis=0)
+    step = max(1, _GATHER_CELLS // n_col)
+    for b0 in range(n_long, seg.size, step):
+        a, n = starts[b0:b0 + step], lengths[b0:b0 + step]
+        live = np.searchsorted(-n, -np.arange(1, n[0]))  # segments with a j-th row, j = 1, 2, ..
+        rows = a if order is None else order[a]
+        acc = x[rows]
+        acc += 0.0
+        for j, m in enumerate(live.tolist(), 1):
+            rows = a[:m] + j
+            acc[:m] += x[rows if order is None else order[rows]]
+        out[seg[b0:b0 + step]] = acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -365,36 +400,42 @@ def _sorted_layout(tab: _Tables, b: BinningRealization) -> _SortedLayout:
     )
 
 
-def _encoder(pu, pwu, pw, key_ids, n_keys, out=None):
-    """(z, pu_enc, w0_enc) of a key-sorted run of rows with reverse joint
-    ``pwu`` and reference mass ``pw``: the encoder normalizers Z[key, u] =
-    P(U^n = u, key), the (rows, n_u) encoder mass pu(u) enc(w | key, u) with
-    both fallbacks applied (written into ``out`` if given), and the
-    (keys, n_u) mass routed to the w0 encoder fallback."""
+def _encoder(pu, pwu, pw, key_ids, n_keys):
+    """(z, w0_enc) of a key-sorted run of rows with reverse joint ``pwu``
+    and reference mass ``pw``: the encoder normalizers Z[key, u] = P(U^n =
+    u, key) and the (keys, n_u) mass routed to the w0 encoder fallback.
+    ``pwu`` is overwritten with the (rows, n_u) encoder mass pu(u)
+    enc(w | key, u), both fallbacks applied, a block of rows at a time, so
+    no (rows, n_u) table of per-key factors is built."""
     z = _segment_sums(pwu, key_ids, n_keys)
     pos = z > 0
-    pu_enc = np.multiply(pwu, np.divide(pu, z, out=np.zeros_like(z), where=pos)[key_ids], out=out)
+    scale = np.divide(pu, z, out=np.zeros_like(z), where=pos)
     w0_enc = np.zeros_like(z)
+    refill = None
     if not pos.all():
         # u with no mass in the bin: the reference restricted to the bin,
         # or (if the bin carries no reference mass either) the w0 abort
         bin_mass = _segment_sums(pw, key_ids, n_keys)
         has_ref = bin_mass > 0
-        refill = np.where(~pos & has_ref[:, None], pu, 0.0)[key_ids]
+        refill = np.where(~pos & has_ref[:, None], pu, 0.0)
         ref = pw / np.where(has_ref, bin_mass, 1.0)[key_ids]
-        pu_enc += np.multiply(ref[:, None], refill, out=refill)
         w0_enc = np.where(~pos & ~has_ref[:, None], pu, 0.0)
-    return z, pu_enc, w0_enc
+    step = max(1, _GATHER_CELLS // pwu.shape[1])
+    for r0 in range(0, key_ids.size, step):
+        block, keys = pwu[r0:r0 + step], key_ids[r0:r0 + step]
+        block *= scale[keys]
+        if refill is not None:
+            block += ref[r0:r0 + step, None] * refill[keys]
+    return z, w0_enc
 
 
-def _triple_v_laws(pw, pvn_rows, trip_ids, z_t, cells=None) -> np.ndarray:
+def _triple_v_laws(pw, pvn_rows, trip_ids, z_t) -> np.ndarray:
     """(T, n_v) decoded V law of each triple of a run of rows, P(V^n |
     triple) = sum_w P(w) P(v | w) / Z_triple, from their reference mass
-    ``pw`` and kernel rows ``pvn_rows``, which it overwrites (``cells`` as
-    in ``_segment_sums``).  A zero-mass triple keeps a zero row: the
-    encoder only emits sequences with reference mass and so never reaches
-    it."""
-    v_t = _segment_sums(np.multiply(pw[:, None], pvn_rows, out=pvn_rows), trip_ids, z_t.size, cells)
+    ``pw`` and kernel rows ``pvn_rows``, which it overwrites.  A zero-mass
+    triple keeps a zero row: the encoder only emits sequences with
+    reference mass and so never reaches it."""
+    v_t = _segment_sums(np.multiply(pw[:, None], pvn_rows, out=pvn_rows), trip_ids, z_t.size)
     ok = z_t > 0
     v_t[ok] /= z_t[ok, None]
     return v_t
@@ -489,12 +530,10 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         cond_rb = pwu.T @ pvn
         # the encoder mass overwrites pwu and the decoded V laws pvn; each
         # row table dies once read, before the next block
-        z[k0:k1], pu_enc, w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0,
-                                                   out=pwu)
-        cells = _segment_cells(trip_ids, tab.n_u)
-        enc_t = _segment_sums(pu_enc, trip_ids, t1 - t0, cells)
-        v_t = _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1], cells if tab.n_v == tab.n_u else None)
-        del pwu, pu_enc, pvn, cells
+        z[k0:k1], w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0)
+        enc_t = _segment_sums(pwu, trip_ids, t1 - t0)
+        v_t = _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1])
+        del pwu, pvn
         rc_f = q * (enc_t.T @ v_t)
         # each skipped term adds exactly +0.0 to the non-negative rc_f
         w0 = w0_enc[k0:k1]
@@ -808,7 +847,7 @@ class RcJoint(_PathJoint):
         weight = np.empty((w.size + n_w0, t.n_u))
         hit_end = w.size + lay.keys.size
         rows = t.pwu.rows(w, out=weight[:w.size])
-        weight[w.size:hit_end] = _encoder(t.pu, rows, lay.pw, lay.key_ids, lay.keys.size, out=rows)[2]
+        weight[w.size:hit_end] = _encoder(t.pu, rows, lay.pw, lay.key_ids, lay.keys.size)[1]
         np.multiply(unhit[cells, None], t.pu, out=weight[hit_end:])
         weight *= 1.0 / (b.bins_f * b.bins_c)
         coords = {"f": np.concatenate([b.phi_f[w], key_f, cells // n_c]),
@@ -1086,7 +1125,7 @@ def _one_shot_args(joint_ab: JointPmf, n_bins, gamma, ref: ConditionalPmf | None
     gamma = check_positive(gamma, "gamma")
     with np.errstate(divide="ignore"):
         h = -np.log2(_ref_conditional(joint_ab, ref))
-    return (*tie_groups(h.ravel(), joint_ab.probs.ravel())[2:], math.log2(n_bins), gamma)
+    return (*tie_groups(h.ravel(), joint_ab.probs.ravel())[1:], math.log2(n_bins), gamma)
 
 
 def osrb_uniformity_bound(joint_ab: JointPmf, n_bins: int, gamma: float) -> float:

@@ -66,7 +66,7 @@ def _atom_law(values: np.ndarray, probs: np.ndarray) -> AtomLaw:
     group (``measures.tie_groups``) of the cells with positive mass, so a
     value off the masses' support (an inf or NaN log) is never read."""
     keep = probs > 0
-    return AtomLaw(*tie_groups(values[keep], probs[keep])[2:])
+    return AtomLaw(*tie_groups(values[keep], probs[keep])[1:])
 
 
 def density_law(density: DensityTable, weights: Pmf | JointPmf) -> AtomLaw:
@@ -136,7 +136,7 @@ def convolve_n(law: AtomLaw, n: int) -> AtomLaw:
         log_mult, values, log_p = _types(n, law.values, np.log(law.probs))
     masses = np.exp(log_mult + log_p)
     del log_mult, log_p
-    _, _, values, masses = tie_groups(values, masses)
+    _, values, masses = tie_groups(values, masses)
     return AtomLaw(values, masses / masses.sum())
 
 

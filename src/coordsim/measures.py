@@ -28,11 +28,13 @@ NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 
 Tie policy: ascending values within ``TIE_TOL`` of their group's head,
 its smallest value, are one point; only equal infinities tie with an
-infinity.  ``tie_groups`` sorts its input itself, in the order of
+infinity.  ``_ordered_tie_groups`` sorts its input itself, in the order of
 ``np.argsort(kind="stable")`` bit for bit but found from the ranks of the
 distinct values (``_stable_order``: no merge sort of the values), and
 is the only sort-then-group, one summation per group, for n-fold atoms and
-Neyman-Pearson groups of log2(p/q) alike.  ``group_tail`` is the only
+Neyman-Pearson groups of log2(p/q) alike; ``tie_groups`` gives the same
+groups to callers that do not read the order, and sorts nothing when there
+are at most ``_FEW_DISTINCT`` distinct values.  ``group_tail`` is the only
 tail read (``cltverify.be_gap`` sums a law's tails in one pass), exact in
 a group's value, and ``group_at`` the only threshold snap: a threshold
 within ``TIE_TOL`` of a group is read at its value.
@@ -98,6 +100,35 @@ def tie_heads(x: np.ndarray) -> np.ndarray:
 _FEW_DISTINCT = 32
 
 
+def _ranks(x: np.ndarray, below: list) -> np.ndarray:
+    """Each value's rank as ``uint8``: how many of the ascending distinct
+    values ``below`` (all but the largest) it exceeds, one comparison pass
+    per value; a NaN, never <=, counts past all."""
+    rank = np.zeros(x.size, dtype=np.uint8)
+    above = np.empty(x.size, dtype=bool)
+    for v in below:
+        np.less_equal(x, v, out=above)
+        rank += np.logical_not(above, out=above)
+    return rank
+
+
+# values per block when the distinct values are counted without a full sort
+_UNIQUE_BLOCK = 1 << 16
+
+
+def _few_distinct(x: np.ndarray) -> np.ndarray | None:
+    """The distinct values of ``x`` ascending (one of -0.0 and 0.0, every
+    NaN one value, last), or None when there are more than
+    ``_FEW_DISTINCT``: ``np.unique`` block by block, so no sorted copy of
+    ``x`` is made, and an array of many values stops at its first block."""
+    seen = np.empty(0)
+    for b in range(0, x.size, _UNIQUE_BLOCK):
+        seen = np.unique(np.concatenate((seen, x[b:b + _UNIQUE_BLOCK])))
+        if seen.size > _FEW_DISTINCT:
+            return None
+    return seen
+
+
 def _stable_order(x: np.ndarray) -> np.ndarray:
     """``np.argsort(x, kind="stable")``, bit for bit, without its merge sort.
 
@@ -128,13 +159,7 @@ def _stable_order(x: np.ndarray) -> np.ndarray:
     if distinct <= _FEW_DISTINCT:
         below = s[:-1][new].tolist()  # the distinct values but the largest
         del s, new
-        rank = np.zeros(x.size, dtype=np.uint8)
-        above = np.empty(x.size, dtype=bool)
-        for v in below:
-            np.less_equal(x, v, out=above)  # a NaN, never <=, counts past all
-            rank += np.logical_not(above, out=above)
-        del above
-        return np.argsort(rank, kind="stable")
+        return np.argsort(_ranks(x, below), kind="stable")
     del s
     bits = (x.size - 1).bit_length()
     if bits > 31:
@@ -149,7 +174,7 @@ def _stable_order(x: np.ndarray) -> np.ndarray:
     return key
 
 
-def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
+def _ordered_tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(order, heads, values, *sums)`` of the values ``x``, in any order,
     and of each mass array aligned with them.
 
@@ -169,6 +194,44 @@ def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
         return (order, heads, x, *(np.zeros(0) for _ in masses))
     x = x[heads]  # the sorted copy goes before the masses are sorted
     return (order, heads, x, *(np.add.reduceat(m[order], heads) for m in masses))
+
+
+def tie_groups(x: np.ndarray, *masses: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(heads, values, *sums)`` of ``_ordered_tie_groups``, bit for bit,
+    for callers that do not read the order.
+
+    At most ``_FEW_DISTINCT`` distinct values (``_few_distinct``) are read
+    without sorting ``x``.  Equal values never split a group, so the
+    groups are ``tie_heads`` of the distinct values, and the heads the
+    counts of the ranks below each group's first.  A group's value is its
+    first rank's first value in input order, and its sorted masses are its
+    ranks' masses gathered one rank after another, each in input order;
+    ``np.add.reduceat`` sums such a slice as its first entry plus the
+    pairwise sum of the rest, a sum that starts from -0.0 (so a group of
+    -0.0 masses stays -0.0).  The gathers hold one group of one mass array
+    at a time, and ``x`` is dropped once its values are read.
+    """
+    distinct = _few_distinct(x)
+    if distinct is None:
+        return _ordered_tie_groups(x, *masses)[1:]
+    rank = _ranks(x, distinct[:-1].tolist())
+    # np.bincount would copy the ranks to intp
+    counts = np.array([np.count_nonzero(rank == r) for r in range(distinct.size)], dtype=np.intp)
+    first = tie_heads(distinct)  # the first rank of each group
+    values = np.array([x[np.argmax(rank == r)] for r in first.tolist()], dtype=x.dtype)
+    del x
+    ends = np.append(first[1:], distinct.size).tolist()
+
+    def group_sums(m: np.ndarray) -> np.ndarray:
+        sums = np.empty(first.size)
+        for g, (r0, r1) in enumerate(zip(first.tolist(), ends)):
+            m_g = [m[rank == r] for r in range(r0, r1)]
+            m_g = m_g[0] if len(m_g) == 1 else np.concatenate(m_g)
+            sums[g] = m_g[0] + np.add.reduce(m_g[1:], initial=-0.0)
+            del m_g  # before the next group is gathered
+        return sums
+
+    return ((np.cumsum(counts) - counts)[first], values, *(group_sums(m) for m in masses))
 
 
 def group_tail(values: np.ndarray, masses: np.ndarray, x: float, strict: bool) -> float:

@@ -32,6 +32,7 @@ dense, because its law is the realized scheme's table, and so does
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,10 +41,12 @@ import numpy as np
 from .binning import SchemeConfig, draw_binning, rc_joint
 from .cltverify import _types
 from .errors import CoordsimError, DomainError, ShapeError
-from .measures import gaussian_q_inv, group_at, group_tail, tie_groups
+from .measures import _ordered_tie_groups, gaussian_q_inv, group_at, group_tail, tie_groups
 from .probability import (
+    _GATHER_CELLS,
     JointPmf,
     _clean_probs,
+    _iid_l1,
     _probs_of,
     _shown,
     check_eps,
@@ -167,8 +170,8 @@ def _llr_groups(p: np.ndarray, q: np.ndarray) -> _TieGroups:
     """
     sup = np.flatnonzero(p > 0)
     with np.errstate(divide="ignore"):
-        llr = np.log2(p[sup] / q[sup])
-    order, *groups = tie_groups(llr, p[sup], q[sup])
+        llr = _log2_ratio(p[sup], q[sup])
+    order, *groups = _ordered_tie_groups(llr, p[sup], q[sup])
     return _TieGroups(sup[order], *groups)
 
 
@@ -391,7 +394,7 @@ def _type_transfer(pair: np.ndarray, n: int, eps: float, perturb: str) -> _PairL
     with np.errstate(divide="ignore", invalid="ignore"):
         value[[ig, il]] = np.log2(P[[ig, il]] / Q[[ig, il]])
     sup = P > 0
-    groups = _TieGroups(None, *tie_groups(value[sup], P[sup], Q[sup])[1:])
+    groups = _TieGroups(None, *tie_groups(value[sup], P[sup], Q[sup]))
 
     def repeated(letter: int, size: int) -> int:
         """Flat index of the n-fold sequence of one letter of an alphabet."""
@@ -579,26 +582,58 @@ def _assemble(kind: str, mode: str, law: _PairLaw, n: int, eps: float, y: float,
     )
 
 
-def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
-    """A coded scheme's realized table ``P2`` against the product of the
-    n-fold marginals of ``pair``, with its L1 distance from the iid table.
-    The product law is read on the support of P2 only, never built as a
-    table, and each large array is dropped as soon as it is read: the
-    caller keeps no reference to P2 (C-ordered, so flattening it is a
-    view), and the unsorted ratios go once ``tie_groups`` has sorted them."""
-    diff = P2 - iid_extension(pair, n).probs
-    l1 = float(np.abs(diff, out=diff).sum())
-    del diff
-    pb = iid_extension(marginalize(pair, 1), n).probs
+def _coded_law(d: Decomposition, n: int) -> _PairLaw:
+    """The coded witness's pair law: the realized (U^n, W^n) table of the
+    binning scheme drawn at seed 0 (message rate log2 |W|, common and
+    extra seed rates 1/n) against the product of the n-fold marginals of
+    the (U, W) pair (``_table_law``)."""
+    cfg = SchemeConfig(
+        n=n,
+        rate_r=math.log2(d.w_size) if d.w_size > 1 else 1.0,
+        rate_r0=1.0 / n,
+        rate_rtilde=1.0 / n,
+        seed=0,
+        decomposition=d,
+    )
+    pair = marginalize(d.joint(), ("u", "w"))
+    return _table_law(lambda: rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs,
+                      pair, n)
+
+
+def _table_law(table: Callable[[], np.ndarray], pair: JointPmf, n: int) -> _PairLaw:
+    """A pair law's table P2, C-ordered and returned by the call
+    ``table()``, against the product of the n-fold marginals of ``pair``,
+    with its L1 distance from the iid table.  Neither the iid table nor the
+    product law is built as a table: the L1 is summed from row blocks
+    (``probability._iid_l1``), and the product law is read on the support
+    of P2, a block of cells at a time.  P2 is built here, so this frame
+    holds its only reference and drops it once its support masses are read
+    (a table passed as an argument stays referenced by the caller during
+    the call, and before Python 3.11 on the caller's stack even as a
+    temporary); the ratios go, from Python 3.11 on, once ``tie_groups``
+    has ranked them."""
+    P2 = table()
+    l1 = _iid_l1(P2, pair, n)
     P2 = P2.reshape(-1)
     sup = np.flatnonzero(P2 > 0)
-    q = iid_extension(marginalize(pair, 0), n).probs[sup // pb.size]
-    q *= pb[sup % pb.size]
+    p = P2[sup]
+    del P2
+    pa = iid_extension(marginalize(pair, 0), n).probs
+    pb = iid_extension(marginalize(pair, 1), n).probs
+    q = np.empty(sup.size)
+    for c in range(0, sup.size, _GATHER_CELLS):
+        a = sup[c:c + _GATHER_CELLS] // pb.size
+        np.multiply(pa[a], pb[sup[c:c + _GATHER_CELLS] - a * pb.size], out=q[c:c + _GATHER_CELLS])
+    del sup
     if np.any(q <= 0):
         raise DomainError("perturbed law puts mass where the product law has none")
-    p = P2[sup]
-    del P2, sup
-    return _PairLaw(_TieGroups(None, *tie_groups(np.log2(p / q), p, q)[1:]), l1)
+    return _PairLaw(_TieGroups(None, *tie_groups(_log2_ratio(p, q), p, q)), l1)
+
+
+def _log2_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log2(p / q), taken in place in the quotient."""
+    ratio = p / q
+    return np.log2(ratio, out=ratio)
 
 
 def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) -> WitnessReport:
@@ -623,19 +658,11 @@ def converse_witness(d: Decomposition, n: int, eps: float, y: float, mode: str) 
         raise DomainError(f"mode must be one of case1/case2/coded, got {_shown(mode)}")
     eps, n, y = _converse_params(eps, n, y)
 
-    pair = marginalize(d.joint(), ("u", "w"))
     if mode == "coded":
-        cfg = SchemeConfig(
-            n=n,
-            rate_r=math.log2(d.w_size) if d.w_size > 1 else 1.0,
-            rate_r0=1.0 / n,
-            rate_rtilde=1.0 / n,
-            seed=0,
-            decomposition=d,
-        )
-        law = _table_law(rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs, pair, n)
+        law = _coded_law(d, n)
     else:
-        law = _type_transfer(pair.probs, n, eps, "gain" if mode == "case1" else "lose")
+        law = _type_transfer(marginalize(d.joint(), ("u", "w")).probs, n, eps,
+                             "gain" if mode == "case1" else "lose")
     return _assemble("rate", mode, law, n, eps, y, _converse_point(d, eps, n, y, sum_rate=False))
 
 

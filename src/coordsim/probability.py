@@ -551,6 +551,9 @@ def _divisor(total):
 # block stays small beside the tables while numpy's per-call cost stays a
 # small share of the time
 _BLOCK_CELLS = 1 << 18
+# entries of one block of gathered rows or cells, of which a step holds a
+# few temporaries: small beside a table of 2^20 entries
+_GATHER_CELLS = 1 << 16
 
 
 class _IidRows:
@@ -681,6 +684,31 @@ def _law_failure(iid: _IidRows, what: str, cells: int, least: float, most: float
     raise AssertionError("no entry fails the law check")
 
 
+def _iid_factors(t: np.ndarray, n: int, what: str) -> _IidRows:
+    """The ``_IidRows`` factors (no divisor yet) of the n-fold table of the
+    one-letter table ``t``, once its size passes ``check_table_size``.  A
+    one-cell table folds at most twice: x^k / x^k = 1.0 at any k."""
+    check_table_size(t.size, what, n)
+    return _IidRows(_freeze(_iid_table(t, min(n - 1, 1) if t.size == 1 else n - 1)), t)
+
+
+def _iid_l1(table: np.ndarray, joint: JointPmf, n: int) -> float:
+    """``np.abs(table - iid_extension(joint, n).probs).sum()``, with its
+    bits, for a C-ordered (r**n, s**n) ``table`` and a two-axis ``joint``:
+    the difference is taken and summed on the blocks of ``_block_total``,
+    so neither the iid table nor the difference is built."""
+    iid = _iid_factors(joint.probs, n, "iid joint")
+    iid.norm = _divisor(_block_total(iid, _BLOCK_CELLS))
+
+    def visit(block, r0, start, end):
+        body = block[1:]
+        np.divide(body, iid.norm, out=body)
+        np.subtract(table[r0:r0 + body.shape[0]], body, out=body)
+        np.abs(body, out=body)
+
+    return float(_block_total(iid, _BLOCK_CELLS, visit))
+
+
 def _iid_rows(obj, n: int, cells: int = _BLOCK_CELLS):
     """(rows, row sums, column sums) of the n-fold law of a two-axis
     JointPmf or a ConditionalPmf and a checked n: an ``_IidRows`` that
@@ -689,12 +717,10 @@ def _iid_rows(obj, n: int, cells: int = _BLOCK_CELLS):
     The full table is never built: its divisor (a joint's raw total, a
     kernel's raw row sums), the sums and the law check come from row blocks
     of about ``cells`` entries, and the check decides as ``_clean_probs``
-    on the full table would, with the same message.  A one-cell table
-    folds at most twice: x^k / x^k = 1.0 at any k."""
+    on the full table would, with the same message."""
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
-    check_table_size(t.size, "iid kernel" if kernel else "iid joint", n)
-    iid = _IidRows(_freeze(_iid_table(t, min(n - 1, 1) if t.size == 1 else n - 1)), t)
+    iid = _iid_factors(t, n, "iid kernel" if kernel else "iid joint")
     if not kernel:
         iid.norm = _divisor(_block_total(iid, cells))
     what = type(obj).__name__

@@ -7,6 +7,10 @@ library computes the same tables as segment sums over W^n sorted by bin
 triple; the differential tests compare the two.  It reads its iid
 tables from full ``iid_extension`` tables of its own, not from the
 library's factored rows.
+
+``segment_sums`` is the reference for those sums: one ``np.bincount`` over
+the flat (segment, column) cell of every entry, an index as large as the
+rows it sums, which ``binning._segment_sums`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,15 @@ class KeyPath:
     w0_enc_mass: np.ndarray   # (n_u,) mass routed to the w0 encoder fallback
     vrows: np.ndarray         # (|members|, n_v): decoded-V law per member
     path_uv: np.ndarray       # (n_u, n_v) joint of the path, weight 1
+
+
+def segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
+    """Sums of the rows of ``x`` (1-D or 2-D) per segment id: each entry
+    added to its (segment, column) cell in row order, from 0.0."""
+    n_col = math.prod(x.shape[1:])
+    cells = np.add.outer(ids * n_col, np.arange(n_col)).ravel()
+    sums = np.bincount(cells, weights=x.ravel(), minlength=n_seg * n_col)
+    return sums.reshape((n_seg, *x.shape[1:]))
 
 
 def full_tables(tab: _Tables) -> tuple[np.ndarray, np.ndarray]:

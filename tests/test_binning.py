@@ -6,13 +6,15 @@ import math
 import time
 import tracemalloc
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import binning_oracle
+from coordsim import binning
 from coordsim.binning import (
     BinningRealization,
     SchemeConfig,
@@ -28,6 +30,7 @@ from coordsim.binning import (
     slc_error_bound,
     slc_posterior,
     trial_metrics,
+    _segment_sums,
     _tables,
     _trial_metrics,
 )
@@ -461,6 +464,44 @@ def test_segment_sum_metrics_match_per_key_oracle(d, n, data):
     else:  # no seed carries reverse mass: both fall back to f = 0
         expect_sel = want.l1_uv_given_f
     assert abs(got.l1_uv_given_f - expect_sel) <= 1e-12
+
+
+SPECIAL_ENTRIES = [-0.0, 0.0, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300)
+@given(n_col=st.sampled_from([None, 1, 2, 3, 17, 64]), n_seg=st.integers(1, 40),
+       rows=st.integers(0, 120), skew=st.integers(0, 3), sort=st.booleans(),
+       cap=st.sampled_from([None, 1, 40]), seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(SPECIAL_ENTRIES)),
+                         max_size=8))
+def test_segment_sums_match_the_bincount_reference(n_col, n_seg, rows, skew, sort, cap, seed,
+                                                   specials):
+    """``_segment_sums`` against one bincount over flat (segment, column)
+    cells, to the bit: 1-D and 2-D rows, sorted and unsorted ids, empty,
+    singleton and long segments, -0.0, NaN and infinities among the
+    entries, and a small gather block (``cap``), which sends wide segments
+    through passes, blocks and long-run reduces."""
+    rng = np.random.default_rng(seed)
+    # skewed segment ids: a few long segments among many short ones
+    ids = rng.integers(0, n_seg, (skew + 1, rows)).min(axis=0)
+    if sort:
+        ids = np.sort(ids)
+    x = rng.standard_normal((rows,) if n_col is None else (rows, n_col))
+    x *= 10.0 ** rng.integers(-12, 13, x.shape)  # so that the order of the additions shows
+    flat = x.reshape(-1)
+    for at, v in specials:
+        if flat.size:
+            flat[at % flat.size] = v
+    with mock.patch.object(binning, "_GATHER_CELLS", cap or binning._GATHER_CELLS):
+        got = _segment_sums(x, ids, n_seg)
+    want = binning_oracle.segment_sums(x, ids, n_seg)
+    if rows:
+        event(f"longest segment {'>' if np.bincount(ids).max() > 8 else '<='} 8 rows")
+    assert got.shape == want.shape
+    # (an empty bincount is int64 zeros: compare values, as floats)
+    hexes = [[float(v).hex() for v in a.ravel().tolist()] for a in (got, want)]
+    assert hexes[0] == hexes[1]
 
 
 BRUTE_AXES = {"rb": ("u", "w", "f", "c", "m", "hw", "v"),

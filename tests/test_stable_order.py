@@ -1,25 +1,37 @@
-"""Differential tests: ``measures.tie_groups`` against its reference with
-numpy's stable merge sort (``tie_oracle.tie_groups``).
+"""Differential tests: ``measures._ordered_tie_groups`` and
+``measures.tie_groups`` against their reference with numpy's stable merge
+sort (``tie_oracle.tie_groups``).
 
-``tie_groups`` finds the stable ascending order from the ranks of the
-distinct values, by one of three routes chosen from their count (all
+``_ordered_tie_groups`` finds the stable ascending order from the ranks of
+the distinct values, by one of three routes chosen from their count (all
 distinct, at most ``_FEW_DISTINCT``, more with duplicates).  The
 ``np.add.reduceat`` sums read through that order depend on where each
 group sits, so nothing less than ``np.argsort(kind="stable")``'s order,
-bit for bit, keeps them.  The strategies draw every route, with exact
-ties from small pools, near-ties within ``TIE_TOL``, -0.0 beside 0.0,
-infinities and NaN.  Nothing here depends on how ``np.unique`` finds the
-distinct values (it hashes on recent numpy and sorts on older ones).
+bit for bit, keeps them.  ``tie_groups`` gives the same groups without the
+order; with at most ``_FEW_DISTINCT`` distinct values it never sorts the
+values, and reads each group's sums off per-rank gathers.  The strategies
+draw every route, with exact ties from small pools, near-ties within
+``TIE_TOL``, -0.0 beside 0.0, infinities and NaN.  Nothing here depends on
+how ``np.unique`` finds the distinct values (it hashes on recent numpy and
+sorts on older ones).
 """
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import event, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 import coordsim.nptest as nptest
 import tie_oracle
-from coordsim.measures import _FEW_DISTINCT, _stable_order, tie_groups
+from coordsim.measures import (
+    _FEW_DISTINCT,
+    TIE_TOL,
+    _ordered_tie_groups,
+    _stable_order,
+    tie_groups,
+)
 from test_tie_runs import same_bits
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
@@ -58,12 +70,17 @@ def tie_arrays(draw):
 
 
 def assert_same_groups(x: np.ndarray, masses: list) -> None:
-    got = tie_groups(x, *masses)
+    """Both ``_ordered_tie_groups`` and the order-free ``tie_groups`` give
+    the reference's heads, values and sums, bit for bit, and the first
+    its order too."""
     want = tie_oracle.tie_groups(x, *masses)
-    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    for a, b in zip(got[2:], want[2:]):
-        assert same_bits(a, b)
+    ordered = _ordered_tie_groups(x, *masses)
+    assert ordered[0].dtype == want[0].dtype and np.array_equal(ordered[0], want[0])
+    for got in (ordered[1:], tie_groups(x, *masses)):
+        assert len(got) == len(want) - 1
+        assert got[0].dtype == want[1].dtype and np.array_equal(got[0], want[1])
+        for a, b in zip(got[1:], want[2:]):
+            assert same_bits(a, b)
 
 
 @given(x=tie_arrays(), seed=st.integers(0, 2 ** 32 - 1))
@@ -73,6 +90,42 @@ def test_tie_groups_match_the_stable_argsort_reference(x, seed):
           f"at most {_FEW_DISTINCT} distinct" if distinct <= _FEW_DISTINCT else "many with ties")
     rng = np.random.default_rng(seed)
     assert_same_groups(x, [rng.uniform(1e-6, 1.0, x.size), rng.uniform(1e-6, 1.0, x.size)])
+
+
+@st.composite
+def few_value_arrays(draw):
+    """At most ``_FEW_DISTINCT`` distinct values: specials (NaN, +-inf,
+    -0.0 beside 0.0), chains of steps within ``TIE_TOL`` whose span
+    exceeds it (groups over several values), and any floats, repeated."""
+    start = draw(finite)
+    steps = draw(st.lists(st.sampled_from([0.3, 0.6, 0.9, 2.0]), max_size=6))
+    chain = [start + TIE_TOL * s for s in itertools.accumulate(steps, initial=0.0)]
+    pool = draw(st.lists(st.sampled_from(SPECIAL + NEAR + chain) | finite, min_size=1,
+                         max_size=_FEW_DISTINCT, unique_by=lambda v: v.hex()))
+    pool = pool[:_FEW_DISTINCT]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=150))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+MASS = st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@given(x=few_value_arrays(), data=st.data())
+def test_lean_tie_groups_match_the_reference(x, data):
+    """The order-free route of ``tie_groups`` (at most ``_FEW_DISTINCT``
+    distinct values) gives the reference's heads, values and sums, bit for
+    bit, for any masses, -0.0 among them."""
+    assume(np.unique(x).size <= _FEW_DISTINCT)
+    masses = [np.array(data.draw(st.lists(MASS, min_size=x.size, max_size=x.size)))
+              for _ in range(2)]
+    heads, values, *sums = tie_groups(x, *masses)
+    want = tie_oracle.tie_groups(x, *masses)
+    if heads.size and heads.size < np.unique(x).size:
+        event("a group over several values")
+    assert heads.dtype == want[1].dtype and np.array_equal(heads, want[1])
+    assert same_bits(values, want[2])
+    for a, b in zip(sums, want[3:]):
+        assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("distinct", [1, 2, 5, _FEW_DISTINCT, _FEW_DISTINCT + 1, 300, 4001])

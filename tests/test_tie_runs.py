@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 import tie_oracle
 from coordsim.cltverify import AtomLaw, _atom_law, be_gap, convolve_n, law_stats
 from coordsim.errors import CoordsimError, DomainError
-from coordsim.measures import TIE_TOL, group_at, group_tail, tie_groups, tie_heads
+from coordsim.measures import (
+    TIE_TOL,
+    _ordered_tie_groups,
+    group_at,
+    group_tail,
+    tie_groups,
+    tie_heads,
+)
 from coordsim.nptest import _llr_groups, _np_inputs, _np_solve, beta_sandwich, np_test
 
 
@@ -93,12 +100,16 @@ def test_merge_matches_oracle(data):
     # ascending as drawn, and shuffled: tie_groups sorts its input itself
     for x, m in ((values, probs), (values[perm], probs[perm])):
         stable = sorted(range(x.size), key=x.__getitem__)  # Python's sort is stable
-        order, heads, got_v, got_p = tie_groups(x, m)
+        order, heads, got_v, got_p = _ordered_tie_groups(x, m)
         assert order.tolist() == stable
         want_v, want_p = tie_oracle.merge_sorted(x[stable], m[stable])
         assert same_bits(got_v, want_v)
         assert same_bits(got_p, want_p)
         assert same_bits(x[order][heads], want_v)
+        lean_heads, lean_v, lean_p = tie_groups(x, m)  # the same groups without the order
+        assert np.array_equal(lean_heads, heads)
+        assert same_bits(lean_v, want_v)
+        assert same_bits(lean_p, want_p)
 
 
 @given(data=st.data(), n=st.integers(1, 6))

@@ -94,7 +94,7 @@ ALPHA_ON_BOUNDARY = chain([0.5, 0.5, 0.0], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
 def run_coded(d: Decomposition, n: int, eps: float, y: float):
     """The coded report with the (P2, Q) tables its chain was assembled on:
     the scheme's table and the product of the pair's n-fold marginals."""
-    with mock.patch.object(nptest, "_table_law", wraps=nptest._table_law) as spy:
+    with mock.patch.object(nptest, "_iid_l1", wraps=nptest._iid_l1) as spy:
         rep = converse_witness(d, n, eps, y, "coded")
     P2, pair, n = spy.call_args.args
     return rep, P2, witness_oracle.iid_pair(pair, n)[1]
@@ -225,9 +225,33 @@ def test_witness_reports_the_outer_bound_point(kind, d, n, eps, y):
     assert rep.valid_regime == (want[2] > 0.0)
 
 
+def assert_same_coded_law(d: Decomposition, n: int) -> None:
+    """The library's coded pair law and ``witness_oracle.coded_law``: the
+    same float bits in the L1 and in every group array."""
+    law = nptest._coded_law(d, n)
+    l1, heads, llr, p, q = witness_oracle.coded_law(d, n)
+    assert law.l1_to_iid.hex() == l1.hex()
+    groups = law.groups
+    assert groups.idx is None and np.array_equal(groups.heads, heads)
+    for got, want in ((groups.llr, llr), (groups.p, p), (groups.q, q)):
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+@settings(max_examples=60)
+@given(d=chains(), n=st.integers(1, 3))
+def test_coded_law_matches_the_dense_reference(d, n):
+    assert_same_coded_law(d, n)
+
+
 def copy_chain() -> Decomposition:
     eye = [[1.0, 0.0], [0.0, 1.0]]
     return chain([0.5, 0.5], eye, eye)
+
+
+def test_copy_chain_coded_law_matches_the_dense_reference():
+    """At the blocklength the benchmark runs: 786,514 support cells in
+    five tie groups."""
+    assert_same_coded_law(copy_chain(), 10)
 
 
 @pytest.mark.parametrize("kind, n", [("case1", 10), ("case2", 10), ("rr0", 6)])

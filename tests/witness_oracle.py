@@ -8,6 +8,12 @@ the table (``pick_transfer``), the correction band over every support cell
 The library reads the same chain from types over the pair's single-letter
 support cells; the differential tests compare the two reports.
 
+``coded_law`` is the coded witness's pair law as it was built before its
+sums went blockwise: the scheme's (U^n, W^n) table with every segment sum
+one bincount over flat cells and the encoder's factors gathered to all
+rows at once, the L1 from the dense iid table, the product law gathered
+over the whole support, and the tie groups from the stable merge sort.
+
 ``reference_checks`` is the straightforward form of what the chain reads
 from one set of Neyman-Pearson tie groups: the law of log2(P2/Q) under P2,
 pushed forward through ``density_law`` (a ``DensityTable`` and a
@@ -20,10 +26,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from coordsim import nptest
+import binning_oracle
+import tie_oracle
+from coordsim import binning, nptest
+from coordsim.binning import SchemeConfig, draw_binning, rc_joint
 from coordsim.cltverify import AtomLaw, density_law
 from coordsim.errors import DomainError
 from coordsim.measures import group_tail
@@ -50,6 +60,45 @@ def iid_pair(pair: JointPmf, n: int) -> tuple[np.ndarray, np.ndarray]:
         iid_extension(marginalize(pair, 1), n).probs,
     )
     return P, Q
+
+
+def _gathered_encoder(pu, pwu, pw, key_ids, n_keys):
+    """``binning._encoder`` with each key's factors gathered to all its
+    rows at once, and its sums by ``binning_oracle.segment_sums``."""
+    z = binning_oracle.segment_sums(pwu, key_ids, n_keys)
+    pos = z > 0
+    pwu *= np.divide(pu, z, out=np.zeros_like(z), where=pos)[key_ids]
+    w0_enc = np.zeros_like(z)
+    if not pos.all():
+        bin_mass = binning_oracle.segment_sums(pw, key_ids, n_keys)
+        has_ref = bin_mass > 0
+        refill = np.where(~pos & has_ref[:, None], pu, 0.0)[key_ids]
+        ref = pw / np.where(has_ref, bin_mass, 1.0)[key_ids]
+        pwu += np.multiply(ref[:, None], refill, out=refill)
+        w0_enc = np.where(~pos & ~has_ref[:, None], pu, 0.0)
+    return z, w0_enc
+
+
+def coded_law(d: Decomposition, n: int) -> tuple:
+    """(L1 from the iid table, heads, llr, p, q) of the coded witness's
+    pair law: the realized (U^n, W^n) table of the scheme drawn at seed 0
+    against the product of the pair's n-fold marginals, read through the
+    dense tables (see the module docstring)."""
+    cfg = SchemeConfig(n=n, rate_r=math.log2(d.w_size) if d.w_size > 1 else 1.0,
+                       rate_r0=1.0 / n, rate_rtilde=1.0 / n, seed=0, decomposition=d)
+    with mock.patch.object(binning, "_segment_sums", binning_oracle.segment_sums), \
+            mock.patch.object(binning, "_encoder", _gathered_encoder):
+        P2 = rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs
+    pair = marginalize(d.joint(), ("u", "w"))
+    diff = P2 - iid_extension(pair, n).probs
+    l1 = float(np.abs(diff).sum())
+    pa = iid_extension(marginalize(pair, 0), n).probs
+    pb = iid_extension(marginalize(pair, 1), n).probs
+    P2 = P2.reshape(-1)
+    sup = np.flatnonzero(P2 > 0)
+    q = pa[sup // pb.size] * pb[sup % pb.size]
+    p = P2[sup]
+    return (l1, *tie_oracle.tie_groups(np.log2(p / q), p, q)[1:])
 
 
 def exact_ratios(pair: np.ndarray, n: int, cells: np.ndarray) -> np.ndarray:
@@ -160,7 +209,7 @@ def dense_witness(kind: str, d: Decomposition, n: int, eps: float, y: float):
         perturb = "gain" if kind == "case1" else "lose"
     P, Q = iid_pair(pair, n)
     info, P2 = pick_transfer(pair.probs, n, P, eps, perturb)
-    law = nptest._table_law(P2, pair, n)
+    law = nptest._table_law(lambda: P2, pair, n)
     law = law._replace(info=info, corr_range=corr_range(P, info["delta"]))
     point = _converse_point(d, eps, n, y, sum_rate=kind == "rr0")
     return nptest._assemble(*labels, law, n, eps, y, point), P2, Q
