@@ -308,6 +308,7 @@ def _runs(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, bounds
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as silent as np.bincount
 def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
     """Sums of the rows of ``x`` (1-D or 2-D) per segment id, each added in
     row order from 0.0: the bits of one ``np.bincount`` over flat (segment,
@@ -320,11 +321,13 @@ def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
     starts from 0.0.  Each row's position in its segment comes from a
     stable argsort of the ids (none when they are sorted).  If every
     segment padded with zero rows to the longest fits in
-    ``_GATHER_CELLS`` entries, all are reduced at once.  Otherwise the
-    segments longer than some k are reduced one call each, and the others
-    in blocks of about ``_GATHER_CELLS`` entries, longest first: the
-    block's first rows, then pass j adds the j-th row of each segment that
-    has one.  k minimizes passes plus calls.
+    ``_GATHER_CELLS`` entries, all are reduced at once: on the simulator's
+    small blocks (n = 6) this is more than twice as fast as the passes below,
+    whose numpy calls dominate there.  Otherwise the segments longer than
+    some k are reduced one call each, and the others in blocks of about
+    ``_GATHER_CELLS`` entries, longest first: the block's first rows, then
+    pass j adds the j-th row of each segment that has one.  k minimizes
+    passes plus calls.
     """
     if x.ndim == 1 or x.shape[1] == 1:
         sums = np.bincount(ids, weights=x.reshape(-1), minlength=n_seg)

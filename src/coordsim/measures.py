@@ -56,7 +56,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .probability import ConditionalPmf, DensityTable, JointPmf, Pmf, check_blocklength, check_eps, info_density
+from .probability import (
+    _GATHER_CELLS,
+    ConditionalPmf,
+    DensityTable,
+    JointPmf,
+    Pmf,
+    check_blocklength,
+    check_eps,
+    info_density,
+)
 
 # variance below this (bits^2) is float dust from a constant density
 DEGENERATE_VAR = 1e-20
@@ -112,20 +121,18 @@ def _ranks(x: np.ndarray, below: list) -> np.ndarray:
     return rank
 
 
-# values per block when the distinct values are counted without a full sort
-_UNIQUE_BLOCK = 1 << 16
-
-
 def _few_distinct(x: np.ndarray) -> np.ndarray | None:
     """The distinct values of ``x`` ascending (one of -0.0 and 0.0, every
     NaN one value, last), or None when there are more than
     ``_FEW_DISTINCT``: ``np.unique`` block by block, so no sorted copy of
-    ``x`` is made, and an array of many values stops at its first block."""
-    seen = np.empty(0)
-    for b in range(0, x.size, _UNIQUE_BLOCK):
-        seen = np.unique(np.concatenate((seen, x[b:b + _UNIQUE_BLOCK])))
+    ``x`` is made, and an array of many values mostly stops at its first
+    block, of ``4 * _FEW_DISTINCT`` values."""
+    seen, b, step = np.empty(0), 0, 4 * _FEW_DISTINCT
+    while b < x.size:
+        seen = np.unique(np.concatenate((seen, x[b:b + step])))
         if seen.size > _FEW_DISTINCT:
             return None
+        b, step = b + step, _GATHER_CELLS
     return seen
 
 

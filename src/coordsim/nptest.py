@@ -32,7 +32,6 @@ dense, because its law is the realized scheme's table, and so does
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -596,23 +595,19 @@ def _coded_law(d: Decomposition, n: int) -> _PairLaw:
         decomposition=d,
     )
     pair = marginalize(d.joint(), ("u", "w"))
-    return _table_law(lambda: rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs,
-                      pair, n)
+    return _table_law(rc_joint(d, draw_binning(cfg, 0), cfg).marginal(("u", "w")).probs, pair, n)
 
 
-def _table_law(table: Callable[[], np.ndarray], pair: JointPmf, n: int) -> _PairLaw:
-    """A pair law's table P2, C-ordered and returned by the call
-    ``table()``, against the product of the n-fold marginals of ``pair``,
-    with its L1 distance from the iid table.  Neither the iid table nor the
-    product law is built as a table: the L1 is summed from row blocks
-    (``probability._iid_l1``), and the product law is read on the support
-    of P2, a block of cells at a time.  P2 is built here, so this frame
-    holds its only reference and drops it once its support masses are read
-    (a table passed as an argument stays referenced by the caller during
-    the call, and before Python 3.11 on the caller's stack even as a
-    temporary); the ratios go, from Python 3.11 on, once ``tie_groups``
-    has ranked them."""
-    P2 = table()
+def _table_law(P2: np.ndarray, pair: JointPmf, n: int) -> _PairLaw:
+    """A pair law's table ``P2`` (C-ordered) against the product of the
+    n-fold marginals of ``pair``, with its L1 distance from the iid table.
+    Neither the iid table nor the product law is built as a table: the L1
+    is summed from row blocks (``probability._iid_l1``), and the product
+    law is read on the support of P2, a block of cells at a time.  P2 is
+    dropped once its support masses are read, and the ratios once
+    ``tie_groups`` has ranked them: from Python 3.11 on, a called frame
+    takes over a temporary argument from its caller's stack, so a caller
+    that keeps no reference frees them there."""
     l1 = _iid_l1(P2, pair, n)
     P2 = P2.reshape(-1)
     sup = np.flatnonzero(P2 > 0)

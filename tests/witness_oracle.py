@@ -209,7 +209,7 @@ def dense_witness(kind: str, d: Decomposition, n: int, eps: float, y: float):
         perturb = "gain" if kind == "case1" else "lose"
     P, Q = iid_pair(pair, n)
     info, P2 = pick_transfer(pair.probs, n, P, eps, perturb)
-    law = nptest._table_law(lambda: P2, pair, n)
+    law = nptest._table_law(P2, pair, n)
     law = law._replace(info=info, corr_range=corr_range(P, info["delta"]))
     point = _converse_point(d, eps, n, y, sum_rate=kind == "rr0")
     return nptest._assemble(*labels, law, n, eps, y, point), P2, Q
