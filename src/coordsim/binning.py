@@ -259,10 +259,11 @@ class _Tables:
     factors, each 1/(|W| |U|) or 1/(|W| |V|) of its table: ``rows(w)``
     builds just the rows a caller asks for, with the bits of the full table
     (``probability._IidRows``).  No full table is ever built: the divisors,
-    ``pu``, ``pw`` and the law checks are read off streamed row blocks with
-    the full tables' bits (``probability._iid_rows``).  The kernel and the
-    (U^n, V^n) target are built on first read: a (u, w) marginal never
-    reads them."""
+    ``pu`` and ``pw`` are read off streamed row blocks with the full
+    tables' bits (``probability._iid_rows``), and the tables are not
+    checked again, as products of the chain's checked laws.  The kernel
+    and the (U^n, V^n) target are built on first read: a (u, w) marginal
+    never reads them."""
 
     d: Decomposition
     n: int

@@ -29,9 +29,10 @@ NaN and contributes 0 to any B/sqrt(n) penalty, and its backoff is exactly
 Tie policy: ascending values within ``TIE_TOL`` of their group's head,
 its smallest value, are one point; only equal infinities tie with an
 infinity.  ``_ordered_tie_groups`` sorts its input itself, in the order of
-``np.argsort(kind="stable")`` bit for bit but found from the ranks of the
-distinct values (``_stable_order``: no merge sort of the values), and
-is the only sort-then-group, one summation per group, for n-fold atoms and
+``np.argsort(kind="stable")`` bit for bit but found from an unstable
+argsort and the ranks of the distinct values (``_stable_order``: one sort
+of ``rank << b | index`` keys, no merge sort of the values), and is the
+only sort-then-group, one summation per group, for n-fold atoms and
 Neyman-Pearson groups of log2(p/q) alike; ``tie_groups`` gives the same
 groups to callers that do not read the order, and sorts nothing when there
 are at most ``_FEW_DISTINCT`` distinct values.  ``group_tail`` is the only
@@ -105,7 +106,7 @@ def tie_heads(x: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((heads, np.array(extra, dtype=np.intp))))
 
 
-# at most this many distinct values are ranked by comparisons for a radix sort
+# at most this many distinct values are grouped by ranks, without a sort
 _FEW_DISTINCT = 32
 
 
@@ -142,13 +143,10 @@ def _stable_order(x: np.ndarray) -> np.ndarray:
     Equal values (under ``==``: -0.0 equals 0.0, and every NaN, sorted
     last, is one value) keep their input order.  One unstable ``np.sort``
     of the values counts the distinct ones (no hash table, so memory stays
-    a few arrays of the input's size) and picks the cheapest route to that
-    one order:
+    a few arrays of the input's size) and picks the route to that one
+    order:
 
     * all distinct: any ascending argsort is the stable one;
-    * at most ``_FEW_DISTINCT``: each value's rank, the number of distinct
-      values below it, as ``uint8`` (one comparison pass per distinct
-      value), whose stable argsort is a radix sort;
     * otherwise: the ranks in sorted order, shifted left past an index's
       b bits, are or-ed with an unstable argsort, and one sort of those
       int64 keys ``rank << b | index`` puts each run of equal values back
@@ -160,14 +158,9 @@ def _stable_order(x: np.ndarray) -> np.ndarray:
     s = np.sort(x)
     new = s[1:] != s[:-1]  # a value unlike the one before it starts a run
     new &= ~np.isnan(s[:-1])  # NaNs sort last and are one value
-    distinct = np.count_nonzero(new) + 1
-    if distinct == x.size:
-        return np.argsort(x)
-    if distinct <= _FEW_DISTINCT:
-        below = s[:-1][new].tolist()  # the distinct values but the largest
-        del s, new
-        return np.argsort(_ranks(x, below), kind="stable")
     del s
+    if np.count_nonzero(new) == x.size - 1:  # all distinct
+        return np.argsort(x)
     bits = (x.size - 1).bit_length()
     if bits > 31:
         return np.argsort(x, kind="stable")

@@ -24,7 +24,10 @@ Conventions
   read-only array, never renormalized.  Every law the program accepts passes
   it: ``Pmf``, ``JointPmf``, ``ConditionalPmf`` rows, ``AtomLaw`` masses,
   ``BinningRealization.w_mass`` and the flattened inputs of ``np_beta``,
-  ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
+  ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.  The
+  n-fold tables streamed from row blocks (``_iid_rows``) are not checked
+  again: each law they extend was built through its constructor, and a
+  product of checked entries divided by its positive raw total passes.
 * One check per parameter kind decides every such parameter, raising
   ``DomainError``: ``check_blocklength`` (whole-number counts below 2^64),
   ``check_seed`` (64-bit indices), ``check_index`` (in-alphabet indices),
@@ -127,19 +130,15 @@ def _clean_probs(arr, what: str, rows: bool = False) -> np.ndarray:
             a = a.copy()
         a[a < 0] = 0.0
     with np.errstate(over="ignore"):  # finite entries may sum to inf, rejected below
-        _check_total(a.sum(axis=1) if rows else a.sum(), what, rows)
-    a.setflags(write=False)
-    return a
-
-
-def _check_total(total, what: str, rows: bool) -> None:
-    """``_clean_probs``' total check: ``total`` (each row's sum when
-    ``rows``, reporting the row farthest from 1) within NORM_TOL of 1."""
+        total = a.sum(axis=1) if rows else a.sum()
+    # per row, the row farthest from 1 is reported
     worst = int(np.argmax(np.abs(total - 1.0))) if rows else None
     total = float(total[worst] if rows else total)
     if abs(total - 1.0) > NORM_TOL:
         where = "" if worst is None else f" row {worst}"
         raise DomainError(f"{what}{where} sums to {total!r}, not 1 within {NORM_TOL}", index=worst)
+    a.setflags(write=False)
+    return a
 
 
 def _shown(x) -> str:
@@ -560,9 +559,9 @@ class _IidRows:
     """Rows of an n-fold table of ``iid_extension`` held as factors: the
     raw product ``pre`` of the first n-1 letters, the one-letter table ``t``
     (r, s) and the divisor the full table is renormalized by.  It is 1/(r s)
-    of the full table, and ``_iid_rows`` reads the divisor, the marginals
-    and the law check off row blocks, so the full table is never built.  (A
-    plain class: each dataclass adds to the CLI's cold start.)"""
+    of the full table, and ``_iid_rows`` reads the divisor and the
+    marginals off row blocks, so the full table is never built.  (A plain
+    class: each dataclass adds to the CLI's cold start.)"""
 
     def __init__(self, pre: np.ndarray, t: np.ndarray, norm=None):
         self.pre = pre    # (r**(n-1), s**(n-1)) raw (n-1)-fold product
@@ -609,79 +608,18 @@ def _block_total(iid: _IidRows, cells: int, visit=None):
     """The full table's ``sum()`` with its bits, from row blocks of the
     raw product: ``_pairwise_sum`` over leaves of about ``cells`` entries
     (more for wide rows).  A leaf builds the rows it touches, rounded out to
-    whole rows of ``pre``, into rows 1.. of a block whose row 0 is spare,
-    and ``visit(block, r0, start, end)`` may rewrite them in place before
-    the leaf is summed: the block starts at table row r0, and rows
-    start..end-1 end in this leaf, so each row ends in exactly one."""
+    whole rows of ``pre``, and ``visit(block, r0)`` may rewrite them in
+    place before the leaf is summed: the block starts at table row r0."""
     r, (n_rows, n_cols) = iid.t.shape[0], iid.shape
 
     def leaf_sum(lo, hi):
         p0, p1 = lo // (r * n_cols), -(-hi // (r * n_cols))
-        block = np.empty((1 + (p1 - p0) * r, n_cols))
-        _iid_grow(iid.pre[p0:p1], iid.t, block[1:])
-        r0 = p0 * r
+        block = _iid_grow(iid.pre[p0:p1], iid.t)
         if visit is not None:
-            visit(block, r0, lo // n_cols, hi // n_cols)
-        return np.sum(block[1:].reshape(-1)[lo - r0 * n_cols:hi - r0 * n_cols])
+            visit(block, p0 * r)
+        return np.sum(block.reshape(-1)[lo - p0 * r * n_cols:hi - p0 * r * n_cols])
 
     return _pairwise_sum(leaf_sum, 0, n_rows * n_cols, max(cells, 2 * r * n_cols))
-
-
-def _law_scan(iid: _IidRows, cells: int, kernel: bool, clamp: bool = False):
-    """(row sums, column sums, total, least, most) of the full table, with
-    the bits of its ``sum(axis=1)``, ``sum(axis=0)`` (None for a kernel),
-    ``sum()``, ``min()`` and ``max()``, from the blocks of
-    ``_block_total``, divided as the table is and, when ``clamp``, with
-    entries below 0 set to 0.  A kernel's divisor, its raw row sums, is
-    read off the same blocks and set on ``iid``.  Column sums add rows in
-    order, continued across blocks from the row before a block's first
-    ending row (outside the leaf); a one-column table is summed pairwise
-    instead, as its total."""
-    n_rows, n_cols = iid.shape
-    row_sums, acc = np.empty(n_rows), np.zeros(n_cols)
-    least, most = np.inf, -np.inf
-    if kernel:
-        iid.norm = np.empty((n_rows, 1))
-
-    def visit(block, r0, start, end):
-        nonlocal acc, least, most
-        body = block[1:]
-        if kernel:
-            div = body.sum(axis=1, keepdims=True)
-            iid.norm[start:end] = div[start - r0:end - r0]
-        np.divide(body, div if kernel else iid.norm, out=body)
-        if clamp:
-            body[body < 0] = 0.0
-        least, most = np.minimum(least, body.min()), np.maximum(most, body.max())
-        if end > start:
-            row_sums[start:end] = body[start - r0:end - r0].sum(axis=1)
-            if not kernel:
-                block[start - r0] = acc
-                acc = np.add.reduce(block[start - r0:end - r0 + 1], axis=0)
-
-    total = _block_total(iid, cells, visit)
-    col_sums = None if kernel else acc if n_cols > 1 else np.array([total])
-    return row_sums, col_sums, total, float(least), float(most)
-
-
-def _law_failure(iid: _IidRows, what: str, cells: int, least: float, most: float) -> DomainError:
-    """``_clean_probs``' error for the full table, whose ``min()`` and
-    ``max()`` are ``least`` and ``most``, when it has a non-finite entry or
-    one below float dust, at the same index: the first non-finite entry,
-    else the first least one."""
-    n_rows, n_cols = iid.shape
-    finite = math.isfinite(least) and math.isfinite(most)
-    step = max(1, cells // n_cols)
-    for r in range(0, n_rows, step):
-        block = iid.rows(np.arange(r, min(r + step, n_rows)))
-        hit = block == least if finite else ~np.isfinite(block)
-        if hit.any():
-            at = int(np.argmax(hit))
-            index = np.unravel_index(r * n_cols + at, (n_rows, n_cols))
-            if finite:
-                return DomainError(f"{what} has a negative entry {block.reshape(-1)[at]!r}", index=index)
-            return DomainError(f"{what} has a non-finite entry", index=index)
-    raise AssertionError("no entry fails the law check")
 
 
 def _iid_factors(t: np.ndarray, n: int, what: str) -> _IidRows:
@@ -700,11 +638,10 @@ def _iid_l1(table: np.ndarray, joint: JointPmf, n: int) -> float:
     iid = _iid_factors(joint.probs, n, "iid joint")
     iid.norm = _divisor(_block_total(iid, _BLOCK_CELLS))
 
-    def visit(block, r0, start, end):
-        body = block[1:]
-        np.divide(body, iid.norm, out=body)
-        np.subtract(table[r0:r0 + body.shape[0]], body, out=body)
-        np.abs(body, out=body)
+    def visit(block, r0):
+        np.divide(block, iid.norm, out=block)
+        np.subtract(table[r0:r0 + block.shape[0]], block, out=block)
+        np.abs(block, out=block)
 
     return float(_block_total(iid, _BLOCK_CELLS, visit))
 
@@ -714,24 +651,40 @@ def _iid_rows(obj, n: int, cells: int = _BLOCK_CELLS):
     JointPmf or a ConditionalPmf and a checked n: an ``_IidRows`` that
     builds any row of the table ``iid_extension`` gives, with its bits, and
     that table's ``sum(axis=1)`` and ``sum(axis=0)`` (None for a kernel).
-    The full table is never built: its divisor (a joint's raw total, a
-    kernel's raw row sums), the sums and the law check come from row blocks
-    of about ``cells`` entries, and the check decides as ``_clean_probs``
-    on the full table would, with the same message."""
+
+    ``obj`` must have been built through its constructor: its table then
+    passed ``_clean_probs``, and so does the n-fold table, a product of
+    its entries divided by a positive raw total, so it is not checked
+    again.  The full table is never built.  A joint's divisor, its raw
+    total, is summed pairwise off row blocks (``_block_total``); then one
+    pass over blocks of about ``cells`` entries, whole rows of ``pre``,
+    takes a kernel's divisor, its raw row sums, divides, and takes the row
+    sums and the column sums.  The column sums add rows in order, carried
+    from block to block in the block's spare row 0; a one-column joint's
+    is summed pairwise instead, as its total."""
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
     iid = _iid_factors(t, n, "iid kernel" if kernel else "iid joint")
-    if not kernel:
-        iid.norm = _divisor(_block_total(iid, cells))
-    what = type(obj).__name__
-    with np.errstate(over="ignore"):  # as in ``_clean_probs``
-        row_sums, col_sums, total, least, most = _law_scan(iid, cells, kernel)
-        if not (math.isfinite(least) and math.isfinite(most)) or least < _NEG_DUST:
-            raise _law_failure(iid, what, cells, least, most)
-        if least < 0:  # float dust, clamped as ``_clean_probs`` clamps it
-            row_sums, col_sums, total, _, _ = _law_scan(iid, cells, kernel, clamp=True)
-    _check_total(row_sums if kernel else total, what, kernel)
-    return iid, row_sums, col_sums
+    (n_rows, n_cols), r, m = iid.shape, t.shape[0], iid.pre.shape[0]
+    iid.norm = np.empty((n_rows, 1)) if kernel else _divisor(_block_total(iid, cells))
+    row_sums, acc = np.empty(n_rows), np.zeros(n_cols)
+    step = min(m, max(1, cells // (r * n_cols)))  # rows of pre per block
+    buf = np.empty((1 + step * r, n_cols))  # one block, reused: two alive would double the peak
+    for p0 in range(0, m, step):
+        r0, r1 = p0 * r, min(p0 + step, m) * r
+        body = _iid_grow(iid.pre[p0:p0 + step], t, buf[1:1 + r1 - r0])
+        if kernel:
+            iid.norm[r0:r1] = body.sum(axis=1, keepdims=True)
+        np.divide(body, iid.norm[r0:r1] if kernel else iid.norm, out=body)
+        row_sums[r0:r1] = body.sum(axis=1)
+        if not kernel:
+            buf[0] = acc
+            acc = np.add.reduce(buf[:1 + r1 - r0], axis=0)
+    if kernel:
+        return iid, row_sums, None
+    if n_cols == 1:
+        acc = np.array([_block_total(iid, cells, lambda block, r0: np.divide(block, iid.norm, out=block))])
+    return iid, row_sums, acc
 
 
 def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
 sort (``tie_oracle.tie_groups``).
 
 ``_ordered_tie_groups`` finds the stable ascending order from the ranks of
-the distinct values, by one of three routes chosen from their count (all
-distinct, at most ``_FEW_DISTINCT``, more with duplicates).  The
+the distinct values, by one of two routes chosen from their count (all
+distinct, or with duplicates).  The
 ``np.add.reduceat`` sums read through that order depend on where each
 group sits, so nothing less than ``np.argsort(kind="stable")``'s order,
 bit for bit, keeps them.  ``tie_groups`` gives the same groups without the
