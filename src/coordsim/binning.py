@@ -21,7 +21,7 @@ target, and the analysis prices that through three exact tail terms
 (eps_app / eps_dec / eps_app2) combined into eps_tot.
 
 Everything here is exact per realization: joints are held factored (bin
-maps plus the iid tables, themselves held as (n-1)-fold factors) and only
+maps plus the iid tables, themselves held as factors of at most 2 MB) and only
 requested marginals and rows are materialized, so the memory cost is the
 size of what you ask for, never the seven-axis product or a full n-fold
 table.
@@ -256,8 +256,10 @@ def slc_posterior(b: BinningRealization, f: int, c: int, m: int) -> tuple[Pmf, b
 class _Tables:
     """iid blocks shared by every per-realization computation.  The
     (n_w, n_u) joint P(w, u) and the (n_w, n_v) kernel P(v | w) are held as
-    factors, each 1/(|W| |U|) or 1/(|W| |V|) of its table: ``rows(w)``
-    builds just the rows a caller asks for, with the bits of the full table
+    factors: the raw product of the first n - k letters, at most
+    ``probability._BLOCK_CELLS`` entries (2 MB) at any n, and the one-letter
+    table whose last k fold steps ``rows(w)`` redoes, building just the
+    rows a caller asks for, with the bits of the full table
     (``probability._IidRows``).  No full table is ever built: the divisors,
     ``pu`` and ``pw`` are read off streamed row blocks with the full
     tables' bits (``probability._iid_rows``), and the tables are not
@@ -320,8 +322,8 @@ def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
     table adds them one at a time from 0.0, column by column (a single
     column it would sum pairwise), and adding +0.0 changes no sum that
     starts from 0.0.  Each row's position in its segment comes from a
-    stable argsort of the ids (none when they are sorted).  If every
-    segment padded with zero rows to the longest fits in
+    stable argsort of the ids (none when they are sorted), ``_segment_rows``.
+    If every segment padded with zero rows to the longest fits in
     ``_GATHER_CELLS`` entries, all are reduced at once: on the simulator's
     small blocks (n = 6) this is more than twice as fast as the passes below,
     whose numpy calls dominate there.  Otherwise the segments longer than
@@ -330,19 +332,36 @@ def _segment_sums(x: np.ndarray, ids: np.ndarray, n_seg: int) -> np.ndarray:
     pass j adds the j-th row of each segment that has one.  k minimizes
     passes plus calls.
     """
+    return _reduce_segments(x, ids, n_seg)
+
+
+def _segment_rows(ids: np.ndarray) -> tuple:
+    """(order, sorted ids, position of each sorted row in its segment,
+    longest segment) of a run of segment ids: what ``_reduce_segments``
+    reads of them, so sums over the same ids can share it.  ``order`` is
+    the stable argsort of the ids, None when they are sorted."""
+    order = np.argsort(ids, kind="stable") if (ids[1:] < ids[:-1]).any() else None
+    ids_s = ids if order is None else ids[order]
+    pos = np.arange(ids.size) - np.searchsorted(ids_s, ids_s)
+    return order, ids_s, pos, int(pos.max(initial=0)) + 1
+
+
+def _reduce_segments(x: np.ndarray, ids: np.ndarray, n_seg: int, at=None) -> np.ndarray:
+    """``_segment_sums`` for a caller that already ignores float overflow
+    and invalid results (a trial does, once), on the rows ``at`` of the ids
+    (``_segment_rows``) if given."""
     if x.ndim == 1 or x.shape[1] == 1:
         sums = np.bincount(ids, weights=x.reshape(-1), minlength=n_seg)
         return sums.reshape((n_seg, *x.shape[1:]))
     x, n_col = np.ascontiguousarray(x), x.shape[1]
-    order = np.argsort(ids, kind="stable") if (ids[1:] < ids[:-1]).any() else None
-    ids_s = ids if order is None else ids[order]
-    pos = np.arange(ids.size) - np.searchsorted(ids_s, ids_s)  # of each sorted row in its segment
-    k = int(pos.max(initial=0)) + 1
+    order, ids_s, pos, k = _segment_rows(ids) if at is None else at
     if k * n_seg * n_col <= _GATHER_CELLS:
-        if order is not None:
-            pos[order] = pos.copy()
+        where = pos
+        if order is not None:  # each row's position, in the order of x
+            where = np.empty_like(pos)
+            where[order] = pos
         pad = np.zeros((k, n_seg, n_col))
-        pad[pos, ids] = x
+        pad[where, ids] = x
         return np.add.reduce(pad, axis=0)
     out = np.zeros((n_seg, n_col))
     starts = np.flatnonzero(pos == 0)
@@ -411,7 +430,7 @@ def _encoder(pu, pwu, pw, key_ids, n_keys):
     ``pwu`` is overwritten with the (rows, n_u) encoder mass pu(u)
     enc(w | key, u), both fallbacks applied, a block of rows at a time, so
     no (rows, n_u) table of per-key factors is built."""
-    z = _segment_sums(pwu, key_ids, n_keys)
+    z = _reduce_segments(pwu, key_ids, n_keys)
     pos = z > 0
     scale = np.divide(pu, z, out=np.zeros_like(z), where=pos)
     w0_enc = np.zeros_like(z)
@@ -433,13 +452,14 @@ def _encoder(pu, pwu, pw, key_ids, n_keys):
     return z, w0_enc
 
 
-def _triple_v_laws(pw, pvn_rows, trip_ids, z_t) -> np.ndarray:
+def _triple_v_laws(pw, pvn_rows, trip_ids, z_t, at=None) -> np.ndarray:
     """(T, n_v) decoded V law of each triple of a run of rows, P(V^n |
     triple) = sum_w P(w) P(v | w) / Z_triple, from their reference mass
-    ``pw`` and kernel rows ``pvn_rows``, which it overwrites.  A zero-mass
-    triple keeps a zero row: the encoder only emits sequences with
-    reference mass and so never reaches it."""
-    v_t = _segment_sums(np.multiply(pw[:, None], pvn_rows, out=pvn_rows), trip_ids, z_t.size)
+    ``pw`` and kernel rows ``pvn_rows``, which it overwrites; ``at`` is
+    ``_segment_rows(trip_ids)``, if the caller has it.  A zero-mass triple
+    keeps a zero row: the encoder only emits sequences with reference mass
+    and so never reaches it."""
+    v_t = _reduce_segments(np.multiply(pw[:, None], pvn_rows, out=pvn_rows), trip_ids, z_t.size, at)
     ok = z_t > 0
     v_t[ok] /= z_t[ok, None]
     return v_t
@@ -508,6 +528,7 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
+@np.errstate(over="ignore", invalid="ignore")  # for every segment sum of the trial
 def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
     lay = _sorted_layout(tab, b)
     n_keys_total = b.bins_f * b.bins_c
@@ -535,8 +556,9 @@ def _trial_metrics(tab: _Tables, b: BinningRealization) -> TrialMetrics:
         # the encoder mass overwrites pwu and the decoded V laws pvn; each
         # row table dies once read, before the next block
         z[k0:k1], w0_enc[k0:k1] = _encoder(tab.pu, pwu, pw, lay.key_ids[r0:r1] - k0, k1 - k0)
-        enc_t = _segment_sums(pwu, trip_ids, t1 - t0)
-        v_t = _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1])
+        at = _segment_rows(trip_ids)  # the two triple sums read the same rows
+        enc_t = _reduce_segments(pwu, trip_ids, t1 - t0, at)
+        v_t = _triple_v_laws(pw, pvn, trip_ids, lay.z_t[t0:t1], at)
         del pwu, pvn
         rc_f = q * (enc_t.T @ v_t)
         # each skipped term adds exactly +0.0 to the non-negative rc_f
@@ -757,6 +779,7 @@ class _PathJoint:
         # a triple without reference mass cannot be renormalized: abort to w0
         self._slot = np.where(lay.z_t[lay.trip_ids] > 0, lay.trip_ids, lay.z_t.size)
 
+    @np.errstate(over="ignore", invalid="ignore")  # for the encoder's segment sums
     def marginal(self, axes) -> JointPmf:
         axes = _check_axes(axes, self._AXES)
         t, b, lay = self.tab, self.b, self._layout

@@ -557,37 +557,67 @@ _GATHER_CELLS = 1 << 16
 
 class _IidRows:
     """Rows of an n-fold table of ``iid_extension`` held as factors: the
-    raw product ``pre`` of the first n-1 letters, the one-letter table ``t``
-    (r, s) and the divisor the full table is renormalized by.  It is 1/(r s)
-    of the full table, and ``_iid_rows`` reads the divisor and the
-    marginals off row blocks, so the full table is never built.  (A plain
-    class: each dataclass adds to the CLI's cold start.)"""
+    raw product ``pre`` of the first n - k letters, the one-letter table
+    ``t`` (r, s), the k fold steps left, and the divisor the full table is
+    renormalized by.  ``_iid_factors`` takes the fewest steps k >= 1 that
+    leave ``pre`` at most ``_BLOCK_CELLS`` entries, so it is about 2 MB or
+    less at any n.  ``rows`` and ``block`` redo the last k steps with the
+    fold's own multiplies, so every row keeps the full table's bits, and
+    ``_iid_rows`` reads the divisor and the marginals off blocks, so the
+    full table is never built.  (A plain class: each dataclass adds to the
+    CLI's cold start.)"""
 
-    def __init__(self, pre: np.ndarray, t: np.ndarray, norm=None):
-        self.pre = pre    # (r**(n-1), s**(n-1)) raw (n-1)-fold product
-        self.t = t        # (r, s) one-letter table
-        self.norm = norm  # the full table's raw total, or its (r**n, 1) raw row sums
+    def __init__(self, pre: np.ndarray, t: np.ndarray, steps: int, norm=None):
+        self.pre = pre      # (r**(n-k), s**(n-k)) raw (n-k)-fold product
+        self.t = t          # (r, s) one-letter table
+        self.steps = steps  # k, the fold steps from pre to the full table
+        self.norm = norm    # the full table's raw total, or its (r**n, 1) raw row sums
 
     @property
     def shape(self) -> tuple[int, int]:
         """The full table's shape, (r**n, s**n)."""
-        return self.pre.shape[0] * self.t.shape[0], self.pre.shape[1] * self.t.shape[1]
+        (r, s), k = self.t.shape, self.steps
+        return self.pre.shape[0] * r ** k, self.pre.shape[1] * s ** k
 
     def rows(self, w, out=None) -> np.ndarray:
         """Rows ``w`` (flat indices in any order, repeats allowed) of the
-        full table, with its bits: row w is pre[w // r] times t[w % r] in
-        the interleaved order of the fold's last step, then divided by the
-        divisor.  Written into ``out``, a C-contiguous (len(w), s**n)
-        array, if given."""
-        hi, lo = np.divmod(w, self.t.shape[0])
-        pre, last = self.pre[hi], self.t[lo]
-        (k, size), s = pre.shape, last.shape[1]
-        if out is None:
-            out = np.empty((k, size * s))
-        wide = out.reshape((k, size, s), copy=False)
-        for j in range(s):  # s strided passes: one broadcast over s is several times slower
-            np.multiply(pre, last[:, j, None], out=wide[:, :, j])
-        return np.divide(out, self.norm if self.norm.ndim == 0 else self.norm[w], out=out)
+        full table, with its bits: row w is pre[w // r**k] times, letter by
+        letter, the t rows of the k digits of w % r**k, each step in the
+        interleaved order of a fold step, then divided by the divisor.
+        Written into ``out``, a C-contiguous (len(w), s**n) array, if
+        given."""
+        digits, hi = [], w
+        for _ in range(self.steps):  # the last letters, least significant first
+            hi, lo = np.divmod(hi, self.t.shape[0])
+            digits.append(lo)
+        rows = self.pre[hi]
+        while digits:
+            last = self.t[digits.pop()]
+            (m, size), s = rows.shape, last.shape[1]
+            grown = out if not digits and out is not None else np.empty((m, size * s))
+            wide = grown.reshape((m, size, s), copy=False)
+            for c in range(s):  # s strided passes: one broadcast over s is several times slower
+                np.multiply(rows, last[:, c, None], out=wide[:, :, c])
+            rows = grown
+        return np.divide(rows, self.norm if self.norm.ndim == 0 else self.norm[w], out=rows)
+
+    def block(self, q0: int, q1: int, out=None) -> np.ndarray:
+        """Raw rows [q0 r, q1 r) of the full table, with its bits: ``pre``
+        folded on by ``_iid_grow``, each step but the last kept to the rows
+        the next one reads, until rows [q0, q1) of the (n-1)-fold product
+        take the last step, into ``out`` if given.  Each earlier product is
+        at most 1/(r s) of the block and a few rows."""
+        r, spans = self.t.shape[0], [(q0, q1)]
+        for _ in range(self.steps - 1):  # the rows each earlier product must give
+            a, b = spans[-1]
+            spans.append((a // r, -(-b // r)))
+        a, b = spans.pop()
+        rows = self.pre[a:b]
+        while spans:
+            c, d = spans.pop()
+            rows = _iid_grow(rows, self.t)[c - a * r:d - a * r]
+            a = c
+        return _iid_grow(rows, self.t, out)
 
 
 def _pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int):
@@ -608,26 +638,34 @@ def _block_total(iid: _IidRows, cells: int, visit=None):
     """The full table's ``sum()`` with its bits, from row blocks of the
     raw product: ``_pairwise_sum`` over leaves of about ``cells`` entries
     (more for wide rows).  A leaf builds the rows it touches, rounded out to
-    whole rows of ``pre``, and ``visit(block, r0)`` may rewrite them in
-    place before the leaf is summed: the block starts at table row r0."""
+    whole rows of the (n-1)-fold product (``_IidRows.block``), and
+    ``visit(block, r0)`` may rewrite them in place before the leaf is
+    summed: the block starts at table row r0."""
     r, (n_rows, n_cols) = iid.t.shape[0], iid.shape
 
     def leaf_sum(lo, hi):
-        p0, p1 = lo // (r * n_cols), -(-hi // (r * n_cols))
-        block = _iid_grow(iid.pre[p0:p1], iid.t)
+        q0, q1 = lo // (r * n_cols), -(-hi // (r * n_cols))
+        block = iid.block(q0, q1)
         if visit is not None:
-            visit(block, p0 * r)
-        return np.sum(block.reshape(-1)[lo - p0 * r * n_cols:hi - p0 * r * n_cols])
+            visit(block, q0 * r)
+        return np.sum(block.reshape(-1)[lo - q0 * r * n_cols:hi - q0 * r * n_cols])
 
     return _pairwise_sum(leaf_sum, 0, n_rows * n_cols, max(cells, 2 * r * n_cols))
 
 
 def _iid_factors(t: np.ndarray, n: int, what: str) -> _IidRows:
     """The ``_IidRows`` factors (no divisor yet) of the n-fold table of the
-    one-letter table ``t``, once its size passes ``check_table_size``.  A
+    one-letter table ``t``, once its size passes ``check_table_size``:
+    ``pre`` is the raw product of the first n - k letters, k >= 1 the
+    fewest fold steps that leave it at most ``_BLOCK_CELLS`` entries.  A
     one-cell table folds at most twice: x^k / x^k = 1.0 at any k."""
     check_table_size(t.size, what, n)
-    return _IidRows(_freeze(_iid_table(t, min(n - 1, 1) if t.size == 1 else n - 1)), t)
+    if t.size == 1:
+        n = min(n, 2)
+    depth = n - 1
+    while depth > 0 and t.size ** depth > _BLOCK_CELLS:
+        depth -= 1
+    return _IidRows(_freeze(_iid_table(t, depth)), t, n - depth)
 
 
 def _iid_l1(table: np.ndarray, joint: JointPmf, n: int) -> float:
@@ -650,38 +688,42 @@ def _iid_rows(obj, n: int, cells: int = _BLOCK_CELLS):
     """(rows, row sums, column sums) of the n-fold law of a two-axis
     JointPmf or a ConditionalPmf and a checked n: an ``_IidRows`` that
     builds any row of the table ``iid_extension`` gives, with its bits, and
-    that table's ``sum(axis=1)`` and ``sum(axis=0)`` (None for a kernel).
+    for a joint that table's ``sum(axis=1)`` and ``sum(axis=0)``.  A
+    kernel's sums are None: its rows sum to 1 within ``NORM_TOL``, and
+    ``rows`` gives them where a test needs their bits.
 
     ``obj`` must have been built through its constructor: its table then
     passed ``_clean_probs``, and so does the n-fold table, a product of
     its entries divided by a positive raw total, so it is not checked
     again.  The full table is never built.  A joint's divisor, its raw
     total, is summed pairwise off row blocks (``_block_total``); then one
-    pass over blocks of about ``cells`` entries, whole rows of ``pre``,
-    takes a kernel's divisor, its raw row sums, divides, and takes the row
-    sums and the column sums.  The column sums add rows in order, carried
-    from block to block in the block's spare row 0; a one-column joint's
-    is summed pairwise instead, as its total."""
+    pass over blocks of about ``cells`` entries, whole rows of the
+    (n-1)-fold product, takes a kernel's divisor, its raw row sums, or
+    divides a joint's block and takes its row sums and column sums.  The
+    column sums add rows in order, carried from block to block in the
+    block's spare row 0; a one-column joint's is summed pairwise instead,
+    as its total."""
     kernel = isinstance(obj, ConditionalPmf)
     t = obj.rows if kernel else obj.probs
     iid = _iid_factors(t, n, "iid kernel" if kernel else "iid joint")
-    (n_rows, n_cols), r, m = iid.shape, t.shape[0], iid.pre.shape[0]
+    (n_rows, n_cols), r = iid.shape, t.shape[0]
+    m = n_rows // r  # rows of the (n-1)-fold product
     iid.norm = np.empty((n_rows, 1)) if kernel else _divisor(_block_total(iid, cells))
     row_sums, acc = np.empty(n_rows), np.zeros(n_cols)
-    step = min(m, max(1, cells // (r * n_cols)))  # rows of pre per block
+    step = min(m, max(1, cells // (r * n_cols)))  # (n-1)-fold rows per block
     buf = np.empty((1 + step * r, n_cols))  # one block, reused: two alive would double the peak
-    for p0 in range(0, m, step):
-        r0, r1 = p0 * r, min(p0 + step, m) * r
-        body = _iid_grow(iid.pre[p0:p0 + step], t, buf[1:1 + r1 - r0])
+    for q0 in range(0, m, step):
+        r0, r1 = q0 * r, min(q0 + step, m) * r
+        body = iid.block(q0, r1 // r, buf[1:1 + r1 - r0])
         if kernel:
             iid.norm[r0:r1] = body.sum(axis=1, keepdims=True)
-        np.divide(body, iid.norm[r0:r1] if kernel else iid.norm, out=body)
+            continue
+        np.divide(body, iid.norm, out=body)
         row_sums[r0:r1] = body.sum(axis=1)
-        if not kernel:
-            buf[0] = acc
-            acc = np.add.reduce(buf[:1 + r1 - r0], axis=0)
+        buf[0] = acc
+        acc = np.add.reduce(buf[:1 + r1 - r0], axis=0)
     if kernel:
-        return iid, row_sums, None
+        return iid, None, None
     if n_cols == 1:
         acc = np.array([_block_total(iid, cells, lambda block, r0: np.divide(block, iid.norm, out=block))])
     return iid, row_sums, acc

@@ -14,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import binning_oracle
-from coordsim import binning
+from coordsim import binning, probability
 from coordsim.binning import (
     BinningRealization,
     SchemeConfig,
@@ -40,6 +40,7 @@ from coordsim.probability import (
     JointPmf,
     Pmf,
     _IidRows,
+    _iid_factors,
     _iid_rows,
     _iid_table,
     iid_extension,
@@ -586,6 +587,24 @@ def test_trial_metrics_bits_at_n6():
         assert tuple(v.hex() if isinstance(v, float) else v for v in got) == want, t
 
 
+def test_trial_metrics_keep_their_bits_at_every_factor_depth():
+    # factors held at every depth from 0 to 4, so every row is rebuilt by
+    # 6 down to 2 fold steps, give the bits of the default factors (one
+    # step at n = 6)
+    d = chain3()
+    cfg = scheme(d, n=6, r=0.5, r0=0.5, rt=0.5, seed=123)
+    b = draw_binning(cfg, trial=0)
+    want = astuple(_trial_metrics(_tables(d, 6), b))
+    assert tuple(v.hex() if isinstance(v, float) else v for v in want) == CHAIN3_N6_BITS[0]
+    for depth in range(5):
+        with mock.patch.object(probability, "_BLOCK_CELLS", 6 ** depth):
+            tab = _tables(d, 6)
+            tab.pvn
+        assert (tab.pwu.steps, tab.pvn.steps) == (6 - depth, 6 - depth)
+        got = astuple(_trial_metrics(tab, b))
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want], depth
+
+
 def test_trial_never_builds_a_full_row_table():
     # a trial gathers one seed block of rows at a time, so its peak stays
     # below one (n_w, n_u) float64 table; gathering all rows at once peaks
@@ -646,8 +665,37 @@ def test_table_build_never_holds_a_full_table():
     assert peak < 0.6 * table_bytes, peak / table_bytes
 
 
+def test_tables_hold_factors_of_at_most_a_block():
+    # each factor is the raw product of the most letters that fit in
+    # _BLOCK_CELLS entries (about 2 MB), at every n: at n = 9 the tables
+    # and the kernel hold about 1.1 MB, where (n-1)-fold factors held 27 MB
+    d = chain3()
+    pair = regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u")
+    for n in range(1, 11):
+        for t in (pair.probs, d.v_given_w.rows):
+            factor = _iid_factors(t, n, "factor")
+            assert factor.pre.size <= probability._BLOCK_CELLS, (n, factor.pre.shape)
+            assert factor.steps == 1 or factor.pre.size * t.size > probability._BLOCK_CELLS, n
+    tracemalloc.start()
+    try:
+        tab = _tables(d, 9)
+        tab.pvn
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (tab.pwu.steps, tab.pvn.steps) == (3, 3)
+    assert held < 2 * 2 ** 20, held / 2 ** 20
+
+
 def hex_list(a) -> list:
     return [float(x).hex() for x in np.ravel(a)]
+
+
+def factor_budgets(n: int, *tables) -> list[int]:
+    """Factor budgets (``probability._BLOCK_CELLS``) under which each
+    n-fold table of ``tables`` is held at every depth from 0 to n - 1, so
+    its rows are rebuilt by every number of fold steps from n down to 1."""
+    return sorted({t.size ** depth for t in tables for depth in range(n)})
 
 
 def inexact_chain(p_u, w_given_u, v_given_w) -> Decomposition:
@@ -671,23 +719,28 @@ def inexact_chain(p_u, w_given_u, v_given_w) -> Decomposition:
 def test_streamed_divisors_and_marginals_match_the_full_tables(d, n, cells):
     # numpy's pairwise total, its column sums and the row sums of both
     # tables, read off row blocks of every size (at cells = 1 the total's
-    # leaves are a few rows, most of them cutting a row), against the full
-    # tables' own; a one-cell table folds at most twice.  The streamed
-    # tables are not checked again, so the examples take laws at the edge
-    # of what the constructors accept; the full tables are checked
+    # leaves are a few rows, most of them cutting a row) from factors of
+    # every depth, against the full tables' own; a one-cell table folds at
+    # most twice.  The streamed tables are not checked again, so the
+    # examples take laws at the edge of what the constructors accept; the
+    # full tables are checked.  A kernel's row sums are not streamed: its
+    # rows give them
     joint = regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u")
     for law, t in ((joint, joint.probs), (d.v_given_w, d.v_given_w.rows)):
         raw = _iid_table(t, min(n, 2) if t.size == 1 else n)
-        rows, row_sums, col_sums = _iid_rows(law, n, cells=cells)
-        if isinstance(law, ConditionalPmf):
-            full = iid_extension(law, n).rows
-            assert hex_list(rows.norm) == hex_list(raw.sum(axis=1, keepdims=True))
-            assert col_sums is None
-        else:
-            full = iid_extension(law, n).probs
-            assert hex_list(rows.norm) == hex_list(raw.sum())
-            assert hex_list(col_sums) == hex_list(full.sum(axis=0))
-        assert hex_list(row_sums) == hex_list(full.sum(axis=1))
+        kernel = isinstance(law, ConditionalPmf)
+        full = iid_extension(law, n).rows if kernel else iid_extension(law, n).probs
+        for budget in factor_budgets(n, t):
+            with mock.patch.object(probability, "_BLOCK_CELLS", budget):
+                rows, row_sums, col_sums = _iid_rows(law, n, cells=cells)
+            if kernel:
+                assert hex_list(rows.norm) == hex_list(raw.sum(axis=1, keepdims=True))
+                assert row_sums is None and col_sums is None
+                row_sums = rows.rows(np.arange(full.shape[0])).sum(axis=1)
+            else:
+                assert hex_list(rows.norm) == hex_list(raw.sum())
+                assert hex_list(col_sums) == hex_list(full.sum(axis=0))
+            assert hex_list(row_sums) == hex_list(full.sum(axis=1))
 
 
 def test_streamed_tables_at_n6_cut_rows_and_keep_their_bits():
@@ -707,24 +760,35 @@ def test_streamed_tables_at_n6_cut_rows_and_keep_their_bits():
 @settings(max_examples=150)
 @given(d=chains_with_zero_cells(), n=st.integers(1, 5), data=st.data())
 def test_factor_rows_match_the_full_tables_bit_for_bit(d, n, data):
-    tab = _tables(d, n)
-    joint = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n).probs
+    # from factors of every depth, so each row is rebuilt by 1 to n fold steps
+    pair = regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u")
+    joint = iid_extension(pair, n).probs
     kernel = iid_extension(d.v_given_w, n).rows
     # unsorted, repeated and empty index arrays
-    w = np.array(data.draw(st.lists(st.integers(0, tab.n_w - 1), max_size=12), label="w"),
+    w = np.array(data.draw(st.lists(st.integers(0, joint.shape[0] - 1), max_size=12), label="w"),
                  dtype=np.int64)
     pad = data.draw(st.integers(0, 3), label="pad")
-    for factor, full in ((tab.pwu, joint), (tab.pvn, kernel)):
-        want = full[w].view(np.int64)
-        assert np.array_equal(factor.rows(w).view(np.int64), want)
-        # written into a slice of a larger array
-        big = np.full((w.size + 2 * pad, full.shape[1]), np.nan)
-        got = factor.rows(w, out=big[pad:pad + w.size])
-        assert got.size == 0 or np.shares_memory(got, big)
-        assert np.array_equal(big[pad:pad + w.size].view(np.int64), want)
-        assert np.isnan(big[:pad]).all() and np.isnan(big[pad + w.size:]).all()
-    assert np.array_equal(tab.pw, joint.sum(axis=1)) and np.array_equal(tab.pu, joint.sum(axis=0))
-    assert np.array_equal(tab.pv0, kernel[tab.w0])
+    steps = set()
+    for budget in factor_budgets(n, pair.probs, d.v_given_w.rows):
+        with mock.patch.object(probability, "_BLOCK_CELLS", budget):
+            tab = _tables(d, n)
+            tab.pvn
+        for factor, full in ((tab.pwu, joint), (tab.pvn, kernel)):
+            assert factor.pre.size <= budget
+            steps.add((factor.t.size, factor.steps))
+            want = full[w].view(np.int64)
+            assert np.array_equal(factor.rows(w).view(np.int64), want)
+            # written into a slice of a larger array
+            big = np.full((w.size + 2 * pad, full.shape[1]), np.nan)
+            got = factor.rows(w, out=big[pad:pad + w.size])
+            assert got.size == 0 or np.shares_memory(got, big)
+            assert np.array_equal(big[pad:pad + w.size].view(np.int64), want)
+            assert np.isnan(big[:pad]).all() and np.isnan(big[pad + w.size:]).all()
+        assert np.array_equal(tab.pw, joint.sum(axis=1)) and np.array_equal(tab.pu, joint.sum(axis=0))
+        assert np.array_equal(tab.pv0, kernel[tab.w0])
+    for t in (pair.probs, d.v_given_w.rows):
+        if t.size > 1:
+            assert {k for size, k in steps if size == t.size} >= set(range(1, n + 1))
 
 
 def test_abort_rate_positive_with_dead_bins():

@@ -8,12 +8,14 @@ was written; randomized checks use seeded generators so failures replay.
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordsim import probability
 from coordsim.cltverify import AtomLaw
 from coordsim.errors import DomainError, ResourceLimitError, ShapeError
 from coordsim.nptest import np_beta
@@ -31,6 +33,7 @@ from coordsim.probability import (
     marginalize,
     sequence_digits,
     sequence_index,
+    _iid_l1,
     _iid_rows,
     _iid_table,
 )
@@ -328,6 +331,22 @@ def test_iid_table_and_extensions_match_kron_fold_bit_for_bit(t, n):
         assert same_bits(iid_extension(ConditionalPmf(k), n).rows, k_n / k_n.sum(axis=1, keepdims=True))
 
 
+@settings(max_examples=100, deadline=None)
+@given(t=small_tables().filter(lambda t: t.ndim == 2), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_l1_matches_the_dense_l1_at_every_factor_depth(t, n, seed):
+    # the L1 of a table to an n-fold joint, summed on row blocks rebuilt
+    # from factors of every depth (and leaves of every size down to two
+    # rows), against the dense L1, to the bit
+    joint = JointPmf(t / t.sum())
+    full = iid_extension(joint, n).probs
+    table = np.random.default_rng(seed).permutation(full.reshape(-1)).reshape(full.shape)
+    want = float(np.abs(table - full).sum())
+    for depth in range(n):
+        with mock.patch.object(probability, "_BLOCK_CELLS", t.size ** depth):
+            assert _iid_l1(table, joint, n).hex() == want.hex()
+
+
 def test_iid_extension_holds_its_table_once():
     # the n-fold table is built in place and kept by the law without a
     # copy: chain3's V|W kernel at n = 8 peaks near 1.25 tables (the last
@@ -392,8 +411,12 @@ def test_one_cell_tables_extend_at_once_with_the_bits_of_the_full_fold():
             if table.ndim == 2:
                 rows, row_sums, col_sums = _iid_rows(law, n)
                 assert rows.rows(np.array([0, 0])).tolist() == [[1.0], [1.0]]
+                if isinstance(law, ConditionalPmf):
+                    assert row_sums is None and col_sums is None
+                    row_sums = rows.rows(np.array([0])).sum(axis=1)
+                else:
+                    assert col_sums.tolist() == [1.0]
                 assert row_sums.tolist() == [1.0]
-                assert col_sums is None if isinstance(law, ConditionalPmf) else col_sums.tolist() == [1.0]
     assert time.perf_counter() - start < 0.5
 
 
