@@ -162,10 +162,9 @@ class SchemeConfig:
 class BinningRealization:
     """One drawn triple of total bin maps over the W-sequence space.
 
-    Carries the iid W^n mass ``w_mass``, read only by ``slc_posterior``:
-    ``trial_metrics``, ``rb_joint``, ``rc_joint`` and ``select_f`` decode
-    with ``_tables``' P(W^n), the (W, U) joint's row sums, which differs in
-    its last bits (by <= 1.9e-19 at n = 8).  Maps are checked total at construction.
+    Carries the iid W^n mass ``w_mass``, read only by ``slc_posterior``;
+    ``_tables``' P(W^n) is the same law, with the same bits.  Maps are
+    checked total at construction.
     """
 
     phi_f: np.ndarray
@@ -257,15 +256,15 @@ class _Tables:
     """iid blocks shared by every per-realization computation.  The
     (n_w, n_u) joint P(w, u) and the (n_w, n_v) kernel P(v | w) are held as
     factors: the raw product of the first n - k letters, at most
-    ``probability._BLOCK_CELLS`` entries (2 MB) at any n, and the one-letter
-    table whose last k fold steps ``rows(w)`` redoes, building just the
-    rows a caller asks for, with the bits of the full table
-    (``probability._IidRows``).  No full table is ever built: the divisors,
-    ``pu`` and ``pw`` are read off streamed row blocks with the full
-    tables' bits (``probability._iid_rows``), and the tables are not
-    checked again, as products of the chain's checked laws.  The kernel
-    and the (U^n, V^n) target are built on first read: a (u, w) marginal
-    never reads them."""
+    ``probability._BLOCK_CELLS`` entries (2 MB) at any n, the one-letter
+    table whose last k fold steps ``rows(w)`` redoes, and the divisor,
+    building just the rows a caller asks for, with the bits of the full
+    table (``probability._IidRows``).  No full table is ever built, and the
+    tables are not checked again, as products of the chain's checked laws.
+    ``pw`` and ``pu`` are the n-fold laws of the one-letter marginals
+    (``iid_extension``), so ``pw`` is ``BinningRealization.w_mass``.  The
+    kernel and the (U^n, V^n) target are built on first read: a (u, w)
+    marginal never reads them."""
 
     d: Decomposition
     n: int
@@ -280,7 +279,7 @@ class _Tables:
     @cached_property
     def pvn(self) -> _IidRows:
         """Rows of the (n_w, n_v) kernel."""
-        return _iid_rows(self.d.v_given_w, self.n)[0]
+        return _iid_rows(self.d.v_given_w, self.n)
 
     @cached_property
     def pv0(self) -> np.ndarray:
@@ -297,7 +296,10 @@ def _tables(d: Decomposition, n: int) -> _Tables:
     u, w, v = d.u_size, d.w_size, d.v_size
     check_table_size(max(u * w, w * v, u * v), "scheme tables", n)
     n_u, n_w, n_v = u ** n, w ** n, v ** n
-    pwu, pw, pu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), n)
+    joint = d.joint()
+    pwu = _iid_rows(regroup_pair(marginalize(joint, ("w", "u")), "w", "u"), n)
+    pw = iid_extension(marginalize(joint, "w"), n).probs
+    pu = iid_extension(marginalize(joint, "u"), n).probs
     return _Tables(d=d, n=n, n_u=n_u, n_w=n_w, n_v=n_v, pu=pu, pwu=pwu, pw=pw,
                    w0=int(np.flatnonzero(pw > 0)[0]))
 
@@ -1192,7 +1194,9 @@ def osrb_monte_carlo(
     cond = _ref_conditional(joint_ab, ref)
     p = joint_ab.probs
     n_a, n_b = p.shape
-    check_table_size(trials * n_a * max(n_bins, n_b), "one-shot draws")
+    # the largest table built: the one-hot maps (t, a, k), P(b, k) and
+    # Z(b, k) (t, b, k), or Z(b, bin(a)) and its ratios (t, b, a)
+    check_table_size(trials * max(n_a * n_bins, n_b * n_bins, n_b * n_a), "one-shot draws")
     rng = np.random.Generator(np.random.Philox(key=seed))
     bins = rng.integers(0, n_bins, size=(trials, n_a))
     onehot = np.zeros((trials, n_a, n_bins))

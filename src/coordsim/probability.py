@@ -24,10 +24,16 @@ Conventions
   read-only array, never renormalized.  Every law the program accepts passes
   it: ``Pmf``, ``JointPmf``, ``ConditionalPmf`` rows, ``AtomLaw`` masses,
   ``BinningRealization.w_mass`` and the flattened inputs of ``np_beta``,
-  ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.  The
-  n-fold tables streamed from row blocks (``_iid_rows``) are not checked
-  again: each law they extend was built through its constructor, and a
-  product of checked entries divided by its positive raw total passes.
+  ``np_test``, ``beta_sandwich`` and ``BinaryTest.accept_mass``.
+* Normalization of n-fold laws: the raw n-fold product of a one-letter
+  table is divided by the n-fold product of its total (per row for
+  kernels: the product of the row sums of the row's letters), folded as
+  the table is (``_iid_divisor``).  That undoes the float drift of the
+  one-letter totals, each within ``NORM_TOL`` of 1, and needs no pass over
+  the n-fold table, so ``iid_extension`` and the rows streamed from
+  factors (``_iid_rows``) divide by the same bits.  The streamed rows are
+  not checked again: each law they extend was built through its
+  constructor.
 * One check per parameter kind decides every such parameter, raising
   ``DomainError``: ``check_blocklength`` (whole-number counts below 2^64),
   ``check_seed`` (64-bit indices), ``check_index`` (in-alphabet indices),
@@ -520,8 +526,8 @@ def iid_extension(obj, n: int):
     index reads the n symbols first-symbol-most-significant.  Axis names are
     preserved for joints.  Raises ``ResourceLimitError`` when the extended
     table would blow the memory cap.  The table is built once and frozen,
-    so the law holds it without a copy.  A one-cell table folds at most
-    twice: x^k / x^k = 1.0 at any k.
+    so the law holds it without a copy.  It is divided by ``_iid_divisor``;
+    a one-cell table folds at most twice: x^k / x^k = 1.0 at any k.
     """
     n = check_blocklength(n, "iid extension length")
     if not isinstance(obj, (Pmf, ConditionalPmf, JointPmf)):
@@ -530,25 +536,23 @@ def iid_extension(obj, n: int):
     t = obj.rows if kernel else obj.probs
     what = "iid kernel" if kernel else "iid pmf" if isinstance(obj, Pmf) else "iid joint"
     check_table_size(t.size, what, n)
-    full = _iid_table(t, min(n, 2) if t.size == 1 else n)
-    # divide out the float drift of the long product so constructors accept
-    # it: by each row's sum for a kernel, else by the total
-    np.divide(full, full.sum(axis=1, keepdims=True) if kernel else _divisor(full.sum()), out=full)
+    n = min(n, 2) if t.size == 1 else n
+    full = _iid_table(t, n)
+    np.divide(full, _iid_divisor(t, n, kernel), out=full)
     return ConditionalPmf(_freeze(full)) if kernel else replace(obj, probs=_freeze(full))
 
 
-def _divisor(total):
-    """``total`` as the divisor of a table, unless it is not finite and
-    positive.  (A kernel's row sums are not checked here: its law check
-    rejects the rows they give.)"""
-    if not math.isfinite(total) or total <= 0:
-        raise DomainError(f"cannot renormalize array with total mass {total!r}")
-    return total
+def _iid_divisor(t: np.ndarray, n: int, kernel: bool) -> np.ndarray:
+    """What the raw n-fold product of ``t`` is divided by (see
+    Conventions): the n-fold product of the one-letter total, or of a
+    kernel's row sums, folded as the table is.  It has one entry, or one
+    per row of a kernel's table."""
+    return _iid_table(t.sum(axis=1 if kernel else None, keepdims=True), n)
 
 
-# entries of one row block of a streamed n-fold table: about 2 MB, so a
-# block stays small beside the tables while numpy's per-call cost stays a
-# small share of the time
+# entries of an ``_IidRows`` factor and of one leaf of ``_iid_l1``: about
+# 2 MB, so each stays small beside the tables while numpy's per-call cost
+# stays a small share of the time
 _BLOCK_CELLS = 1 << 18
 # entries of one block of gathered rows or cells, of which a step holds a
 # few temporaries: small beside a table of 2^20 entries
@@ -558,20 +562,19 @@ _GATHER_CELLS = 1 << 16
 class _IidRows:
     """Rows of an n-fold table of ``iid_extension`` held as factors: the
     raw product ``pre`` of the first n - k letters, the one-letter table
-    ``t`` (r, s), the k fold steps left, and the divisor the full table is
-    renormalized by.  ``_iid_factors`` takes the fewest steps k >= 1 that
+    ``t`` (r, s), the k fold steps left, and the table's divisor
+    (``_iid_divisor``).  ``_iid_rows`` takes the fewest steps k >= 1 that
     leave ``pre`` at most ``_BLOCK_CELLS`` entries, so it is about 2 MB or
-    less at any n.  ``rows`` and ``block`` redo the last k steps with the
-    fold's own multiplies, so every row keeps the full table's bits, and
-    ``_iid_rows`` reads the divisor and the marginals off blocks, so the
-    full table is never built.  (A plain class: each dataclass adds to the
-    CLI's cold start.)"""
+    less at any n.  ``rows`` redoes the last k steps with the fold's own
+    multiplies and divides by the same divisor, so every row keeps the full
+    table's bits and the full table is never built.  (A plain class: each
+    dataclass adds to the CLI's cold start.)"""
 
-    def __init__(self, pre: np.ndarray, t: np.ndarray, steps: int, norm=None):
+    def __init__(self, pre: np.ndarray, t: np.ndarray, steps: int, norm: np.ndarray):
         self.pre = pre      # (r**(n-k), s**(n-k)) raw (n-k)-fold product
         self.t = t          # (r, s) one-letter table
         self.steps = steps  # k, the fold steps from pre to the full table
-        self.norm = norm    # the full table's raw total, or its (r**n, 1) raw row sums
+        self.norm = norm    # the divisor: (1, 1), or a kernel's (r**n, 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -599,25 +602,7 @@ class _IidRows:
             for c in range(s):  # s strided passes: one broadcast over s is several times slower
                 np.multiply(rows, last[:, c, None], out=wide[:, :, c])
             rows = grown
-        return np.divide(rows, self.norm if self.norm.ndim == 0 else self.norm[w], out=rows)
-
-    def block(self, q0: int, q1: int, out=None) -> np.ndarray:
-        """Raw rows [q0 r, q1 r) of the full table, with its bits: ``pre``
-        folded on by ``_iid_grow``, each step but the last kept to the rows
-        the next one reads, until rows [q0, q1) of the (n-1)-fold product
-        take the last step, into ``out`` if given.  Each earlier product is
-        at most 1/(r s) of the block and a few rows."""
-        r, spans = self.t.shape[0], [(q0, q1)]
-        for _ in range(self.steps - 1):  # the rows each earlier product must give
-            a, b = spans[-1]
-            spans.append((a // r, -(-b // r)))
-        a, b = spans.pop()
-        rows = self.pre[a:b]
-        while spans:
-            c, d = spans.pop()
-            rows = _iid_grow(rows, self.t)[c - a * r:d - a * r]
-            a = c
-        return _iid_grow(rows, self.t, out)
+        return np.divide(rows, self.norm if self.norm.size == 1 else self.norm[w], out=rows)
 
 
 def _pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int):
@@ -634,99 +619,46 @@ def _pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int):
     return _pairwise_sum(leaf_sum, lo, lo + half, leaf) + _pairwise_sum(leaf_sum, lo + half, hi, leaf)
 
 
-def _block_total(iid: _IidRows, cells: int, visit=None):
-    """The full table's ``sum()`` with its bits, from row blocks of the
-    raw product: ``_pairwise_sum`` over leaves of about ``cells`` entries
-    (more for wide rows).  A leaf builds the rows it touches, rounded out to
-    whole rows of the (n-1)-fold product (``_IidRows.block``), and
-    ``visit(block, r0)`` may rewrite them in place before the leaf is
-    summed: the block starts at table row r0."""
-    r, (n_rows, n_cols) = iid.t.shape[0], iid.shape
+def _iid_rows(obj, n: int) -> _IidRows:
+    """The ``_IidRows`` of the n-fold law of a two-axis JointPmf or a
+    ConditionalPmf, once its size passes ``check_table_size``: any row of
+    the table ``iid_extension`` gives, with its bits, without the full
+    table.  ``pre`` is the raw product of the first n - k letters, k >= 1
+    the fewest fold steps that leave it at most ``_BLOCK_CELLS`` entries.
+    A one-cell table folds at most twice: x^k / x^k = 1.0 at any k.
 
-    def leaf_sum(lo, hi):
-        q0, q1 = lo // (r * n_cols), -(-hi // (r * n_cols))
-        block = iid.block(q0, q1)
-        if visit is not None:
-            visit(block, q0 * r)
-        return np.sum(block.reshape(-1)[lo - q0 * r * n_cols:hi - q0 * r * n_cols])
-
-    return _pairwise_sum(leaf_sum, 0, n_rows * n_cols, max(cells, 2 * r * n_cols))
-
-
-def _iid_factors(t: np.ndarray, n: int, what: str) -> _IidRows:
-    """The ``_IidRows`` factors (no divisor yet) of the n-fold table of the
-    one-letter table ``t``, once its size passes ``check_table_size``:
-    ``pre`` is the raw product of the first n - k letters, k >= 1 the
-    fewest fold steps that leave it at most ``_BLOCK_CELLS`` entries.  A
-    one-cell table folds at most twice: x^k / x^k = 1.0 at any k."""
-    check_table_size(t.size, what, n)
+    ``obj`` must have been built through its constructor: its table then
+    passed ``_clean_probs``, and the n-fold table, a product of its entries
+    divided by the product of their totals, is not checked again."""
+    kernel = isinstance(obj, ConditionalPmf)
+    t = obj.rows if kernel else obj.probs
+    check_table_size(t.size, "iid kernel" if kernel else "iid joint", n)
     if t.size == 1:
         n = min(n, 2)
     depth = n - 1
     while depth > 0 and t.size ** depth > _BLOCK_CELLS:
         depth -= 1
-    return _IidRows(_freeze(_iid_table(t, depth)), t, n - depth)
+    return _IidRows(_freeze(_iid_table(t, depth)), t, n - depth, _iid_divisor(t, n, kernel))
 
 
 def _iid_l1(table: np.ndarray, joint: JointPmf, n: int) -> float:
     """``np.abs(table - iid_extension(joint, n).probs).sum()``, with its
     bits, for a C-ordered (r**n, s**n) ``table`` and a two-axis ``joint``:
-    the difference is taken and summed on the blocks of ``_block_total``,
-    so neither the iid table nor the difference is built."""
-    iid = _iid_factors(joint.probs, n, "iid joint")
-    iid.norm = _divisor(_block_total(iid, _BLOCK_CELLS))
+    numpy's pairwise tree (``_pairwise_sum``) over leaves of about
+    ``_BLOCK_CELLS`` entries, each leaf's difference taken on the rows it
+    touches (``_IidRows.rows``), so neither the iid table nor the
+    difference is built."""
+    iid = _iid_rows(joint, n)
+    n_rows, n_cols = iid.shape
+    flat = table.reshape(-1)
 
-    def visit(block, r0):
-        np.divide(block, iid.norm, out=block)
-        np.subtract(table[r0:r0 + block.shape[0]], block, out=block)
-        np.abs(block, out=block)
+    def leaf_sum(lo, hi):
+        r0, r1 = lo // n_cols, -(-hi // n_cols)
+        block = iid.rows(np.arange(r0, r1)).reshape(-1)[lo - r0 * n_cols:hi - r0 * n_cols]
+        np.subtract(flat[lo:hi], block, out=block)
+        return np.sum(np.abs(block, out=block))
 
-    return float(_block_total(iid, _BLOCK_CELLS, visit))
-
-
-def _iid_rows(obj, n: int, cells: int = _BLOCK_CELLS):
-    """(rows, row sums, column sums) of the n-fold law of a two-axis
-    JointPmf or a ConditionalPmf and a checked n: an ``_IidRows`` that
-    builds any row of the table ``iid_extension`` gives, with its bits, and
-    for a joint that table's ``sum(axis=1)`` and ``sum(axis=0)``.  A
-    kernel's sums are None: its rows sum to 1 within ``NORM_TOL``, and
-    ``rows`` gives them where a test needs their bits.
-
-    ``obj`` must have been built through its constructor: its table then
-    passed ``_clean_probs``, and so does the n-fold table, a product of
-    its entries divided by a positive raw total, so it is not checked
-    again.  The full table is never built.  A joint's divisor, its raw
-    total, is summed pairwise off row blocks (``_block_total``); then one
-    pass over blocks of about ``cells`` entries, whole rows of the
-    (n-1)-fold product, takes a kernel's divisor, its raw row sums, or
-    divides a joint's block and takes its row sums and column sums.  The
-    column sums add rows in order, carried from block to block in the
-    block's spare row 0; a one-column joint's is summed pairwise instead,
-    as its total."""
-    kernel = isinstance(obj, ConditionalPmf)
-    t = obj.rows if kernel else obj.probs
-    iid = _iid_factors(t, n, "iid kernel" if kernel else "iid joint")
-    (n_rows, n_cols), r = iid.shape, t.shape[0]
-    m = n_rows // r  # rows of the (n-1)-fold product
-    iid.norm = np.empty((n_rows, 1)) if kernel else _divisor(_block_total(iid, cells))
-    row_sums, acc = np.empty(n_rows), np.zeros(n_cols)
-    step = min(m, max(1, cells // (r * n_cols)))  # (n-1)-fold rows per block
-    buf = np.empty((1 + step * r, n_cols))  # one block, reused: two alive would double the peak
-    for q0 in range(0, m, step):
-        r0, r1 = q0 * r, min(q0 + step, m) * r
-        body = iid.block(q0, r1 // r, buf[1:1 + r1 - r0])
-        if kernel:
-            iid.norm[r0:r1] = body.sum(axis=1, keepdims=True)
-            continue
-        np.divide(body, iid.norm, out=body)
-        row_sums[r0:r1] = body.sum(axis=1)
-        buf[0] = acc
-        acc = np.add.reduce(buf[:1 + r1 - r0], axis=0)
-    if kernel:
-        return iid, None, None
-    if n_cols == 1:
-        acc = np.array([_block_total(iid, cells, lambda block, r0: np.divide(block, iid.norm, out=block))])
-    return iid, row_sums, acc
+    return float(_pairwise_sum(leaf_sum, 0, n_rows * n_cols, _BLOCK_CELLS))
 
 
 def sequence_digits(flat_index: int, base: int, n: int) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import binning_oracle
+from chains import chains_with_zero_cells
 from coordsim import binning, probability
 from coordsim.binning import (
     BinningRealization,
@@ -39,8 +40,8 @@ from coordsim.probability import (
     ConditionalPmf,
     JointPmf,
     Pmf,
+    NORM_TOL,
     _IidRows,
-    _iid_factors,
     _iid_rows,
     _iid_table,
     iid_extension,
@@ -413,29 +414,6 @@ def test_trial_metrics_match_brute_force():
         assert rep.decoder_error == pytest.approx(1.0 - np.trace(w_hw), abs=1e-12)
 
 
-@st.composite
-def chains_with_zero_cells(draw):
-    """Small U - W - V chains whose tables have structural zeros: integer
-    cell weights 0..3, with at least one positive cell per row."""
-    u_size = draw(st.integers(1, 3), label="u_size")
-    v_size = draw(st.integers(1, 3), label="v_size")
-    w_size = draw(st.integers(1, min(3, u_size * v_size + 1)), label="w_size")
-
-    def rows(n_rows, n_cols):
-        out = []
-        for _ in range(n_rows):
-            cells = draw(st.lists(st.integers(0, 3), min_size=n_cols, max_size=n_cols)
-                         .filter(any))
-            out.append(np.array(cells, dtype=float) / sum(cells))
-        return np.array(out)
-
-    return Decomposition(
-        p_u=Pmf(rows(1, u_size)[0]),
-        w_given_u=ConditionalPmf(rows(u_size, w_size)),
-        v_given_w=ConditionalPmf(rows(w_size, v_size)),
-    )
-
-
 @settings(max_examples=300)
 @given(d=chains_with_zero_cells(), n=st.integers(1, 3), data=st.data())
 def test_segment_sum_metrics_match_per_key_oracle(d, n, data):
@@ -563,15 +541,15 @@ def chain3() -> Decomposition:
 
 
 # every TrialMetrics field of chain3 at n = 6, rates 0.5, seed 123, trials
-# 0-2 (floats as float.hex), recorded from a trial that gathered all rows
-# at once: working per seed block must not move a bit
+# 0-2 (floats as float.hex), with P(W^n) and P(U^n) the folds of the
+# one-letter marginals: working per seed block must not move a bit
 CHAIN3_N6_BITS = [
-    ("0x1.81800c07e396ap-2", "0x1.c7f5b28b0f5ddp-2", 5, "0x1.a7ecbfdc82fd4p-2",
-     "0x1.14d15e6dad373p-1", "0x1.bb0ceec202734p-2", "0x0.0p+0"),
-    ("0x1.8038f40d13e9dp-2", "0x1.95d90413cf596p-2", 0, "0x1.835caccb7c81cp-2",
-     "0x1.0cca7afde2272p-1", "0x1.ba9ce95031e5cp-2", "0x0.0p+0"),
-    ("0x1.865f1e9448827p-2", "0x1.b0ff65c598af2p-2", 1, "0x1.95f44695364b6p-2",
-     "0x1.09e05e869e02cp-1", "0x1.bc696bd4562a0p-2", "0x0.0p+0"),
+    ("0x1.81800c07e3970p-2", "0x1.c7f5b28b0f5e4p-2", 5, "0x1.a7ecbfdc82fdap-2",
+     "0x1.14d15e6dad375p-1", "0x1.bb0ceec202730p-2", "0x0.0p+0"),
+    ("0x1.8038f40d13ea2p-2", "0x1.95d90413cf59cp-2", 0, "0x1.835caccb7c822p-2",
+     "0x1.0cca7afde2274p-1", "0x1.ba9ce95031e58p-2", "0x0.0p+0"),
+    ("0x1.865f1e944882cp-2", "0x1.b0ff65c598af7p-2", 1, "0x1.95f44695364bdp-2",
+     "0x1.09e05e869e02fp-1", "0x1.bc696bd45629cp-2", "0x0.0p+0"),
 ]
 
 
@@ -648,11 +626,12 @@ def test_tables_hold_factors_not_full_tables():
 
 
 def test_table_build_never_holds_a_full_table():
-    # the divisors and marginals of both n-fold tables come from row
-    # blocks, and the tables are not checked again: building the tables and
-    # the kernel traces about 0.51 of one (n_w, n_u) float64 table at n = 8
-    # (the two held factors are a third of one, the one reused block of
-    # 2^18 entries a sixth); building each full table once traced 1.36
+    # the divisors of both n-fold tables are folds of one-letter totals,
+    # and the tables are not checked again: building the tables and the
+    # kernel traces about 0.07 of one (n_w, n_u) float64 table at n = 8
+    # (the two held factors and the W^n and U^n laws); streaming the
+    # divisors and marginals off row blocks traced 0.26, and building each
+    # full table once 1.36
     d = chain3()
     table_bytes = 3 ** 8 * 2 ** 8 * 8
     tracemalloc.start()
@@ -662,7 +641,7 @@ def test_table_build_never_holds_a_full_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * table_bytes, peak / table_bytes
+    assert peak < 0.15 * table_bytes, peak / table_bytes
 
 
 def test_tables_hold_factors_of_at_most_a_block():
@@ -672,8 +651,8 @@ def test_tables_hold_factors_of_at_most_a_block():
     d = chain3()
     pair = regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u")
     for n in range(1, 11):
-        for t in (pair.probs, d.v_given_w.rows):
-            factor = _iid_factors(t, n, "factor")
+        for law, t in ((pair, pair.probs), (d.v_given_w, d.v_given_w.rows)):
+            factor = _iid_rows(law, n)
             assert factor.pre.size <= probability._BLOCK_CELLS, (n, factor.pre.shape)
             assert factor.steps == 1 or factor.pre.size * t.size > probability._BLOCK_CELLS, n
     tracemalloc.start()
@@ -706,55 +685,46 @@ def inexact_chain(p_u, w_given_u, v_given_w) -> Decomposition:
 
 
 @settings(max_examples=120, deadline=None)
-@given(d=chains_with_zero_cells(), n=st.integers(1, 6), cells=st.sampled_from([1, 200, 1000, 1 << 18]))
+@given(d=chains_with_zero_cells(), n=st.integers(1, 6))
 # a -1e-16 entry clamped as dust in both kernels
 @example(d=inexact_chain([0.5, 0.5], [[0.5, 0.5, -1e-16], [0.2, 0.3, 0.5]],
-                         [[1.0, -1e-16], [0.4, 0.6], [0.25, 0.75]]), n=5, cells=1)
+                         [[1.0, -1e-16], [0.4, 0.6], [0.25, 0.75]]), n=5)
 # a joint total of 1 + 9e-13
-@example(d=inexact_chain([0.3, 0.7 + 9e-13], [[0.5, 0.5], [0.1, 0.9]], [[0.2, 0.8], [0.6, 0.4]]),
-         n=6, cells=200)
+@example(d=inexact_chain([0.3, 0.7 + 9e-13], [[0.5, 0.5], [0.1, 0.9]], [[0.2, 0.8], [0.6, 0.4]]), n=6)
 # kernel rows that sum to 1 + 9e-13 and 1 - 9e-13
 @example(d=inexact_chain([0.25, 0.75], [[0.5, 0.5], [0.1, 0.9]],
-                         [[0.3, 0.7 + 9e-13], [0.6 - 9e-13, 0.4]]), n=6, cells=1)
-def test_streamed_divisors_and_marginals_match_the_full_tables(d, n, cells):
-    # numpy's pairwise total, its column sums and the row sums of both
-    # tables, read off row blocks of every size (at cells = 1 the total's
-    # leaves are a few rows, most of them cutting a row) from factors of
-    # every depth, against the full tables' own; a one-cell table folds at
-    # most twice.  The streamed tables are not checked again, so the
-    # examples take laws at the edge of what the constructors accept; the
-    # full tables are checked.  A kernel's row sums are not streamed: its
-    # rows give them
+                         [[0.3, 0.7 + 9e-13], [0.6 - 9e-13, 0.4]]), n=6)
+def test_streamed_divisors_are_the_folds_of_the_one_letter_totals(d, n):
+    # both n-fold tables, in full and streamed from factors of every depth,
+    # divide their raw product by the fold of the one-letter total (for a
+    # kernel, of its row sums); a one-cell table folds at most twice.  The
+    # streamed tables are not checked again, so the examples take laws at
+    # the edge of what the constructors accept: the n-fold totals (per row
+    # for a kernel) stay within NORM_TOL
     joint = regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u")
     for law, t in ((joint, joint.probs), (d.v_given_w, d.v_given_w.rows)):
-        raw = _iid_table(t, min(n, 2) if t.size == 1 else n)
         kernel = isinstance(law, ConditionalPmf)
+        folds = min(n, 2) if t.size == 1 else n
+        norm = _iid_table(t.sum(axis=1 if kernel else None, keepdims=True), folds)
         full = iid_extension(law, n).rows if kernel else iid_extension(law, n).probs
+        assert hex_list(full) == hex_list(_iid_table(t, folds) / norm)
+        totals = full.sum(axis=1) if kernel else full.sum()
+        assert np.max(np.abs(totals - 1.0)) <= NORM_TOL
         for budget in factor_budgets(n, t):
             with mock.patch.object(probability, "_BLOCK_CELLS", budget):
-                rows, row_sums, col_sums = _iid_rows(law, n, cells=cells)
-            if kernel:
-                assert hex_list(rows.norm) == hex_list(raw.sum(axis=1, keepdims=True))
-                assert row_sums is None and col_sums is None
-                row_sums = rows.rows(np.arange(full.shape[0])).sum(axis=1)
-            else:
-                assert hex_list(rows.norm) == hex_list(raw.sum())
-                assert hex_list(col_sums) == hex_list(full.sum(axis=0))
-            assert hex_list(row_sums) == hex_list(full.sum(axis=1))
+                rows = _iid_rows(law, n)
+            assert hex_list(rows.norm) == hex_list(norm)
+            assert hex_list(rows.rows(np.arange(full.shape[0]))) == hex_list(full)
 
 
-def test_streamed_tables_at_n6_cut_rows_and_keep_their_bits():
-    # chain3 at n = 6 with the smallest leaves: the first split of the
-    # joint's 729 x 64 entries falls inside row 364
-    d = chain3()
-    tab = _tables(d, 6)
-    full = iid_extension(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), 6).probs
-    rows, pw, pu = _iid_rows(regroup_pair(marginalize(d.joint(), ("w", "u")), "w", "u"), 6, cells=1)
-    assert (729 * 64 // 2) % 64 != 0
-    for got in ((rows.norm, pw, pu), (tab.pwu.norm, tab.pw, tab.pu)):
-        assert hex_list(got[0]) == hex_list(_iid_table(tab.pwu.t, 6).sum())
-        assert hex_list(got[1]) == hex_list(full.sum(axis=1))
-        assert hex_list(got[2]) == hex_list(full.sum(axis=0))
+def test_tables_and_the_binning_share_one_w_law():
+    # the decoders of a trial read _tables' P(W^n), slc_posterior reads
+    # the realization's w_mass: one law, the same bits
+    for d, n in itertools.product((chain3(), skewed_chain(), dead_symbol_chain()), (1, 2, 6)):
+        tab = _tables(d, n)
+        w_mass = draw_binning(scheme(d, n=n, r=0.5, r0=0.5, rt=0.5, seed=5), trial=1).w_mass
+        assert tab.pw.tobytes() == w_mass.tobytes()
+        np.testing.assert_allclose(tab.pu, iid_extension(d.p_u, n).probs, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=150)
@@ -784,7 +754,10 @@ def test_factor_rows_match_the_full_tables_bit_for_bit(d, n, data):
             assert got.size == 0 or np.shares_memory(got, big)
             assert np.array_equal(big[pad:pad + w.size].view(np.int64), want)
             assert np.isnan(big[:pad]).all() and np.isnan(big[pad + w.size:]).all()
-        assert np.array_equal(tab.pw, joint.sum(axis=1)) and np.array_equal(tab.pu, joint.sum(axis=0))
+        # P(W^n) and P(U^n) fold the one-letter marginals: the joint's row
+        # and column sums to within rounding
+        np.testing.assert_allclose(tab.pw, joint.sum(axis=1), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(tab.pu, joint.sum(axis=0), rtol=1e-13, atol=0)
         assert np.array_equal(tab.pv0, kernel[tab.w0])
     for t in (pair.probs, d.v_given_w.rows):
         if t.size > 1:
@@ -1148,6 +1121,22 @@ def test_one_shot_lemmas_ignore_an_empty_column():
     a, b = osrb_monte_carlo(padded, 2, trials=50, seed=9), osrb_monte_carlo(joint, 2, trials=50, seed=9)
     assert a.mean_l1 == pytest.approx(b.mean_l1, abs=1e-15)
     assert a.mean_error == pytest.approx(b.mean_error, abs=1e-15)
+
+
+def test_osrb_monte_carlo_cap_counts_its_largest_table(monkeypatch):
+    # a one-letter A beside 1,000 B letters and 1,000 bins: the decoder's
+    # normalizers Z(b, k) are trials x |B| x bins = 10^6 entries, over a cap
+    # of 10^5, though trials x |A| x max(bins, |B|) is only 10^3
+    monkeypatch.setenv("COORDSIM_MEM_CAP", "100000")
+    wide = JointPmf(np.full((1, 1000), 1e-3))
+    with pytest.raises(ResourceLimitError) as err:
+        osrb_monte_carlo(wide, 1000, trials=1, seed=0)
+    assert err.value.required == 10 ** 6
+    # exactly at the cap, whether (t, b, k) or (t, b, a) is the largest
+    for joint, n_bins in ((JointPmf(np.full((1, 100), 1e-2)), 1000),
+                          (JointPmf(np.full((200, 500), 1e-5)), 1)):
+        rep = osrb_monte_carlo(joint, n_bins, trials=1, seed=0)
+        assert rep.trials == 1 and math.isfinite(rep.mean_l1) and math.isfinite(rep.mean_error)
 
 
 def test_osrb_monte_carlo_determinism():

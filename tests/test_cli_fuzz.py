@@ -6,8 +6,11 @@ six subcommands' fixed inputs and flags, and mutates it: up to three
 values of its input file, at any depth, become a value of the wrong type,
 a huge, negative, NaN or infinite number, an empty container, or go
 missing, and up to two flags get a bad value.  Half the ``np`` examples
-instead draw a fresh valid law pair (``np_documents``) with at most one
-mutation, so that runs reach the solver and not only the input checks.
+instead draw a fresh valid law pair (``np_documents``), and half the
+``simulate``, ``region`` and ``clt`` examples a fresh valid chain with zero
+cells at n in 1-4 (``chain_documents``), each with at most one mutation
+and no bad flag, so that runs reach the solvers and not only the input
+checks.
 The run must exit 0, 2, 3 or 4 within a 10 s alarm; 1,000 examples take
 about 7 s.  The examples are drawn the same way on every
 run (the suite's derandomized profile), so a failure reproduces from the
@@ -24,6 +27,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chains import chain_tables
 from coordsim.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_RESOURCE, main
 from test_golden import CASES
 
@@ -94,15 +98,38 @@ def np_documents(draw):
 
 
 @st.composite
+def chain_documents(draw, sub):
+    """A valid ``simulate``, ``region`` or ``clt`` input and flags: the
+    golden case's, on a fresh chain with zero cells (``chain_tables``) at a
+    blocklength n in 1-4, and for ``simulate`` rates in [0, 1.5].  At n = 1,
+    where the default gamma rule log2 n gives no slack, ``simulate`` and
+    ``region`` get fixed gammas."""
+    doc, flags = CASES[sub]
+    p_u, w_given_u, v_given_w = draw(chain_tables())
+    chain = {"p_u": p_u, "w_given_u": w_given_u, "v_given_w": v_given_w}
+    n = draw(st.integers(1, 4))
+    flags = list(flags) + (["--gamma", "1,0.5,1"] if n == 1 and sub != "clt" else [])
+    if sub == "simulate":
+        rate = st.floats(0.0, 1.5)
+        return {**doc, "decomposition": chain, "n": n, "rate_r": draw(rate),
+                "rate_r0": draw(rate), "rate_rtilde": draw(rate)}, flags
+    flags[flags.index("--n") + 1] = str(n)
+    return chain, flags
+
+
+@st.composite
 def invocations(draw):
     """(argv without --input/--output, input document or None).  Half the
-    ``np`` cases draw a fresh valid document, mutated at most once and
-    given no bad flag, so most of them reach the solver."""
+    ``np``, ``simulate``, ``region`` and ``clt`` cases draw a fresh valid
+    document, mutated at most once and given no bad flag, so most of them
+    reach the solver."""
     sub = draw(st.sampled_from(sorted(CASES)))
     doc, flags = CASES[sub]
-    fresh = sub == "np" and draw(st.booleans())
-    if fresh:
+    fresh = sub in ("np", "simulate", "region", "clt") and draw(st.booleans())
+    if fresh and sub == "np":
         doc = draw(np_documents())
+    elif fresh:
+        doc, flags = draw(chain_documents(sub))
     if doc is not None:
         for _ in range(draw(st.integers(0, 1 if fresh else 3))):
             where = paths(doc)

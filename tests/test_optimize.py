@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optimize_oracle
+from chains import chains_with_zero_cells
 from coordsim import optimize
 from coordsim.errors import DomainError, SearchError
-from coordsim.measures import backoff, gaussian_q_inv
+from coordsim.measures import backoff, gaussian_q_inv, mutual_information
 from coordsim.optimize import (
     OBJECTIVES,
     _ZOOM_GRID,
@@ -27,7 +28,7 @@ from coordsim.optimize import (
     _zoom_min,
     optimize_decomposition,
 )
-from coordsim.probability import ConditionalPmf, JointPmf, Pmf, l1_distance
+from coordsim.probability import ConditionalPmf, JointPmf, Pmf, l1_distance, marginalize
 from coordsim.region import (
     Decomposition,
     GammaTriple,
@@ -46,6 +47,29 @@ def dsbs(a: float) -> JointPmf:
 
 def bsc(delta: float) -> ConditionalPmf:
     return ConditionalPmf(np.array([[1 - delta, delta], [delta, 1 - delta]]))
+
+
+# data processing on U - W - V: the closed-form floor under every rate the
+# search can return, within the float error of the two moment routines
+
+
+@settings(max_examples=200)
+@given(d=chains_with_zero_cells())
+def test_rate_thresholds_obey_data_processing(d):
+    # I(W;U) >= I(U;V), and I(W;UV) >= I(W;U) by the chain rule
+    i_wu, i_wuv = asymptotic_region(d)
+    i_uv = mutual_information(marginalize(d.joint(), ("u", "v")))
+    assert i_wu >= i_uv - 1e-12, (i_wu, i_uv)
+    assert i_wuv >= i_wu - 1e-12, (i_wuv, i_wu)
+
+
+@settings(max_examples=100)
+@given(d=chains_with_zero_cells())
+def test_rate_threshold_meets_the_target_when_v_copies_w(d):
+    # with v_given_w the identity, V = W and data processing is tight
+    copy = Decomposition(p_u=d.p_u, w_given_u=d.w_given_u, v_given_w=ConditionalPmf(np.eye(d.w_size)))
+    i_wu, _ = asymptotic_region(copy)
+    assert i_wu == pytest.approx(mutual_information(marginalize(copy.joint(), ("u", "v"))), abs=1e-12)
 
 
 def test_perfectly_correlated_target_reaches_one_bit():

@@ -319,16 +319,15 @@ def test_iid_table_and_extensions_match_kron_fold_bit_for_bit(t, n):
     got = _iid_table(t, n)
     assert same_bits(got, kron_fold(t, n))
     assert got is not t and got.flags.writeable
-    # each law type divides the product by its total (per row for kernels)
-    if t.ndim == 1:
-        p_n = kron_fold(t / t.sum(), n)
-        assert same_bits(iid_extension(Pmf(t / t.sum()), n).probs, p_n / p_n.sum())
-    else:
-        j_n = kron_fold(t / t.sum(), n)
-        assert same_bits(iid_extension(JointPmf(t / t.sum()), n).probs, j_n / j_n.sum())
+    # each law type divides the product by the fold of its one-letter
+    # total (for kernels, of its row sums)
+    law = t / t.sum()
+    p_n = kron_fold(law, n) / kron_fold(law.sum(keepdims=True), n)
+    assert same_bits(iid_extension(Pmf(law) if t.ndim == 1 else JointPmf(law), n).probs, p_n)
+    if t.ndim == 2:
         k = t / t.sum(axis=1, keepdims=True)
-        k_n = kron_fold(k, n)
-        assert same_bits(iid_extension(ConditionalPmf(k), n).rows, k_n / k_n.sum(axis=1, keepdims=True))
+        k_n = kron_fold(k, n) / kron_fold(k.sum(axis=1, keepdims=True), n)
+        assert same_bits(iid_extension(ConditionalPmf(k), n).rows, k_n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,8 +349,8 @@ def test_streamed_l1_matches_the_dense_l1_at_every_factor_depth(t, n, seed):
 def test_iid_extension_holds_its_table_once():
     # the n-fold table is built in place and kept by the law without a
     # copy: chain3's V|W kernel at n = 8 peaks near 1.25 tables (the last
-    # step's input and the row sums on top of the final table); a copy on
-    # construction peaked at 2.25
+    # step's input on top of the final table); a copy on construction
+    # peaked at 2.25
     k = ConditionalPmf(np.array([[0.8, 0.2], [0.4, 0.6], [0.1, 0.9]]))
     table_bytes = 3 ** 8 * 2 ** 8 * 8
     tracemalloc.start()
@@ -409,14 +408,7 @@ def test_one_cell_tables_extend_at_once_with_the_bits_of_the_full_fold():
             table = full.rows if isinstance(law, ConditionalPmf) else full.probs
             assert table.reshape(-1).tolist() == [1.0]
             if table.ndim == 2:
-                rows, row_sums, col_sums = _iid_rows(law, n)
-                assert rows.rows(np.array([0, 0])).tolist() == [[1.0], [1.0]]
-                if isinstance(law, ConditionalPmf):
-                    assert row_sums is None and col_sums is None
-                    row_sums = rows.rows(np.array([0])).sum(axis=1)
-                else:
-                    assert col_sums.tolist() == [1.0]
-                assert row_sums.tolist() == [1.0]
+                assert _iid_rows(law, n).rows(np.array([0, 0])).tolist() == [[1.0], [1.0]]
     assert time.perf_counter() - start < 0.5
 
 
